@@ -20,14 +20,13 @@ import numpy as np
 
 from wasslip.measures import (
     DiscreteMeasure,
-    LabeledPoint,
     PointSet,
-    ball_contains,
     cost_matrix,
+    point_set,
     transport_cost,
 )
-from wasslip.models import BoundMode, Model, loss_and_grad_x, loss_value
-from wasslip.numerics import NormTag, as_vector, norm
+from wasslip.models import BoundMode, Model, loss_grads, losses
+from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector
 from wasslip.robust import (
     RobustInstance,
     primal_robust_risk_lp,
@@ -74,40 +73,64 @@ class AttackResult:
     norm: NormTag
 
 
-def _project_l1(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball via the sorted simplex projection."""
-    if float(np.sum(np.abs(v))) <= radius:
-        return v
-    u = np.sort(np.abs(v))[::-1]
-    cumsum = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    mask = u > (cumsum - radius) / ks
-    k = int(np.max(np.nonzero(mask)[0])) + 1
-    theta = (cumsum[k - 1] - radius) / k
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+def _row_l2(D: np.ndarray) -> np.ndarray:
+    # one dot product per row, bit-identical to numerics.norm on that row
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+
+
+def _row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
+    if tag == NormTag.LINF:
+        return np.max(np.abs(D), axis=1)
+    if tag == NormTag.L2:
+        return _row_l2(D)
+    return np.sum(np.abs(D), axis=1)
+
+
+def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of every row onto the l1 ball via the sorted
+    simplex projection."""
+    U = np.sort(np.abs(V), axis=1)[:, ::-1]
+    cumsum = np.cumsum(U, axis=1)
+    ks = np.arange(1, V.shape[1] + 1)
+    mask = U > (cumsum - radius) / ks
+    k = V.shape[1] - np.argmax(mask[:, ::-1], axis=1)  # last True, 1-based
+    theta = (cumsum[np.arange(V.shape[0]), k - 1] - radius) / k
+    return np.sign(V) * np.maximum(np.abs(V) - theta[:, None], 0.0)
+
+
+def _project_rows(V: np.ndarray, ball: BallSpec) -> np.ndarray:
+    """Project every row of V onto the ball; rows inside are left as they are."""
+    eps = ball.epsilon
+    if eps == 0.0:
+        return np.zeros_like(V)
+    if ball.norm == NormTag.LINF:
+        return np.clip(V, -eps, eps)
+    sizes = _row_norms(V, ball.norm)
+    outside = sizes > eps
+    out = V.copy()
+    if ball.norm == NormTag.L2:
+        out[outside] = V[outside] * (eps / sizes[outside])[:, None]
+    else:
+        out[outside] = _project_l1_rows(V[outside], eps)
+    return out
 
 
 def project_ball(v: np.ndarray, ball: BallSpec) -> np.ndarray:
-    v = as_vector(v)
-    eps = ball.epsilon
-    if ball.norm == NormTag.LINF:
-        return np.clip(v, -eps, eps)
-    if ball.norm == NormTag.L2:
-        nv = math.sqrt(float(np.dot(v, v)))
-        return v if nv <= eps else v * (eps / nv)
-    return _project_l1(v, eps)
+    return _project_rows(as_vector(v)[None, :], ball)[0]
 
 
-def _ascent_direction(g: np.ndarray, tag: NormTag) -> np.ndarray:
+def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
+    """Steepest-ascent direction of every gradient row under the ball norm."""
     if tag == NormTag.LINF:
-        return np.sign(g)
+        return np.sign(G)
     if tag == NormTag.L2:
-        ng = math.sqrt(float(np.dot(g, g)))
-        return g / ng if ng > 0.0 else g
-    # steepest ascent for an l1 budget: put everything on the best coordinate
-    out = np.zeros_like(g)
-    i = int(np.argmax(np.abs(g)))
-    out[i] = math.copysign(1.0, g[i])
+        sizes = _row_l2(G)
+        return G / np.where(sizes > 0.0, sizes, 1.0)[:, None]
+    # an l1 budget goes entirely onto the best coordinate
+    out = np.zeros_like(G)
+    rows = np.arange(G.shape[0])
+    best = np.argmax(np.abs(G), axis=1)
+    out[rows, best] = np.copysign(1.0, G[rows, best])
     return out
 
 
@@ -122,6 +145,114 @@ def _random_start(rng: np.random.Generator, dim: int, ball: BallSpec) -> np.ndar
         radius = ball.epsilon * rng.uniform() ** (1.0 / dim)
         return direction / nd * radius
     return project_ball(rng.uniform(-ball.epsilon, ball.epsilon, dim), ball)
+
+
+def _pgd(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, rngs, restarts: int, warm_starts=()):
+    """Projected gradient ascent from every start of every atom at once.
+
+    Atom i starts from zero, from its row of each warm start (projected),
+    then from `restarts` random points drawn from rngs[i].  The S (start,
+    atom) blocks are stacked into S*n rows that step together; a row stops
+    for good when its ascent direction is all zero.  Each atom keeps its
+    first maximum in (start, step) order.
+    """
+    if ball.epsilon == 0.0:
+        return np.zeros_like(X), losses(model, X, Y)
+    if restarts > 0 and rngs is None:
+        raise ValueError("random restarts need a generator")
+    starts = [np.zeros_like(X)] + [_project_rows(np.asarray(ws, dtype=float), ball) for ws in warm_starts]
+    starts += [np.stack([_random_start(rng, X.shape[1], ball) for rng in rngs]) for _ in range(restarts)]
+    S, (n, d) = len(starts), X.shape
+    step = step_size if step_size is not None else 2.5 * ball.epsilon / steps
+    Xs, Ys = np.tile(X, (S, 1)), np.tile(Y, S)
+    delta = np.concatenate(starts)
+    best_delta = delta.copy()
+    best_loss = losses(model, Xs + delta, Ys)
+    live = np.arange(S * n)
+    for _ in range(steps):
+        direction = _ascent_directions(loss_grads(model, Xs[live] + delta[live], Ys[live]).grad_x, ball.norm)
+        moving = direction.any(axis=1)
+        live, direction = live[moving], direction[moving]
+        if live.size == 0:
+            break
+        delta[live] = _project_rows(delta[live] + step * direction, ball)
+        value = losses(model, Xs[live] + delta[live], Ys[live])
+        better = value > best_loss[live]
+        best_loss[live[better]] = value[better]
+        best_delta[live[better]] = delta[live[better]]
+    per_start = best_loss.reshape(S, n)
+    winner = np.argmax(per_start, axis=0)  # ties go to the earliest start
+    atoms = np.arange(n)
+    return best_delta.reshape(S, n, d)[winner, atoms], per_start[winner, atoms]
+
+
+def _fgsm(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec):
+    """One normalized gradient step per atom from its clean point, projected;
+    atoms whose step does not increase the loss keep the clean point."""
+    out = loss_grads(model, X, Y)
+    if ball.epsilon == 0.0:
+        return np.zeros_like(X), out.losses
+    delta = _project_rows(ball.epsilon * _ascent_directions(out.grad_x, ball.norm), ball)
+    value = losses(model, X + delta, Y)
+    worse = value < out.losses
+    delta[worse] = 0.0
+    value[worse] = out.losses[worse]
+    return delta, value
+
+
+def _boundary_ring(ball: BallSpec, count: int) -> np.ndarray:
+    """Dense boundary sample of a 2-D ball; the maximum of a convex loss over
+    the ball lives on the boundary, so this is where resolution matters."""
+    eps = ball.epsilon
+    ts = np.linspace(0.0, 1.0, count, endpoint=False)
+    if ball.norm == NormTag.L2:
+        ang = 2.0 * math.pi * ts
+        return np.stack([eps * np.cos(ang), eps * np.sin(ang)], axis=1)
+    if ball.norm == NormTag.LINF:
+        side = np.linspace(-eps, eps, max(count // 4, 2))
+        full = np.full_like(side, eps)
+        pieces = ((side, full), (side, -full), (full, side), (-full, side))
+    else:  # l1 diamond
+        side = np.linspace(0.0, eps, max(count // 4, 2))
+        pieces = ((side, eps - side), (-side, eps - side), (side, side - eps), (-side, side - eps))
+    return np.concatenate([np.stack(piece, axis=1) for piece in pieces], axis=0)
+
+
+_GRID_ROWS = 1 << 16  # loss rows evaluated per batch by the grid attack
+
+
+def _grid(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_dim: int):
+    """Exhaustive sweep of every atom over one candidate set: the zero
+    perturbation, a lattice inside the ball and, in 2-D, a dense boundary
+    ring.  Each atom keeps its first maximum in candidate order."""
+    n, dim = X.shape
+    if dim > 2:
+        raise ValueError("grid attack only supports 1- or 2-D inputs")
+    eps = ball.epsilon
+    if eps == 0.0:
+        return np.zeros_like(X), losses(model, X, Y)
+    axis = np.linspace(-eps, eps, points_per_dim)
+    if dim == 1:
+        candidates = axis[:, None]
+    else:
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        candidates = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        candidates = np.concatenate([candidates, _boundary_ring(ball, 16 * points_per_dim)], axis=0)
+    candidates = np.concatenate([np.zeros((1, dim)), candidates], axis=0)
+    candidates = candidates[_row_norms(candidates, ball.norm) <= eps * (1.0 + 1e-12)]
+    m = candidates.shape[0]
+    table = np.empty((n, m))
+    chunk = max(1, _GRID_ROWS // m)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        points = (X[lo:hi, None, :] + candidates[None, :, :]).reshape(-1, dim)
+        table[lo:hi] = losses(model, points, np.repeat(Y[lo:hi], m)).reshape(hi - lo, m)
+    best = np.argmax(table, axis=1)
+    return candidates[best], table[np.arange(n), best]
+
+
+def _one_atom(x, y: int) -> tuple[np.ndarray, np.ndarray]:
+    return as_vector(x)[None, :], np.array([int(y)])
 
 
 def pgd_attack(
@@ -140,106 +271,25 @@ def pgd_attack(
     Best iterate over {zero start, extra starts, `restarts` random starts};
     the zero start guarantees the result never falls below the clean loss.
     """
-    x = as_vector(x)
-    if ball.epsilon == 0.0:
-        return np.zeros_like(x), loss_value(model, x, y)
-    step = step_size if step_size is not None else 2.5 * ball.epsilon / steps
-    starts = [np.zeros_like(x)]
-    starts.extend(project_ball(np.asarray(s, dtype=float), ball) for s in extra_starts)
-    if restarts > 0:
-        if rng is None:
-            raise ValueError("random restarts need a generator")
-        starts.extend(_random_start(rng, x.size, ball) for _ in range(restarts))
-
-    best_delta = np.zeros_like(x)
-    best_loss = -math.inf
-    for start in starts:
-        delta = start.copy()
-        value = loss_value(model, x + delta, y)
-        if value > best_loss:
-            best_loss, best_delta = value, delta.copy()
-        for _ in range(steps):
-            value, grad = loss_and_grad_x(model, x + delta, y)
-            direction = _ascent_direction(grad, ball.norm)
-            if not direction.any():
-                break
-            delta = project_ball(delta + step * direction, ball)
-            value = loss_value(model, x + delta, y)
-            if value > best_loss:
-                best_loss, best_delta = value, delta.copy()
-    return best_delta, float(best_loss)
+    X, Y = _one_atom(x, y)
+    extra = [np.reshape(start, (1, -1)) for start in extra_starts]
+    delta, value = _pgd(model, X, Y, ball, steps, step_size, None if rng is None else [rng], restarts, extra)
+    return delta[0], float(value[0])
 
 
 def fgsm_attack(model: Model, x, y: int, ball: BallSpec) -> tuple[np.ndarray, float]:
     """Single normalized gradient step from the clean point, then project.
     Falls back to the clean point when the step does not increase the loss,
     so the reported loss never drops below the clean one."""
-    x = as_vector(x)
-    clean = loss_value(model, x, y)
-    if ball.epsilon == 0.0:
-        return np.zeros_like(x), clean
-    _, grad = loss_and_grad_x(model, x, y)
-    delta = project_ball(ball.epsilon * _ascent_direction(grad, ball.norm), ball)
-    value = loss_value(model, x + delta, y)
-    if value < clean:
-        return np.zeros_like(x), clean
-    return delta, value
-
-
-def _boundary_ring(ball: BallSpec, count: int) -> np.ndarray:
-    """Dense boundary sample of a 2-D ball; the maximum of a convex loss over
-    the ball lives on the boundary, so this is where resolution matters."""
-    eps = ball.epsilon
-    ts = np.linspace(0.0, 1.0, count, endpoint=False)
-    if ball.norm == NormTag.L2:
-        ang = 2.0 * math.pi * ts
-        return np.stack([eps * np.cos(ang), eps * np.sin(ang)], axis=1)
-    if ball.norm == NormTag.LINF:
-        side = np.linspace(-eps, eps, max(count // 4, 2))
-        edges = [
-            np.stack([side, np.full_like(side, eps)], axis=1),
-            np.stack([side, np.full_like(side, -eps)], axis=1),
-            np.stack([np.full_like(side, eps), side], axis=1),
-            np.stack([np.full_like(side, -eps), side], axis=1),
-        ]
-        return np.concatenate(edges, axis=0)
-    # l1 diamond
-    side = np.linspace(0.0, eps, max(count // 4, 2))
-    quads = [
-        np.stack([side, eps - side], axis=1),
-        np.stack([-side, eps - side], axis=1),
-        np.stack([side, side - eps], axis=1),
-        np.stack([-side, side - eps], axis=1),
-    ]
-    return np.concatenate(quads, axis=0)
+    delta, value = _fgsm(model, *_one_atom(x, y), ball)
+    return delta[0], float(value[0])
 
 
 def grid_attack(model: Model, x, y: int, ball: BallSpec, points_per_dim: int = 41) -> tuple[np.ndarray, float]:
     """Exhaustive sweep over a lattice inside the ball plus a dense boundary
     ring; only supported in one or two input dimensions."""
-    x = as_vector(x)
-    if x.size > 2:
-        raise ValueError("grid attack only supports 1- or 2-D inputs")
-    eps = ball.epsilon
-    if eps == 0.0:
-        return np.zeros_like(x), loss_value(model, x, y)
-    axis = np.linspace(-eps, eps, points_per_dim)
-    if x.size == 1:
-        candidates = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        candidates = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        candidates = np.concatenate([candidates, _boundary_ring(ball, 16 * points_per_dim)], axis=0)
-    candidates = np.concatenate([np.zeros((1, x.size)), candidates], axis=0)
-    best_delta = np.zeros_like(x)
-    best_loss = -math.inf
-    for delta in candidates:
-        if norm(delta, ball.norm) > eps * (1.0 + 1e-12):
-            continue
-        value = loss_value(model, x + delta, y)
-        if value > best_loss:
-            best_loss, best_delta = value, delta.copy()
-    return best_delta, float(best_loss)
+    delta, value = _grid(model, *_one_atom(x, y), ball, points_per_dim)
+    return delta[0], float(value[0])
 
 
 def adversarial_risk(
@@ -253,38 +303,24 @@ def adversarial_risk(
 
     Each element of `warm_starts` holds one extra PGD starting point per atom
     (shape n x dim); sweeping epsilon upward while passing the previous optima
-    makes the reported risk monotone in epsilon by construction.
+    makes the reported risk monotone in epsilon by construction.  Every atom
+    is attacked at once; its random restarts come from its own stream
+    derive_rng(config.seed, f"attack/{i}"), so results do not depend on how
+    the atoms are batched.
     """
-    n = len(mu)
-    dim = mu.support.dim
-    deltas = np.zeros((n, dim))
-    losses = np.zeros(n)
-    for i, p in enumerate(mu.support.points):
-        if config.method == "GRID":
-            delta, value = grid_attack(model, p.x, p.y, ball, config.grid_points)
-        elif config.method == "FGSM":
-            delta, value = fgsm_attack(model, p.x, p.y, ball)
-        else:
-            extra = [np.asarray(ws[i], dtype=float) for ws in warm_starts]
-            rng = derive_rng(config.seed, f"attack/{i}")
-            delta, value = pgd_attack(
-                model,
-                p.x,
-                p.y,
-                ball,
-                steps=config.steps,
-                step_size=config.step_size,
-                rng=rng,
-                restarts=config.restarts,
-                extra_starts=extra,
-            )
-        feasibility = norm(delta, ball.norm) if delta.any() else 0.0
-        if feasibility > ball.epsilon + 1e-9:
-            raise RuntimeError(f"attack produced an infeasible perturbation of norm {feasibility}")
-        deltas[i] = delta
-        losses[i] = value
-    risk = float(np.dot(mu.weights, losses))
-    return AttackResult(deltas, losses, risk, config.method, ball.epsilon, ball.norm)
+    X, Y = mu.support.xs(), mu.support.labels()
+    if config.method == "GRID":
+        deltas, values = _grid(model, X, Y, ball, config.grid_points)
+    elif config.method == "FGSM":
+        deltas, values = _fgsm(model, X, Y, ball)
+    else:
+        rngs = [derive_rng(config.seed, f"attack/{i}") for i in range(len(Y))]
+        deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, rngs, config.restarts, warm_starts)
+    sizes = _row_norms(deltas, ball.norm)
+    if np.any(sizes > ball.epsilon + 1e-9):
+        raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")
+    risk = float(np.dot(mu.weights, values))
+    return AttackResult(deltas, values, risk, config.method, ball.epsilon, ball.norm)
 
 
 @dataclass(frozen=True)
@@ -336,11 +372,10 @@ def check_adversarial_bound(
 
     # the attack map keeps labels, so its pushforward must stay in the ball
     attacked = attack_pushforward(mu, result)
-    max_norm = max((norm(d, ball.norm) for d in result.perturbations), default=0.0)
+    max_norm = float(np.max(_row_norms(result.perturbations, ball.norm)))
     costs = cost_matrix(instance.metric, mu.support, attacked.support)
-    inside = ball_contains(mu, attacked, costs, max_norm)
-    checks.append(("attack_pushforward_inside_ball", inside))
-    push_cost = transport_cost(mu, attacked, costs)
+    push_cost = transport_cost(mu, attacked, costs)  # the LP ball_contains would solve again
+    checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
 
     # restricted primal on a target set containing the attacked points: it
     # must already dominate the attack, and the dual must dominate it
@@ -349,8 +384,8 @@ def check_adversarial_bound(
         tuple(list(attacked_targets(instance, result).points) + extra), mu.support.label_count
     )
     aug_instance = RobustInstance(mu, instance.metric, instance.rho, aug_targets)
-    losses = np.array([loss_value(model, t.x, t.y) for t in aug_targets.points])
-    lp_value = primal_robust_risk_lp(aug_instance, losses)
+    target_losses = losses(model, aug_targets.xs(), aug_targets.labels())
+    lp_value = primal_robust_risk_lp(aug_instance, target_losses)
     checks.append(("lp_oracle_ge_attack", lp_value >= result.adversarial_risk - 1e-8))
     checks.append(("robust_value_ge_lp_oracle", cert.robust_value >= lp_value - 1e-9))
 
@@ -367,16 +402,11 @@ def check_adversarial_bound(
 
 def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMeasure:
     """Image of mu under the attack map x -> x + delta(x); index-aligned."""
-    points = tuple(
-        LabeledPoint(p.x + d, p.y) for p, d in zip(mu.support.points, result.perturbations)
-    )
-    return DiscreteMeasure(PointSet(points, mu.support.label_count), mu.weights.copy())
+    support = mu.support
+    return DiscreteMeasure(point_set(support.xs() + result.perturbations, support.labels(), support.label_count), mu.weights.copy())
 
 
 def attacked_targets(instance: RobustInstance, result: AttackResult) -> PointSet:
     """Candidate-target set containing the support and the attacked points."""
     support = instance.empirical.support
-    points = list(support.points)
-    for p, delta in zip(support.points, result.perturbations):
-        points.append(LabeledPoint(p.x + delta, p.y))
-    return PointSet(tuple(points), support.label_count)
+    return PointSet(support.points + attack_pushforward(instance.empirical, result).support.points, support.label_count)

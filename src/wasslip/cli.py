@@ -3,8 +3,8 @@ and the verification suite, driven by a strict JSON config.
 
     wasslip <gen-data|train|certify|attack|verify> --config cfg.json [--out DIR] [--seed N]
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage or config
-error, 3 numerical failure.  Reports are byte-identical across reruns with
+Exit codes: 0 success/verified, 1 verification failure, 2 usage, config or
+input-file error, 3 numerical failure.  Reports are byte-identical across reruns with
 the same seed; wall-clock and other volatile facts go to metadata.json.
 """
 
@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from wasslip import io
 from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
 from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv
@@ -27,8 +25,6 @@ from wasslip.models import (
     ActivationTag,
     BoundMode,
     LinearSoftmax,
-    MLP,
-    MLPLayer,
     Model,
     accuracy,
     load_model,
@@ -38,7 +34,7 @@ from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError
 from wasslip.numerics import norm as vec_norm
 from wasslip.robust import RobustInstance, grid_targets, robust_certificate_for
 from wasslip.seeding import derive_rng, derive_seed
-from wasslip.suite import run_verification_suite
+from wasslip.suite import run_verification_suite, seeded_mlp
 from wasslip.train import ObjectiveKind, TrainConfig, train_loop
 
 
@@ -267,16 +263,11 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[Model, NormTag]:
         raise ConfigError(f"config error at model.dims: last entry {dims[-1]} must equal the label count {points.label_count}")
     seed = section["seed"] if section["seed"] is not None else derive_seed(master_seed, "model-init")
     rng = derive_rng(seed, "model-init")
-    layers = []
-    for i in range(len(dims) - 1):
-        W = section["init_scale"] / math.sqrt(dims[i]) * rng.standard_normal((dims[i + 1], dims[i]))
-        b = 0.1 * rng.standard_normal(dims[i + 1]) if section["bias"] else None
-        act = ActivationTag(section["activation"]) if i < len(dims) - 2 else ActivationTag.IDENTITY
-        layers.append(MLPLayer(W, act, b))
+    model = seeded_mlp(rng, dims, ActivationTag(section["activation"]), section["init_scale"], section["bias"])
     norm_tag = NormTag(section["norm"])
-    if len(layers) == 1:
-        return LinearSoftmax(layers[0].weights, layers[0].bias), norm_tag
-    return MLP(tuple(layers)), norm_tag
+    if len(model.layers) == 1:
+        return LinearSoftmax(model.layers[0].weights, model.layers[0].bias), norm_tag
+    return model, norm_tag
 
 
 def _fingerprint(cfg: dict, points, rho: float, kappa: float, norm_tag: NormTag, bound_mode: str) -> dict:
@@ -468,7 +459,7 @@ def main(argv=None) -> int:
             out_dir / "metadata.json",
         )
         return code
-    except ConfigError as exc:
+    except (ConfigError, io.InputFileError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (NumericalError, TransportInfeasibleError, UnsupportedNormError) as exc:

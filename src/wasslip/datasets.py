@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from wasslip import io
-from wasslip.measures import LabeledPoint, PointSet
+from wasslip.measures import PointSet, point_set
 from wasslip.seeding import derive_rng
 
 GENERATORS = ("gaussian-blobs", "two-moons", "grid")
@@ -21,12 +21,11 @@ def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6, center
     """k isotropic Gaussian clusters at seeded centers; class-major order."""
     rng = derive_rng(seed, "gen/gaussian-blobs")
     centers = rng.uniform(-center_box, center_box, (k, dim))
-    counts = [n // k + (1 if c < n % k else 0) for c in range(k)]
-    points = []
-    for label, count in enumerate(counts):
-        for _ in range(count):
-            points.append(LabeledPoint(centers[label] + std * rng.standard_normal(dim), label))
-    return PointSet(tuple(points), k)
+    ys = np.repeat(np.arange(k), [n // k + (1 if c < n % k else 0) for c in range(k)])
+    xs = rng.standard_normal((n, dim))  # scaled and shifted in place: no full-size temporaries
+    xs *= std
+    xs += centers[ys]
+    return point_set(xs, ys, k)
 
 
 def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
@@ -36,14 +35,8 @@ def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
     n_out = n - n_in
     t_out = np.linspace(0.0, math.pi, n_out)
     t_in = np.linspace(0.0, math.pi, n_in)
-    pts = []
-    for t in t_out:
-        x = np.array([math.cos(t), math.sin(t)]) + noise * rng.standard_normal(2)
-        pts.append(LabeledPoint(x, 0))
-    for t in t_in:
-        x = np.array([1.0 - math.cos(t), 0.5 - math.sin(t)]) + noise * rng.standard_normal(2)
-        pts.append(LabeledPoint(x, 1))
-    return PointSet(tuple(pts), 2)
+    base = [[math.cos(t), math.sin(t)] for t in t_out] + [[1.0 - math.cos(t), 0.5 - math.sin(t)] for t in t_in]
+    return point_set(np.array(base) + noise * rng.standard_normal((n, 2)), [0] * n_out + [1] * n_in, 2)
 
 
 def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSet:
@@ -54,8 +47,7 @@ def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSe
     axes = [np.linspace(lo, hi, side) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
-    points = tuple(LabeledPoint(row, i % k) for i, row in enumerate(lattice))
-    return PointSet(points, k)
+    return point_set(lattice, np.arange(n) % k, k)
 
 
 def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointSet:
@@ -79,12 +71,33 @@ def save_dataset_csv(points: PointSet, path) -> None:
 
 
 def load_dataset_csv(path, label_count: int | None = None) -> PointSet:
-    header, rows = io.read_csv(path)
-    if not header or header[0] != "label":
-        raise ValueError("dataset CSV must start with a 'label' column")
-    points = [LabeledPoint(np.array([float(c) for c in row[1:]]), int(row[0])) for row in rows]
-    k = label_count if label_count is not None else max(p.y for p in points) + 1
-    return PointSet(tuple(points), k)
+    """Parse a dataset CSV strictly: every row has one integer label and as
+    many finite coordinates as the header names.  Anything else raises
+    io.InputFileError naming the file and line."""
+    rows = [(i + 1, ln.split(",")) for i, ln in enumerate(io.read_lines(path)) if ln.strip()]
+    if len(rows) < 2 or rows[0][1][0] != "label" or len(rows[0][1]) < 2:
+        raise io.InputFileError(path, None, "expected a 'label,x0,x1,...' header and at least one data row")
+    width = len(rows[0][1])
+    rows = rows[1:]
+    xs, ys = np.empty((len(rows), width - 1)), np.empty(len(rows), dtype=int)
+    for r, (line, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise io.InputFileError(path, line, f"expected {width} fields, got {len(cells)}")
+        try:
+            ys[r] = int(cells[0])
+        except ValueError:
+            raise io.InputFileError(path, line, f"label {cells[0]!r} is not an integer") from None
+        try:
+            xs[r] = [float(c) for c in cells[1:]]
+        except ValueError:
+            raise io.InputFileError(path, line, "coordinate is not a number") from None
+    k = label_count if label_count is not None else int(ys.max()) + 1
+    bad = ~np.all(np.isfinite(xs), axis=1) | (ys < 0) | (ys >= k)
+    if bad.any():
+        r = int(np.argmax(bad))
+        what = f"label {ys[r]} outside [0, {k})" if np.all(np.isfinite(xs[r])) else "non-finite coordinate"
+        raise io.InputFileError(path, rows[r][0], what)
+    return point_set(xs, ys, k)
 
 
 def dataset_fingerprint(points: PointSet) -> str:

@@ -16,6 +16,23 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 
+class InputFileError(ValueError):
+    """A dataset or model file that cannot be read or parsed; the message
+    names the file and, where one is at fault, the 1-based line."""
+
+    def __init__(self, path, line: int | None, msg: str):
+        where = f"{path}:{line}" if line is not None else str(path)
+        super().__init__(f"{where}: {msg}")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; unreadable files raise InputFileError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(path, None, f"cannot read file ({exc})") from exc
+
+
 def fmt_float(x: float) -> str:
     """Render a finite float with 17 significant digits."""
     x = float(x)

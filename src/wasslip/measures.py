@@ -142,12 +142,10 @@ class MetricSpec:
             raise ValueError("label metric must have a zero diagonal")
         if np.max(np.abs(lm - lm.T)) > 1e-12:
             raise ValueError("label metric must be symmetric")
-        # exhaustive triangle-inequality check; label counts are small
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    if lm[a, b] > lm[a, c] + lm[c, b] + 1e-12:
-                        raise ValueError(f"label metric violates the triangle inequality at ({a},{b},{c})")
+        # exhaustive triangle-inequality check over (a, b, c): lm[a,b] <= lm[a,c] + lm[c,b]
+        broken = np.argwhere(lm[:, :, None] > lm[:, None, :] + lm.T[None, :, :] + 1e-12)
+        if broken.size:
+            raise ValueError("label metric violates the triangle inequality at ({},{},{})".format(*broken[0]))
         object.__setattr__(self, "label_metric", lm)
 
 
@@ -207,6 +205,13 @@ def pushforward(mu: DiscreteMeasure, mapping: Callable[[LabeledPoint], LabeledPo
     return DiscreteMeasure(PointSet(image, mu.support.label_count), mu.weights.copy())
 
 
+def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
+    """Equality rows of a coupling LP whose variables are the finite-cost
+    cells (row-major, as np.nonzero lists them): row r sums the variables
+    whose source (or target) index is r."""
+    return (index[None, :] == np.arange(count)[:, None]).astype(float)
+
+
 def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) -> float:
     """Exact optimal coupling cost between mu and nu via the simplex LP."""
     a = mu.weights
@@ -217,29 +222,15 @@ def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) 
         raise DimensionError("cost matrix shape does not match the two supports")
 
     finite = np.isfinite(C)
-    for i in range(n):
-        if a[i] > 0.0 and not finite[i].any():
-            raise TransportInfeasibleError(f"source atom {i} has no finite-cost destination")
-    for j in range(m):
-        if b[j] > 0.0 and not finite[:, j].any():
-            raise TransportInfeasibleError(f"target atom {j} has no finite-cost origin")
+    for side, weights, reached, other in (("source", a, finite.any(axis=1), "destination"), ("target", b, finite.any(axis=0), "origin")):
+        stuck = np.flatnonzero((weights > 0.0) & ~reached)
+        if stuck.size:
+            raise TransportInfeasibleError(f"{side} atom {stuck[0]} has no finite-cost {other}")
 
-    cells = [(i, j) for i in range(n) for j in range(m) if finite[i, j]]
-    nv = len(cells)
-    objective = np.array([-C[i, j] for i, j in cells])
-    eq = []
-    for i in range(n):
-        row = np.zeros(nv)
-        for k, (ci, _) in enumerate(cells):
-            if ci == i:
-                row[k] = 1.0
-        eq.append((row, float(a[i])))
-    for j in range(m):
-        row = np.zeros(nv)
-        for k, (_, cj) in enumerate(cells):
-            if cj == j:
-                row[k] = 1.0
-        eq.append((row, float(b[j])))
+    rows, cols = np.nonzero(finite)
+    objective = -C[rows, cols]
+    eq = [(row, float(v)) for row, v in zip(marginal_rows(rows, n), a)]
+    eq += [(row, float(v)) for row, v in zip(marginal_rows(cols, m), b)]
     solution = solve_lp(LPProblem(objective, eq_constraints=eq))
     if solution.status != LPStatus.OPTIMAL:
         raise TransportInfeasibleError(f"coupling LP terminated with status {solution.status.value}")

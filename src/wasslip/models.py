@@ -14,6 +14,7 @@ Biases are allowed everywhere but never enter a Lipschitz computation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from wasslip import io
 from wasslip.io import fmt_float
 from wasslip.numerics import (
     DimensionError,
@@ -37,10 +39,6 @@ class ActivationTag(str, Enum):
     RELU = "RELU"
     TANH = "TANH"
     IDENTITY = "IDENTITY"
-
-    @property
-    def lip_bound(self) -> float:
-        return 1.0
 
 
 class BoundMode(str, Enum):
@@ -156,119 +154,144 @@ class LossEval:
     grad_params: np.ndarray
 
 
-def log_sum_exp(z: np.ndarray) -> float:
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
+class BatchLoss(NamedTuple):
+    """Per-row losses and input gradients of a batch; with `params=True` also
+    the per-layer weight and bias gradients summed over the rows."""
+
+    losses: np.ndarray
+    grad_x: np.ndarray
+    grads_w: list | None
+    grads_b: list | None
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    m = np.max(z)
-    e = np.exp(z - m)
-    return e / np.sum(e)
+def _matvec_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W @ a for every row a of A as one matrix-vector product per row.
+
+    A single A @ W.T would block and reorder the sums; per-row products keep
+    every row's result bit-identical to evaluating that row alone, so no
+    reported number depends on how rows are batched (training amplifies
+    last-bit differences into visibly different certificates).
+    """
+    return np.matmul(W, A[:, :, None])[:, :, 0]
 
 
-def _check_label(k: int, y: int) -> int:
-    y = int(y)
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} outside [0, {k})")
-    return y
+def _row_log_sum_exp(Z: np.ndarray) -> np.ndarray:
+    m = np.max(Z, axis=1)
+    sums = np.sum(np.exp(Z - m[:, None]), axis=1)
+    # math.log, not np.log: numpy's vectorized log differs from libm in the last bit
+    return m + np.fromiter(map(math.log, sums), float, count=sums.size)
 
 
-def softmax_ce_loss(model: LinearSoftmax, x, y: int) -> LossEval:
-    """Cross entropy after a linear softmax layer, with exact gradients."""
-    x = as_vector(x)
-    y = _check_label(model.label_count, y)
-    z = model.logits(x)
-    lse = log_sum_exp(z)
-    value = lse - float(z[y])
-    p = np.exp(z - lse)
-    g = p.copy()
-    g[y] -= 1.0
-    grad_x = model.weights.T @ g
-    grad_w = np.outer(g, x)
-    parts = [grad_w.ravel()]
-    if model.bias is not None:
-        parts.append(g)
-    return LossEval(value, grad_x, np.concatenate(parts))
+def _check_labels(k: int, Y) -> np.ndarray:
+    Y = np.asarray(Y, dtype=int)
+    if np.any((Y < 0) | (Y >= k)):
+        raise ValueError(f"labels must lie in [0, {k})")
+    return Y
+
+
+def _input_rows(model: Model, X) -> np.ndarray:
+    X = as_matrix(X)
+    if X.shape[1] != model.input_dim:
+        raise DimensionError(f"input has dimension {X.shape[1]}, expected {model.input_dim}")
+    return X
+
+
+def _propagate(layers: Sequence[MLPLayer], A: np.ndarray) -> tuple[np.ndarray, list]:
+    """Every row of A through the layers, plus a tape of (layer input,
+    pre-activation) pairs for backprop."""
+    tape = []
+    for layer in layers:
+        pre = _matvec_rows(layer.weights, A)
+        if layer.bias is not None:
+            pre = pre + layer.bias
+        tape.append((A, pre))
+        A = _activate(layer.activation, pre)
+    return A, tape
+
+
+def forward(model: Model, X) -> np.ndarray:
+    """Logits of every row of X (n x d -> n x k)."""
+    return _propagate(as_mlp(model).layers, _input_rows(model, X))[0]
+
+
+def feature_map(layers: Sequence[MLPLayer], X) -> np.ndarray:
+    """The feature map phi (see `phi_head_split`) applied to every row of X."""
+    return _propagate(layers, as_matrix(X))[0]
+
+
+def losses(model: Model, X, Y) -> np.ndarray:
+    """Cross entropy of every (row of X, label in Y) pair, forward pass only."""
+    Z = forward(model, X)
+    Y = _check_labels(model.label_count, Y)
+    return _row_log_sum_exp(Z) - Z[np.arange(Z.shape[0]), Y]
+
+
+def loss_grads(model: Model, X, Y, params: bool = False) -> BatchLoss:
+    """One forward and one backward pass over all rows: softmax cross entropy
+    with exact reverse-mode gradients with respect to every input row and,
+    with `params`, to the weights and biases summed over the rows."""
+    mlp = as_mlp(model)
+    Z, tape = _propagate(mlp.layers, _input_rows(model, X))
+    rows = np.arange(Z.shape[0])
+    Y = _check_labels(mlp.label_count, Y)
+    lse = _row_log_sum_exp(Z)
+    values = lse - Z[rows, Y]
+    delta = np.exp(Z - lse[:, None])
+    delta[rows, Y] -= 1.0
+    grads_w: list = [None] * len(mlp.layers)
+    grads_b: list = [None] * len(mlp.layers)
+    for idx in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[idx]
+        a_in, pre = tape[idx]
+        dpre = delta * _activation_slope(layer.activation, pre)
+        if params:
+            # sums of per-row outer products, accumulated row after row
+            grads_w[idx] = np.sum(dpre[:, :, None] * a_in[:, None, :], axis=0)
+            if layer.bias is not None:
+                grads_b[idx] = np.sum(dpre, axis=0)
+        delta = _matvec_rows(layer.weights.T, dpre)
+    return BatchLoss(values, delta, grads_w if params else None, grads_b if params else None)
+
+
+def _one_row(x) -> np.ndarray:
+    return as_vector(x)[None, :]
 
 
 def mlp_forward(model: MLP, x) -> tuple[np.ndarray, list]:
     """Logits plus a tape of (layer input, pre-activation) pairs for backprop."""
-    a = as_vector(x)
-    if a.size != model.input_dim:
-        raise DimensionError(f"input has dimension {a.size}, expected {model.input_dim}")
-    tape = []
-    for layer in model.layers:
-        pre = layer.weights @ a
-        if layer.bias is not None:
-            pre = pre + layer.bias
-        tape.append((a, pre))
-        a = _activate(layer.activation, pre)
-    return a, tape
+    logits, tape = _propagate(model.layers, _input_rows(model, _one_row(x)))
+    return logits[0], [(a[0], pre[0]) for a, pre in tape]
 
 
-def _mlp_loss_grads(model: MLP, x, y: int):
-    y = _check_label(model.label_count, y)
-    logits, tape = mlp_forward(model, x)
-    lse = log_sum_exp(logits)
-    value = lse - float(logits[y])
-    p = np.exp(logits - lse)
-    delta = p.copy()
-    delta[y] -= 1.0
-    grads_w = [None] * len(model.layers)
-    grads_b = [None] * len(model.layers)
-    for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
-        a_in, pre = tape[idx]
-        dpre = delta * _activation_slope(layer.activation, pre)
-        grads_w[idx] = np.outer(dpre, a_in)
-        if layer.bias is not None:
-            grads_b[idx] = dpre.copy()
-        delta = layer.weights.T @ dpre
-    return value, delta, grads_w, grads_b
-
-
-def mlp_backprop(model: MLP, x, y: int) -> LossEval:
-    """Softmax cross entropy through the net; exact reverse-mode accumulation."""
-    value, grad_x, grads_w, grads_b = _mlp_loss_grads(model, x, y)
+def mlp_backprop(model: Model, x, y: int) -> LossEval:
+    """Softmax cross entropy of one input through the net (or the linear
+    softmax layer); exact reverse-mode gradients, parameters flattened layer
+    by layer as weights then bias."""
+    out = loss_grads(model, _one_row(x), [int(y)], params=True)
     parts = []
-    for gw, gb in zip(grads_w, grads_b):
+    for gw, gb in zip(out.grads_w, out.grads_b):
         parts.append(gw.ravel())
         if gb is not None:
             parts.append(gb)
-    return LossEval(value, grad_x, np.concatenate(parts))
+    return LossEval(float(out.losses[0]), out.grad_x[0], np.concatenate(parts))
+
+
+softmax_ce_loss = mlp_backprop
 
 
 def loss_value(model: Model, x, y: int) -> float:
-    if isinstance(model, LinearSoftmax):
-        z = model.logits(x)
-        return log_sum_exp(z) - float(z[_check_label(model.label_count, y)])
-    logits, _ = mlp_forward(model, x)
-    return log_sum_exp(logits) - float(logits[_check_label(model.label_count, y)])
+    return float(losses(model, _one_row(x), [int(y)])[0])
 
 
 def loss_and_grad_x(model: Model, x, y: int) -> tuple[float, np.ndarray]:
-    if isinstance(model, LinearSoftmax):
-        ev = softmax_ce_loss(model, x, y)
-        return ev.value, ev.grad_x
-    value, grad_x, _, _ = _mlp_loss_grads(model, x, y)
-    return value, grad_x
+    out = loss_grads(model, _one_row(x), [int(y)])
+    return float(out.losses[0]), out.grad_x[0]
 
 
 def label_loss_matrix(model: Model, xs: np.ndarray) -> np.ndarray:
     """Loss of every (sample, label) pair; row i is x_i against all labels."""
-    out = np.empty((xs.shape[0], model_label_count(model)))
-    for i in range(xs.shape[0]):
-        if isinstance(model, LinearSoftmax):
-            z = model.logits(xs[i])
-        else:
-            z, _ = mlp_forward(model, xs[i])
-        out[i] = log_sum_exp(z) - z
-    return out
-
-
-def model_label_count(model: Model) -> int:
-    return model.label_count
+    Z = forward(model, xs)
+    return _row_log_sum_exp(Z)[:, None] - Z
 
 
 def ce_lipschitz_bound(model: LinearSoftmax, tag: NormTag, mode: BoundMode = BoundMode.CERTIFIED) -> float:
@@ -298,7 +321,7 @@ def ce_slice_lipschitz(model: LinearSoftmax, y: int, tag: NormTag) -> float:
     dual norm of W^T (p - e_y) is maximized at a simplex vertex, so the exact
     supremum over the simplex is max_j ||row_j - row_y||_dual.
     """
-    y = _check_label(model.label_count, y)
+    y = int(_check_labels(model.label_count, [y])[0])
     W = model.weights
     dual = tag.dual
     return max(norm(W[j] - W[y], dual) for j in range(W.shape[0]))
@@ -312,16 +335,14 @@ class LipschitzBounds(NamedTuple):
 def network_lipschitz_bound(model: MLP, tag: NormTag) -> LipschitzBounds:
     """Layerwise product bound and its separable power-mean relaxation.
 
-    product = prod_i lip(act_i) * ||W_i||; young = (1/l) sum_i ||W_i||^l,
-    which dominates the product by the arithmetic-geometric mean inequality.
+    product = prod_i ||W_i|| (every activation is 1-Lipschitz); young =
+    (1/l) sum_i ||W_i||^l, which dominates the product by the
+    arithmetic-geometric mean inequality.
     """
     sigmas = [operator_norm(layer.weights, tag) for layer in model.layers]
-    product = 1.0
-    for layer, s in zip(model.layers, sigmas):
-        product *= layer.activation.lip_bound * s
     l = len(sigmas)
     young = float(sum(s**l for s in sigmas)) / l
-    return LipschitzBounds(float(product), young)
+    return LipschitzBounds(float(math.prod(sigmas)), young)
 
 
 def empirical_lipschitz(
@@ -338,10 +359,7 @@ def empirical_lipschitz(
     candidates = list(zip(points[:-1], points[1:]))
     eps = 1e-4
     for base in points[: min(8, len(points))]:
-        for i in range(base.size):
-            step = np.zeros_like(base)
-            step[i] = eps
-            candidates.append((base, base + step))
+        candidates.extend((base, base + step) for step in eps * np.eye(base.size))
     best = None
     for x1, x2 in candidates:
         din = norm(x1 - x2, tag)
@@ -363,33 +381,13 @@ def phi_head_split(model: MLP) -> tuple[tuple, LinearSoftmax]:
     return model.layers[:-1], head
 
 
-def phi_apply(layers: Sequence[MLPLayer], x) -> np.ndarray:
-    a = as_vector(x)
-    for layer in layers:
-        pre = layer.weights @ a
-        if layer.bias is not None:
-            pre = pre + layer.bias
-        a = _activate(layer.activation, pre)
-    return a
-
-
 def phi_lipschitz_bound(layers: Sequence[MLPLayer], tag: NormTag) -> float:
-    bound = 1.0
-    for layer in layers:
-        bound *= layer.activation.lip_bound * operator_norm(layer.weights, tag)
-    return float(bound)
-
-
-def predict(model: Model, x) -> int:
-    if isinstance(model, LinearSoftmax):
-        return int(np.argmax(model.logits(x)))
-    logits, _ = mlp_forward(model, x)
-    return int(np.argmax(logits))
+    return float(math.prod(operator_norm(layer.weights, tag) for layer in layers))
 
 
 def accuracy(model: Model, points) -> float:
-    hits = sum(1 for p in points.points if predict(model, p.x) == p.y)
-    return hits / len(points)
+    hits = np.argmax(forward(model, points.xs()), axis=1) == points.labels()
+    return int(np.count_nonzero(hits)) / len(points)
 
 
 _FORMAT_HEADER = "wasslip-model v1"
@@ -411,25 +409,56 @@ def save_model(model: Model, path, norm_tag: NormTag = NormTag.L2) -> None:
 
 
 def load_model(path) -> tuple[Model, NormTag]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _FORMAT_HEADER:
-        raise ValueError("unrecognized model file header")
-    kind = lines[1].split()[1]
-    norm_tag = NormTag(lines[2].split()[1])
-    n_layers = int(lines[3].split()[1])
-    pos = 4
-    layers = []
-    for _ in range(n_layers):
-        _, r, c, act, has_bias = lines[pos].split()
-        r, c, has_bias = int(r), int(c), int(has_bias)
+    """Parse a model file written by `save_model`.  A truncated or trailing
+    file, a malformed line, layers that do not chain, or a `kind linear` file
+    with more than one layer raise io.InputFileError naming the file and line."""
+    lines = io.read_lines(path)
+    while lines and not lines[-1].strip():
+        lines.pop()
+    pos = 0
+
+    def fail(msg: str, line: int | None = None):
+        raise io.InputFileError(path, pos if line is None else line, msg)
+
+    def line(pattern: str, what: str) -> tuple:
+        nonlocal pos
+        if pos >= len(lines):
+            fail(f"unexpected end of file, expected {what}", pos + 1)
         pos += 1
-        rows = [[float(v) for v in lines[pos + i].split(",")] for i in range(r)]
-        pos += r
-        bias = None
-        if has_bias:
-            bias = np.array([float(v) for v in lines[pos].split(",")])
-            pos += 1
-        layers.append(MLPLayer(np.array(rows), ActivationTag(act), bias))
+        match = re.fullmatch(pattern, lines[pos - 1].strip())
+        if match is None:
+            fail(f"expected {what}")
+        return match.groups()
+
+    def numbers(size: int) -> np.ndarray:
+        (text,) = line("(.*)", f"{size} numbers")
+        try:
+            row = np.array([float(v) for v in text.split(",")])
+        except ValueError:
+            row = np.array([math.nan])
+        if row.size != size or not np.all(np.isfinite(row)):
+            fail(f"expected {size} finite comma-separated numbers")
+        return row
+
+    line(re.escape(_FORMAT_HEADER), f"the header {_FORMAT_HEADER!r}")
+    (kind,) = line("kind (linear|mlp)", "'kind linear' or 'kind mlp'")
+    (norm_name,) = line(f"norm ({'|'.join(t.value for t in NormTag)})", "'norm' and a norm tag")
+    (count,) = line(r"layers ([1-9]\d*)", "'layers' and a positive count")
+    if kind == "linear" and count != "1":
+        fail(f"kind linear needs exactly one layer, got {count}")
+    acts = "|".join(t.value for t in ActivationTag)
+    layers = []
+    for _ in range(int(count)):
+        r, c, act, has_bias = line(rf"layer ([1-9]\d*) ([1-9]\d*) ({acts}) ([01])", "'layer ROWS COLS ACTIVATION 0|1'")
+        r, c = int(r), int(c)
+        if layers and c != layers[-1].weights.shape[0]:
+            fail(f"layer takes {c} inputs but the previous layer has {layers[-1].weights.shape[0]} outputs")
+        W = np.stack([numbers(c) for _ in range(r)])
+        layers.append(MLPLayer(W, ActivationTag(act), numbers(r) if has_bias == "1" else None))
+    if pos != len(lines):
+        fail("trailing lines after the last layer", pos + 1)
+    if layers[-1].activation != ActivationTag.IDENTITY:
+        fail("the final layer must have IDENTITY activation (logits)")
     if kind == "linear":
-        return LinearSoftmax(layers[0].weights, layers[0].bias), norm_tag
-    return MLP(tuple(layers)), norm_tag
+        return LinearSoftmax(layers[0].weights, layers[0].bias), NormTag(norm_name)
+    return MLP(tuple(layers)), NormTag(norm_name)

@@ -17,7 +17,7 @@ sub-grid the dual value can only dominate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,8 @@ from wasslip.measures import (
     MetricSpec,
     PointSet,
     cost_matrix,
+    marginal_rows,
+    point_set,
 )
 from wasslip.models import (
     BoundMode,
@@ -35,9 +37,9 @@ from wasslip.models import (
     MLP,
     Model,
     ce_lipschitz_bound,
+    feature_map,
     label_loss_matrix,
-    loss_value,
-    phi_apply,
+    losses,
     phi_head_split,
     phi_lipschitz_bound,
 )
@@ -123,17 +125,15 @@ class RobustCertificate:
 
 
 def empirical_risk(loss: Callable[[LabeledPoint], float], mu: DiscreteMeasure) -> float:
-    values = np.empty(len(mu))
-    for i, p in enumerate(mu.support.points):
-        v = float(loss(p))
-        if not math.isfinite(v):
-            raise ValueError(f"loss is non-finite at support index {i}")
-        values[i] = v
+    values = np.array([float(loss(p)) for p in mu.support.points])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"loss is non-finite at support index {bad[0]}")
     return float(np.dot(mu.weights, values))
 
 
 def model_empirical_risk(model: Model, mu: DiscreteMeasure) -> float:
-    return empirical_risk(lambda p: loss_value(model, p.x, p.y), mu)
+    return float(np.dot(mu.weights, losses(model, mu.support.xs(), mu.support.labels())))
 
 
 def _label_penalty(lam: float, kappa: float, dy: float) -> float:
@@ -197,13 +197,11 @@ def _minimize_envelope(
     lam_hi = lam_lo
     if not use_ternary:
         iu, ju = np.triu_indices(k, 1)
-        for i in range(n):
-            va, vb = values[i, iu], values[i, ju]
-            db = dists[i, iu] - dists[i, ju]
-            mask = (np.abs(db) > 1e-15) & np.isfinite(va) & np.isfinite(vb)
-            lams = (va[mask] - vb[mask]) / db[mask]
-            lams = lams[(lams >= lam_lo) & np.isfinite(lams)]
-            breakpoints.extend(float(v) for v in lams)
+        va, vb = values[:, iu], values[:, ju]
+        db = dists[:, iu] - dists[:, ju]
+        mask = (np.abs(db) > 1e-15) & np.isfinite(va) & np.isfinite(vb)
+        lams = (va[mask] - vb[mask]) / db[mask]  # row-major: atom by atom
+        breakpoints = lams[(lams >= lam_lo) & np.isfinite(lams)].tolist()
         if breakpoints:
             lam_hi = max(lam_hi, max(breakpoints))
     else:
@@ -311,20 +309,29 @@ def minimize_dual(
     return DualSolution(lam, value, env, active)
 
 
+def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, np.ndarray]:
+    """One loss per candidate target, and the source-to-target cost matrix."""
+    targets = instance.candidate_targets
+    if targets is None:
+        raise ValueError("instance has no candidate targets")
+    values = as_vector(target_losses)
+    if values.size != len(targets):
+        raise DimensionError("one loss per candidate target required")
+    return values, cost_matrix(instance.metric, instance.empirical.support, targets).entries
+
+
+def _lp_oracle(instance: RobustInstance, model: Model) -> float:
+    """The restricted primal LP on the model's losses at the candidate targets."""
+    targets = instance.candidate_targets
+    return primal_robust_risk_lp(instance, losses(model, targets.xs(), targets.labels()))
+
+
 def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSolution:
     """Dual of the ball supremum restricted to the finite candidate set, with
     arbitrary loss tables; equals the primal LP value by exact LP duality.
     `active_labels` holds candidate-target indices here."""
-    targets = instance.candidate_targets
-    if targets is None:
-        raise ValueError("instance has no candidate targets")
-    losses = as_vector(target_losses)
-    if losses.size != len(targets):
-        raise DimensionError("one loss per candidate target required")
-    costs = cost_matrix(instance.metric, instance.empirical.support, targets).entries
-    n = len(instance.empirical)
-    values = np.broadcast_to(losses, (n, losses.size)).copy()
-    dists = costs.copy()
+    target_values, dists = _target_table(instance, target_losses)
+    values = np.broadcast_to(target_values, dists.shape).copy()
     infinite = ~np.isfinite(dists)
     if np.any(np.all(infinite, axis=1)):
         raise ValueError("a source atom has no finite-cost candidate target")
@@ -340,30 +347,16 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     """Exact worst-case risk over distributions supported on the candidate
     set: max sum_ij pi_ij * loss_j subject to source marginals and the
     transport budget, solved with the simplex LP."""
-    targets = instance.candidate_targets
-    if targets is None:
-        raise ValueError("instance has no candidate targets")
-    losses = as_vector(target_losses)
-    if losses.size != len(targets):
-        raise DimensionError("one loss per candidate target required")
-    C = cost_matrix(instance.metric, instance.empirical.support, targets).entries
+    values, C = _target_table(instance, target_losses)
     w = instance.empirical.weights
-    n, m = C.shape
     finite = np.isfinite(C)
-    for i in range(n):
+    for i in range(C.shape[0]):
         if w[i] > 0.0 and not finite[i].any():
             raise ValueError(f"source atom {i} has no finite-cost candidate target")
-    cells = [(i, j) for i in range(n) for j in range(m) if finite[i, j]]
-    nv = len(cells)
-    objective = np.array([losses[j] for _, j in cells])
-    eq = []
-    for i in range(n):
-        row = np.zeros(nv)
-        for k, (ci, _) in enumerate(cells):
-            if ci == i:
-                row[k] = 1.0
-        eq.append((row, float(w[i])))
-    budget = np.array([C[i, j] for i, j in cells])
+    rows, cols = np.nonzero(finite)
+    objective = values[cols]
+    eq = [(row, float(v)) for row, v in zip(marginal_rows(rows, C.shape[0]), w)]
+    budget = C[rows, cols]
     solution = solve_lp(LPProblem(objective, eq_constraints=eq, ineq_constraints=[(budget, float(instance.rho))]))
     if solution.status != LPStatus.OPTIMAL:
         raise NumericalError(f"restricted primal LP unexpectedly {solution.status.value}")
@@ -381,15 +374,9 @@ def kappa_threshold(instance: RobustInstance, model: LinearSoftmax, l_bound: flo
     xs = instance.empirical.support.xs()
     labels = instance.empirical.support.labels()
     L = label_loss_matrix(model, xs)
-    lm = instance.metric.label_metric
-    worst = 0.0
-    for i, y_i in enumerate(labels):
-        for y in range(instance.metric.label_count):
-            dy = float(lm[y, y_i])
-            if dy <= 0.0:
-                continue
-            worst = max(worst, (float(L[i, y]) - float(L[i, y_i])) / (l_bound * dy))
-    return max(worst, floor)
+    dy = instance.metric.label_metric[:, labels].T  # (n, k): d_Y(y, y_i)
+    gain = (L - L[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
+    return max(float(np.max(gain, initial=0.0)), floor)
 
 
 def _assemble_certificate(
@@ -434,11 +421,8 @@ def certify_robust_risk(
     dual = minimize_dual(instance, model, bound_mode)
     emp = model_empirical_risk(model, instance.empirical)
     l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
-    oracle_value = None
     run_oracle = instance.candidate_targets is not None if with_oracle is None else with_oracle
-    if run_oracle:
-        losses = np.array([loss_value(model, t.x, t.y) for t in instance.candidate_targets.points])
-        oracle_value = primal_robust_risk_lp(instance, losses)
+    oracle_value = _lp_oracle(instance, model) if run_oracle else None
     return _assemble_certificate(instance, dual, emp, l_bound, oracle_value)
 
 
@@ -462,10 +446,7 @@ def pushforward_risk(
     lip_phi = phi_lipschitz_bound(phi_layers, tag)
     emp = model_empirical_risk(model, instance.empirical)
 
-    oracle_value = None
-    if instance.candidate_targets is not None:
-        losses = np.array([loss_value(model, t.x, t.y) for t in instance.candidate_targets.points])
-        oracle_value = primal_robust_risk_lp(instance, losses)
+    oracle_value = None if instance.candidate_targets is None else _lp_oracle(instance, model)
 
     if lip_phi == 0.0:
         # constant feature map: the image ball degenerates to a point
@@ -473,9 +454,7 @@ def pushforward_risk(
         return _assemble_certificate(instance, dual, emp, 0.0, oracle_value)
 
     support = instance.empirical.support
-    feature_points = tuple(
-        LabeledPoint(phi_apply(phi_layers, p.x), p.y) for p in support.points
-    )
+    feature_points = point_set(feature_map(phi_layers, support.xs()), support.labels(), support.label_count)
     feature_metric = MetricSpec(
         x_norm=tag,
         kappa=instance.metric.kappa if math.isinf(instance.metric.kappa) else instance.metric.kappa * lip_phi,
@@ -483,44 +462,15 @@ def pushforward_risk(
         label_metric=instance.metric.label_metric,
     )
     feature_instance = RobustInstance(
-        empirical=DiscreteMeasure(PointSet(feature_points, support.label_count), instance.empirical.weights.copy()),
+        empirical=DiscreteMeasure(feature_points, instance.empirical.weights.copy()),
         metric=feature_metric,
         rho=instance.rho * lip_phi,
     )
     feature_dual = minimize_dual(feature_instance, head, bound_mode)
     head_bound = ce_lipschitz_bound(head, tag, bound_mode)
-    dual = DualSolution(
-        feature_dual.lambda_star * lip_phi,
-        feature_dual.value,
-        feature_dual.envelopes,
-        feature_dual.active_labels,
-    )
-    cert = RobustCertificate(
-        empirical_risk=emp,
-        robust_value=feature_dual.value,
-        lambda_star=dual.lambda_star,
-        rho=instance.rho,
-        kappa=instance.metric.kappa,
-        lipschitz_bound_used=head_bound * lip_phi,
-        oracle_value=oracle_value,
-        oracle_gap=None if oracle_value is None else feature_dual.value - oracle_value,
-        verdicts=(
-            ("robust_value_ge_empirical_risk", feature_dual.value >= emp - 1e-9),
-            (
-                "objective_decomposition",
-                abs(
-                    feature_dual.value
-                    - (
-                        float(np.dot(feature_instance.empirical.weights, feature_dual.envelopes))
-                        + feature_dual.lambda_star * feature_instance.rho
-                    )
-                )
-                <= 1e-10,
-            ),
-        )
-        + (() if oracle_value is None else (("dual_dominates_lp_oracle", feature_dual.value - oracle_value >= -1e-9),)),
-    )
-    return cert
+    cert = _assemble_certificate(feature_instance, feature_dual, emp, head_bound * lip_phi, oracle_value)
+    # verdicts hold in the feature metric; report lambda* and the ball in the input metric
+    return replace(cert, lambda_star=feature_dual.lambda_star * lip_phi, rho=instance.rho, kappa=instance.metric.kappa)
 
 
 def robust_certificate_for(

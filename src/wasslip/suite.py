@@ -22,6 +22,7 @@ from wasslip.measures import (
     PointSet,
     cost_matrix,
     empirical_from_samples,
+    point_set,
     transport_cost,
 )
 from wasslip.models import (
@@ -33,9 +34,9 @@ from wasslip.models import (
     ce_lipschitz_bound,
     ce_slice_lipschitz,
     empirical_lipschitz,
+    feature_map,
     mlp_forward,
     network_lipschitz_bound,
-    phi_apply,
     phi_lipschitz_bound,
 )
 from wasslip.numerics import NormTag, operator_norm
@@ -216,11 +217,7 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
             )
         lip_phi = phi_lipschitz_bound(layers, NormTag.L2)
 
-        def phi_map(p: LabeledPoint) -> LabeledPoint:
-            return LabeledPoint(phi_apply(layers, p.x), p.y)
-
-        image_points = tuple(phi_map(p) for p in support.points)
-        image_support = PointSet(image_points, k)
+        image_support = point_set(feature_map(layers, support.xs()), support.labels(), k)
         feature_metric = MetricSpec(NormTag.L2, max(kappa * lip_phi, 1e-9), k)
         feature_costs = cost_matrix(feature_metric, image_support, image_support)
         mu_img = DiscreteMeasure(image_support, mu.weights.copy())

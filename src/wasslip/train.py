@@ -30,8 +30,9 @@ from wasslip.models import (
     MLP,
     MLPLayer,
     Model,
-    _mlp_loss_grads,
     as_mlp,
+    loss_grads,
+    losses,
     network_lipschitz_bound,
 )
 from wasslip.numerics import (
@@ -155,24 +156,17 @@ def project_layer_lipschitz(W: np.ndarray, cap: float) -> np.ndarray:
     return W * (cap / sigma)
 
 
-def _erm_grads(model: MLP, batch) -> tuple[float, list, list]:
-    n = len(batch)
-    grads_w = [np.zeros_like(layer.weights) for layer in model.layers]
-    grads_b = [np.zeros_like(layer.bias) if layer.bias is not None else None for layer in model.layers]
-    total = 0.0
-    for p in batch:
-        value, _, gw, gb = _mlp_loss_grads(model, p.x, p.y)
-        total += value
-        for j in range(len(model.layers)):
-            grads_w[j] += gw[j]
-            if grads_b[j] is not None:
-                grads_b[j] += gb[j]
-    inv = 1.0 / n
-    for j in range(len(model.layers)):
-        grads_w[j] *= inv
-        if grads_b[j] is not None:
-            grads_b[j] *= inv
-    return total * inv, grads_w, grads_b
+def _erm_grads(model: MLP, X: np.ndarray, Y: np.ndarray) -> tuple[float, list, list]:
+    """Mean loss over the batch rows and its weight and bias gradients."""
+    out = loss_grads(model, X, Y, params=True)
+    inv = 1.0 / X.shape[0]
+    grads_b = [None if gb is None else gb * inv for gb in out.grads_b]
+    return _running_sum(out.losses) * inv, [gw * inv for gw in out.grads_w], grads_b
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, the order a per-sample accumulation would use."""
+    return float(np.cumsum(values)[-1])
 
 
 def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[float, list]:
@@ -207,19 +201,11 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
 
     if config.objective == ObjectiveKind.PRODUCT:
         # rho * (factor * sigma_head) * prod_{j < l} sigma_j, product rule
-        penalty = rho * factor
-        for s in sigmas:
-            penalty *= s
         grads = zeros
         for j, (sigma, u, v, usable) in enumerate(data):
-            if not usable:
-                continue
-            coeff = rho * factor
-            for i, s in enumerate(sigmas):
-                if i != j:
-                    coeff *= s
-            grads[j] = coeff * np.outer(u, v)
-        return penalty, grads
+            if usable:
+                grads[j] = math.prod(sigmas[:j] + sigmas[j + 1 :], start=rho * factor) * np.outer(u, v)
+        return math.prod(sigmas, start=rho * factor), grads
 
     # SPECTRAL: (rho * factor / l) * sum_j sigma_j^l
     penalty = rho * factor / l * float(sum(s**l for s in sigmas))
@@ -232,26 +218,24 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
 
 
 def objective_and_grad(model: Model, batch, config: TrainConfig, warm: list | None = None) -> ObjectiveEval:
-    """Regularized objective value and exact (sub)gradients on a batch."""
+    """Regularized objective value and exact (sub)gradients on a batch of
+    labeled points."""
     mlp = as_mlp(model)
+    X, Y = np.stack([p.x for p in batch]), np.array([p.y for p in batch], dtype=int)
+    return _objective(mlp, X, Y, config, [None] * len(mlp.layers) if warm is None else warm)
+
+
+def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> ObjectiveEval:
     if config.objective == ObjectiveKind.DUAL_LINEAR and len(mlp.layers) != 1:
         raise ValueError("DUAL_LINEAR requires a LinearSoftmax (single-layer) model")
-    if warm is None:
-        warm = [None] * len(mlp.layers)
-    erm, grads_w, grads_b = _erm_grads(mlp, batch)
+    erm, grads_w, grads_b = _erm_grads(mlp, X, Y)
     penalty, pen_grads = _penalty_and_grads(mlp, config, warm)
-    for j in range(len(mlp.layers)):
-        grads_w[j] = grads_w[j] + pen_grads[j]
+    grads_w = [g + pen for g, pen in zip(grads_w, pen_grads)]
     return ObjectiveEval(erm + penalty, erm, penalty, grads_w, grads_b)
 
 
-def _metrics(model: MLP, points, config: TrainConfig, warm: list) -> tuple[float, float, float]:
-    n = len(points)
-    total = 0.0
-    for p in points:
-        value, _, _, _ = _mlp_loss_grads(model, p.x, p.y)
-        total += value
-    erm = total / n
+def _metrics(model: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> tuple[float, float, float]:
+    erm = _running_sum(losses(model, X, Y)) / X.shape[0]
     penalty, _ = _penalty_and_grads(model, config, warm)
     return erm, penalty, erm + penalty
 
@@ -272,13 +256,13 @@ def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainRep
     velocity_w = [np.zeros_like(layer.weights) for layer in layers]
     velocity_b = [np.zeros_like(layer.bias) if layer.bias is not None else None for layer in layers]
     rng = derive_rng(config.seed, "train/shuffle")
-    points = list(dataset.points)
+    X, Y = dataset.xs(), dataset.labels()
 
     records: list = []
     diverged = False
 
     def record(epoch: int) -> float:
-        erm, penalty, obj = _metrics(current, points, config, warm)
+        erm, penalty, obj = _metrics(current, X, Y, config, warm)
         bounds = network_lipschitz_bound(current, config.norm)
         records.append(EpochRecord(epoch, erm, penalty, obj, bounds.product, bounds.young))
         return obj
@@ -289,15 +273,12 @@ def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainRep
             diverged = True
             break
         if config.batch_size is None:
-            batches = [points]
+            batches = [slice(None)]
         else:
-            order = rng.permutation(len(points))
-            batches = [
-                [points[i] for i in order[k : k + config.batch_size]]
-                for k in range(0, len(points), config.batch_size)
-            ]
+            order = rng.permutation(len(Y))
+            batches = [order[k : k + config.batch_size] for k in range(0, len(Y), config.batch_size)]
         for batch in batches:
-            ev = objective_and_grad(current, batch, config, warm)
+            ev = _objective(current, X[batch], Y[batch], config, warm)
             new_layers = []
             for j, layer in enumerate(current.layers):
                 velocity_w[j] = config.momentum * velocity_w[j] - config.learning_rate * ev.grads_w[j]

@@ -134,3 +134,163 @@ def dense_lambda_grid_min(phi, lam_lo: float, lam_hi: float, points: int = 100_0
     for l in np.linspace(zoom_lo, zoom_hi, points):
         best = min(best, float(phi(float(l))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# per-vector reference for the batched forward/backward pass and the attacks
+# built on it: explicit per-layer loops over one input vector at a time,
+# reading only the model's weights, biases and activation names.
+
+
+def _layer_list(model):
+    if hasattr(model, "layers"):
+        return [(layer.weights, layer.bias, layer.activation.value) for layer in model.layers]
+    return [(model.weights, model.bias, "IDENTITY")]
+
+
+def vector_loss_grad(model, x, y: int):
+    """Softmax cross entropy of one input, its input gradient, and per-layer
+    weight and bias gradients (bias entry None when the layer has none)."""
+    a = np.asarray(x, dtype=float)
+    tape = []
+    for W, b, act in _layer_list(model):
+        pre = W @ a if b is None else W @ a + b
+        tape.append((a, pre, W, b, act))
+        a = np.maximum(pre, 0.0) if act == "RELU" else np.tanh(pre) if act == "TANH" else pre
+    m = float(np.max(a))
+    lse = m + math.log(float(np.sum(np.exp(a - m))))
+    value = lse - float(a[y])
+    delta = np.exp(a - lse)
+    delta[y] -= 1.0
+    grads_w, grads_b = [], []
+    for a_in, pre, W, b, act in reversed(tape):
+        if act == "RELU":
+            delta = delta * (pre > 0.0)
+        elif act == "TANH":
+            delta = delta * (1.0 - np.tanh(pre) ** 2)
+        grads_w.insert(0, np.outer(delta, a_in))
+        grads_b.insert(0, None if b is None else delta.copy())
+        delta = W.T @ delta
+    return value, delta, grads_w, grads_b
+
+
+def vector_loss(model, x, y: int) -> float:
+    return vector_loss_grad(model, x, y)[0]
+
+
+def _vector_norm(v, tag: str) -> float:
+    if tag == "L1":
+        return float(np.sum(np.abs(v)))
+    if tag == "L2":
+        return math.sqrt(float(np.dot(v, v)))
+    return float(np.max(np.abs(v)))
+
+
+def vector_project(v, tag: str, eps: float):
+    if tag == "LINF":
+        return np.clip(v, -eps, eps)
+    size = _vector_norm(v, tag)
+    if size <= eps:
+        return v
+    if tag == "L2":
+        return v * (eps / size)
+    u = np.sort(np.abs(v))[::-1]
+    cumsum = np.cumsum(u)
+    k = max(j + 1 for j in range(v.size) if u[j] > (cumsum[j] - eps) / (j + 1))
+    theta = (cumsum[k - 1] - eps) / k
+    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+
+
+def _vector_direction(g, tag: str):
+    if tag == "LINF":
+        return np.sign(g)
+    if tag == "L2":
+        size = math.sqrt(float(np.dot(g, g)))
+        return g / size if size > 0.0 else g
+    out = np.zeros_like(g)
+    i = int(np.argmax(np.abs(g)))
+    out[i] = math.copysign(1.0, g[i])
+    return out
+
+
+def _vector_random_start(rng, dim: int, tag: str, eps: float):
+    if tag == "LINF":
+        return rng.uniform(-eps, eps, dim)
+    if tag == "L2":
+        direction = rng.standard_normal(dim)
+        size = math.sqrt(float(np.dot(direction, direction)))
+        if size == 0.0:
+            return np.zeros(dim)
+        return direction / size * (eps * rng.uniform() ** (1.0 / dim))
+    return vector_project(rng.uniform(-eps, eps, dim), tag, eps)
+
+
+def vector_pgd(model, x, y, tag, eps, steps, step_size, rng, restarts, extra_starts=()):
+    """One atom, one start and one step at a time; the best iterate is the
+    first maximum in (start, step) order."""
+    x = np.asarray(x, dtype=float)
+    if eps == 0.0:
+        return np.zeros_like(x), vector_loss(model, x, y)
+    step = step_size if step_size is not None else 2.5 * eps / steps
+    starts = [np.zeros_like(x)] + [vector_project(np.asarray(s, dtype=float), tag, eps) for s in extra_starts]
+    starts += [_vector_random_start(rng, x.size, tag, eps) for _ in range(restarts)]
+    best_delta, best_loss = np.zeros_like(x), -math.inf
+    for start in starts:
+        delta = start.copy()
+        value = vector_loss(model, x + delta, y)
+        if value > best_loss:
+            best_loss, best_delta = value, delta.copy()
+        for _ in range(steps):
+            direction = _vector_direction(vector_loss_grad(model, x + delta, y)[1], tag)
+            if not direction.any():
+                break
+            delta = vector_project(delta + step * direction, tag, eps)
+            value = vector_loss(model, x + delta, y)
+            if value > best_loss:
+                best_loss, best_delta = value, delta.copy()
+    return best_delta, best_loss
+
+
+def vector_fgsm(model, x, y, tag, eps):
+    x = np.asarray(x, dtype=float)
+    clean = vector_loss(model, x, y)
+    if eps == 0.0:
+        return np.zeros_like(x), clean
+    delta = vector_project(eps * _vector_direction(vector_loss_grad(model, x, y)[1], tag), tag, eps)
+    value = vector_loss(model, x + delta, y)
+    return (np.zeros_like(x), clean) if value < clean else (delta, value)
+
+
+def vector_grid(model, x, y, tag, eps, points_per_dim):
+    """The zero perturbation, the lattice, and in 2-D the boundary ring of
+    16 * points_per_dim samples, in that order; first maximum wins."""
+    x = np.asarray(x, dtype=float)
+    if eps == 0.0:
+        return np.zeros_like(x), vector_loss(model, x, y)
+    axis = np.linspace(-eps, eps, points_per_dim)
+    if x.size == 1:
+        candidates = [np.array([a]) for a in axis]
+    else:
+        candidates = [np.array([a, b]) for a in axis for b in axis]
+        count = 16 * points_per_dim
+        if tag == "L2":
+            for t in np.linspace(0.0, 1.0, count, endpoint=False):
+                candidates.append(np.array([eps * np.cos(2.0 * math.pi * t), eps * np.sin(2.0 * math.pi * t)]))
+        elif tag == "LINF":
+            side = np.linspace(-eps, eps, max(count // 4, 2))
+            for edge in ((1, eps), (1, -eps), (0, eps), (0, -eps)):
+                for s in side:
+                    candidates.append(np.array([s, edge[1]]) if edge[0] else np.array([edge[1], s]))
+        else:
+            side = np.linspace(0.0, eps, max(count // 4, 2))
+            for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                for s in side:
+                    candidates.append(np.array([sx * s, sy * (eps - s)]))
+    best_delta, best_loss = np.zeros_like(x), -math.inf
+    for delta in [np.zeros_like(x)] + candidates:
+        if _vector_norm(delta, tag) > eps * (1.0 + 1e-12):
+            continue
+        value = vector_loss(model, x + delta, y)
+        if value > best_loss:
+            best_loss, best_delta = value, delta.copy()
+    return best_delta, best_loss

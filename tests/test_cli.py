@@ -263,6 +263,65 @@ class TestCommands:
         assert doc["kappa"] == "inf"
 
 
+class TestBadInputFiles:
+    """A malformed dataset CSV or model file is an input error: exit code 2
+    and a message naming the file and line, never a traceback."""
+
+    def _certify(self, tmp_path, capsys, dataset, model=None):
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "dataset": {"path": str(dataset)},
+                "model": {"path": str(model)} if model else {"dims": [2, 2], "seed": 4},
+                "robust": {"rho": 0.1},
+            },
+        )
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ("1,nan,0.5", "non-finite"),
+            ("1,0.5,inf", "non-finite"),
+            ("1,0.5", "expected 3 fields"),
+            ("1,0.5,0.5,2.0", "expected 3 fields"),
+            ("1.5,0.5,0.5", "not an integer"),
+            ("-1,0.5,0.5", "outside"),
+            ("0,abc,0.5", "not a number"),
+        ],
+    )
+    def test_bad_dataset_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, what):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n\n" + row + "\n1,1.5,-1.0\n")
+        code, err = self._certify(tmp_path, capsys, data)
+        assert code == 2
+        assert f"{data}:4:" in err and what in err
+
+    @pytest.mark.parametrize("text", ["", "x0,label\n0.5,1\n", "label,x0,x1\n"])
+    def test_empty_or_headless_dataset_exits_2(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code, err = self._certify(tmp_path, capsys, data)
+        assert code == 2 and str(data) in err
+
+    def test_missing_dataset_exits_2(self, tmp_path, capsys):
+        code, err = self._certify(tmp_path, capsys, tmp_path / "nope.csv")
+        assert code == 2 and "nope.csv" in err
+
+    def test_bad_model_file_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n")
+        model = tmp_path / "model.txt"
+        model.write_text("wasslip-model v1\nkind linear\nnorm L2\nlayers 1\nlayer 2 2 IDENTITY 0\n1.0,0.0\n")
+        code, err = self._certify(tmp_path, capsys, data, model)
+        assert code == 2
+        assert f"{model}:7: unexpected end of file" in err
+
+
 class TestDeterminism:
     def _run_twice(self, tmp_path, command, doc):
         cfg = write_config(tmp_path, doc)

@@ -21,7 +21,7 @@ from wasslip.measures import (
     save_measure_csv,
     transport_cost,
 )
-from wasslip.models import ActivationTag, MLPLayer, phi_apply, phi_lipschitz_bound
+from wasslip.models import ActivationTag, MLPLayer, feature_map, phi_lipschitz_bound
 from wasslip.numerics import DimensionError, NormTag
 
 
@@ -212,7 +212,7 @@ class TestBallContains:
             MLPLayer(rng.standard_normal((2, 3)), ActivationTag.IDENTITY),
         )
         L = phi_lipschitz_bound(layers, NormTag.L2)
-        image = PointSet(tuple(LabeledPoint(phi_apply(layers, p.x), p.y) for p in support.points), k)
+        image = pts(feature_map(layers, support.xs()), support.labels(), k)
         spec_img = MetricSpec(NormTag.L2, max(1.0 * L, 1e-9), k)
         C_img = cost_matrix(spec_img, image, image)
         mu_img = DiscreteMeasure(image, mu.weights.copy())

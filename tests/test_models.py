@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wasslip.io import InputFileError
 from wasslip.measures import LabeledPoint, PointSet
 from wasslip.models import (
     ActivationTag,
@@ -353,6 +354,46 @@ class TestModelFile:
         path = tmp_path / "bad.txt"
         path.write_text("not-a-model\n")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def _saved_lines(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path, path.read_text().splitlines()
+
+    def test_rejects_missing_lines(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path, seeded_net(11, [2, 5, 3], bias=True))
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(InputFileError, match=rf"model.txt:{len(lines)}: unexpected end of file"):
+            load_model(path)
+
+    def test_rejects_trailing_lines(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path, seeded_linear(3, bias=True))
+        path.write_text("\n".join(lines + ["0.5,0.5"]) + "\n\n")
+        with pytest.raises(InputFileError, match=rf"model.txt:{len(lines) + 1}: trailing lines"):
+            load_model(path)
+
+    def test_rejects_linear_kind_with_several_layers(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path, seeded_net(11, [2, 5, 3]))
+        path.write_text("\n".join(["wasslip-model v1", "kind linear"] + lines[2:]) + "\n")
+        with pytest.raises(InputFileError, match="model.txt:4: kind linear needs exactly one layer"):
+            load_model(path)
+
+    def test_rejects_layers_that_do_not_chain(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path, seeded_net(11, [2, 5, 3]))
+        second = 4 + 1 + 5  # header lines, first layer line, its five rows
+        assert lines[second] == "layer 3 5 IDENTITY 0"
+        lines[second] = "layer 3 4 IDENTITY 0"
+        lines[second + 1 : second + 4] = [",".join(["0.5"] * 4)] * 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFileError, match=rf"model.txt:{second + 1}: layer takes 4 inputs"):
+            load_model(path)
+
+    def test_rejects_short_weight_row(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path, seeded_linear(3))
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFileError, match="model.txt:6: expected 4 finite comma-separated numbers"):
             load_model(path)
 
 
