@@ -250,17 +250,23 @@ def _load_points(cfg: dict, master_seed: int):
     return gen_data(section["generator"], section["n"], section["k"], section["dim"], seed, **params)
 
 
+def _check_model_shape(key: str, input_dim: int, label_count: int, points) -> None:
+    if input_dim != points.dim:
+        raise ConfigError(f"config error at {key}: input dimension {input_dim} must equal the data dimension {points.dim}")
+    if label_count != points.label_count:
+        raise ConfigError(f"config error at {key}: label count {label_count} must equal the data's label count {points.label_count}")
+
+
 def _build_model(cfg: dict, master_seed: int, points) -> tuple[Model, NormTag]:
     section = cfg.get("model")
     if section is None:
         raise ConfigError("config error at model: section required for this command")
     if "path" in section:
-        return load_model(section["path"])
+        model, norm_tag = load_model(section["path"])
+        _check_model_shape("model.path", model.input_dim, model.label_count, points)
+        return model, norm_tag
     dims = section["dims"]
-    if dims[0] != points.dim:
-        raise ConfigError(f"config error at model.dims: first entry {dims[0]} must equal the data dimension {points.dim}")
-    if dims[-1] != points.label_count:
-        raise ConfigError(f"config error at model.dims: last entry {dims[-1]} must equal the label count {points.label_count}")
+    _check_model_shape("model.dims", dims[0], dims[-1], points)
     seed = section["seed"] if section["seed"] is not None else derive_seed(master_seed, "model-init")
     rng = derive_rng(seed, "model-init")
     model = seeded_mlp(rng, dims, ActivationTag(section["activation"]), section["init_scale"], section["bias"])

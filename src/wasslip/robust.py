@@ -54,9 +54,6 @@ from wasslip.numerics import (
     solve_lp,
 )
 
-_BREAKPOINT_CAP = 100_000
-
-
 @dataclass(frozen=True)
 class RobustInstance:
     """An empirical measure, the product metric, a ball radius, and an
@@ -180,66 +177,56 @@ def _minimize_envelope(
     dists: np.ndarray,
     rho: float,
     lam_lo: float,
-    lam_cap: float | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Minimize lam*rho + sum_i w_i max_k (values[i,k] - lam*dists[i,k]) over
-    lam >= lam_lo.  Infinite-cost options are padded out beforehand (they can
-    never lower the infimum).  The function is convex piecewise-linear, so the
-    minimum sits at an argmax-switch breakpoint or at the boundary; when there
-    are too many candidate breakpoints a ternary search takes over.
+    """Leftmost minimizer of F(lam) = lam*rho + sum_i w_i max_k (values[i,k] -
+    lam*dists[i,k]) over lam >= lam_lo, by an exact sorted-kink sweep.
+    Infinite-cost options are padded out beforehand (value -inf); they never
+    win the max and so never lower the infimum.
+
+    F is convex and piecewise linear with slope rho - sum_i w_i d_i(lam), where
+    d_i(lam) is the distance of atom i's active option.  Each atom's upper
+    envelope is walked from its best option a at lam_lo: the next kink is the
+    smallest crossing (v_a - v_j)/(d_a - d_j) over options j with d_j < d_a
+    (a tie only adds a step at the same lambda; kinks below lam_lo by rounding
+    count as lam_lo).  The distance falls at every step, so an atom has at
+    most k - 1 kinks.  Sorting all kinks and sweeping the slope gives the
+    first kink where it turns non-negative.  Cost: at most k vectorised O(nk)
+    steps for the walk, O(nk log nk) for the sweep.
     """
-    n, k = values.shape
-
-    # padded cells carry value -inf / dist 0 and never win the max
-    pair_count = n * k * (k - 1) // 2
-    breakpoints: list[float] = []
-    use_ternary = pair_count > _BREAKPOINT_CAP
-    lam_hi = lam_lo
-    if not use_ternary:
-        iu, ju = np.triu_indices(k, 1)
-        va, vb = values[:, iu], values[:, ju]
-        db = dists[:, iu] - dists[:, ju]
-        mask = (np.abs(db) > 1e-15) & np.isfinite(va) & np.isfinite(vb)
-        lams = (va[mask] - vb[mask]) / db[mask]  # row-major: atom by atom
-        breakpoints = lams[(lams >= lam_lo) & np.isfinite(lams)].tolist()
-        if breakpoints:
-            lam_hi = max(lam_hi, max(breakpoints))
-    else:
-        # crude upper end: beyond max value-range / min positive dist the
-        # zero-distance option dominates everywhere
-        pos = dists[np.isfinite(values) & (dists > 0.0)]
-        span = float(np.max(values[np.isfinite(values)]) - np.min(values[np.isfinite(values)]))
-        lam_hi = lam_lo + (span / float(np.min(pos)) if pos.size else 0.0) + 1.0
-    if lam_cap is not None and math.isfinite(lam_cap):
-        lam_hi = max(lam_hi, lam_cap)
-
-    def total(lam: float) -> float:
-        env, _ = _envelope_eval(values, dists, lam)
-        return lam * rho + float(np.dot(weights, env))
-
-    if use_ternary:
-        lo, hi = lam_lo, lam_hi
-        for _ in range(300):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if total(m1) <= total(m2):
-                hi = m2
-            else:
-                lo = m1
-        candidates = np.array([lam_lo, 0.5 * (lo + hi), lam_hi])
-    else:
-        candidates = np.array(sorted(set([lam_lo, lam_hi] + breakpoints)))
-
-    best_lam = lam_lo
-    best_val = math.inf
-    for lam in candidates:
-        v = total(float(lam))
-        if v < best_val - 1e-15:
-            best_val = v
-            best_lam = float(lam)
+    n = values.shape[0]
+    rows = np.arange(n)
+    active = np.argmax(values - lam_lo * dists, axis=1)
+    live = rows[np.isfinite(values[rows, active])]
+    kinks, steps = [np.empty(0)], [np.empty(0)]
+    while live.size:
+        a = active[live]
+        drop = dists[live, a][:, None] - dists[live]
+        cross = np.full(drop.shape, np.inf)
+        np.divide(values[live, a][:, None] - values[live], drop, out=cross, where=drop > 0.0)
+        nxt = np.argmin(cross, axis=1)
+        lam = cross[np.arange(live.size), nxt]
+        moved = np.isfinite(lam)
+        live, a, nxt = live[moved], a[moved], nxt[moved]
+        kinks.append(lam[moved])
+        steps.append(weights[live] * (dists[live, a] - dists[live, nxt]))
+        active[live] = nxt
+    kinks, steps = np.concatenate(kinks), np.concatenate(steps)
+    order = np.argsort(kinks)
+    kinks = np.maximum(kinks[order], lam_lo)
+    # slope on each piece, summed back from the last one, where every atom sits
+    # on its nearest option; a slope within the rounding error of these sums
+    # counts as zero, so a piece that is flat in exact arithmetic (uniform
+    # weights, rho * n an integer) yields its left end
+    remaining = np.append(np.cumsum(steps[order][::-1])[::-1], 0.0)
+    final = float(np.dot(weights, dists[rows, active]))
+    slopes = rho - final - remaining
+    flat = (kinks.size + n) * np.finfo(float).eps * (rho + final + remaining[0])
+    if not slopes[-1] >= -flat:
+        raise ValueError("the dual is unbounded below: even the nearest options cost more than the budget rho")
+    piece = int(np.argmax(slopes >= -flat))
+    best_lam = lam_lo if piece == 0 else float(kinks[piece - 1])
     env, active = _envelope_eval(values, dists, best_lam)
-    best_val = best_lam * rho + float(np.dot(weights, env))
-    return best_lam, best_val, env, active
+    return best_lam, best_lam * rho + float(np.dot(weights, env)), env, active
 
 
 def _label_option_tables(instance: RobustInstance, loss_matrix: np.ndarray):
@@ -277,35 +264,18 @@ def dual_objective(
     return lam * instance.rho + float(np.dot(instance.empirical.weights, env))
 
 
-def _lambda_cap(instance: RobustInstance, loss_matrix: np.ndarray, lam_lo: float) -> float:
-    lm = instance.metric.label_metric
-    nonzero = lm[lm > 0.0]
-    if nonzero.size == 0 or math.isinf(instance.metric.kappa):
-        return lam_lo
-    denom = max(instance.metric.kappa * float(np.min(nonzero)), 1e-12)
-    return lam_lo + max(float(np.max(loss_matrix)), 0.0) / denom
-
-
 def minimize_dual(
     instance: RobustInstance,
     model: LinearSoftmax,
     bound_mode: BoundMode = BoundMode.CERTIFIED,
 ) -> DualSolution:
-    """Exact minimizer of the dual over lambda >= loss Lipschitz bound."""
+    """Leftmost exact minimizer of the dual over lambda >= the loss Lipschitz
+    bound, by the kink sweep of `_minimize_envelope`."""
     if not isinstance(model, LinearSoftmax):
         raise TypeError("the direct dual needs a linear softmax model; deeper nets go through pushforward_risk")
     l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
-    xs = instance.empirical.support.xs()
-    loss_matrix = label_loss_matrix(model, xs)
-    values, dists = _label_option_tables(instance, loss_matrix)
-    lam, value, env, active = _minimize_envelope(
-        instance.empirical.weights,
-        values,
-        dists,
-        instance.rho,
-        lam_lo=l_bound,
-        lam_cap=_lambda_cap(instance, loss_matrix, l_bound),
-    )
+    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs()))
+    lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=l_bound)
     return DualSolution(lam, value, env, active)
 
 

@@ -121,6 +121,47 @@ def boundary_max_loss(loss, x: np.ndarray, eps: float, norm_tag: str, count: int
     return max(best, float(loss(x)))
 
 
+# ---------------------------------------------------------------------------
+# the one-dimensional robust dual F(lam) = lam*rho + sum_i w_i max_k (values[i,k]
+# - lam*dists[i,k]) over lam >= lam_lo, checked without the library's solver.
+
+
+def dual_objective_at(weights, values, dists, rho: float, lam: float) -> float:
+    return lam * rho + float(np.dot(weights, np.max(values - lam * dists, axis=1)))
+
+
+def dual_brute_force(weights, values, dists, rho: float, lam_lo: float, tol: float = 0.0) -> tuple[float, float]:
+    """Minimum of F by evaluating it at lam_lo and at every crossing of two
+    options of one atom at or above lam_lo (a convex piecewise-linear F has
+    its minimum at one of them).  Returns (min value, smallest candidate
+    whose value is within tol of the min)."""
+    candidates = {float(lam_lo)}
+    n, k = values.shape
+    for i in range(n):
+        for a in range(k):
+            for b in range(a + 1, k):
+                va, vb = values[i, a], values[i, b]
+                if dists[i, a] != dists[i, b] and math.isfinite(va) and math.isfinite(vb):
+                    lam = (va - vb) / (dists[i, a] - dists[i, b])
+                    if lam >= lam_lo:
+                        candidates.add(float(lam))
+    lams = sorted(candidates)
+    objective = [dual_objective_at(weights, values, dists, rho, lam) for lam in lams]
+    best = min(objective)
+    return best, next(lam for lam, f in zip(lams, objective) if f <= best + tol)
+
+
+def dual_derivatives(weights, values, dists, rho: float, lam: float, tol: float) -> tuple[float, float]:
+    """Left and right derivatives of F at lam, in O(nk): each atom's active
+    options are those within tol of its best score; the left derivative takes
+    their largest distance, the right derivative their smallest."""
+    scores = values - lam * dists
+    active = scores >= np.max(scores, axis=1, keepdims=True) - tol
+    left = rho - float(np.dot(weights, np.max(np.where(active, dists, -np.inf), axis=1)))
+    right = rho - float(np.dot(weights, np.min(np.where(active, dists, np.inf), axis=1)))
+    return left, right
+
+
 def dense_lambda_grid_min(phi, lam_lo: float, lam_hi: float, points: int = 100_000) -> float:
     """Brute-force minimum of a scalar function over a dense lambda grid,
     with a second zoomed pass around the coarse argmin."""

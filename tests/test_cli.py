@@ -321,6 +321,27 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{model}:7: unexpected end of file" in err
 
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    @pytest.mark.parametrize(
+        "layer, rows, what",
+        [
+            ("layer 2 3 IDENTITY 0", ["1.0,0.0,0.5", "0.0,1.0,0.5"], "input dimension 3 must equal the data dimension 2"),
+            ("layer 3 2 IDENTITY 0", ["1.0,0.0", "0.0,1.0", "0.5,0.5"], "label count 3 must equal the data's label count 2"),
+        ],
+        ids=["input-dim", "label-count"],
+    )
+    def test_model_shape_off_the_dataset_exits_2(self, tmp_path, capsys, command, layer, rows, what):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n")
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(["wasslip-model v1", "kind linear", "norm L2", "layers 1", layer, *rows]) + "\n")
+        section = {"robust": {"rho": 0.1}} if command == "certify" else {"attack": {"epsilons": [0.1], "steps": 2}}
+        cfg = write_config(tmp_path, {"seed": 1, "dataset": {"path": str(data)}, "model": {"path": str(model)}, **section})
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"config error at model.path: {what}" in err
+
 
 class TestDeterminism:
     def _run_twice(self, tmp_path, command, doc):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_lambda_grid_min
+from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at
 from wasslip.measures import (
     DiscreteMeasure,
     LabeledPoint,
@@ -19,11 +19,13 @@ from wasslip.models import (
     MLPLayer,
     ce_lipschitz_bound,
     ce_slice_lipschitz,
+    label_loss_matrix,
     loss_value,
 )
 from wasslip.numerics import NormTag
 from wasslip.robust import (
     RobustInstance,
+    _minimize_envelope,
     certify_robust_risk,
     check_envelope_collapse,
     dual_objective,
@@ -179,6 +181,16 @@ class TestMinimizeDualOnTargets:
         phi = lambda lam: lam * 0.3 + max(0.2 - lam * 0.0, 0.9 - lam * 1.0)
         assert dual.value == pytest.approx(dense_lambda_grid_min(phi, 0.0, 2.0, points=100_000), abs=1e-6)
 
+    def test_targets_beyond_the_budget_raise(self):
+        """Every target costs at least 1 from the atom and rho = 0.5: no
+        distribution in the ball lives on the targets, and the dual falls
+        without bound."""
+        instance = single_atom_instance(0.5)
+        targets = PointSet((LabeledPoint([1.0], 0), LabeledPoint([2.0], 0)), 2)
+        instance = RobustInstance(instance.empirical, instance.metric, 0.5, targets)
+        with pytest.raises(ValueError, match="unbounded below"):
+            minimize_dual_on_targets(instance, np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_strong_duality_seeded(self, seed):
         rng = derive_rng(seed, "strong-duality-unit")
@@ -229,7 +241,7 @@ class TestMinimizeDualModel:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lambda_grid_brute_force(self, seed):
-        """Breakpoint enumeration agrees with a dense-lambda brute force built
+        """The kink sweep agrees with a dense-lambda brute force built
         directly from the loss table (vectorized, independent of the engine)."""
         rng = derive_rng(seed, "md-grid")
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
@@ -249,7 +261,7 @@ class TestMinimizeDualModel:
 
         brute = dense_lambda_grid_min(phi, bound, max(dual.lambda_star * 2.0, bound + 5.0), points=20_000)
         assert dual.value == pytest.approx(brute, abs=1e-6)
-        assert dual.value <= brute + 1e-12  # enumeration is exact, the grid is not
+        assert dual.value <= brute + 1e-12  # the sweep is exact, the grid is not
         assert dual.lambda_star >= bound - 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -419,18 +431,105 @@ class TestPushforward:
         assert cert.robust_value == pytest.approx(cert.empirical_risk, abs=1e-12)
 
 
-class TestTernaryFallback:
-    def test_huge_option_table_uses_ternary_and_stays_exact(self):
-        """With more candidate breakpoints than the enumeration cap, the
-        convex search must still land on the kink (here at lambda = 0.01)."""
-        from wasslip.robust import _minimize_envelope
+def _dual_table(rng, case: str):
+    """(weights, values, dists, rho, lam_lo) for one case of the dual the kink
+    sweep must get right.  Apart from "continuous" and the lam_lo of
+    "tie_at_lam_lo", every number is a multiple of 1/8 and every distance an
+    integer, so ties, concurrent lines and flat pieces (rho equal to a
+    weighted distance sum) are exact."""
+    n, k = int(rng.integers(1, 25)), int(rng.integers(2, 7))
+    own = (np.arange(n), rng.integers(0, k, n))  # each atom keeps a zero-cost option
+    weights = rng.integers(1, 9, n) / 8.0
+    values = rng.integers(-16, 17, (n, k)) / 8.0
+    dists = rng.integers(1, 5, (n, k)).astype(float)
+    dists[own] = 0.0
+    rho, lam_lo = int(rng.integers(0, 9)) / 8.0, 0.0
+    if case == "continuous":
+        weights, values = rng.uniform(0.0, 1.0, n), rng.standard_normal((n, k))
+        dists = rng.uniform(0.0, 2.0, (n, k))
+        dists[own] = 0.0
+        rho, lam_lo = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.5))
+    elif case == "padded":  # kappa = inf: moves off the atom's own label are padded out
+        values[(rng.uniform(size=(n, k)) < 0.5) & (dists > 0.0)] = -math.inf
+        dists[~np.isfinite(values)] = 0.0
+    elif case == "tied_distances":  # the 0-1 label metric times kappa
+        dists[dists > 0.0] = 1.5
+    elif case == "tie_at_lam_lo":  # a farther option ties the top score at lam_lo, up to rounding
+        lam_lo = 0.3
+        top = np.max(values - lam_lo * dists, axis=1)
+        far = np.argmax(dists, axis=1)
+        values[np.arange(n), far] = top + lam_lo * dists[np.arange(n), far]
+    elif case == "lam_lo_above_kinks":  # crossings are at most 4 here
+        lam_lo = 64.0
+    elif case == "zero_weights":
+        weights[rng.uniform(size=n) < 0.5] = 0.0
+    elif case == "concurrent":  # each atom's lines but one meet in a single point
+        meet = rng.integers(0, 9, (n, 1)) / 8.0
+        values[:, 1:] = rng.integers(-8, 9, (n, 1)) / 8.0 + meet * dists[:, 1:]
+    return weights, values, dists, rho, lam_lo
 
+
+class TestKinkSweep:
+    def test_huge_option_table_stays_exact(self):
+        """500 concurrent lines of one atom: the sweep must land on the kink
+        (here at lambda = 0.01)."""
         j = np.arange(500, dtype=float)
         values = (0.01 * j)[None, :]
         dists = j[None, :]
         lam, value, env, active = _minimize_envelope(np.array([1.0]), values, dists, rho=0.5, lam_lo=0.0)
         assert value == pytest.approx(0.005, abs=1e-9)
         assert lam == pytest.approx(0.01, abs=1e-6)
+
+    def test_kink_rounded_below_lam_lo_counts_as_lam_lo(self):
+        """The first line scores higher at lam_lo, yet its computed crossing
+        with the second falls below lam_lo by rounding.  lambda* must not
+        undercut lam_lo (the Lipschitz bound), so it is lam_lo itself."""
+        values = np.array([[1.1033585958871046, 0.9486494471372439]])
+        dists = np.array([[2.0236432494005134, 0.9504636963259353]])
+        lam_lo = 0.14415961271963373
+        assert values[0, 0] - lam_lo * dists[0, 0] >= values[0, 1] - lam_lo * dists[0, 1]
+        assert (values[0, 0] - values[0, 1]) / (dists[0, 0] - dists[0, 1]) < lam_lo
+        lam, _, _, _ = _minimize_envelope(np.array([1.0]), values, dists, rho=1.0, lam_lo=lam_lo)
+        assert lam == lam_lo
+
+    @pytest.mark.parametrize(
+        "case",
+        ["continuous", "padded", "tied_distances", "tie_at_lam_lo", "lam_lo_above_kinks", "zero_weights", "concurrent"],
+    )
+    def test_matches_brute_force_and_is_leftmost(self, case):
+        """The sweep's value is the brute-force minimum over every pairwise
+        crossing to 1e-12 relative, and lambda* is the leftmost minimizer:
+        F does not fall to its right and rises to its left."""
+        for seed in range(30):
+            weights, values, dists, rho, lam_lo = _dual_table(derive_rng(seed, f"sweep-{case}"), case)
+            lam, value, _, _ = _minimize_envelope(weights, values, dists, rho, lam_lo)
+            best, leftmost = dual_brute_force(weights, values, dists, rho, lam_lo, tol=1e-12 * max(1.0, abs(value)))
+            assert value == pytest.approx(best, rel=1e-12, abs=1e-15)
+            assert value == pytest.approx(dual_objective_at(weights, values, dists, rho, lam), rel=1e-15, abs=1e-15)
+            left, right = dual_derivatives(weights, values, dists, rho, lam, tol=1e-9)
+            assert lam >= lam_lo and right >= -1e-12
+            assert lam == lam_lo or left < -1e-12
+            assert lam <= leftmost + 1e-12 * (1.0 + leftmost)
+            if case == "lam_lo_above_kinks":
+                assert lam == lam_lo
+
+    def test_linear_certificate_beyond_the_old_cap(self):
+        """n=4000, k=10: 180,000 label pairs, past the 100,000 that pairwise
+        enumeration once handled.  rho * n is an integer, so the dual is flat
+        where 400 atoms still switch label, and lambda* is the left end."""
+        rng = derive_rng(5, "sweep-4000")
+        model = seeded_linear_model(rng, 8, 10, scale=0.8)
+        points = seeded_points(rng, 4000, 8, 10)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 10), 0.1)
+        cert = certify_robust_risk(instance, model)
+        lam_lo = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        values = label_loss_matrix(model, points.xs())
+        dists = instance.metric.label_metric[:, points.labels()].T
+        weights = instance.empirical.weights
+        lam = cert.lambda_star
+        assert cert.robust_value == pytest.approx(dual_objective_at(weights, values, dists, 0.1, lam), rel=1e-15)
+        left, right = dual_derivatives(weights, values, dists, 0.1, lam, tol=1e-9)
+        assert lam > lam_lo and left < -1e-12 and right >= -1e-12
 
 
 class TestEnvelopeCollapse:
