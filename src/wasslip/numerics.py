@@ -1,10 +1,11 @@
 """Dense numerical kernels shared by every other module.
 
 Everything here is deterministic: power iteration starts from a fixed seeded
-vector, the simplex solver pivots by Bland's rule, and tolerances are module
-constants rather than per-call knobs.  Only induced operator norms over
-{L1, L2, LINF} are supported; mixed-norm requests are rejected instead of
-approximated so downstream certificates never silently weaken.
+vector, the simplex solver prices by Dantzig's rule with a fallback to Bland's
+rule against cycling, and tolerances are module constants rather than
+per-call knobs.  Only induced operator norms over {L1, L2, LINF} are
+supported; mixed-norm requests are rejected instead of approximated so
+downstream certificates never silently weaken.
 """
 
 from __future__ import annotations
@@ -176,26 +177,38 @@ class LPSolution:
     status: LPStatus
     value: float
     point: np.ndarray | None
+    pivots: int
 
 
-def _run_simplex(T: np.ndarray, basis: list) -> str:
-    """Bland-rule simplex on a tableau whose last row is the objective row."""
+def _run_simplex(T: np.ndarray, basis: list) -> tuple[str, int]:
+    """Simplex on a tableau whose last row is the objective row.
+
+    Dantzig pricing: the most negative reduced cost enters, the lowest index
+    on ties.  After m degenerate pivots in a row (minimum ratio 0), Bland's
+    lowest-index rule prices until a pivot moves the objective again.  A
+    cycle consists of degenerate pivots only, and Bland's rule cannot cycle.
+    The leaving row has the minimum ratio, the lowest basic index on ties.
+    Returns the status and the number of pivots made.
+    """
     m = T.shape[0] - 1
-    for _ in range(MAX_ITERATIONS):
+    degenerate_run = 0
+    for pivots in range(MAX_ITERATIONS):
         obj = T[-1, :-1]
-        negative = np.nonzero(obj < -_PIVOT_TOL)[0]
-        if negative.size == 0:
-            return "optimal"
-        j = int(negative[0])  # Bland: lowest eligible index enters
+        negative = obj < -_PIVOT_TOL
+        if not negative.any():
+            return "optimal", pivots
+        # Dantzig, or Bland (first eligible index) after a degenerate run
+        j = int(np.argmin(obj)) if degenerate_run < m else int(np.argmax(negative))
         col = T[:m, j]
         pos = np.nonzero(col > _PIVOT_TOL)[0]
         if pos.size == 0:
-            return "unbounded"
+            return "unbounded", pivots
         rhs = np.maximum(T[:m, -1][pos], 0.0)
         ratios = rhs / col[pos]
         best = float(np.min(ratios))
+        degenerate_run = degenerate_run + 1 if best == 0.0 else 0
         ties = pos[ratios <= best + 1e-11 * (1.0 + abs(best))]
-        r = int(min(ties, key=lambda i: basis[i]))  # Bland: lowest basic index leaves
+        r = int(min(ties, key=lambda i: basis[i]))  # lowest basic index leaves
         piv = T[r, j]
         T[r] /= piv
         colvals = T[:, j].copy()
@@ -206,7 +219,11 @@ def _run_simplex(T: np.ndarray, basis: list) -> str:
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule."""
+    """Two-phase dense simplex: Dantzig pricing with a Bland fallback.
+
+    `pivots` on the result counts every tableau pivot over both phases,
+    including those that drive artificials out of the basis after phase 1.
+    """
     c = as_vector(problem.objective)
     n = c.size
     rows: list[np.ndarray] = []
@@ -263,6 +280,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
 
     scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
 
+    pivots = 0
     if n_art:
         # phase 1: maximize -sum(artificials)
         T[-1, :] = 0.0
@@ -271,9 +289,9 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         for i in range(m):
             if basis[i] in art_cols:
                 T[-1] -= T[i]
-        status = _run_simplex(T, basis)
+        status, pivots = _run_simplex(T, basis)
         if status != "optimal" or T[-1, -1] < -1e-8 * scale:
-            return LPSolution(LPStatus.INFEASIBLE, math.nan, None)
+            return LPSolution(LPStatus.INFEASIBLE, math.nan, None, pivots)
         # drive artificials out of the basis; an all-zero row is redundant
         art_set = set(art_cols)
         keep = np.ones(m, dtype=bool)
@@ -291,6 +309,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
                     colvals[i] = 0.0
                     T -= np.outer(colvals, T[i])
                     basis[i] = pivot_col
+                    pivots += 1
                 else:
                     keep[i] = False
         col_mask = np.ones(total + 1, dtype=bool)
@@ -306,9 +325,10 @@ def solve_lp(problem: LPProblem) -> LPSolution:
     for i in range(m):
         if abs(T[-1, basis[i]]) > 0.0:
             T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run_simplex(T, basis)
+    status, phase2_pivots = _run_simplex(T, basis)
+    pivots += phase2_pivots
     if status == "unbounded":
-        return LPSolution(LPStatus.UNBOUNDED, math.inf, None)
+        return LPSolution(LPStatus.UNBOUNDED, math.inf, None, pivots)
 
     x = np.zeros(total2)
     for i in range(m):
@@ -318,7 +338,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         raise NumericalError("simplex produced a negative variable")
     point = np.maximum(point, 0.0)
     _validate_solution(problem, point, scale)
-    return LPSolution(LPStatus.OPTIMAL, float(np.dot(c, point)), point)
+    return LPSolution(LPStatus.OPTIMAL, float(np.dot(c, point)), point, pivots)
 
 
 def _validate_solution(problem: LPProblem, x: np.ndarray, scale: float) -> None:

@@ -73,10 +73,14 @@ class RobustInstance:
 
 @dataclass(frozen=True)
 class DualSolution:
+    """The dual's minimizer and value; `lambda_floor` is the lower bound the
+    dual was minimized over (the loss Lipschitz bound, or 0 on targets)."""
+
     lambda_star: float
     value: float
     envelopes: np.ndarray
     active_labels: np.ndarray
+    lambda_floor: float
 
     def __post_init__(self):
         object.__setattr__(self, "envelopes", np.asarray(self.envelopes, dtype=float))
@@ -276,7 +280,7 @@ def minimize_dual(
     l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
     values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs()))
     lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=l_bound)
-    return DualSolution(lam, value, env, active)
+    return DualSolution(lam, value, env, active, l_bound)
 
 
 def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +314,7 @@ def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSol
     lam, value, env, active = _minimize_envelope(
         instance.empirical.weights, values, dists, instance.rho, lam_lo=0.0
     )
-    return DualSolution(lam, value, env, active)
+    return DualSolution(lam, value, env, active, 0.0)
 
 
 def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
@@ -390,10 +394,9 @@ def certify_robust_risk(
     against the restricted primal LP on the instance's candidate set."""
     dual = minimize_dual(instance, model, bound_mode)
     emp = model_empirical_risk(model, instance.empirical)
-    l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
     run_oracle = instance.candidate_targets is not None if with_oracle is None else with_oracle
     oracle_value = _lp_oracle(instance, model) if run_oracle else None
-    return _assemble_certificate(instance, dual, emp, l_bound, oracle_value)
+    return _assemble_certificate(instance, dual, emp, dual.lambda_floor, oracle_value)
 
 
 def pushforward_risk(
@@ -420,7 +423,7 @@ def pushforward_risk(
 
     if lip_phi == 0.0:
         # constant feature map: the image ball degenerates to a point
-        dual = DualSolution(0.0, emp, np.full(len(instance.empirical), emp), instance.empirical.support.labels())
+        dual = DualSolution(0.0, emp, np.full(len(instance.empirical), emp), instance.empirical.support.labels(), 0.0)
         return _assemble_certificate(instance, dual, emp, 0.0, oracle_value)
 
     support = instance.empirical.support
@@ -437,8 +440,7 @@ def pushforward_risk(
         rho=instance.rho * lip_phi,
     )
     feature_dual = minimize_dual(feature_instance, head, bound_mode)
-    head_bound = ce_lipschitz_bound(head, tag, bound_mode)
-    cert = _assemble_certificate(feature_instance, feature_dual, emp, head_bound * lip_phi, oracle_value)
+    cert = _assemble_certificate(feature_instance, feature_dual, emp, feature_dual.lambda_floor * lip_phi, oracle_value)
     # verdicts hold in the feature metric; report lambda* and the ball in the input metric
     return replace(cert, lambda_star=feature_dual.lambda_star * lip_phi, rho=instance.rho, kappa=instance.metric.kappa)
 

@@ -1,9 +1,9 @@
 """Independent oracles used only by the tests.
 
 These deliberately avoid the library's own code paths: the eigensolver is a
-hand-rolled cyclic Jacobi sweep, transport polytopes are solved by exhaustive
-basis enumeration, and attack maxima come from brute-force corner/boundary
-sweeps.  Slow is fine; independent is the point.
+hand-rolled cyclic Jacobi sweep, transport polytopes and small LPs are solved
+by exhaustive basis enumeration, and attack maxima come from brute-force
+corner/boundary sweeps.  Slow is fine; independent is the point.
 """
 
 import itertools
@@ -81,6 +81,52 @@ def transport_cost_vertex_enumeration(a: np.ndarray, b: np.ndarray, C: np.ndarra
             continue
         best = min(best, float(np.sum(pi * C)))
     return best
+
+
+def _best_basic_solution(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> float:
+    """max c.x over the basic feasible solutions of {A x = b, x >= 0}: every
+    set of rank(A) columns with full column rank, solved by least squares and
+    kept when it satisfies every row (redundant and inconsistent rows
+    included) and is non-negative.  -inf when none is feasible."""
+    rank = int(np.linalg.matrix_rank(A)) if A.size else 0
+    best = -math.inf
+    for cols in itertools.combinations(range(A.shape[1]), rank):
+        cols = list(cols)
+        sub = A[:, cols]
+        if rank and int(np.linalg.matrix_rank(sub)) < rank:
+            continue
+        xb = np.linalg.lstsq(sub, b, rcond=None)[0] if rank else np.zeros(0)
+        if np.max(np.abs(sub @ xb - b), initial=0.0) > tol or np.any(xb < -tol):
+            continue
+        best = max(best, float(np.dot(c[cols], xb)))
+    return best
+
+
+def lp_basis_enumeration(c, eq=(), le=(), tol: float = 1e-9) -> tuple[str, float]:
+    """Status and value of max c.x s.t. eq rows hold, le rows are <=, x >= 0,
+    by enumerating bases: small LPs only.
+
+    Slacks turn the le rows into equalities.  A feasible LP is unbounded when
+    its recession cone {d >= 0, A d = 0} holds a direction with c.d > 0; the
+    cone is pointed, so that shows at a vertex of its slice sum(d) = 1.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    rows = [np.asarray(r, dtype=float) for r, _ in eq] + [np.asarray(r, dtype=float) for r, _ in le]
+    b = np.array([float(v) for _, v in eq] + [float(v) for _, v in le])
+    A = np.zeros((len(rows), n + len(le)))
+    for i, row in enumerate(rows):
+        A[i, :n] = row
+    for s in range(len(le)):
+        A[len(eq) + s, n + s] = 1.0
+    cost = np.concatenate([c, np.zeros(len(le))])
+    value = _best_basic_solution(A, b, cost, tol)
+    if value == -math.inf:
+        return "infeasible", math.nan
+    ray = _best_basic_solution(np.vstack([A, np.ones(A.shape[1])]), np.append(np.zeros(len(rows)), 1.0), cost, tol)
+    if ray > tol:
+        return "unbounded", math.inf
+    return "optimal", value
 
 
 def linf_corner_max_loss(loss, x: np.ndarray, eps: float) -> float:

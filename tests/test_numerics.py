@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import spectral_norm_jacobi, transport_cost_vertex_enumeration
+from oracles import lp_basis_enumeration, spectral_norm_jacobi, transport_cost_vertex_enumeration
 from wasslip.numerics import (
     DimensionError,
     LPProblem,
@@ -187,6 +187,56 @@ class TestSimplex:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=[(np.array([1.0]), 1.0)]))
+
+    def test_beale_cycling_lp(self):
+        """Beale's LP cycles under pure Dantzig pricing with these tie rules;
+        the Bland fallback must break the cycle."""
+        sol = solve_lp(
+            LPProblem(
+                np.array([0.75, -20.0, 0.5, -6.0]),
+                ineq_constraints=[
+                    (np.array([0.25, -8.0, -1.0, 9.0]), 0.0),
+                    (np.array([0.5, -12.0, -0.5, 3.0]), 0.0),
+                    (np.array([0.0, 0.0, 1.0, 0.0]), 1.0),
+                ],
+            )
+        )
+        assert sol.status == LPStatus.OPTIMAL
+        assert sol.value == pytest.approx(1.25, abs=1e-12)
+        assert np.allclose(sol.point, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_pivots_counted_over_both_phases(self):
+        # x + y = 1: x enters in phase 1 and drives the artificial out; to
+        # maximize y, phase 2 makes one more pivot
+        eq = [(np.array([1.0, 1.0]), 1.0)]
+        assert solve_lp(LPProblem(np.array([1.0, 0.0]), eq_constraints=eq)).pivots == 1
+        sol = solve_lp(LPProblem(np.array([0.0, 1.0]), eq_constraints=eq))
+        assert sol.value == pytest.approx(1.0, abs=1e-12)
+        assert sol.pivots == 2
+
+    def test_small_lps_vs_basis_enumeration(self):
+        """Integer data, mostly zero right-hand sides (heavily degenerate),
+        mixed eq/le rows and box rows; status and value against the
+        basis-enumeration oracle."""
+        rng = np.random.default_rng(4242)
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            c = rng.integers(-3, 4, n).astype(float)
+            rhs = lambda lo, hi: 0.0 if rng.random() < 0.6 else float(rng.integers(lo, hi))
+            eq = [(rng.integers(-3, 4, n).astype(float), rhs(-2, 3)) for _ in range(rng.integers(0, 3))]
+            le = [(rng.integers(-3, 4, n).astype(float), rhs(-2, 4)) for _ in range(rng.integers(0, 3))]
+            for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
+                box = np.zeros(n)
+                box[j] = 1.0
+                le.append((box, float(rng.integers(1, 4))))
+            sol = solve_lp(LPProblem(c, eq_constraints=eq, ineq_constraints=le))
+            status, value = lp_basis_enumeration(c, eq, le)
+            assert sol.status.value == status
+            if status == "optimal":
+                assert sol.value == pytest.approx(value, abs=1e-9)
+            seen.add(status)
+        assert seen == {"optimal", "infeasible", "unbounded"}
 
     def _transport_lp(self, a, b, C):
         n, m = C.shape

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at
+import wasslip.robust as robust
+from wasslip.datasets import gaussian_blobs
 from wasslip.measures import (
     DiscreteMeasure,
     LabeledPoint,
@@ -21,8 +23,9 @@ from wasslip.models import (
     ce_slice_lipschitz,
     label_loss_matrix,
     loss_value,
+    losses as model_losses,
 )
-from wasslip.numerics import NormTag
+from wasslip.numerics import NormTag, solve_lp
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
@@ -228,6 +231,28 @@ class TestPrimalLP:
         instance = RobustInstance(mu, metric, 3.0, targets)
         assert primal_robust_risk_lp(instance, losses) == pytest.approx(3.0, abs=1e-9)
 
+    def test_oracle_lp_pivot_budget(self, monkeypatch):
+        """An oracle LP of the benchmark's shape (40 atoms, a 13x13 grid, 2
+        labels and the support: 41 rows, 15,120 columns) took 833 pivots
+        under Bland pricing; Dantzig pricing with its fallback takes 77."""
+        solutions = []
+
+        def spy(problem):
+            solutions.append(solve_lp(problem))
+            return solutions[-1]
+
+        points = gaussian_blobs(40, 2, 2, seed=7)
+        metric = MetricSpec(NormTag.L2, 1.0, 2)
+        base = RobustInstance(empirical_from_samples(points), metric, 0.1)
+        instance = RobustInstance(base.empirical, metric, 0.1, grid_targets(base, 13, pad=0.1))
+        targets = instance.candidate_targets
+        target_losses = model_losses(seeded_linear_model(derive_rng(7, "lp-budget"), 2, 2, 0.6), targets.xs(), targets.labels())
+        monkeypatch.setattr(robust, "solve_lp", spy)
+        lp = primal_robust_risk_lp(instance, target_losses)
+        assert len(solutions[0].point) == 15_120
+        assert solutions[0].pivots <= 150
+        assert lp == pytest.approx(minimize_dual_on_targets(instance, target_losses).value, rel=1e-12)
+
 
 class TestMinimizeDualModel:
     def test_rho_zero_value_is_empirical(self):
@@ -372,6 +397,25 @@ class TestCertificates:
             gaps.append(cert.oracle_gap)
         assert gaps[1] <= gaps[0] + 1e-9
         assert gaps[2] <= gaps[1] + 1e-9
+
+    def test_lipschitz_bound_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(model, tag, mode):
+            calls.append(tag)
+            return ce_lipschitz_bound(model, tag, mode)
+
+        monkeypatch.setattr(robust, "ce_lipschitz_bound", counting)
+        rng = derive_rng(23, "cert-once")
+        points = seeded_points(rng, 5, 2, 3)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
+        linear = seeded_linear_model(rng, 2, 3)
+        cert = certify_robust_risk(instance, linear)
+        assert len(calls) == 1
+        assert cert.lipschitz_bound_used == ce_lipschitz_bound(linear, NormTag.L2, BoundMode.CERTIFIED)
+        push = pushforward_risk(instance, seeded_mlp(rng, [2, 4, 3]))
+        assert len(calls) == 2
+        assert push.lipschitz_bound_used > 0.0
 
 
 class TestPushforward:
