@@ -23,14 +23,12 @@ from wasslip.numerics import (
 from wasslip.measures import (
     CostMatrix,
     DiscreteMeasure,
-    LabeledPoint,
     MetricSpec,
     PointSet,
     TransportInfeasibleError,
     ball_contains,
     cost_matrix,
     empirical_from_samples,
-    metric_eval,
     pushforward,
     transport_cost,
 )

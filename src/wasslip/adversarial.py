@@ -22,7 +22,7 @@ from wasslip.measures import (
     DiscreteMeasure,
     PointSet,
     cost_matrix,
-    point_set,
+    pushforward,
     transport_cost,
 )
 from wasslip.models import BoundMode, Model, loss_grads, losses
@@ -308,7 +308,7 @@ def adversarial_risk(
     derive_rng(config.seed, f"attack/{i}"), so results do not depend on how
     the atoms are batched.
     """
-    X, Y = mu.support.xs(), mu.support.labels()
+    X, Y = mu.support.xs, mu.support.ys
     if config.method == "GRID":
         deltas, values = _grid(model, X, Y, ball, config.grid_points)
     elif config.method == "FGSM":
@@ -379,12 +379,14 @@ def check_adversarial_bound(
 
     # restricted primal on a target set containing the attacked points: it
     # must already dominate the attack, and the dual must dominate it
-    extra = list(instance.candidate_targets.points) if instance.candidate_targets is not None else []
-    aug_targets = PointSet(
-        tuple(list(attacked_targets(instance, result).points) + extra), mu.support.label_count
-    )
+    aug_targets = attacked_targets(instance, result)
+    extra = instance.candidate_targets
+    if extra is not None:
+        aug_targets = PointSet(
+            np.concatenate([aug_targets.xs, extra.xs]), np.concatenate([aug_targets.ys, extra.ys]), mu.support.label_count
+        )
     aug_instance = RobustInstance(mu, instance.metric, instance.rho, aug_targets)
-    target_losses = losses(model, aug_targets.xs(), aug_targets.labels())
+    target_losses = losses(model, aug_targets.xs, aug_targets.ys)
     lp_value = primal_robust_risk_lp(aug_instance, target_losses)
     checks.append(("lp_oracle_ge_attack", lp_value >= result.adversarial_risk - 1e-8))
     checks.append(("robust_value_ge_lp_oracle", cert.robust_value >= lp_value - 1e-9))
@@ -402,11 +404,13 @@ def check_adversarial_bound(
 
 def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMeasure:
     """Image of mu under the attack map x -> x + delta(x); index-aligned."""
-    support = mu.support
-    return DiscreteMeasure(point_set(support.xs() + result.perturbations, support.labels(), support.label_count), mu.weights.copy())
+    return pushforward(mu, lambda xs: xs + result.perturbations)
 
 
 def attacked_targets(instance: RobustInstance, result: AttackResult) -> PointSet:
     """Candidate-target set containing the support and the attacked points."""
     support = instance.empirical.support
-    return PointSet(support.points + attack_pushforward(instance.empirical, result).support.points, support.label_count)
+    attacked = attack_pushforward(instance.empirical, result).support
+    return PointSet(
+        np.concatenate([support.xs, attacked.xs]), np.concatenate([support.ys, attacked.ys]), support.label_count
+    )

@@ -7,11 +7,12 @@ integers in [0, k).  All generators are pure functions of their arguments.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from wasslip import io
-from wasslip.measures import PointSet, point_set
+from wasslip.measures import PointSet
 from wasslip.seeding import derive_rng
 
 GENERATORS = ("gaussian-blobs", "two-moons", "grid")
@@ -25,7 +26,7 @@ def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6, center
     xs = rng.standard_normal((n, dim))  # scaled and shifted in place: no full-size temporaries
     xs *= std
     xs += centers[ys]
-    return point_set(xs, ys, k)
+    return PointSet(xs, ys, k)
 
 
 def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
@@ -36,7 +37,7 @@ def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
     t_out = np.linspace(0.0, math.pi, n_out)
     t_in = np.linspace(0.0, math.pi, n_in)
     base = [[math.cos(t), math.sin(t)] for t in t_out] + [[1.0 - math.cos(t), 0.5 - math.sin(t)] for t in t_in]
-    return point_set(np.array(base) + noise * rng.standard_normal((n, 2)), [0] * n_out + [1] * n_in, 2)
+    return PointSet(np.array(base) + noise * rng.standard_normal((n, 2)), np.repeat([0, 1], [n_out, n_in]), 2)
 
 
 def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSet:
@@ -47,7 +48,7 @@ def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSe
     axes = [np.linspace(lo, hi, side) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
-    return point_set(lattice, np.arange(n) % k, k)
+    return PointSet(lattice, np.arange(n) % k, k)
 
 
 def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointSet:
@@ -64,10 +65,17 @@ def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointS
     return grid(n, k, dim, **params)
 
 
+def _csv_text(points: PointSet) -> str:
+    """The dataset CSV without its final newline: the header, then one
+    ``label,x0,x1,...`` row per sample with 17-digit floats."""
+    lines = ["label," + ",".join(f"x{i}" for i in range(points.dim))]
+    for y, x in zip(points.ys.tolist(), points.xs.tolist()):
+        lines.append(",".join([str(y)] + [io.fmt_float(c) for c in x]))
+    return "\n".join(lines)
+
+
 def save_dataset_csv(points: PointSet, path) -> None:
-    header = ["label"] + [f"x{i}" for i in range(points.dim)]
-    rows = [[int(p.y)] + [float(c) for c in p.x] for p in points.points]
-    io.write_csv(path, header, rows)
+    Path(path).write_text(_csv_text(points) + "\n", encoding="utf-8")
 
 
 def load_dataset_csv(path, label_count: int | None = None) -> PointSet:
@@ -97,12 +105,9 @@ def load_dataset_csv(path, label_count: int | None = None) -> PointSet:
         r = int(np.argmax(bad))
         what = f"label {ys[r]} outside [0, {k})" if np.all(np.isfinite(xs[r])) else "non-finite coordinate"
         raise io.InputFileError(path, rows[r][0], what)
-    return point_set(xs, ys, k)
+    return PointSet(xs, ys, k)
 
 
 def dataset_fingerprint(points: PointSet) -> str:
-    header = "label," + ",".join(f"x{i}" for i in range(points.dim))
-    lines = [header]
-    for p in points.points:
-        lines.append(",".join([str(int(p.y))] + [io.fmt_float(c) for c in p.x]))
-    return io.sha256_hex("\n".join(lines).encode("utf-8"))
+    """sha256 of the dataset's CSV text without its final newline."""
+    return io.sha256_hex(_csv_text(points).encode("utf-8"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from wasslip.numerics import (
     LPStatus,
     NormTag,
     as_vector,
-    norm,
     solve_lp,
 )
 
@@ -33,53 +32,44 @@ class TransportInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LabeledPoint:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_vector(self.x))
-        object.__setattr__(self, "y", int(self.y))
-        if self.y < 0:
-            raise ValueError("label ids must be non-negative")
-
-
-@dataclass(frozen=True)
 class PointSet:
-    points: tuple
+    """n labeled points: `xs` (n x d floats) and `ys` (n integer labels in
+    [0, label_count)).  Both are stored as read-only copies; row i of `xs`
+    carries label `ys[i]`."""
+
+    xs: np.ndarray
+    ys: np.ndarray
     label_count: int
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
+        xs = np.array(self.xs, dtype=float, order="C")
+        ys = np.asarray(self.ys)
+        if xs.ndim != 2:
+            raise DimensionError(f"xs must be an n x d array, got shape {xs.shape}")
+        if xs.shape[0] == 0:
             raise ValueError("point set must be non-empty")
-        dim = pts[0].x.size
-        for p in pts:
-            if p.x.size != dim:
-                raise DimensionError("all points must share the input dimension")
-            if p.y >= self.label_count:
-                raise ValueError(f"label {p.y} outside [0, {self.label_count})")
-        object.__setattr__(self, "points", pts)
+        if ys.shape != (xs.shape[0],):
+            raise DimensionError(f"one label per row required: {xs.shape[0]} rows, labels of shape {ys.shape}")
+        bad = np.flatnonzero(~np.all(np.isfinite(xs), axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite coordinate in row {bad[0]}")
+        if ys.dtype.kind not in "iub" and not np.all(np.isfinite(ys) & (ys == np.floor(ys))):
+            raise ValueError("labels must be integers")
+        ys = ys.astype(int)
+        outside = np.flatnonzero((ys < 0) | (ys >= self.label_count))
+        if outside.size:
+            raise ValueError(f"label {ys[outside[0]]} outside [0, {self.label_count})")
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def dim(self) -> int:
-        return self.points[0].x.size
+        return self.xs.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> LabeledPoint:
-        return self.points[i]
-
-    def xs(self) -> np.ndarray:
-        return np.stack([p.x for p in self.points])
-
-    def labels(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=int)
-
-
-def point_set(xs: Iterable, ys: Iterable[int], label_count: int) -> PointSet:
-    return PointSet(tuple(LabeledPoint(x, y) for x, y in zip(xs, ys)), label_count)
+        return self.xs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -99,10 +89,6 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return len(self.support)
-
-
-def dirac(point: LabeledPoint, label_count: int) -> DiscreteMeasure:
-    return DiscreteMeasure(PointSet((point,), label_count), np.array([1.0]))
 
 
 def empirical_from_samples(points: PointSet) -> DiscreteMeasure:
@@ -149,20 +135,6 @@ class MetricSpec:
         object.__setattr__(self, "label_metric", lm)
 
 
-def metric_eval(spec: MetricSpec, s: LabeledPoint, t: LabeledPoint) -> float:
-    if s.x.size != t.x.size:
-        raise DimensionError("points live in different input dimensions")
-    if s.y >= spec.label_count or t.y >= spec.label_count:
-        raise ValueError("label outside the metric's label universe")
-    dy = float(spec.label_metric[s.y, t.y])
-    dx = norm(s.x - t.x, spec.x_norm)
-    if dy == 0.0:
-        return dx
-    if math.isinf(spec.kappa):
-        return math.inf
-    return dx + spec.kappa * dy
-
-
 @dataclass(frozen=True)
 class CostMatrix:
     entries: np.ndarray
@@ -188,8 +160,8 @@ def _pairwise_x_distances(xs: np.ndarray, xt: np.ndarray, tag: NormTag) -> np.nd
 def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMatrix:
     if source.dim != target.dim:
         raise DimensionError("source and target point sets have different dimensions")
-    dx = _pairwise_x_distances(source.xs(), target.xs(), spec.x_norm)
-    dy = spec.label_metric[np.ix_(source.labels(), target.labels())]
+    dx = _pairwise_x_distances(source.xs, target.xs, spec.x_norm)
+    dy = spec.label_metric[np.ix_(source.ys, target.ys)]
     if math.isinf(spec.kappa):
         entries = np.where(dy > 0.0, math.inf, dx)
     else:
@@ -199,10 +171,12 @@ def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMat
     return CostMatrix(entries)
 
 
-def pushforward(mu: DiscreteMeasure, mapping: Callable[[LabeledPoint], LabeledPoint]) -> DiscreteMeasure:
-    """Image measure; atoms stay index-aligned and are never merged."""
-    image = tuple(mapping(p) for p in mu.support.points)
-    return DiscreteMeasure(PointSet(image, mu.support.label_count), mu.weights.copy())
+def pushforward(mu: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
+    """Image measure under the array map f (n x d -> n x d'), applied to the
+    support's rows; labels and weights are kept, and atoms stay
+    index-aligned and are never merged."""
+    support = mu.support
+    return DiscreteMeasure(PointSet(f(support.xs), support.ys, support.label_count), mu.weights.copy())
 
 
 def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
@@ -245,10 +219,9 @@ def ball_contains(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix, r
 
 
 def save_measure_csv(mu: DiscreteMeasure, path) -> None:
-    header = ["weight", "label"] + [f"x{i}" for i in range(mu.support.dim)]
-    rows = []
-    for w, p in zip(mu.weights, mu.support.points):
-        rows.append([float(w), int(p.y)] + [float(c) for c in p.x])
+    support = mu.support
+    header = ["weight", "label"] + [f"x{i}" for i in range(support.dim)]
+    rows = [[w, y] + x for w, y, x in zip(mu.weights.tolist(), support.ys.tolist(), support.xs.tolist())]
     io.write_csv(path, header, rows)
 
 
@@ -256,10 +229,8 @@ def load_measure_csv(path, label_count: int | None = None) -> DiscreteMeasure:
     header, rows = io.read_csv(path)
     if header[:2] != ["weight", "label"]:
         raise ValueError("measure CSV must start with weight,label columns")
-    weights = []
-    points = []
-    for row in rows:
-        weights.append(float(row[0]))
-        points.append(LabeledPoint(np.array([float(c) for c in row[2:]]), int(row[1])))
-    k = label_count if label_count is not None else max(p.y for p in points) + 1
-    return DiscreteMeasure(PointSet(tuple(points), k), np.array(weights))
+    weights = np.array([float(row[0]) for row in rows])
+    ys = np.array([int(row[1]) for row in rows], dtype=int)
+    xs = np.array([[float(c) for c in row[2:]] for row in rows])
+    k = label_count if label_count is not None else int(ys.max()) + 1
+    return DiscreteMeasure(PointSet(xs, ys, k), weights)

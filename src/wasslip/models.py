@@ -386,7 +386,7 @@ def phi_lipschitz_bound(layers: Sequence[MLPLayer], tag: NormTag) -> float:
 
 
 def accuracy(model: Model, points) -> float:
-    hits = np.argmax(forward(model, points.xs()), axis=1) == points.labels()
+    hits = np.argmax(forward(model, points.xs), axis=1) == points.ys
     return int(np.count_nonzero(hits)) / len(points)
 
 

@@ -24,12 +24,11 @@ import numpy as np
 
 from wasslip.measures import (
     DiscreteMeasure,
-    LabeledPoint,
     MetricSpec,
     PointSet,
     cost_matrix,
     marginal_rows,
-    point_set,
+    pushforward,
 )
 from wasslip.models import (
     BoundMode,
@@ -125,16 +124,13 @@ class RobustCertificate:
         return doc
 
 
-def empirical_risk(loss: Callable[[LabeledPoint], float], mu: DiscreteMeasure) -> float:
-    values = np.array([float(loss(p)) for p in mu.support.points])
+def empirical_risk(model: Model, mu: DiscreteMeasure) -> float:
+    """Weighted mean loss of the model over mu's support."""
+    values = losses(model, mu.support.xs, mu.support.ys)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"loss is non-finite at support index {bad[0]}")
     return float(np.dot(mu.weights, values))
-
-
-def model_empirical_risk(model: Model, mu: DiscreteMeasure) -> float:
-    return float(np.dot(mu.weights, losses(model, mu.support.xs(), mu.support.labels())))
 
 
 def _label_penalty(lam: float, kappa: float, dy: float) -> float:
@@ -237,7 +233,7 @@ def _label_option_tables(instance: RobustInstance, loss_matrix: np.ndarray):
     """Per-sample option tables over the label set: values are losses at the
     sample's own input, distances are kappa * d_Y.  kappa=inf label moves are
     padded out (value -inf) since they cannot lower the dual infimum."""
-    labels = instance.empirical.support.labels()
+    labels = instance.empirical.support.ys
     k = instance.metric.label_count
     dy = instance.metric.label_metric[np.ix_(np.arange(k), labels)].T  # (n, k): d_Y(y, y_i)
     values = loss_matrix.copy()
@@ -262,8 +258,7 @@ def dual_objective(
     l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
     if lam < l_bound - 1e-15:
         return math.inf
-    xs = instance.empirical.support.xs()
-    values, dists = _label_option_tables(instance, label_loss_matrix(model, xs))
+    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
     env, _ = _envelope_eval(values, dists, lam)
     return lam * instance.rho + float(np.dot(instance.empirical.weights, env))
 
@@ -278,7 +273,7 @@ def minimize_dual(
     if not isinstance(model, LinearSoftmax):
         raise TypeError("the direct dual needs a linear softmax model; deeper nets go through pushforward_risk")
     l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
-    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs()))
+    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
     lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=l_bound)
     return DualSolution(lam, value, env, active, l_bound)
 
@@ -297,7 +292,7 @@ def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, 
 def _lp_oracle(instance: RobustInstance, model: Model) -> float:
     """The restricted primal LP on the model's losses at the candidate targets."""
     targets = instance.candidate_targets
-    return primal_robust_risk_lp(instance, losses(model, targets.xs(), targets.labels()))
+    return primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
 
 
 def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSolution:
@@ -345,9 +340,8 @@ def kappa_threshold(instance: RobustInstance, model: LinearSoftmax, l_bound: flo
         raise ValueError("l_bound must be non-negative")
     if l_bound == 0.0:
         return math.inf
-    xs = instance.empirical.support.xs()
-    labels = instance.empirical.support.labels()
-    L = label_loss_matrix(model, xs)
+    labels = instance.empirical.support.ys
+    L = label_loss_matrix(model, instance.empirical.support.xs)
     dy = instance.metric.label_metric[:, labels].T  # (n, k): d_Y(y, y_i)
     gain = (L - L[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
     return max(float(np.max(gain, initial=0.0)), floor)
@@ -393,7 +387,7 @@ def certify_robust_risk(
     """Dual robust value for a linear softmax model, optionally cross-checked
     against the restricted primal LP on the instance's candidate set."""
     dual = minimize_dual(instance, model, bound_mode)
-    emp = model_empirical_risk(model, instance.empirical)
+    emp = empirical_risk(model, instance.empirical)
     run_oracle = instance.candidate_targets is not None if with_oracle is None else with_oracle
     oracle_value = _lp_oracle(instance, model) if run_oracle else None
     return _assemble_certificate(instance, dual, emp, dual.lambda_floor, oracle_value)
@@ -417,17 +411,15 @@ def pushforward_risk(
     phi_layers, head = phi_head_split(model)
     tag = instance.metric.x_norm
     lip_phi = phi_lipschitz_bound(phi_layers, tag)
-    emp = model_empirical_risk(model, instance.empirical)
+    emp = empirical_risk(model, instance.empirical)
 
     oracle_value = None if instance.candidate_targets is None else _lp_oracle(instance, model)
 
     if lip_phi == 0.0:
         # constant feature map: the image ball degenerates to a point
-        dual = DualSolution(0.0, emp, np.full(len(instance.empirical), emp), instance.empirical.support.labels(), 0.0)
+        dual = DualSolution(0.0, emp, np.full(len(instance.empirical), emp), instance.empirical.support.ys, 0.0)
         return _assemble_certificate(instance, dual, emp, 0.0, oracle_value)
 
-    support = instance.empirical.support
-    feature_points = point_set(feature_map(phi_layers, support.xs()), support.labels(), support.label_count)
     feature_metric = MetricSpec(
         x_norm=tag,
         kappa=instance.metric.kappa if math.isinf(instance.metric.kappa) else instance.metric.kappa * lip_phi,
@@ -435,7 +427,7 @@ def pushforward_risk(
         label_metric=instance.metric.label_metric,
     )
     feature_instance = RobustInstance(
-        empirical=DiscreteMeasure(feature_points, instance.empirical.weights.copy()),
+        empirical=pushforward(instance.empirical, lambda xs: feature_map(phi_layers, xs)),
         metric=feature_metric,
         rho=instance.rho * lip_phi,
     )
@@ -525,15 +517,15 @@ def lattice_targets(instance: RobustInstance, axes: Sequence[np.ndarray]) -> Poi
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
     k = instance.metric.label_count
-    points = [LabeledPoint(row, y) for row in lattice for y in range(k)]
-    points.extend(support.points)
-    return PointSet(tuple(points), support.label_count)
+    xs = np.concatenate([np.repeat(lattice, k, axis=0), support.xs])
+    ys = np.concatenate([np.tile(np.arange(k), len(lattice)), support.ys])
+    return PointSet(xs, ys, support.label_count)
 
 
 def grid_targets(instance: RobustInstance, side: int, pad: float = 0.0) -> PointSet:
     """Axis-aligned lattice covering the support's bounding box inflated by
     rho + pad, crossed with all labels, plus the support."""
-    xs = instance.empirical.support.xs()
+    xs = instance.empirical.support.xs
     lo = xs.min(axis=0) - (instance.rho + pad)
     hi = xs.max(axis=0) + (instance.rho + pad)
     axes = [np.linspace(lo[d], hi[d], side) for d in range(xs.shape[1])]

@@ -17,12 +17,11 @@ import numpy as np
 from wasslip.adversarial import AttackConfig, BallSpec, check_adversarial_bound
 from wasslip.measures import (
     DiscreteMeasure,
-    LabeledPoint,
     MetricSpec,
     PointSet,
     cost_matrix,
     empirical_from_samples,
-    point_set,
+    pushforward,
     transport_cost,
 )
 from wasslip.models import (
@@ -69,8 +68,7 @@ class VerdictRecord:
 
 def seeded_points(rng: np.random.Generator, n: int, dim: int, k: int, spread: float = 1.0) -> PointSet:
     xs = spread * rng.standard_normal((n, dim))
-    ys = rng.integers(0, k, n)
-    return PointSet(tuple(LabeledPoint(x, int(y)) for x, y in zip(xs, ys)), k)
+    return PointSet(xs, rng.integers(0, k, n), k)
 
 
 def seeded_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -106,8 +104,10 @@ def seeded_finite_instance(rng: np.random.Generator, max_atoms: int = 8, max_tar
     n = int(rng.integers(1, max_atoms + 1))
     extra = int(rng.integers(0, max_targets - n + 1))
     support = seeded_points(rng, n, dim, k, spread=1.5)
-    extra_points = seeded_points(rng, extra, dim, k, spread=2.0).points if extra else ()
-    targets = PointSet(tuple(support.points) + tuple(extra_points), k)
+    targets = support
+    if extra:
+        more = seeded_points(rng, extra, dim, k, spread=2.0)
+        targets = PointSet(np.concatenate([support.xs, more.xs]), np.concatenate([support.ys, more.ys]), k)
     kappa = float(rng.choice([0.5, 1.0, 2.0, math.inf]))
     metric = MetricSpec(_NORMS[int(rng.integers(0, len(_NORMS)))], kappa, k)
     mu = DiscreteMeasure(support, seeded_weights(rng, n))
@@ -217,11 +217,10 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
             )
         lip_phi = phi_lipschitz_bound(layers, NormTag.L2)
 
-        image_support = point_set(feature_map(layers, support.xs()), support.labels(), k)
+        mu_img = pushforward(mu, lambda xs: feature_map(layers, xs))
+        nu_img = DiscreteMeasure(mu_img.support, nu.weights.copy())
         feature_metric = MetricSpec(NormTag.L2, max(kappa * lip_phi, 1e-9), k)
-        feature_costs = cost_matrix(feature_metric, image_support, image_support)
-        mu_img = DiscreteMeasure(image_support, mu.weights.copy())
-        nu_img = DiscreteMeasure(image_support, nu.weights.copy())
+        feature_costs = cost_matrix(feature_metric, mu_img.support, mu_img.support)
         cost_out = transport_cost(mu_img, nu_img, feature_costs)
 
         worst = max(worst, cost_out - lip_phi * cost_in)

@@ -217,12 +217,11 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
     return penalty, grads
 
 
-def objective_and_grad(model: Model, batch, config: TrainConfig, warm: list | None = None) -> ObjectiveEval:
+def objective_and_grad(model: Model, batch: PointSet, config: TrainConfig, warm: list | None = None) -> ObjectiveEval:
     """Regularized objective value and exact (sub)gradients on a batch of
     labeled points."""
     mlp = as_mlp(model)
-    X, Y = np.stack([p.x for p in batch]), np.array([p.y for p in batch], dtype=int)
-    return _objective(mlp, X, Y, config, [None] * len(mlp.layers) if warm is None else warm)
+    return _objective(mlp, batch.xs, batch.ys, config, [None] * len(mlp.layers) if warm is None else warm)
 
 
 def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> ObjectiveEval:
@@ -243,8 +242,6 @@ def _metrics(model: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm
 def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainReport:
     """Deterministic (momentum) gradient descent; records per-epoch risk,
     penalty, and both Lipschitz bounds, then certifies the final model."""
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
     t0 = time.perf_counter()
     mlp = as_mlp(model)
     layers = [
@@ -256,7 +253,7 @@ def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainRep
     velocity_w = [np.zeros_like(layer.weights) for layer in layers]
     velocity_b = [np.zeros_like(layer.bias) if layer.bias is not None else None for layer in layers]
     rng = derive_rng(config.seed, "train/shuffle")
-    X, Y = dataset.xs(), dataset.labels()
+    X, Y = dataset.xs, dataset.ys
 
     records: list = []
     diverged = False

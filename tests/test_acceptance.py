@@ -27,10 +27,10 @@ from wasslip.numerics import NormTag, finite_difference_gradient, operator_norm
 from wasslip.robust import (
     RobustInstance,
     certify_robust_risk,
+    empirical_risk,
     kappa_threshold,
     lattice_targets,
     minimize_dual,
-    model_empirical_risk,
 )
 from wasslip.seeding import derive_rng
 from wasslip.suite import (
@@ -76,7 +76,7 @@ def test_criterion_02_upper_bound_and_grid_refinement():
         points = seeded_points(rng, int(rng.integers(3, 8)), 2, k)
         rho = float(rng.uniform(0.05, 0.4))
         base = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, k), rho)
-        xs = points.xs()
+        xs = points.xs
         lo = xs.min(axis=0) - (rho + 0.2)
         hi = xs.max(axis=0) + (rho + 0.2)
         fine = [np.linspace(lo[d], hi[d], 17) for d in range(2)]
@@ -107,9 +107,9 @@ def test_criterion_03_label_lock_threshold():
         kappa0 = kappa_threshold(base, model, bound)
         ok &= math.isfinite(kappa0)
         dual = minimize_dual(RobustInstance(mu, MetricSpec(NormTag.L2, 2.0 * kappa0, k), rho), model)
-        expected = model_empirical_risk(model, mu) + rho * bound
+        expected = empirical_risk(model, mu) + rho * bound
         ok &= abs(dual.value - expected) <= 1e-9
-        ok &= bool(np.array_equal(dual.active_labels, points.labels()))
+        ok &= bool(np.array_equal(dual.active_labels, points.ys))
     report(3, "finite label-lock threshold gives the closed-form value", ok)
 
 
@@ -238,7 +238,7 @@ def test_criterion_08_gradient_checks_200():
                 gaps_ok = False
         if not gaps_ok:
             continue
-        batch = list(seeded_points(rng, 2, 3, 2).points)
+        batch = seeded_points(rng, 2, 3, 2)
         rho = 0.6
         cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=rho)
         ev = objective_and_grad(net, batch, cfg)

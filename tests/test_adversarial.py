@@ -9,6 +9,7 @@ from wasslip.adversarial import (
     BallSpec,
     adversarial_risk,
     attack_pushforward,
+    attacked_targets,
     check_adversarial_bound,
     fgsm_attack,
     pgd_attack,
@@ -16,6 +17,7 @@ from wasslip.adversarial import (
 )
 from wasslip.measures import (
     MetricSpec,
+    PointSet,
     ball_contains,
     cost_matrix,
     empirical_from_samples,
@@ -23,7 +25,7 @@ from wasslip.measures import (
 )
 from wasslip.models import LinearSoftmax, loss_value
 from wasslip.numerics import NormTag, norm
-from wasslip.robust import RobustInstance, certify_robust_risk, model_empirical_risk
+from wasslip.robust import RobustInstance, certify_robust_risk, empirical_risk
 from wasslip.seeding import derive_rng
 from wasslip.suite import seeded_linear_model, seeded_mlp, seeded_points
 
@@ -119,7 +121,7 @@ class TestAdversarialRisk:
         model = seeded_linear_model(rng, 2, 3)
         mu = empirical_from_samples(seeded_points(rng, 5, 2, 3))
         result = adversarial_risk(model, mu, BallSpec(NormTag.LINF, 0.0), AttackConfig(seed=1))
-        assert result.adversarial_risk == pytest.approx(model_empirical_risk(model, mu))
+        assert result.adversarial_risk == pytest.approx(empirical_risk(model, mu))
 
     def test_single_atom_is_its_pgd_loss(self):
         rng = derive_rng(22, "risk1")
@@ -129,8 +131,7 @@ class TestAdversarialRisk:
         ball = BallSpec(NormTag.L2, 0.3)
         cfg = AttackConfig(seed=9)
         result = adversarial_risk(model, mu, ball, cfg)
-        p = points[0]
-        _, expected = pgd_attack(model, p.x, p.y, ball, rng=derive_rng(cfg.seed, "attack/0"))
+        _, expected = pgd_attack(model, points.xs[0], points.ys[0], ball, rng=derive_rng(cfg.seed, "attack/0"))
         assert result.adversarial_risk == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_epsilon_with_warm_starts(self):
@@ -158,7 +159,7 @@ class TestAdversarialRisk:
             result = adversarial_risk(model, mu, BallSpec(tag, 0.25), AttackConfig(seed=7))
             for d in result.perturbations:
                 assert norm(d, tag) <= 0.25 + 1e-9
-            assert np.all(result.losses >= np.array([loss_value(model, p.x, p.y) for p in mu.support.points]) - 1e-9)
+            assert np.all(result.losses >= np.array([loss_value(model, x, y) for x, y in zip(mu.support.xs, mu.support.ys)]) - 1e-9)
 
 
 class TestRobustBound:
@@ -169,7 +170,7 @@ class TestRobustBound:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.0)
         verdict = check_adversarial_bound(model, instance, BallSpec(NormTag.L2, 0.0), AttackConfig(seed=1))
         assert verdict.passed
-        emp = model_empirical_risk(model, instance.empirical)
+        emp = empirical_risk(model, instance.empirical)
         assert verdict.adversarial_risk == pytest.approx(emp, abs=1e-12)
         assert verdict.robust_value == pytest.approx(emp, abs=1e-9)
 
@@ -180,7 +181,7 @@ class TestRobustBound:
         eps = 0.2
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, math.inf, 3), eps)
         cert = certify_robust_risk(instance, model)
-        emp = model_empirical_risk(model, instance.empirical)
+        emp = empirical_risk(model, instance.empirical)
         assert cert.robust_value == pytest.approx(emp + eps * cert.lipschitz_bound_used, abs=1e-9)
         verdict = check_adversarial_bound(model, instance, BallSpec(NormTag.L2, eps), AttackConfig(seed=2))
         assert verdict.passed
@@ -219,6 +220,18 @@ class TestRobustBound:
         assert ball_contains(mu, pushed, costs, rho)
         assert transport_cost(mu, pushed, costs) <= rho + 1e-9
 
+    def test_attacked_targets_row_order(self):
+        """The support, then the attacked points in atom order."""
+        rng = derive_rng(43, "attacked-targets")
+        model = seeded_linear_model(rng, 2, 3)
+        points = seeded_points(rng, 4, 2, 3)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
+        result = adversarial_risk(model, instance.empirical, BallSpec(NormTag.L2, 0.2), AttackConfig(seed=5))
+        targets = attacked_targets(instance, result)
+        assert np.array_equal(targets.xs, np.concatenate([points.xs, points.xs + result.perturbations]))
+        assert targets.ys.tolist() == points.ys.tolist() * 2
+        assert np.array_equal(attack_pushforward(instance.empirical, result).support.ys, points.ys)
+
     def test_binary_linear_label_locked_equality_spot_check(self):
         """Binary antisymmetric logits with label transport forbidden: the
         certified dual bound is empirical + eps * 2||w||, and the exact
@@ -229,21 +242,19 @@ class TestRobustBound:
         w /= np.sqrt(w @ w)
         model = LinearSoftmax(np.stack([w, -w]))
         # margins around -8: badly misclassified, loss slope ~ exactly 1
-        points = []
-        from wasslip.measures import LabeledPoint, PointSet
-
+        xs, ys = [], []
         for _ in range(5):
             x = rng.standard_normal(2)
             y = int(rng.integers(0, 2))
             sign = 1.0 if y == 0 else -1.0
-            x = x - sign * w * (w @ x) + sign * w * -4.0  # project then set margin to -8
-            points.append(LabeledPoint(x, y))
-        mu = empirical_from_samples(PointSet(tuple(points), 2))
+            xs.append(x - sign * w * (w @ x) + sign * w * -4.0)  # project then set margin to -8
+            ys.append(y)
+        mu = empirical_from_samples(PointSet(xs, ys, 2))
         eps = 0.1
         instance = RobustInstance(mu, MetricSpec(NormTag.L2, math.inf, 2), eps)
         cert = certify_robust_risk(instance, model)
         grid = adversarial_risk(model, mu, BallSpec(NormTag.L2, eps), AttackConfig(method="GRID", grid_points=101))
-        emp = model_empirical_risk(model, mu)
+        emp = empirical_risk(model, mu)
         assert cert.robust_value == pytest.approx(emp + eps * 2.0, abs=1e-9)  # sqrt2*sigma = 2||w||
         gap = cert.robust_value - grid.adversarial_risk
         assert -1e-9 <= gap <= 5e-3

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import vector_fgsm, vector_grid, vector_loss_grad, vector_pgd
 from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
-from wasslip.measures import DiscreteMeasure, point_set
+from wasslip.measures import DiscreteMeasure, PointSet
 from wasslip.models import ActivationTag, LinearSoftmax, MLP, MLPLayer, forward, loss_grads, losses
 from wasslip.numerics import NormTag
 from wasslip.seeding import derive_rng
@@ -54,7 +54,7 @@ class TestBatchedPass:
     def test_losses_and_input_gradients_match_per_vector(self, name):
         model = _models(0)[name]
         mu = _measure(1, n=12)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         out = loss_grads(model, X, Y)
         assert out.grads_w is None and out.grads_b is None
         for i in range(len(Y)):
@@ -68,7 +68,7 @@ class TestBatchedPass:
     def test_parameter_gradients_are_the_sum_of_per_row_gradients(self, name):
         model = _models(2)[name]
         mu = _measure(3, n=9)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         out = loss_grads(model, X, Y, params=True)
         rows = [vector_loss_grad(model, X[i], Y[i]) for i in range(len(Y))]
         for j in range(len(out.grads_w)):
@@ -82,7 +82,7 @@ class TestBatchedPass:
     def test_parameter_gradients_match_central_differences(self, name):
         model = _models(4)[name]
         mu = _measure(5, n=6)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         out = loss_grads(model, X, Y, params=True)
         layers = list(model.layers) if isinstance(model, MLP) else [MLPLayer(model.weights, ActivationTag.IDENTITY, model.bias)]
         h = 1e-6
@@ -109,7 +109,7 @@ class TestBatchedPass:
         reports do not move when the rows are batched differently."""
         model = _models(14)[name]
         mu = _measure(15, n=11)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         out = loss_grads(model, X, Y, params=True)
         sums = None
         for i in range(len(Y)):
@@ -133,7 +133,7 @@ class TestBatchedAttacksMatchPerAtomReference:
     def test_pgd_with_warm_starts_and_restarts(self, name, tag):
         model = _models(6)[name]
         mu = _measure(7)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         config = AttackConfig(steps=12, restarts=2, seed=11)
         rng = derive_rng(8, "warm")
         for eps in (0.0, 0.15, 0.6):
@@ -152,9 +152,9 @@ class TestBatchedAttacksMatchPerAtomReference:
     def test_zero_gradient_atom_stops_while_the_others_step(self, tag):
         model = _dead_relu_net()
         mu = _measure(9, n=5)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs.copy(), mu.support.ys
         X[2] = [-20.0, 0.5]  # dead region: every hidden unit is off
-        mu = DiscreteMeasure(point_set(X, Y, 3), mu.weights)
+        mu = DiscreteMeasure(PointSet(X, Y, 3), mu.weights)
         assert not loss_grads(model, X[2:3], Y[2:3]).grad_x.any()
         config = AttackConfig(steps=15, restarts=2, seed=3)
         result = adversarial_risk(model, mu, BallSpec(tag, 0.4), config)
@@ -171,7 +171,7 @@ class TestBatchedAttacksMatchPerAtomReference:
     def test_fgsm(self, name, tag):
         model = _models(10)[name]
         mu = _measure(11)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         result = adversarial_risk(model, mu, BallSpec(tag, 0.3), AttackConfig(method="FGSM"))
         for i in range(len(Y)):
             delta, value = vector_fgsm(model, X[i], Y[i], tag.value, 0.3)
@@ -183,7 +183,7 @@ class TestBatchedAttacksMatchPerAtomReference:
     def test_grid(self, name, tag):
         model = _models(12)[name]
         mu = _measure(13, n=4)
-        X, Y = mu.support.xs(), mu.support.labels()
+        X, Y = mu.support.xs, mu.support.ys
         result = adversarial_risk(model, mu, BallSpec(tag, 0.25), AttackConfig(method="GRID", grid_points=9))
         for i in range(len(Y)):
             delta, value = vector_grid(model, X[i], Y[i], tag.value, 0.25, 9)

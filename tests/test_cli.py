@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from wasslip.cli import ConfigError, main, validate_config
-from wasslip.datasets import gen_data, load_dataset_csv, save_dataset_csv, two_moons
+from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv, two_moons
 from wasslip.io import load_json, read_csv
 
 
@@ -65,7 +66,7 @@ class TestGenerators:
     def test_grid_25_rows(self):
         points = gen_data("grid", 25, 2, 2, seed=0)
         assert len(points) == 25
-        xs = points.xs()
+        xs = points.xs
         assert xs.min() == -1.0 and xs.max() == 1.0
 
     def test_grid_rejects_non_power(self):
@@ -74,7 +75,7 @@ class TestGenerators:
 
     def test_two_moons_balanced(self):
         points = two_moons(200, seed=3)
-        labels = points.labels()
+        labels = points.ys
         assert int(np.sum(labels == 0)) == 100
         assert int(np.sum(labels == 1)) == 100
 
@@ -83,8 +84,18 @@ class TestGenerators:
         path = tmp_path / "d.csv"
         save_dataset_csv(points, path)
         back = load_dataset_csv(path)
-        assert np.array_equal(back.xs(), points.xs())
-        assert np.array_equal(back.labels(), points.labels())
+        assert np.array_equal(back.xs, points.xs)
+        assert np.array_equal(back.ys, points.ys)
+
+    def test_fingerprint_hashes_the_saved_csv(self, tmp_path):
+        points = gen_data("gaussian-blobs", 12, 3, 2, seed=0)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(points, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        digest = dataset_fingerprint(points)
+        assert digest == hashlib.sha256(text[:-1].encode("utf-8")).hexdigest()
+        assert digest == "c2794e93d178cf794a65497b68e21602320b3550e54cc53c6e1d27a92763be97"
 
 
 class TestCommands:

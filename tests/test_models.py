@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasslip.io import InputFileError
-from wasslip.measures import LabeledPoint, PointSet
+from wasslip.measures import PointSet
 from wasslip.models import (
     ActivationTag,
     BoundMode,
@@ -400,12 +400,5 @@ class TestModelFile:
 class TestAccuracy:
     def test_accuracy_on_separable_points(self):
         model = LinearSoftmax(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        points = PointSet(
-            (
-                LabeledPoint([2.0, 0.0], 0),
-                LabeledPoint([-2.0, 0.0], 1),
-                LabeledPoint([3.0, 1.0], 0),
-            ),
-            2,
-        )
+        points = PointSet([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0]], [0, 1, 0], 2)
         assert accuracy(model, points) == 1.0

@@ -8,7 +8,6 @@ import wasslip.robust as robust
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import (
     DiscreteMeasure,
-    LabeledPoint,
     MetricSpec,
     PointSet,
     empirical_from_samples,
@@ -39,7 +38,6 @@ from wasslip.robust import (
     lattice_targets,
     minimize_dual,
     minimize_dual_on_targets,
-    model_empirical_risk,
     primal_robust_risk_lp,
     pushforward_risk,
 )
@@ -48,7 +46,7 @@ from wasslip.seeding import derive_rng
 
 
 def single_atom_instance(rho, kappa=1.0, k=2):
-    support = PointSet((LabeledPoint([0.0], 0),), k)
+    support = PointSet([[0.0]], [0], k)
     metric = MetricSpec(NormTag.L2, kappa, k)
     return RobustInstance(DiscreteMeasure(support, np.array([1.0])), metric, rho)
 
@@ -62,25 +60,27 @@ def table_model(loss_row):
 
 class TestEmpiricalRisk:
     def test_constant_loss(self):
+        """Zero weights give the loss log(k) at every point."""
         mu = empirical_from_samples(seeded_points(derive_rng(0, "t"), 5, 2, 2))
-        assert empirical_risk(lambda p: 2.5, mu) == pytest.approx(2.5)
+        assert empirical_risk(LinearSoftmax(np.zeros((2, 2))), mu) == pytest.approx(math.log(2.0))
 
     def test_dirac(self):
-        support = PointSet((LabeledPoint([1.0, 2.0], 1),), 2)
-        mu = DiscreteMeasure(support, np.array([1.0]))
-        assert empirical_risk(lambda p: float(p.x[0] + p.y), mu) == pytest.approx(2.0)
+        model = seeded_linear_model(derive_rng(1, "t"), 2, 2)
+        mu = DiscreteMeasure(PointSet([[1.0, 2.0]], [1], 2), np.array([1.0]))
+        assert empirical_risk(model, mu) == pytest.approx(loss_value(model, [1.0, 2.0], 1))
 
     def test_uniform_three_losses(self):
-        support = PointSet(tuple(LabeledPoint([float(i)], 0) for i in range(3)), 2)
-        mu = empirical_from_samples(support)
-        losses = {0.0: 0.0, 1.0: 1.0, 2.0: 2.0}
-        assert empirical_risk(lambda p: losses[float(p.x[0])], mu) == pytest.approx(1.0)
+        model = seeded_linear_model(derive_rng(2, "t"), 1, 2)
+        mu = empirical_from_samples(PointSet([[0.0], [1.0], [2.0]], [0, 1, 0], 2))
+        expected = sum(loss_value(model, [x], y) for x, y in ((0.0, 0), (1.0, 1), (2.0, 0))) / 3.0
+        assert empirical_risk(model, mu) == pytest.approx(expected)
 
     def test_non_finite_loss_reports_index(self):
-        support = PointSet((LabeledPoint([0.0], 0), LabeledPoint([1.0], 0)), 2)
-        mu = empirical_from_samples(support)
-        with pytest.raises(ValueError, match="index 1"):
-            empirical_risk(lambda p: math.inf if p.x[0] > 0 else 0.0, mu)
+        """Logits of about 1e400 overflow at the second point only."""
+        model = LinearSoftmax(np.array([[1e200], [-1e200]]))
+        mu = empirical_from_samples(PointSet([[0.0], [1e200]], [0, 1], 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="index 1"):
+            empirical_risk(model, mu)
 
 
 class TestInnerLabelSup:
@@ -129,7 +129,7 @@ class TestDualObjective:
         points = seeded_points(rng, 4, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1e9, 3), 0.0)
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
-        emp = model_empirical_risk(model, instance.empirical)
+        emp = empirical_risk(model, instance.empirical)
         assert dual_objective(instance, model, bound) == pytest.approx(emp, abs=1e-9)
 
     def test_piecewise_hand_values(self):
@@ -162,7 +162,7 @@ class TestMinimizeDualOnTargets:
         """mu = delta_0, targets {0, 1}, losses (0, 1), c = |x-y|, rho = 0.5:
         optimum 0.5 at lambda* = 1."""
         instance = single_atom_instance(0.5)
-        targets = PointSet((LabeledPoint([0.0], 0), LabeledPoint([1.0], 0)), 2)
+        targets = PointSet([[0.0], [1.0]], [0, 0], 2)
         instance = RobustInstance(instance.empirical, instance.metric, 0.5, targets)
         losses = np.array([0.0, 1.0])
         dual = minimize_dual_on_targets(instance, losses)
@@ -175,7 +175,7 @@ class TestMinimizeDualOnTargets:
         """1-atom/2-label instance, rho=0.3: min over lambda of
         0.3*lam + max(0.2, 0.9-lam) is 0.41 at the breakpoint 0.7."""
         instance = single_atom_instance(0.3)
-        targets = PointSet((LabeledPoint([0.0], 0), LabeledPoint([0.0], 1)), 2)
+        targets = PointSet([[0.0], [0.0]], [0, 1], 2)
         instance = RobustInstance(instance.empirical, instance.metric, 0.3, targets)
         losses = np.array([0.2, 0.9])
         dual = minimize_dual_on_targets(instance, losses)
@@ -189,7 +189,7 @@ class TestMinimizeDualOnTargets:
         distribution in the ball lives on the targets, and the dual falls
         without bound."""
         instance = single_atom_instance(0.5)
-        targets = PointSet((LabeledPoint([1.0], 0), LabeledPoint([2.0], 0)), 2)
+        targets = PointSet([[1.0], [2.0]], [0, 0], 2)
         instance = RobustInstance(instance.empirical, instance.metric, 0.5, targets)
         with pytest.raises(ValueError, match="unbounded below"):
             minimize_dual_on_targets(instance, np.array([0.0, 1.0]))
@@ -208,6 +208,17 @@ class TestMinimizeDualOnTargets:
 
 
 class TestPrimalLP:
+    def test_lattice_targets_row_order(self):
+        """Row-major lattice crossed with every label, then the support: the
+        LP's column order, and with it the pivot path."""
+        support = PointSet([[5.0, 5.0], [6.0, 6.0]], [1, 0], 3)
+        instance = RobustInstance(empirical_from_samples(support), MetricSpec(NormTag.L2, 1.0, 3), 0.1)
+        targets = lattice_targets(instance, [np.array([0.0, 1.0]), np.array([2.0, 3.0])])
+        lattice = [[0.0, 2.0], [0.0, 3.0], [1.0, 2.0], [1.0, 3.0]]
+        assert targets.xs.tolist() == [row for row in lattice for _ in range(3)] + [[5.0, 5.0], [6.0, 6.0]]
+        assert targets.ys.tolist() == [0, 1, 2] * 4 + [1, 0]
+        assert targets.label_count == 3
+
     def test_rho_zero_forces_identity(self):
         rng = derive_rng(9, "lp0")
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
@@ -215,16 +226,15 @@ class TestPrimalLP:
         metric = MetricSpec(NormTag.L2, 1.0, 3)
         base = RobustInstance(empirical_from_samples(points), metric, 0.0)
         instance = RobustInstance(base.empirical, metric, 0.0, grid_targets(base, 5, pad=0.2))
-        losses = np.array([loss_value(model, t.x, t.y) for t in instance.candidate_targets.points])
+        targets = instance.candidate_targets
+        losses = np.array([loss_value(model, x, y) for x, y in zip(targets.xs, targets.ys)])
         lp = primal_robust_risk_lp(instance, losses)
-        assert lp == pytest.approx(model_empirical_risk(model, instance.empirical), abs=1e-9)
+        assert lp == pytest.approx(empirical_risk(model, instance.empirical), abs=1e-9)
 
     def test_budget_saturation_hits_max_loss(self):
-        support = PointSet((LabeledPoint([0.0], 0), LabeledPoint([1.0], 0)), 2)
+        support = PointSet([[0.0], [1.0]], [0, 0], 2)
         metric = MetricSpec(NormTag.L2, 1.0, 2)
-        targets = PointSet(
-            (LabeledPoint([0.0], 0), LabeledPoint([1.0], 0), LabeledPoint([2.0], 1)), 2
-        )
+        targets = PointSet([[0.0], [1.0], [2.0]], [0, 0, 1], 2)
         mu = empirical_from_samples(support)
         losses = np.array([0.1, 0.4, 3.0])
         # worst target costs 3 from atom 0 (|2-0| + kappa) and 2 from atom 1
@@ -246,7 +256,7 @@ class TestPrimalLP:
         base = RobustInstance(empirical_from_samples(points), metric, 0.1)
         instance = RobustInstance(base.empirical, metric, 0.1, grid_targets(base, 13, pad=0.1))
         targets = instance.candidate_targets
-        target_losses = model_losses(seeded_linear_model(derive_rng(7, "lp-budget"), 2, 2, 0.6), targets.xs(), targets.labels())
+        target_losses = model_losses(seeded_linear_model(derive_rng(7, "lp-budget"), 2, 2, 0.6), targets.xs, targets.ys)
         monkeypatch.setattr(robust, "solve_lp", spy)
         lp = primal_robust_risk_lp(instance, target_losses)
         assert len(solutions[0].point) == 15_120
@@ -262,7 +272,7 @@ class TestMinimizeDualModel:
         for kappa in (0.7, 2.0, math.inf):
             instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, kappa, 3), 0.0)
             dual = minimize_dual(instance, model)
-            assert dual.value == pytest.approx(model_empirical_risk(model, instance.empirical), abs=1e-9)
+            assert dual.value == pytest.approx(empirical_risk(model, instance.empirical), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lambda_grid_brute_force(self, seed):
@@ -276,8 +286,8 @@ class TestMinimizeDualModel:
         dual = minimize_dual(instance, model)
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
 
-        labels = points.labels()
-        L = np.array([[loss_value(model, p.x, y) for y in range(3)] for p in points.points])
+        labels = points.ys
+        L = np.array([[loss_value(model, x, y) for y in range(3)] for x in points.xs])
         dy = instance.metric.label_metric[np.ix_(np.arange(3), labels)].T
         w = instance.empirical.weights
 
@@ -299,12 +309,13 @@ class TestMinimizeDualModel:
         points = seeded_points(rng, 4, 2, 3)
         base = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), float(rng.uniform(0.0, 0.2)))
         matched = PointSet(
-            tuple(LabeledPoint(p.x, y) for p in points.points for y in range(3)) + tuple(points.points),
+            [x for x in points.xs for _ in range(3)] + list(points.xs),
+            [y for _ in points.xs for y in range(3)] + list(points.ys),
             3,
         )
         instance = RobustInstance(base.empirical, base.metric, base.rho, matched)
         dual = minimize_dual(instance, model)
-        losses = np.array([loss_value(model, t.x, t.y) for t in matched.points])
+        losses = np.array([loss_value(model, x, y) for x, y in zip(matched.xs, matched.ys)])
         lp = primal_robust_risk_lp(instance, losses)
         finite_dual = minimize_dual_on_targets(instance, losses)
         assert dual.value >= lp - 1e-9
@@ -339,7 +350,8 @@ class TestMinimizeDualModel:
         dual = minimize_dual(base, model)
         for side in (3, 6):
             instance = RobustInstance(base.empirical, base.metric, rho, grid_targets(base, side, pad=0.3))
-            losses = np.array([loss_value(model, t.x, t.y) for t in instance.candidate_targets.points])
+            targets = instance.candidate_targets
+            losses = np.array([loss_value(model, x, y) for x, y in zip(targets.xs, targets.ys)])
             assert dual.value >= primal_robust_risk_lp(instance, losses) - 1e-9
 
 
@@ -357,9 +369,9 @@ class TestKappaThreshold:
         assert math.isfinite(kappa0)
         instance = RobustInstance(mu, MetricSpec(NormTag.L2, 2.0 * kappa0, 3), rho)
         dual = minimize_dual(instance, model)
-        emp = model_empirical_risk(model, mu)
+        emp = empirical_risk(model, mu)
         assert dual.value == pytest.approx(emp + rho * bound, abs=1e-9)
-        assert np.array_equal(dual.active_labels, points.labels())
+        assert np.array_equal(dual.active_labels, points.ys)
 
     def test_zero_bound_returns_inf(self):
         model = LinearSoftmax(np.zeros((2, 2)))
@@ -384,7 +396,7 @@ class TestCertificates:
         points = seeded_points(rng, 4, 2, 3)
         rho = 0.25
         base = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), rho)
-        xs = points.xs()
+        xs = points.xs
         lo = xs.min(axis=0) - (rho + 0.2)
         hi = xs.max(axis=0) + (rho + 0.2)
         fine_axes = [np.linspace(lo[d], hi[d], 17) for d in range(2)]
@@ -445,7 +457,7 @@ class TestPushforward:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, kappa, k), rho)
         push = pushforward_risk(instance, mlp)
 
-        scaled_points = PointSet(tuple(LabeledPoint(c * p.x, p.y) for p in points.points), k)
+        scaled_points = PointSet(c * points.xs, points.ys, k)
         scaled_instance = RobustInstance(
             empirical_from_samples(scaled_points), MetricSpec(NormTag.L2, kappa * c, k), rho * c
         )
@@ -567,8 +579,8 @@ class TestKinkSweep:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 10), 0.1)
         cert = certify_robust_risk(instance, model)
         lam_lo = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
-        values = label_loss_matrix(model, points.xs())
-        dists = instance.metric.label_metric[:, points.labels()].T
+        values = label_loss_matrix(model, points.xs)
+        dists = instance.metric.label_metric[:, points.ys].T
         weights = instance.empirical.weights
         lam = cert.lambda_star
         assert cert.robust_value == pytest.approx(dual_objective_at(weights, values, dists, 0.1, lam), rel=1e-15)

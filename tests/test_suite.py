@@ -28,8 +28,8 @@ class TestBuilders:
     def test_seeded_points_deterministic(self):
         p1 = seeded_points(derive_rng(1, "pts"), 5, 2, 3)
         p2 = seeded_points(derive_rng(1, "pts"), 5, 2, 3)
-        assert np.array_equal(p1.xs(), p2.xs())
-        assert np.array_equal(p1.labels(), p2.labels())
+        assert np.array_equal(p1.xs, p2.xs)
+        assert np.array_equal(p1.ys, p2.ys)
 
     def test_seeded_models_deterministic(self):
         m1 = seeded_linear_model(derive_rng(2, "m"), 3, 2)
@@ -47,8 +47,9 @@ class TestBuilders:
             assert len(losses) == len(instance.candidate_targets)
             assert 0.0 <= instance.rho <= 2.0
             # candidate targets always contain the support
-            support = {(tuple(p.x), p.y) for p in instance.empirical.support.points}
-            targets = {(tuple(p.x), p.y) for p in instance.candidate_targets.points}
+            s, t = instance.empirical.support, instance.candidate_targets
+            support = set(zip(map(tuple, s.xs.tolist()), s.ys.tolist()))
+            targets = set(zip(map(tuple, t.xs.tolist()), t.ys.tolist()))
             assert support <= targets
 
 

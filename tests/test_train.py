@@ -44,7 +44,7 @@ class TestObjectiveAndGrad:
     def test_rho_zero_is_pure_erm(self):
         rng = derive_rng(0, "obj0")
         net = seeded_mlp(rng, [2, 3, 2], scale=0.8)
-        batch = list(seeded_points(rng, 5, 2, 2).points)
+        batch = seeded_points(rng, 5, 2, 2)
         for kind in ObjectiveKind:
             model = net if kind != ObjectiveKind.DUAL_LINEAR else seeded_mlp(rng, [2, 2], scale=0.8)
             ev = objective_and_grad(model, batch, TrainConfig(kind, rho=0.0))
@@ -53,7 +53,7 @@ class TestObjectiveAndGrad:
 
     def test_zero_weights_zero_penalty_and_grad(self):
         net = MLP((MLPLayer(np.zeros((2, 2)), ActivationTag.IDENTITY),))
-        batch = list(seeded_points(derive_rng(1, "z"), 3, 2, 2).points)
+        batch = seeded_points(derive_rng(1, "z"), 3, 2, 2)
         ev = objective_and_grad(net, batch, TrainConfig(ObjectiveKind.SPECTRAL, rho=0.7))
         assert ev.penalty == 0.0
         # ERM gradient is unaffected; the penalty contribution must vanish
@@ -63,14 +63,14 @@ class TestObjectiveAndGrad:
     def test_dual_linear_requires_single_layer(self):
         rng = derive_rng(2, "dl")
         net = seeded_mlp(rng, [2, 3, 2])
-        batch = list(seeded_points(rng, 3, 2, 2).points)
+        batch = seeded_points(rng, 3, 2, 2)
         with pytest.raises(ValueError):
             objective_and_grad(net, batch, TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.1))
 
     def test_non_l2_penalty_rejected(self):
         rng = derive_rng(3, "nrm")
         net = seeded_mlp(rng, [2, 2])
-        batch = list(seeded_points(rng, 3, 2, 2).points)
+        batch = seeded_points(rng, 3, 2, 2)
         with pytest.raises(UnsupportedNormError):
             objective_and_grad(net, batch, TrainConfig(ObjectiveKind.SPECTRAL, rho=0.5, norm=NormTag.L1))
 
@@ -83,7 +83,7 @@ class TestObjectiveAndGrad:
         net = seeded_mlp(rng, dims, scale=1.1)
         if not all(sigma_gap_ok(layer.weights) for layer in net.layers):
             pytest.skip("seeded net has near-tied singular values")
-        batch = list(seeded_points(rng, 3, 3, 2).points)
+        batch = seeded_points(rng, 3, 3, 2)
         cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=0.6)
         ev = objective_and_grad(net, batch, cfg)
         ev0 = objective_and_grad(net, batch, TrainConfig(ObjectiveKind.SPECTRAL, rho=0.0))
@@ -109,7 +109,7 @@ class TestObjectiveAndGrad:
         net = seeded_mlp(rng, dims, scale=1.2)
         if not all(sigma_gap_ok(layer.weights) for layer in net.layers):
             pytest.skip("near-tied singular values")
-        batch = list(seeded_points(rng, 3, 3, 2).points)
+        batch = seeded_points(rng, 3, 3, 2)
         rho = 0.5
         ev = objective_and_grad(net, batch, TrainConfig(kind, rho=rho))
         ev0 = objective_and_grad(net, batch, TrainConfig(kind, rho=0.0))
@@ -131,7 +131,7 @@ class TestObjectiveAndGrad:
     def test_decomposition_identity(self):
         rng = derive_rng(4, "decomp")
         net = seeded_mlp(rng, [2, 4, 2], scale=1.0)
-        batch = list(seeded_points(rng, 6, 2, 2).points)
+        batch = seeded_points(rng, 6, 2, 2)
         ev = objective_and_grad(net, batch, TrainConfig(ObjectiveKind.SPECTRAL, rho=0.3))
         assert ev.value == pytest.approx(ev.erm + ev.penalty, abs=1e-9)
 
@@ -265,8 +265,8 @@ class TestTrainLoop:
         rs = train_loop(net, points, cfg_s)
         # compare penalties on the checkpoints of the spectral run
         for rec_model in (net, rs.model):
-            ev_s = objective_and_grad(rec_model, list(points.points), cfg_s)
-            ev_p = objective_and_grad(rec_model, list(points.points), TrainConfig(ObjectiveKind.PRODUCT, rho=0.4))
+            ev_s = objective_and_grad(rec_model, points, cfg_s)
+            ev_p = objective_and_grad(rec_model, points, TrainConfig(ObjectiveKind.PRODUCT, rho=0.4))
             assert ev_s.penalty >= ev_p.penalty - 1e-9
 
     def test_divergence_aborts_with_report(self):
