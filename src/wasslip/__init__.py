@@ -14,7 +14,6 @@ from wasslip.numerics import (
     NormTag,
     NumericalError,
     UnsupportedNormError,
-    finite_difference_gradient,
     norm,
     operator_norm,
     power_iteration,
@@ -36,15 +35,11 @@ from wasslip.models import (
     ActivationTag,
     BoundMode,
     LinearSoftmax,
-    LossEval,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,
     empirical_lipschitz,
-    mlp_backprop,
-    mlp_forward,
     network_lipschitz_bound,
-    softmax_ce_loss,
 )
 from wasslip.robust import (
     DualSolution,
@@ -52,9 +47,7 @@ from wasslip.robust import (
     RobustInstance,
     certify_robust_risk,
     check_envelope_collapse,
-    dual_objective,
     empirical_risk,
-    inner_label_sup,
     kappa_threshold,
     minimize_dual,
     minimize_dual_on_targets,
@@ -67,9 +60,6 @@ from wasslip.adversarial import (
     BallSpec,
     adversarial_risk,
     check_adversarial_bound,
-    fgsm_attack,
-    grid_attack,
-    pgd_attack,
 )
 from wasslip.train import ObjectiveKind, TrainConfig, TrainReport, objective_and_grad, project_layer_lipschitz, train_loop
 

@@ -26,7 +26,7 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import BoundMode, Model, loss_grads, losses
-from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector
+from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector, row_norms
 from wasslip.robust import (
     RobustInstance,
     primal_robust_risk_lp,
@@ -73,19 +73,6 @@ class AttackResult:
     norm: NormTag
 
 
-def _row_l2(D: np.ndarray) -> np.ndarray:
-    # one dot product per row, bit-identical to numerics.norm on that row
-    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-
-
-def _row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
-    if tag == NormTag.LINF:
-        return np.max(np.abs(D), axis=1)
-    if tag == NormTag.L2:
-        return _row_l2(D)
-    return np.sum(np.abs(D), axis=1)
-
-
 def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of every row onto the l1 ball via the sorted
     simplex projection."""
@@ -105,7 +92,7 @@ def _project_rows(V: np.ndarray, ball: BallSpec) -> np.ndarray:
         return np.zeros_like(V)
     if ball.norm == NormTag.LINF:
         return np.clip(V, -eps, eps)
-    sizes = _row_norms(V, ball.norm)
+    sizes = row_norms(V, ball.norm)
     outside = sizes > eps
     out = V.copy()
     if ball.norm == NormTag.L2:
@@ -124,7 +111,7 @@ def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
     if tag == NormTag.LINF:
         return np.sign(G)
     if tag == NormTag.L2:
-        sizes = _row_l2(G)
+        sizes = row_norms(G, tag)
         return G / np.where(sizes > 0.0, sizes, 1.0)[:, None]
     # an l1 budget goes entirely onto the best coordinate
     out = np.zeros_like(G)
@@ -239,7 +226,7 @@ def _grid(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per
         candidates = np.stack([gx.ravel(), gy.ravel()], axis=1)
         candidates = np.concatenate([candidates, _boundary_ring(ball, 16 * points_per_dim)], axis=0)
     candidates = np.concatenate([np.zeros((1, dim)), candidates], axis=0)
-    candidates = candidates[_row_norms(candidates, ball.norm) <= eps * (1.0 + 1e-12)]
+    candidates = candidates[row_norms(candidates, ball.norm) <= eps * (1.0 + 1e-12)]
     m = candidates.shape[0]
     table = np.empty((n, m))
     chunk = max(1, _GRID_ROWS // m)
@@ -249,47 +236,6 @@ def _grid(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per
         table[lo:hi] = losses(model, points, np.repeat(Y[lo:hi], m)).reshape(hi - lo, m)
     best = np.argmax(table, axis=1)
     return candidates[best], table[np.arange(n), best]
-
-
-def _one_atom(x, y: int) -> tuple[np.ndarray, np.ndarray]:
-    return as_vector(x)[None, :], np.array([int(y)])
-
-
-def pgd_attack(
-    model: Model,
-    x,
-    y: int,
-    ball: BallSpec,
-    steps: int = 40,
-    step_size: float | None = None,
-    rng: np.random.Generator | None = None,
-    restarts: int = 3,
-    extra_starts: Sequence[np.ndarray] = (),
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent on the loss over the perturbation ball.
-
-    Best iterate over {zero start, extra starts, `restarts` random starts};
-    the zero start guarantees the result never falls below the clean loss.
-    """
-    X, Y = _one_atom(x, y)
-    extra = [np.reshape(start, (1, -1)) for start in extra_starts]
-    delta, value = _pgd(model, X, Y, ball, steps, step_size, None if rng is None else [rng], restarts, extra)
-    return delta[0], float(value[0])
-
-
-def fgsm_attack(model: Model, x, y: int, ball: BallSpec) -> tuple[np.ndarray, float]:
-    """Single normalized gradient step from the clean point, then project.
-    Falls back to the clean point when the step does not increase the loss,
-    so the reported loss never drops below the clean one."""
-    delta, value = _fgsm(model, *_one_atom(x, y), ball)
-    return delta[0], float(value[0])
-
-
-def grid_attack(model: Model, x, y: int, ball: BallSpec, points_per_dim: int = 41) -> tuple[np.ndarray, float]:
-    """Exhaustive sweep over a lattice inside the ball plus a dense boundary
-    ring; only supported in one or two input dimensions."""
-    delta, value = _grid(model, *_one_atom(x, y), ball, points_per_dim)
-    return delta[0], float(value[0])
 
 
 def adversarial_risk(
@@ -316,7 +262,7 @@ def adversarial_risk(
     else:
         rngs = [derive_rng(config.seed, f"attack/{i}") for i in range(len(Y))]
         deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, rngs, config.restarts, warm_starts)
-    sizes = _row_norms(deltas, ball.norm)
+    sizes = row_norms(deltas, ball.norm)
     if np.any(sizes > ball.epsilon + 1e-9):
         raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")
     risk = float(np.dot(mu.weights, values))
@@ -372,14 +318,14 @@ def check_adversarial_bound(
 
     # the attack map keeps labels, so its pushforward must stay in the ball
     attacked = attack_pushforward(mu, result)
-    max_norm = float(np.max(_row_norms(result.perturbations, ball.norm)))
+    max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
     costs = cost_matrix(instance.metric, mu.support, attacked.support)
     push_cost = transport_cost(mu, attacked, costs)  # the LP ball_contains would solve again
     checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
 
     # restricted primal on a target set containing the attacked points: it
     # must already dominate the attack, and the dual must dominate it
-    aug_targets = attacked_targets(instance, result)
+    aug_targets = attacked_targets(mu.support, attacked.support)
     extra = instance.candidate_targets
     if extra is not None:
         aug_targets = PointSet(
@@ -407,10 +353,8 @@ def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMea
     return pushforward(mu, lambda xs: xs + result.perturbations)
 
 
-def attacked_targets(instance: RobustInstance, result: AttackResult) -> PointSet:
-    """Candidate-target set containing the support and the attacked points."""
-    support = instance.empirical.support
-    attacked = attack_pushforward(instance.empirical, result).support
+def attacked_targets(support: PointSet, attacked: PointSet) -> PointSet:
+    """Candidate-target set: the support rows, then the attacked points."""
     return PointSet(
         np.concatenate([support.xs, attacked.xs]), np.concatenate([support.ys, attacked.ys]), support.label_count
     )

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from wasslip import io
 from wasslip.numerics import (
     DimensionError,
     FEASIBILITY_TOL,
@@ -74,6 +73,8 @@ class PointSet:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
+    """Weights on the rows of a point set, stored as a read-only copy."""
+
     support: PointSet
     weights: np.ndarray
 
@@ -85,6 +86,8 @@ class DiscreteMeasure:
             raise ValueError("weights must be non-negative")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {float(np.sum(w))!r}")
+        w = w.copy()
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -176,7 +179,7 @@ def pushforward(mu: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> D
     support's rows; labels and weights are kept, and atoms stay
     index-aligned and are never merged."""
     support = mu.support
-    return DiscreteMeasure(PointSet(f(support.xs), support.ys, support.label_count), mu.weights.copy())
+    return DiscreteMeasure(PointSet(f(support.xs), support.ys, support.label_count), mu.weights)
 
 
 def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
@@ -216,21 +219,3 @@ def ball_contains(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix, r
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
     return transport_cost(mu, nu, costs) <= rho + FEASIBILITY_TOL
-
-
-def save_measure_csv(mu: DiscreteMeasure, path) -> None:
-    support = mu.support
-    header = ["weight", "label"] + [f"x{i}" for i in range(support.dim)]
-    rows = [[w, y] + x for w, y, x in zip(mu.weights.tolist(), support.ys.tolist(), support.xs.tolist())]
-    io.write_csv(path, header, rows)
-
-
-def load_measure_csv(path, label_count: int | None = None) -> DiscreteMeasure:
-    header, rows = io.read_csv(path)
-    if header[:2] != ["weight", "label"]:
-        raise ValueError("measure CSV must start with weight,label columns")
-    weights = np.array([float(row[0]) for row in rows])
-    ys = np.array([int(row[1]) for row in rows], dtype=int)
-    xs = np.array([[float(c) for c in row[2:]] for row in rows])
-    k = label_count if label_count is not None else int(ys.max()) + 1
-    return DiscreteMeasure(PointSet(xs, ys, k), weights)

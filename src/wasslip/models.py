@@ -32,6 +32,7 @@ from wasslip.numerics import (
     as_vector,
     norm,
     operator_norm,
+    row_norms,
 )
 
 
@@ -84,13 +85,6 @@ class LinearSoftmax:
     @property
     def input_dim(self) -> int:
         return self.weights.shape[1]
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.input_dim:
-            raise DimensionError(f"input has dimension {x.size}, expected {self.input_dim}")
-        z = self.weights @ x
-        return z if self.bias is None else z + self.bias
 
 
 @dataclass(frozen=True)
@@ -145,13 +139,6 @@ def as_mlp(model: Model) -> MLP:
     if isinstance(model, MLP):
         return model
     return MLP((MLPLayer(model.weights, ActivationTag.IDENTITY, model.bias),))
-
-
-@dataclass(frozen=True)
-class LossEval:
-    value: float
-    grad_x: np.ndarray
-    grad_params: np.ndarray
 
 
 class BatchLoss(NamedTuple):
@@ -253,41 +240,6 @@ def loss_grads(model: Model, X, Y, params: bool = False) -> BatchLoss:
     return BatchLoss(values, delta, grads_w if params else None, grads_b if params else None)
 
 
-def _one_row(x) -> np.ndarray:
-    return as_vector(x)[None, :]
-
-
-def mlp_forward(model: MLP, x) -> tuple[np.ndarray, list]:
-    """Logits plus a tape of (layer input, pre-activation) pairs for backprop."""
-    logits, tape = _propagate(model.layers, _input_rows(model, _one_row(x)))
-    return logits[0], [(a[0], pre[0]) for a, pre in tape]
-
-
-def mlp_backprop(model: Model, x, y: int) -> LossEval:
-    """Softmax cross entropy of one input through the net (or the linear
-    softmax layer); exact reverse-mode gradients, parameters flattened layer
-    by layer as weights then bias."""
-    out = loss_grads(model, _one_row(x), [int(y)], params=True)
-    parts = []
-    for gw, gb in zip(out.grads_w, out.grads_b):
-        parts.append(gw.ravel())
-        if gb is not None:
-            parts.append(gb)
-    return LossEval(float(out.losses[0]), out.grad_x[0], np.concatenate(parts))
-
-
-softmax_ce_loss = mlp_backprop
-
-
-def loss_value(model: Model, x, y: int) -> float:
-    return float(losses(model, _one_row(x), [int(y)])[0])
-
-
-def loss_and_grad_x(model: Model, x, y: int) -> tuple[float, np.ndarray]:
-    out = loss_grads(model, _one_row(x), [int(y)])
-    return float(out.losses[0]), out.grad_x[0]
-
-
 def label_loss_matrix(model: Model, xs: np.ndarray) -> np.ndarray:
     """Loss of every (sample, label) pair; row i is x_i against all labels."""
     Z = forward(model, xs)
@@ -345,33 +297,25 @@ def network_lipschitz_bound(model: MLP, tag: NormTag) -> LipschitzBounds:
     return LipschitzBounds(float(math.prod(sigmas)), young)
 
 
-def empirical_lipschitz(
-    f: Callable[[np.ndarray], float | np.ndarray],
-    sampler: Callable[[], np.ndarray],
-    pairs: int,
-    tag: NormTag,
-) -> float:
-    """Sampled lower bound on lip(f): max difference quotient over random pairs
-    plus coordinate-perturbation pairs (x, x + eps e_i)."""
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    points = [as_vector(sampler()) for _ in range(pairs + 1)]
-    candidates = list(zip(points[:-1], points[1:]))
-    eps = 1e-4
-    for base in points[: min(8, len(points))]:
-        candidates.extend((base, base + step) for step in eps * np.eye(base.size))
-    best = None
-    for x1, x2 in candidates:
-        din = norm(x1 - x2, tag)
-        if din < 1e-12:
-            continue
-        d = np.atleast_1d(np.asarray(f(x1), dtype=float) - np.asarray(f(x2), dtype=float))
-        best_q = norm(d, tag) / din
-        if best is None or best_q > best:
-            best = best_q
-    if best is None:
+def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: NormTag) -> float:
+    """Sampled lower bound on lip(f) for a batched map f (n x d -> n x k): the
+    max difference quotient over consecutive rows of `points` plus the
+    coordinate-perturbation pairs (x, x + eps e_i) of its first 8 rows, from
+    one call of f on all pair endpoints."""
+    points = as_matrix(points)
+    if points.shape[0] < 2:
+        raise ValueError("need at least two points")
+    dim = points.shape[1]
+    left = np.concatenate([points[:-1], points[:8].repeat(dim, axis=0)])
+    right = np.concatenate([points[1:], (points[:8, None, :] + 1e-4 * np.eye(dim)).reshape(-1, dim)])
+    din = row_norms(left - right, tag)
+    keep = din >= 1e-12
+    if not keep.any():
         raise ValueError("all sampled pairs were degenerate")
-    return float(best)
+    out = f(np.concatenate([left, right]))
+    n = left.shape[0]
+    dout = row_norms(np.reshape(out[:n] - out[n:], (n, -1)), tag)
+    return float(np.max(dout[keep] / din[keep]))
 
 
 def phi_head_split(model: MLP) -> tuple[tuple, LinearSoftmax]:

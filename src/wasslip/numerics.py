@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -79,6 +78,18 @@ def norm(v, tag: NormTag) -> float:
         return float(math.sqrt(np.dot(v, v)))
     if tag == NormTag.LINF:
         return float(np.max(np.abs(v)))
+    raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
+
+
+def row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
+    """The norm of every row of D, each bit-identical to `norm` on that row
+    (L2 takes one dot product per row)."""
+    if tag == NormTag.L1:
+        return np.sum(np.abs(D), axis=1)
+    if tag == NormTag.L2:
+        return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    if tag == NormTag.LINF:
+        return np.max(np.abs(D), axis=1)
     raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
 
 
@@ -349,16 +360,3 @@ def _validate_solution(problem: LPProblem, x: np.ndarray, scale: float) -> None:
     for row, b in problem.ineq_constraints:
         if float(np.dot(row, x)) > float(b) + tol:
             raise NumericalError("inequality constraint violated beyond tolerance")
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
-    """Central differences per coordinate: (f(x+h e_i) - f(x-h e_i)) / 2h."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    x = as_vector(x)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (float(f(x + step)) - float(f(x - step))) / (2.0 * h)
-    return grad

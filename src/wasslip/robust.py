@@ -49,7 +49,7 @@ from wasslip.numerics import (
     NormTag,
     NumericalError,
     as_vector,
-    norm,
+    row_norms,
     solve_lp,
 )
 
@@ -133,39 +133,6 @@ def empirical_risk(model: Model, mu: DiscreteMeasure) -> float:
     return float(np.dot(mu.weights, values))
 
 
-def _label_penalty(lam: float, kappa: float, dy: float) -> float:
-    """lambda * kappa * d_Y with the extended-arithmetic convention 0*inf = 0."""
-    if dy == 0.0 or lam == 0.0:
-        return 0.0
-    if math.isinf(kappa):
-        return math.inf
-    return lam * kappa * dy
-
-
-def inner_label_sup(
-    loss: Callable[[np.ndarray, int], float],
-    x_i: np.ndarray,
-    y_i: int,
-    lam: float,
-    metric: MetricSpec,
-) -> tuple[float, int]:
-    """Exhaustive max over labels of loss(x_i, y') - lambda*kappa*d_Y(y', y_i);
-    ties break toward the smallest label id."""
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
-    best_value = -math.inf
-    best_label = 0
-    for y in range(metric.label_count):
-        penalty = _label_penalty(lam, metric.kappa, float(metric.label_metric[y, y_i]))
-        if math.isinf(penalty):
-            continue
-        candidate = float(loss(x_i, y)) - penalty
-        if candidate > best_value:
-            best_value = candidate
-            best_label = y
-    return best_value, best_label
-
-
 def _envelope_eval(values: np.ndarray, dists: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     scores = values - lam * dists
     return np.max(scores, axis=1), np.argmax(scores, axis=1)
@@ -243,24 +210,6 @@ def _label_option_tables(instance: RobustInstance, loss_matrix: np.ndarray):
     else:
         dists = instance.metric.kappa * dy
     return values, dists
-
-
-def dual_objective(
-    instance: RobustInstance,
-    model: LinearSoftmax,
-    lam: float,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-) -> float:
-    """lambda*rho + weighted inner label sups; +inf when lambda is below the
-    Lipschitz bound (the continuous input supremum would diverge)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
-    l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
-    if lam < l_bound - 1e-15:
-        return math.inf
-    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
-    env, _ = _envelope_eval(values, dists, lam)
-    return lam * instance.rho + float(np.dot(instance.empirical.weights, env))
 
 
 def minimize_dual(
@@ -457,7 +406,7 @@ class EnvelopeCheck:
 
 
 def check_envelope_collapse(
-    psi: Callable[[np.ndarray], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     gamma: float,
     z,
     norm_tag: NormTag = NormTag.L2,
@@ -466,37 +415,32 @@ def check_envelope_collapse(
     points_per_dim: int = 65,
     tol: float = 1e-3,
 ) -> EnvelopeCheck:
-    """Grid study of sup_x psi(x) - gamma*||x - z||.
+    """Grid study of sup_x psi(x) - gamma*||x - z|| for a batched psi
+    (m x d -> m values).
 
     When gamma dominates lip(psi) the supremum collapses to psi(z); when gamma
     is strictly below it the supremum keeps growing as the grid extent
-    doubles.  The verdict reports both behaviours so callers can assert the
-    branch they expect.
+    doubles.  Growth is judged on the tail: the last doubling must raise the
+    supremum and no doubling may lower it (a convex psi can sit at psi(z) for
+    the first extents).  The verdict reports both behaviours so callers can
+    assert the branch they expect.
     """
     z = as_vector(z)
     if z.size > 2:
         raise ValueError("grid study only supports 1- or 2-D centers")
+    if doublings < 1:
+        raise ValueError("growth needs at least one doubling")
     if points_per_dim % 2 == 0:
         points_per_dim += 1  # keep z itself on the grid
-    psi_z = float(psi(z))
+    psi_z = float(psi(z[None, :])[0])
     sups = []
     for k in range(doublings + 1):
         radius = extent * (2.0**k)
-        axes = [np.linspace(z[d] - radius, z[d] + radius, points_per_dim) for d in range(z.size)]
-        if z.size == 1:
-            grid = axes[0][:, None]
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        best = -math.inf
-        for row in grid:
-            val = float(psi(row)) - gamma * norm(row - z, norm_tag)
-            if val > best:
-                best = val
-        sups.append(best)
-    growth = all(
-        sups[i + 1] > sups[i] + max(1e-9, 1e-6 * (1.0 + abs(sups[i]))) for i in range(len(sups) - 1)
-    )
+        axes = np.meshgrid(*(np.linspace(c - radius, c + radius, points_per_dim) for c in z), indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        sups.append(float(np.max(psi(grid) - gamma * row_norms(grid - z, norm_tag))))
+    slack = [max(1e-9, 1e-6 * (1.0 + abs(s))) for s in sups]
+    growth = sups[-1] > sups[-2] + slack[-2] and all(b >= a - t for a, b, t in zip(sups, sups[1:], slack))
     gap = max(sups) - psi_z
     return EnvelopeCheck(
         sup_values=tuple(sups),

@@ -34,11 +34,12 @@ from wasslip.models import (
     ce_slice_lipschitz,
     empirical_lipschitz,
     feature_map,
-    mlp_forward,
+    forward,
+    losses,
     network_lipschitz_bound,
     phi_lipschitz_bound,
 )
-from wasslip.numerics import NormTag, operator_norm
+from wasslip.numerics import NormTag, operator_norm, row_norms
 from wasslip.robust import (
     RobustInstance,
     check_envelope_collapse,
@@ -113,8 +114,8 @@ def seeded_finite_instance(rng: np.random.Generator, max_atoms: int = 8, max_tar
     mu = DiscreteMeasure(support, seeded_weights(rng, n))
     rho = float(rng.uniform(0.0, 2.0))
     instance = RobustInstance(mu, metric, rho, targets)
-    losses = rng.uniform(-2.0, 3.0, len(targets))
-    return instance, losses
+    target_losses = rng.uniform(-2.0, 3.0, len(targets))
+    return instance, target_losses
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +127,9 @@ def check_strong_duality(seed: int, instances: int = 100) -> VerdictRecord:
     rng = derive_rng(seed, "verify/strong-duality")
     worst = 0.0
     for _ in range(instances):
-        instance, losses = seeded_finite_instance(rng)
-        dual = minimize_dual_on_targets(instance, losses)
-        lp = primal_robust_risk_lp(instance, losses)
+        instance, target_losses = seeded_finite_instance(rng)
+        dual = minimize_dual_on_targets(instance, target_losses)
+        lp = primal_robust_risk_lp(instance, target_losses)
         rel = abs(dual.value - lp) / (1.0 + abs(dual.value))
         worst = max(worst, rel)
     return VerdictRecord(
@@ -138,9 +139,13 @@ def check_strong_duality(seed: int, instances: int = 100) -> VerdictRecord:
     )
 
 
-def _huber(x: np.ndarray) -> float:
-    r = float(np.sqrt(np.dot(x, x)))
-    return r * r if r <= 1.0 else 2.0 * r - 1.0
+def _huber(X: np.ndarray) -> np.ndarray:
+    r = row_norms(X, NormTag.L2)
+    return np.where(r <= 1.0, r * r, 2.0 * r - 1.0)
+
+
+def _abs(X: np.ndarray) -> np.ndarray:
+    return np.abs(X[:, 0])
 
 
 def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> VerdictRecord:
@@ -150,8 +155,8 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
     rng = derive_rng(seed, "verify/envelope")
     cases = []
 
-    cases.append(("abs_equality", lambda v: abs(float(v[0])), 2.0, np.array([0.0]), True))
-    cases.append(("abs_growth", lambda v: abs(float(v[0])), 0.5, np.array([0.0]), False))
+    cases.append(("abs_equality", _abs, 2.0, np.array([0.0]), True))
+    cases.append(("abs_growth", _abs, 0.5, np.array([0.0]), False))
     cases.append(("huber_equality", _huber, 2.5, np.array([0.3]), True))
     cases.append(("huber_growth", _huber, 1.0, np.array([-0.2]), False))
 
@@ -159,10 +164,8 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
     z = rng.standard_normal(2)
     y = int(rng.integers(0, 3))
 
-    def ce_slice(v: np.ndarray) -> float:
-        zlogits = model.logits(v)
-        m = float(np.max(zlogits))
-        return m + math.log(float(np.sum(np.exp(zlogits - m)))) - float(zlogits[y])
+    def ce_slice(grid: np.ndarray) -> np.ndarray:
+        return losses(model, grid, np.full(grid.shape[0], y))
 
     certified = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
     tight = ce_slice_lipschitz(model, y, NormTag.L2)
@@ -312,14 +315,8 @@ def check_lipschitz_chain(seed: int, nets: int = 50) -> VerdictRecord:
         model = seeded_mlp(rng, dims, scale=1.0)
         bounds = network_lipschitz_bound(model, NormTag.L2)
 
-        def logits(x: np.ndarray) -> np.ndarray:
-            out, _ = mlp_forward(model, x)
-            return out
-
-        sampler_rng = derive_rng(seed, f"verify/chain-sampler/{i}")
-        emp = empirical_lipschitz(
-            logits, lambda: sampler_rng.standard_normal(dims[0]), pairs=60, tag=NormTag.L2
-        )
+        points = derive_rng(seed, f"verify/chain-sampler/{i}").standard_normal((61, dims[0]))
+        emp = empirical_lipschitz(lambda X: forward(model, X), points, NormTag.L2)
         worst_emp = max(worst_emp, emp - bounds.product)
         worst_young = max(worst_young, bounds.product - bounds.young)
 

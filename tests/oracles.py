@@ -281,8 +281,32 @@ def vector_loss_grad(model, x, y: int):
     return value, delta, grads_w, grads_b
 
 
+def vector_pre_activations(model, x) -> list:
+    """Pre-activation of every layer at one input, the logits last."""
+    a = np.asarray(x, dtype=float)
+    out = []
+    for W, b, act in _layer_list(model):
+        pre = W @ a if b is None else W @ a + b
+        out.append(pre)
+        a = np.maximum(pre, 0.0) if act == "RELU" else np.tanh(pre) if act == "TANH" else pre
+    return out
+
+
 def vector_loss(model, x, y: int) -> float:
     return vector_loss_grad(model, x, y)[0]
+
+
+def finite_difference_gradient(f, x, h: float) -> np.ndarray:
+    """Central differences per coordinate: (f(x+h e_i) - f(x-h e_i)) / 2h."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (float(f(x + step)) - float(f(x - step))) / (2.0 * h)
+    return grad
 
 
 def _vector_norm(v, tag: str) -> float:

@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every tolerance is pinned here, not configured elsewhere.
 """
 
+import hashlib
 import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
-from oracles import spectral_norm_jacobi
+from oracles import finite_difference_gradient, spectral_norm_jacobi, vector_pre_activations
 from wasslip.cli import main
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import MetricSpec, empirical_from_samples
@@ -18,12 +19,10 @@ from wasslip.models import (
     BoundMode,
     accuracy,
     ce_lipschitz_bound,
-    loss_value,
-    mlp_backprop,
-    mlp_forward,
-    softmax_ce_loss,
+    loss_grads,
+    losses,
 )
-from wasslip.numerics import NormTag, finite_difference_gradient, operator_norm
+from wasslip.numerics import NormTag, operator_norm
 from wasslip.robust import (
     RobustInstance,
     certify_robust_risk,
@@ -47,6 +46,8 @@ from wasslip.suite import (
 from wasslip.train import ObjectiveKind, TrainConfig, objective_and_grad, train_loop
 
 SEED = 20240811
+TINY_VERIFY = {"strong_duality_instances": 8, "envelope_points_per_dim": 17, "pushforward_triples": 3,
+               "pushforward_cases": 2, "adversarial_tuples": 2, "chain_nets": 3}
 
 
 def report(number: int, name: str, passed: bool, extra: str = ""):
@@ -158,10 +159,23 @@ def _relative_error(got, expected):
 def _mlp_away_from_kinks(rng, net, dim):
     for _ in range(100):
         x = rng.standard_normal(dim)
-        _, tape = mlp_forward(net, x)
-        if all(np.min(np.abs(pre)) > 1e-6 for _, pre in tape[:-1]):
+        if all(np.min(np.abs(pre)) > 1e-6 for pre in vector_pre_activations(net, x)[:-1]):
             return x
     raise RuntimeError("could not sample away from activation kinks")
+
+
+def _loss(model, x, y):
+    return float(losses(model, [x], [y])[0])
+
+
+def _flat_param_grads(out):
+    """Weight then bias gradients of every layer, flattened layer by layer."""
+    parts = []
+    for gw, gb in zip(out.grads_w, out.grads_b):
+        parts.append(gw.ravel())
+        if gb is not None:
+            parts.append(gb)
+    return np.concatenate(parts)
 
 
 def test_criterion_08_gradient_checks_200():
@@ -174,18 +188,18 @@ def test_criterion_08_gradient_checks_200():
         model = seeded_linear_model(rng, 3, 3, scale=1.0)
         x = rng.standard_normal(3)
         y = int(rng.integers(0, 3))
-        ev = softmax_ce_loss(model, x, y)
-        fd = finite_difference_gradient(lambda v: loss_value(model, v, y), x, 1e-5)
-        if _relative_error(ev.grad_x, fd) > 1e-4:
+        ev = loss_grads(model, [x], [y])
+        fd = finite_difference_gradient(lambda v: _loss(model, v, y), x, 1e-5)
+        if _relative_error(ev.grad_x[0], fd) > 1e-4:
             failures.append(("linear grad_x", i))
         checks += 1
     for i in range(40):
         net = seeded_mlp(rng, [3, 4, 3], scale=1.0, bias=bool(i % 2))
         x = _mlp_away_from_kinks(rng, net, 3)
         y = int(rng.integers(0, 3))
-        ev = mlp_backprop(net, x, y)
-        fd = finite_difference_gradient(lambda v: loss_value(net, v, y), x, 1e-5)
-        if _relative_error(ev.grad_x, fd) > 1e-4:
+        ev = loss_grads(net, [x], [y])
+        fd = finite_difference_gradient(lambda v: _loss(net, v, y), x, 1e-5)
+        if _relative_error(ev.grad_x[0], fd) > 1e-4:
             failures.append(("mlp grad_x", i))
         checks += 1
 
@@ -194,7 +208,7 @@ def test_criterion_08_gradient_checks_200():
         net = seeded_mlp(rng, [2, 3, 2], scale=1.0, bias=bool(i % 2))
         x = _mlp_away_from_kinks(rng, net, 2)
         y = int(rng.integers(0, 2))
-        ev = mlp_backprop(net, x, y)
+        grad_params = _flat_param_grads(loss_grads(net, [x], [y], params=True))
 
         def loss_of_params(theta):
             from wasslip.models import MLP, MLPLayer
@@ -210,9 +224,9 @@ def test_criterion_08_gradient_checks_200():
                     b = theta[pos : pos + layer.bias.size]
                     pos += layer.bias.size
                 layers.append(MLPLayer(W, layer.activation, b))
-            return loss_value(MLP(tuple(layers)), x, y)
+            return _loss(MLP(tuple(layers)), x, y)
 
-        theta0 = np.zeros_like(ev.grad_params)
+        theta0 = np.zeros_like(grad_params)
         pos = 0
         for layer in net.layers:
             theta0[pos : pos + layer.weights.size] = layer.weights.ravel()
@@ -221,7 +235,7 @@ def test_criterion_08_gradient_checks_200():
                 theta0[pos : pos + layer.bias.size] = layer.bias
                 pos += layer.bias.size
         fd = finite_difference_gradient(loss_of_params, theta0, 1e-5)
-        if _relative_error(ev.grad_params, fd) > 1e-4:
+        if _relative_error(grad_params, fd) > 1e-4:
             failures.append(("mlp grad_params", i))
         checks += 1
 
@@ -327,11 +341,15 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         {"seed": 4, "dataset": dataset, "model": {"dims": [2, 3, 2], "seed": 7},
          "train": {"objective": "spectral", "rho": 0.3, "epochs": 4, "learning_rate": 0.05}},
     )
-    ok &= _run_cli_twice(
-        tmp_path,
-        "verify",
-        {"seed": SEED, "verify": {"strong_duality_instances": 8, "envelope_points_per_dim": 17,
-                                  "pushforward_triples": 3, "pushforward_cases": 2,
-                                  "adversarial_tuples": 2, "chain_nets": 3}},
-    )
+    ok &= _run_cli_twice(tmp_path, "verify", {"seed": SEED, "verify": TINY_VERIFY})
     report(10, "every command reproduces byte-identical reports", ok)
+
+
+def test_verify_report_bytes_pinned(tmp_path):
+    """The verify report for SEED at the tiny sizes, byte for byte; computed
+    before the checks moved onto the batched pass, which moved no bit."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"seed": SEED, "verify": TINY_VERIFY}), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "verify_report.json").read_bytes()).hexdigest()
+    assert digest == "711b148a7ebc5165ed4f9a89106dbac4ee929379902dbd9ff8c3197f154922d3"

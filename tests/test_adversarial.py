@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import boundary_max_loss, linf_corner_max_loss
+from oracles import boundary_max_loss, linf_corner_max_loss, vector_loss, vector_pgd
+import wasslip.adversarial as adversarial
 from wasslip.adversarial import (
     AttackConfig,
     BallSpec,
@@ -11,11 +12,10 @@ from wasslip.adversarial import (
     attack_pushforward,
     attacked_targets,
     check_adversarial_bound,
-    fgsm_attack,
-    pgd_attack,
     project_ball,
 )
 from wasslip.measures import (
+    DiscreteMeasure,
     MetricSpec,
     PointSet,
     ball_contains,
@@ -23,11 +23,18 @@ from wasslip.measures import (
     empirical_from_samples,
     transport_cost,
 )
-from wasslip.models import LinearSoftmax, loss_value
+from wasslip.models import LinearSoftmax, losses
 from wasslip.numerics import NormTag, norm
 from wasslip.robust import RobustInstance, certify_robust_risk, empirical_risk
 from wasslip.seeding import derive_rng
-from wasslip.suite import seeded_linear_model, seeded_mlp, seeded_points
+from wasslip.suite import check_adversarial_bounds, seeded_linear_model, seeded_mlp, seeded_points
+
+
+def attack_one(model, x, y, ball, method="PGD", seed=0):
+    """One atom through the all-atoms attack: (perturbation, loss)."""
+    mu = DiscreteMeasure(PointSet([x], [y], model.label_count), np.array([1.0]))
+    result = adversarial_risk(model, mu, ball, AttackConfig(method=method, seed=seed))
+    return result.perturbations[0], float(result.losses[0])
 
 
 class TestProjection:
@@ -59,9 +66,9 @@ class TestPGD:
     def test_zero_epsilon_returns_clean(self):
         model = seeded_linear_model(derive_rng(0, "pgd"), 2, 3)
         x = np.array([0.5, -0.2])
-        delta, loss = pgd_attack(model, x, 1, BallSpec(NormTag.LINF, 0.0), rng=np.random.default_rng(0))
+        delta, loss = attack_one(model, x, 1, BallSpec(NormTag.LINF, 0.0))
         assert not delta.any()
-        assert loss == pytest.approx(loss_value(model, x, 1))
+        assert loss == pytest.approx(vector_loss(model, x, 1))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_binary_linear_linf_matches_corner_enumeration(self, seed):
@@ -72,12 +79,10 @@ class TestPGD:
         x = rng.standard_normal(4)
         y = int(rng.integers(0, 2))
         eps = 0.3
-        exact = linf_corner_max_loss(lambda v: loss_value(model, v, y), x, eps)
-        _, pgd_loss = pgd_attack(
-            model, x, y, BallSpec(NormTag.LINF, eps), rng=np.random.default_rng(seed)
-        )
+        exact = linf_corner_max_loss(lambda v: vector_loss(model, v, y), x, eps)
+        _, pgd_loss = attack_one(model, x, y, BallSpec(NormTag.LINF, eps), seed=seed)
         assert pgd_loss == pytest.approx(exact, abs=1e-6)
-        _, fgsm_loss = fgsm_attack(model, x, y, BallSpec(NormTag.LINF, eps))
+        _, fgsm_loss = attack_one(model, x, y, BallSpec(NormTag.LINF, eps), method="FGSM")
         assert fgsm_loss == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("tag", [NormTag.L2, NormTag.LINF])
@@ -88,9 +93,9 @@ class TestPGD:
         x = rng.standard_normal(2)
         y = int(rng.integers(0, 3))
         eps = 0.25
-        clean = loss_value(model, x, y)
-        oracle = boundary_max_loss(lambda v: loss_value(model, v, y), x, eps, tag.value, count=20_000)
-        delta, pgd_loss = pgd_attack(model, x, y, BallSpec(tag, eps), rng=np.random.default_rng(seed))
+        clean = vector_loss(model, x, y)
+        oracle = boundary_max_loss(lambda v: vector_loss(model, v, y), x, eps, tag.value, count=20_000)
+        delta, pgd_loss = attack_one(model, x, y, BallSpec(tag, eps), seed=seed)
         assert pgd_loss >= clean - 1e-9
         assert pgd_loss <= oracle + 1e-6
         assert norm(delta, tag) <= eps + 1e-9
@@ -110,9 +115,9 @@ class TestPGD:
         model = seeded_linear_model(rng, 3, 2, scale=1.0)
         x = rng.standard_normal(3)
         ball = BallSpec(NormTag.L1, 0.4)
-        delta, loss = pgd_attack(model, x, 0, ball, rng=np.random.default_rng(0))
+        delta, loss = attack_one(model, x, 0, ball)
         assert norm(delta, NormTag.L1) <= 0.4 + 1e-9
-        assert loss >= loss_value(model, x, 0) - 1e-9
+        assert loss >= vector_loss(model, x, 0) - 1e-9
 
 
 class TestAdversarialRisk:
@@ -131,7 +136,9 @@ class TestAdversarialRisk:
         ball = BallSpec(NormTag.L2, 0.3)
         cfg = AttackConfig(seed=9)
         result = adversarial_risk(model, mu, ball, cfg)
-        _, expected = pgd_attack(model, points.xs[0], points.ys[0], ball, rng=derive_rng(cfg.seed, "attack/0"))
+        _, expected = vector_pgd(
+            model, points.xs[0], points.ys[0], "L2", 0.3, cfg.steps, None, derive_rng(cfg.seed, "attack/0"), cfg.restarts
+        )
         assert result.adversarial_risk == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_epsilon_with_warm_starts(self):
@@ -159,7 +166,7 @@ class TestAdversarialRisk:
             result = adversarial_risk(model, mu, BallSpec(tag, 0.25), AttackConfig(seed=7))
             for d in result.perturbations:
                 assert norm(d, tag) <= 0.25 + 1e-9
-            assert np.all(result.losses >= np.array([loss_value(model, x, y) for x, y in zip(mu.support.xs, mu.support.ys)]) - 1e-9)
+            assert np.all(result.losses >= losses(model, mu.support.xs, mu.support.ys) - 1e-9)
 
 
 class TestRobustBound:
@@ -220,6 +227,18 @@ class TestRobustBound:
         assert ball_contains(mu, pushed, costs, rho)
         assert transport_cost(mu, pushed, costs) <= rho + 1e-9
 
+    def test_one_pushforward_per_verdict(self, monkeypatch):
+        calls = []
+        real = adversarial.attack_pushforward
+
+        def spy(mu, result):
+            calls.append(1)
+            return real(mu, result)
+
+        monkeypatch.setattr(adversarial, "attack_pushforward", spy)
+        assert check_adversarial_bounds(7, tuples=6).passed
+        assert len(calls) == 6
+
     def test_attacked_targets_row_order(self):
         """The support, then the attacked points in atom order."""
         rng = derive_rng(43, "attacked-targets")
@@ -227,7 +246,7 @@ class TestRobustBound:
         points = seeded_points(rng, 4, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
         result = adversarial_risk(model, instance.empirical, BallSpec(NormTag.L2, 0.2), AttackConfig(seed=5))
-        targets = attacked_targets(instance, result)
+        targets = attacked_targets(points, attack_pushforward(instance.empirical, result).support)
         assert np.array_equal(targets.xs, np.concatenate([points.xs, points.xs + result.perturbations]))
         assert targets.ys.tolist() == points.ys.tolist() * 2
         assert np.array_equal(attack_pushforward(instance.empirical, result).support.ys, points.ys)

@@ -13,9 +13,7 @@ from wasslip.measures import (
     ball_contains,
     cost_matrix,
     empirical_from_samples,
-    load_measure_csv,
     pushforward,
-    save_measure_csv,
     transport_cost,
 )
 from wasslip.models import ActivationTag, MLPLayer, feature_map, phi_lipschitz_bound
@@ -132,6 +130,15 @@ class TestMeasures:
             DiscreteMeasure(support, np.array([0.9, 0.2]))
         with pytest.raises(ValueError):
             DiscreteMeasure(support, np.array([1.1, -0.1]))
+
+    def test_weights_read_only(self):
+        mu = empirical_from_samples(PointSet([[0.0], [1.0]], [0, 1], 2))
+        with pytest.raises(ValueError):
+            mu.weights[0] = 5.0
+        assert mu.weights.tolist() == [0.5, 0.5]
+        given = np.array([0.25, 0.75])
+        DiscreteMeasure(mu.support, given)
+        given[0] = 0.5  # the caller's array is copied, not frozen
 
     def test_pushforward_identity_and_constant(self):
         mu = empirical_from_samples(PointSet([[0.0], [1.0]], [0, 1], 2))
@@ -277,16 +284,3 @@ class TestBallContains:
         pushed = transport_cost(mu_img, nu_img, C_img)
         assert pushed <= L * base + 1e-8
         assert ball_contains(mu_img, nu_img, C_img, L * base)
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(5)
-        support = PointSet(rng.standard_normal((3, 2)), [0, 1, 2], 3)
-        mu = DiscreteMeasure(support, np.array([0.25, 0.5, 0.25]))
-        path = tmp_path / "measure.csv"
-        save_measure_csv(mu, path)
-        back = load_measure_csv(path)
-        assert np.array_equal(back.weights, mu.weights)
-        assert np.array_equal(back.support.xs, mu.support.xs)
-        assert np.array_equal(back.support.ys, mu.support.ys)

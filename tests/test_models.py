@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import finite_difference_gradient, vector_pre_activations
 
 from wasslip.io import InputFileError
 from wasslip.measures import PointSet
@@ -17,15 +18,14 @@ from wasslip.models import (
     ce_lipschitz_bound,
     ce_slice_lipschitz,
     empirical_lipschitz,
+    forward,
     load_model,
-    loss_value,
-    mlp_backprop,
-    mlp_forward,
+    loss_grads,
+    losses,
     network_lipschitz_bound,
     save_model,
-    softmax_ce_loss,
 )
-from wasslip.numerics import DimensionError, NormTag, finite_difference_gradient
+from wasslip.numerics import DimensionError, NormTag
 
 
 def seeded_linear(seed, k=3, d=4, scale=1.0, bias=False):
@@ -45,6 +45,20 @@ def seeded_net(seed, dims, bias=False, activation=ActivationTag.RELU, scale=1.0)
     return MLP(tuple(layers))
 
 
+def loss_of(model, x, y):
+    return float(losses(model, [x], [y])[0])
+
+
+def flat_param_grads(out):
+    """Weight then bias gradients of every layer, flattened layer by layer."""
+    parts = []
+    for gw, gb in zip(out.grads_w, out.grads_b):
+        parts.append(gw.ravel())
+        if gb is not None:
+            parts.append(gb)
+    return np.concatenate(parts)
+
+
 def relative_error(got, expected):
     denom = max(float(np.linalg.norm(np.atleast_1d(expected))), 1e-10)
     return float(np.linalg.norm(np.atleast_1d(got) - np.atleast_1d(expected))) / denom
@@ -53,19 +67,19 @@ def relative_error(got, expected):
 class TestSoftmaxCE:
     def test_zero_weights_uniform(self):
         model = LinearSoftmax(np.zeros((4, 3)))
-        ev = softmax_ce_loss(model, np.array([0.7, -0.1, 2.0]), 2)
-        assert ev.value == pytest.approx(math.log(4.0), abs=1e-12)
+        value = loss_of(model, np.array([0.7, -0.1, 2.0]), 2)
+        assert value == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_symmetric_logits(self):
         model = LinearSoftmax(np.array([[1.0], [-1.0]]))
-        ev = softmax_ce_loss(model, np.array([0.0]), 0)
-        assert ev.value == pytest.approx(math.log(2.0), abs=1e-12)
+        value = loss_of(model, np.array([0.0]), 0)
+        assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_logsumexp_stable_for_huge_logits(self):
         model = LinearSoftmax(np.array([[1000.0], [-1000.0]]))
-        ev = softmax_ce_loss(model, np.array([1.0]), 0)
-        assert math.isfinite(ev.value)
-        assert ev.value == pytest.approx(0.0, abs=1e-9)
+        value = loss_of(model, np.array([1.0]), 0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grad_x_matches_finite_differences(self, seed):
@@ -73,16 +87,16 @@ class TestSoftmaxCE:
         model = seeded_linear(seed, bias=bool(seed % 2))
         x = rng.standard_normal(4)
         y = int(rng.integers(0, 3))
-        ev = softmax_ce_loss(model, x, y)
-        fd = finite_difference_gradient(lambda v: loss_value(model, v, y), x, 1e-5)
-        assert relative_error(ev.grad_x, fd) <= 1e-4
+        ev = loss_grads(model, [x], [y])
+        fd = finite_difference_gradient(lambda v: loss_of(model, v, y), x, 1e-5)
+        assert relative_error(ev.grad_x[0], fd) <= 1e-4
 
     def test_label_validation(self):
         model = seeded_linear(0)
         with pytest.raises(ValueError):
-            softmax_ce_loss(model, np.zeros(4), 3)
+            loss_grads(model, np.zeros((1, 4)), [3])
         with pytest.raises(DimensionError):
-            softmax_ce_loss(model, np.zeros(5), 0)
+            loss_grads(model, np.zeros((1, 5)), [0])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -92,8 +106,8 @@ class TestSoftmaxCE:
         y = int(rng.integers(0, 3))
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
-        mid = loss_value(model, 0.5 * (a + b), y)
-        avg = 0.5 * (loss_value(model, a, y) + loss_value(model, b, y))
+        mid = loss_of(model, 0.5 * (a + b), y)
+        avg = 0.5 * (loss_of(model, a, y) + loss_of(model, b, y))
         assert avg - mid >= -1e-9
 
     def test_convex_in_x_thousand_seeded_triples(self):
@@ -103,8 +117,8 @@ class TestSoftmaxCE:
             y = int(rng.integers(0, 3))
             a = rng.standard_normal(2)
             b = rng.standard_normal(2)
-            mid = loss_value(model, 0.5 * (a + b), y)
-            avg = 0.5 * (loss_value(model, a, y) + loss_value(model, b, y))
+            mid = loss_of(model, 0.5 * (a + b), y)
+            avg = 0.5 * (loss_of(model, a, y) + loss_of(model, b, y))
             assert avg - mid >= -1e-9
 
 
@@ -113,25 +127,25 @@ class TestMLPForwardBackward:
         W = np.array([[1.0, 0.5], [-0.5, 2.0]])
         net = MLP((MLPLayer(np.eye(2), ActivationTag.IDENTITY), MLPLayer(W, ActivationTag.IDENTITY)))
         x = np.array([0.3, -1.2])
-        logits, _ = mlp_forward(net, x)
+        logits = forward(net, [x])[0]
         assert np.allclose(logits, W @ x)
 
     def test_single_layer_equals_linear_softmax(self):
         model = seeded_linear(4)
         net = as_mlp(model)
         x = np.random.default_rng(0).standard_normal(4)
-        logits, _ = mlp_forward(net, x)
-        assert np.allclose(logits, model.logits(x))
-        ev_net = mlp_backprop(net, x, 1)
-        ev_lin = softmax_ce_loss(model, x, 1)
-        assert ev_net.value == pytest.approx(ev_lin.value, abs=1e-12)
+        logits = forward(net, [x])[0]
+        assert np.allclose(logits, model.weights @ x)
+        ev_net = loss_grads(net, [x], [1], params=True)
+        ev_lin = loss_grads(model, [x], [1], params=True)
+        assert ev_net.losses[0] == pytest.approx(ev_lin.losses[0], abs=1e-12)
         assert np.allclose(ev_net.grad_x, ev_lin.grad_x)
-        assert np.allclose(ev_net.grad_params, ev_lin.grad_params)
+        assert np.allclose(flat_param_grads(ev_net), flat_param_grads(ev_lin))
 
     def test_forward_matches_straight_line_reimplementation(self):
         net = seeded_net(7, [3, 5, 2], bias=True)
         x = np.random.default_rng(1).standard_normal(3)
-        logits, _ = mlp_forward(net, x)
+        logits = forward(net, [x])[0]
         # independent re-evaluation with explicit loops
         a = [float(v) for v in x]
         for layer in net.layers:
@@ -156,9 +170,9 @@ class TestMLPForwardBackward:
                 MLPLayer(np.zeros((2, 3)), ActivationTag.IDENTITY),
             )
         )
-        ev = mlp_backprop(net, np.zeros(2), 1)
-        assert ev.value == pytest.approx(math.log(2.0), abs=1e-12)
-        assert np.allclose(ev.grad_params, 0.0)  # all activations are zero
+        ev = loss_grads(net, np.zeros((1, 2)), [1], params=True)
+        assert ev.losses[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert np.allclose(flat_param_grads(ev), 0.0)  # all activations are zero
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grad_params_matches_finite_differences(self, seed):
@@ -168,11 +182,10 @@ class TestMLPForwardBackward:
         y = int(rng.integers(0, 3))
         # avoid ReLU kinks: resample until pre-activations are clear of zero
         for bump in range(50):
-            _, tape = mlp_forward(net, x)
-            if all(np.min(np.abs(pre)) > 1e-6 for _, pre in tape[:-1]):
+            if all(np.min(np.abs(pre)) > 1e-6 for pre in vector_pre_activations(net, x)[:-1]):
                 break
             x = rng.standard_normal(3)
-        ev = mlp_backprop(net, x, y)
+        grad_params = flat_param_grads(loss_grads(net, [x], [y], params=True))
 
         def loss_of_params(theta):
             pos = 0
@@ -186,9 +199,9 @@ class TestMLPForwardBackward:
                     b = theta[pos : pos + layer.bias.size]
                     pos += layer.bias.size
                 layers.append(MLPLayer(W, layer.activation, b))
-            return loss_value(MLP(tuple(layers)), x, y)
+            return loss_of(MLP(tuple(layers)), x, y)
 
-        theta0 = ev.grad_params * 0.0
+        theta0 = grad_params * 0.0
         pos = 0
         for layer in net.layers:
             theta0[pos : pos + layer.weights.size] = layer.weights.ravel()
@@ -197,7 +210,7 @@ class TestMLPForwardBackward:
                 theta0[pos : pos + layer.bias.size] = layer.bias
                 pos += layer.bias.size
         fd = finite_difference_gradient(loss_of_params, theta0, 1e-5)
-        assert relative_error(ev.grad_params, fd) <= 1e-4
+        assert relative_error(grad_params, fd) <= 1e-4
 
 
 class TestLipschitzBounds:
@@ -224,10 +237,9 @@ class TestLipschitzBounds:
         y = int(rng.integers(0, 3))
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
         est = empirical_lipschitz(
-            lambda v: loss_value(model, v, y),
-            lambda: 2.0 * rng.standard_normal(3),
-            pairs=200,
-            tag=NormTag.L2,
+            lambda X: losses(model, X, np.full(len(X), y)),
+            2.0 * rng.standard_normal((201, 3)),
+            NormTag.L2,
         )
         assert 0.0 <= est <= bound + 1e-9
 
@@ -240,10 +252,9 @@ class TestLipschitzBounds:
         certified = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
         assert tight <= certified + 1e-9
         est = empirical_lipschitz(
-            lambda v: loss_value(model, v, y),
-            lambda: 5.0 * rng.standard_normal(3),
-            pairs=300,
-            tag=NormTag.L2,
+            lambda X: losses(model, X, np.full(len(X), y)),
+            5.0 * rng.standard_normal((301, 3)),
+            NormTag.L2,
         )
         assert est <= tight + 1e-8
 
@@ -276,11 +287,7 @@ class TestLipschitzBounds:
         bounds = network_lipschitz_bound(net, NormTag.L2)
         assert bounds.product <= bounds.young + 1e-9
 
-        def f(x):
-            logits, _ = mlp_forward(net, x)
-            return logits
-
-        est = empirical_lipschitz(f, lambda: 2.0 * rng.standard_normal(3), pairs=150, tag=NormTag.L2)
+        est = empirical_lipschitz(lambda X: forward(net, X), 2.0 * rng.standard_normal((151, 3)), NormTag.L2)
         assert est <= bounds.product + 1e-6
 
     def test_split_identity_layer_keeps_product(self):
@@ -303,11 +310,10 @@ class TestLipschitzBounds:
                 ce_lipschitz_bound(biased, NormTag.L2, mode), abs=1e-9
             )
         sampler_rng = np.random.default_rng(10)
-        samples = [sampler_rng.standard_normal(2) for _ in range(40)]
+        samples = sampler_rng.standard_normal((40, 2))
 
         def est(model):
-            it = iter(samples)
-            return empirical_lipschitz(model.logits, lambda: next(it), pairs=len(samples) - 1, tag=NormTag.L2)
+            return empirical_lipschitz(lambda X: forward(model, X), samples, NormTag.L2)
 
         assert est(plain) == pytest.approx(est(biased), abs=1e-9)
 
@@ -315,17 +321,18 @@ class TestLipschitzBounds:
 class TestEmpiricalLipschitz:
     def test_exact_for_scalar_linear(self):
         rng = np.random.default_rng(0)
-        est = empirical_lipschitz(lambda v: 3.0 * v[0], lambda: rng.standard_normal(1), pairs=50, tag=NormTag.L2)
+        est = empirical_lipschitz(lambda X: 3.0 * X[:, 0], rng.standard_normal((51, 1)), NormTag.L2)
         assert 3.0 - 1e-6 <= est <= 3.0 + 1e-9
 
     def test_constant_function(self):
         rng = np.random.default_rng(1)
-        est = empirical_lipschitz(lambda v: 1.5, lambda: rng.standard_normal(3), pairs=20, tag=NormTag.L2)
+        est = empirical_lipschitz(lambda X: np.full(len(X), 1.5), rng.standard_normal((21, 3)), NormTag.L2)
         assert est == 0.0
 
     def test_all_degenerate_pairs_error(self):
         with pytest.raises(ValueError):
-            empirical_lipschitz(lambda v: 0.0, lambda: np.zeros(0), pairs=3, tag=NormTag.L2)
+            # the 1e-4 coordinate steps vanish in rounding next to 1e20
+            empirical_lipschitz(lambda X: np.zeros(len(X)), np.full((4, 2), 1e20), NormTag.L2)
 
 
 class TestModelFile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import lp_basis_enumeration, spectral_norm_jacobi, transport_cost_vertex_enumeration
+from oracles import finite_difference_gradient, lp_basis_enumeration, spectral_norm_jacobi, transport_cost_vertex_enumeration
 from wasslip.numerics import (
     DimensionError,
     LPProblem,
@@ -13,10 +13,10 @@ from wasslip.numerics import (
     UnsupportedNormError,
     as_matrix,
     as_vector,
-    finite_difference_gradient,
     norm,
     operator_norm,
     power_iteration,
+    row_norms,
     solve_lp,
 )
 
@@ -39,6 +39,11 @@ class TestVectorsAndNorms:
     def test_empty_vector_rejected(self):
         with pytest.raises(DimensionError):
             norm(np.array([]), NormTag.L2)
+
+    def test_row_norms_match_norm_bit_for_bit(self):
+        D = RNG.standard_normal((40, 7)) * RNG.uniform(1e-3, 1e3, (40, 1))
+        for tag in NormTag:
+            assert row_norms(D, tag).tolist() == [norm(row, tag) for row in D]
 
     def test_zero_iff_zero_vector(self):
         v = RNG.standard_normal(5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at
+from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at, vector_loss
 import wasslip.robust as robust
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import (
@@ -21,7 +21,6 @@ from wasslip.models import (
     ce_lipschitz_bound,
     ce_slice_lipschitz,
     label_loss_matrix,
-    loss_value,
     losses as model_losses,
 )
 from wasslip.numerics import NormTag, solve_lp
@@ -30,10 +29,8 @@ from wasslip.robust import (
     _minimize_envelope,
     certify_robust_risk,
     check_envelope_collapse,
-    dual_objective,
     empirical_risk,
     grid_targets,
-    inner_label_sup,
     kappa_threshold,
     lattice_targets,
     minimize_dual,
@@ -67,12 +64,12 @@ class TestEmpiricalRisk:
     def test_dirac(self):
         model = seeded_linear_model(derive_rng(1, "t"), 2, 2)
         mu = DiscreteMeasure(PointSet([[1.0, 2.0]], [1], 2), np.array([1.0]))
-        assert empirical_risk(model, mu) == pytest.approx(loss_value(model, [1.0, 2.0], 1))
+        assert empirical_risk(model, mu) == pytest.approx(vector_loss(model, [1.0, 2.0], 1))
 
     def test_uniform_three_losses(self):
         model = seeded_linear_model(derive_rng(2, "t"), 1, 2)
         mu = empirical_from_samples(PointSet([[0.0], [1.0], [2.0]], [0, 1, 0], 2))
-        expected = sum(loss_value(model, [x], y) for x, y in ((0.0, 0), (1.0, 1), (2.0, 0))) / 3.0
+        expected = sum(vector_loss(model, [x], y) for x, y in ((0.0, 0), (1.0, 1), (2.0, 0))) / 3.0
         assert empirical_risk(model, mu) == pytest.approx(expected)
 
     def test_non_finite_loss_reports_index(self):
@@ -83,34 +80,44 @@ class TestEmpiricalRisk:
             empirical_risk(model, mu)
 
 
-class TestInnerLabelSup:
-    def setup_method(self):
-        self.metric = MetricSpec(NormTag.L2, 1.0, 2)
-        self.loss = lambda x, y: [0.2, 0.9][y]
+def label_sup(lam, kappa=1.0, loss_row=(0.2, 0.9)):
+    """The dual's inner max over labels for one atom at x=0 with label 0 and
+    the given per-label losses: (value, winning label)."""
+    instance = single_atom_instance(rho=0.0, kappa=kappa, k=len(loss_row))
+    env, active = robust._envelope_eval(*robust._label_option_tables(instance, np.array([loss_row])), lam)
+    return float(env[0]), int(active[0])
 
+
+def dual_at(instance, model, lam):
+    """F(lam) of the direct dual, by the oracle on the library's label tables."""
+    values, dists = robust._label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
+    return dual_objective_at(instance.empirical.weights, values, dists, instance.rho, lam)
+
+
+class TestInnerLabelSup:
     def test_huge_penalty_picks_own_label(self):
-        value, label = inner_label_sup(self.loss, np.array([0.0]), 0, 1e9, self.metric)
+        value, label = label_sup(1e9)
         assert label == 0
         assert value == pytest.approx(0.2)
 
     def test_zero_lambda_unpenalized_max(self):
-        value, label = inner_label_sup(self.loss, np.array([0.0]), 0, 0.0, self.metric)
+        value, label = label_sup(0.0)
         assert label == 1
         assert value == pytest.approx(0.9)
 
     def test_two_term_enumeration(self):
         # max(0.2, 0.9 - 0.5) = 0.4 at label 1
-        value, label = inner_label_sup(self.loss, np.array([0.0]), 0, 0.5, self.metric)
+        value, label = label_sup(0.5)
         assert value == pytest.approx(0.4)
         assert label == 1
 
     def test_kappa_inf_locks_label(self):
-        metric = MetricSpec(NormTag.L2, math.inf, 2)
-        value, label = inner_label_sup(self.loss, np.array([0.0]), 0, 0.5, metric)
+        value, label = label_sup(0.5, kappa=math.inf)
         assert (value, label) == (pytest.approx(0.2), 0)
-        # at lambda = 0 the 0*inf = 0 convention re-opens the max
-        value, label = inner_label_sup(self.loss, np.array([0.0]), 0, 0.0, metric)
-        assert (value, label) == (pytest.approx(0.9), 1)
+        # the label tables drop kappa=inf moves at every lambda, 0 included:
+        # they cannot lower the dual's infimum over lambda > 0
+        value, label = label_sup(0.0, kappa=math.inf)
+        assert (value, label) == (pytest.approx(0.2), 0)
 
 
 class TestDualObjective:
@@ -120,8 +127,10 @@ class TestDualObjective:
         points = seeded_points(rng, 4, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.1)
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
-        assert dual_objective(instance, model, 0.5 * bound) == math.inf
-        assert math.isfinite(dual_objective(instance, model, bound))
+        # the dual is only ever minimized at or above the Lipschitz bound
+        dual = minimize_dual(instance, model)
+        assert dual.lambda_floor == bound and dual.lambda_star >= bound
+        assert math.isfinite(dual.value)
 
     def test_rho_zero_large_kappa_equals_empirical(self):
         rng = derive_rng(4, "dualobj2")
@@ -130,15 +139,14 @@ class TestDualObjective:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1e9, 3), 0.0)
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
         emp = empirical_risk(model, instance.empirical)
-        assert dual_objective(instance, model, bound) == pytest.approx(emp, abs=1e-9)
+        assert dual_at(instance, model, bound) == pytest.approx(emp, abs=1e-9)
 
     def test_piecewise_hand_values(self):
         """Single atom, two labels, losses (0.2, 0.9), kappa=1: the objective is
         lam*rho + max(0.2, 0.9 - lam)."""
         instance = single_atom_instance(rho=0.3)
-        loss = lambda x, y: [0.2, 0.9][y]
         for lam in (0.0, 0.7, 2.0):
-            env, _ = inner_label_sup(loss, np.array([0.0]), 0, lam, instance.metric)
+            env, _ = label_sup(lam)
             expected = lam * 0.3 + max(0.2, 0.9 - lam)
             assert lam * instance.rho + env == pytest.approx(expected, abs=1e-12)
 
@@ -152,8 +160,8 @@ class TestDualObjective:
         lams = bound + rng.uniform(0.0, 3.0, 30)
         for _ in range(50):
             a, b = rng.choice(lams, 2, replace=False)
-            mid = dual_objective(instance, model, 0.5 * (a + b))
-            avg = 0.5 * (dual_objective(instance, model, a) + dual_objective(instance, model, b))
+            mid = dual_at(instance, model, 0.5 * (a + b))
+            avg = 0.5 * (dual_at(instance, model, a) + dual_at(instance, model, b))
             assert avg - mid >= -1e-9
 
 
@@ -227,7 +235,7 @@ class TestPrimalLP:
         base = RobustInstance(empirical_from_samples(points), metric, 0.0)
         instance = RobustInstance(base.empirical, metric, 0.0, grid_targets(base, 5, pad=0.2))
         targets = instance.candidate_targets
-        losses = np.array([loss_value(model, x, y) for x, y in zip(targets.xs, targets.ys)])
+        losses = model_losses(model, targets.xs, targets.ys)
         lp = primal_robust_risk_lp(instance, losses)
         assert lp == pytest.approx(empirical_risk(model, instance.empirical), abs=1e-9)
 
@@ -287,7 +295,7 @@ class TestMinimizeDualModel:
         bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
 
         labels = points.ys
-        L = np.array([[loss_value(model, x, y) for y in range(3)] for x in points.xs])
+        L = np.array([[vector_loss(model, x, y) for y in range(3)] for x in points.xs])
         dy = instance.metric.label_metric[np.ix_(np.arange(3), labels)].T
         w = instance.empirical.weights
 
@@ -315,7 +323,7 @@ class TestMinimizeDualModel:
         )
         instance = RobustInstance(base.empirical, base.metric, base.rho, matched)
         dual = minimize_dual(instance, model)
-        losses = np.array([loss_value(model, x, y) for x, y in zip(matched.xs, matched.ys)])
+        losses = model_losses(model, matched.xs, matched.ys)
         lp = primal_robust_risk_lp(instance, losses)
         finite_dual = minimize_dual_on_targets(instance, losses)
         assert dual.value >= lp - 1e-9
@@ -351,7 +359,7 @@ class TestMinimizeDualModel:
         for side in (3, 6):
             instance = RobustInstance(base.empirical, base.metric, rho, grid_targets(base, side, pad=0.3))
             targets = instance.candidate_targets
-            losses = np.array([loss_value(model, x, y) for x, y in zip(targets.xs, targets.ys)])
+            losses = model_losses(model, targets.xs, targets.ys)
             assert dual.value >= primal_robust_risk_lp(instance, losses) - 1e-9
 
 
@@ -590,15 +598,21 @@ class TestKinkSweep:
 
 class TestEnvelopeCollapse:
     def test_abs_equality_branch(self):
-        check = check_envelope_collapse(lambda v: abs(float(v[0])), 2.0, np.array([0.0]))
+        check = check_envelope_collapse(lambda X: np.abs(X[:, 0]), 2.0, np.array([0.0]))
         assert check.equality_holds and not check.growth_detected
         assert check.sup_values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_abs_growth_branch(self):
-        check = check_envelope_collapse(lambda v: abs(float(v[0])), 0.5, np.array([0.0]))
+        check = check_envelope_collapse(lambda X: np.abs(X[:, 0]), 0.5, np.array([0.0]))
         assert check.growth_detected
         # sup over [-R, R] is R/2: doubling the extent doubles the sup
         assert check.sup_values[1] == pytest.approx(2.0 * check.sup_values[0], rel=1e-9)
+
+    def test_growth_judged_on_the_tail(self):
+        # 2 * max(0, |x| - 3) - |x| peaks at x = 0 until the extent passes 6
+        check = check_envelope_collapse(lambda X: 2.0 * np.maximum(np.abs(X[:, 0]) - 3.0, 0.0), 1.0, np.array([0.0]))
+        assert check.sup_values[:3] == (0.0, 0.0, 0.0) and check.sup_values[3] == pytest.approx(2.0)
+        assert check.growth_detected and not check.equality_holds
 
     def test_ce_slice_equality_with_certified_bound(self):
         rng = derive_rng(41, "env-ce")
@@ -606,7 +620,7 @@ class TestEnvelopeCollapse:
         z = rng.standard_normal(2)
         y = 1
         gamma = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
-        check = check_envelope_collapse(lambda v: loss_value(model, v, y), gamma, z, tol=1e-3)
+        check = check_envelope_collapse(lambda X: model_losses(model, X, np.full(len(X), y)), gamma, z, tol=1e-3)
         assert check.equality_holds and not check.growth_detected
 
     def test_ce_slice_growth_at_half_lipschitz(self):
@@ -615,5 +629,5 @@ class TestEnvelopeCollapse:
         z = rng.standard_normal(2)
         y = 0
         gamma = 0.5 * ce_slice_lipschitz(model, y, NormTag.L2)
-        check = check_envelope_collapse(lambda v: loss_value(model, v, y), gamma, z)
+        check = check_envelope_collapse(lambda X: model_losses(model, X, np.full(len(X), y)), gamma, z)
         assert check.growth_detected

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import (
+    DEFAULT_SIZES,
     VerdictRecord,
+    check_envelope_collapse_suite,
     run_verification_suite,
     seeded_finite_instance,
     seeded_linear_model,
@@ -80,3 +83,10 @@ class TestSuiteRun:
         for r in records:
             doc = r.to_json_dict()
             assert set(doc) == {"name", "passed", "details"}
+
+    @pytest.mark.parametrize("seed", [17, 18, 30, 109])
+    def test_envelope_growth_seen_when_the_slice_starts_flat(self, seed):
+        """At gamma = lip/2 these ce slices keep their supremum at psi(z) over
+        the first extents (18 and 109 grow only in the last doubling)."""
+        record = check_envelope_collapse_suite(seed, DEFAULT_SIZES["envelope_points_per_dim"])
+        assert record.passed, record.details

@@ -236,7 +236,7 @@ class TestTrainLoop:
     def test_chain_holds_on_every_checkpoint_including_empirical(self):
         """Train one epoch at a time so every checkpoint model is visible,
         then check sampled-lipschitz <= product <= young at each one."""
-        from wasslip.models import empirical_lipschitz, mlp_forward
+        from wasslip.models import empirical_lipschitz, forward
 
         points = self._blobs(n=24)
         rng = derive_rng(14, "ckpt")
@@ -249,11 +249,7 @@ class TestTrainLoop:
             rec = report.records[-1]
             assert rec.product_bound <= rec.young_bound + 1e-9
 
-            def logits(x):
-                out, _ = mlp_forward(model, x)
-                return out
-
-            est = empirical_lipschitz(logits, lambda: sampler.standard_normal(2), pairs=40, tag=NormTag.L2)
+            est = empirical_lipschitz(lambda X: forward(model, X), sampler.standard_normal((41, 2)), NormTag.L2)
             assert est <= rec.product_bound + 1e-6
 
     def test_spectral_penalty_dominates_product_penalty(self):
