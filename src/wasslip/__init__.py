@@ -34,7 +34,6 @@ from wasslip.measures import (
 from wasslip.models import (
     ActivationTag,
     BoundMode,
-    LinearSoftmax,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,
@@ -45,14 +44,13 @@ from wasslip.robust import (
     DualSolution,
     RobustCertificate,
     RobustInstance,
-    certify_robust_risk,
     check_envelope_collapse,
     empirical_risk,
     kappa_threshold,
     minimize_dual,
     minimize_dual_on_targets,
     primal_robust_risk_lp,
-    pushforward_risk,
+    robust_certificate_for,
 )
 from wasslip.adversarial import (
     AttackConfig,

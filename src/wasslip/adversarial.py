@@ -25,7 +25,7 @@ from wasslip.measures import (
     pushforward,
     transport_cost,
 )
-from wasslip.models import BoundMode, Model, loss_grads, losses
+from wasslip.models import BoundMode, MLP, loss_grads, losses
 from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector, row_norms
 from wasslip.robust import (
     RobustInstance,
@@ -134,7 +134,7 @@ def _random_start(rng: np.random.Generator, dim: int, ball: BallSpec) -> np.ndar
     return project_ball(rng.uniform(-ball.epsilon, ball.epsilon, dim), ball)
 
 
-def _pgd(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, rngs, restarts: int, warm_starts=()):
+def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, rngs, restarts: int, warm_starts=()):
     """Projected gradient ascent from every start of every atom at once.
 
     Atom i starts from zero, from its row of each warm start (projected),
@@ -173,7 +173,7 @@ def _pgd(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int,
     return best_delta.reshape(S, n, d)[winner, atoms], per_start[winner, atoms]
 
 
-def _fgsm(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec):
+def _fgsm(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec):
     """One normalized gradient step per atom from its clean point, projected;
     atoms whose step does not increase the loss keep the clean point."""
     out = loss_grads(model, X, Y)
@@ -208,7 +208,7 @@ def _boundary_ring(ball: BallSpec, count: int) -> np.ndarray:
 _GRID_ROWS = 1 << 16  # loss rows evaluated per batch by the grid attack
 
 
-def _grid(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_dim: int):
+def _grid(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_dim: int):
     """Exhaustive sweep of every atom over one candidate set: the zero
     perturbation, a lattice inside the ball and, in 2-D, a dense boundary
     ring.  Each atom keeps its first maximum in candidate order."""
@@ -239,7 +239,7 @@ def _grid(model: Model, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per
 
 
 def adversarial_risk(
-    model: Model,
+    model: MLP,
     mu: DiscreteMeasure,
     ball: BallSpec,
     config: AttackConfig = AttackConfig(),
@@ -284,7 +284,7 @@ class AdversarialBoundVerdict:
 
 
 def check_adversarial_bound(
-    model: Model,
+    model: MLP,
     instance: RobustInstance,
     ball: BallSpec,
     config: AttackConfig = AttackConfig(),

@@ -24,8 +24,7 @@ from wasslip.measures import MetricSpec, TransportInfeasibleError, empirical_fro
 from wasslip.models import (
     ActivationTag,
     BoundMode,
-    LinearSoftmax,
-    Model,
+    MLP,
     accuracy,
     load_model,
     save_model,
@@ -257,7 +256,7 @@ def _check_model_shape(key: str, input_dim: int, label_count: int, points) -> No
         raise ConfigError(f"config error at {key}: label count {label_count} must equal the data's label count {points.label_count}")
 
 
-def _build_model(cfg: dict, master_seed: int, points) -> tuple[Model, NormTag]:
+def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
     section = cfg.get("model")
     if section is None:
         raise ConfigError("config error at model: section required for this command")
@@ -270,10 +269,7 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[Model, NormTag]:
     seed = section["seed"] if section["seed"] is not None else derive_seed(master_seed, "model-init")
     rng = derive_rng(seed, "model-init")
     model = seeded_mlp(rng, dims, ActivationTag(section["activation"]), section["init_scale"], section["bias"])
-    norm_tag = NormTag(section["norm"])
-    if len(model.layers) == 1:
-        return LinearSoftmax(model.layers[0].weights, model.layers[0].bias), norm_tag
-    return model, norm_tag
+    return model, NormTag(section["norm"])
 
 
 def _fingerprint(cfg: dict, points, rho: float, kappa: float, norm_tag: NormTag, bound_mode: str) -> dict:

@@ -118,14 +118,5 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty CSV file: {path}")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

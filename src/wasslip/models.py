@@ -1,7 +1,8 @@
-"""Linear-softmax and MLP classifiers with cross-entropy loss, exact
-reverse-mode gradients, and the Lipschitz bookkeeping the robust certificates
-rely on: per-label loss constants, layerwise product bounds, the separable
-power-mean relaxation of the product, and a sampled lower-bound estimator.
+"""MLP classifiers with cross-entropy loss, exact reverse-mode gradients, and
+the Lipschitz bookkeeping the robust certificates rely on: per-label loss
+constants, layerwise product bounds, the separable power-mean relaxation of
+the product, and a sampled lower-bound estimator.  A linear softmax
+classifier is the one-layer MLP: its feature map is empty.
 
 Two flavours of the loss constant are exposed.  OPERATOR returns the plain
 operator norm of the weight matrix; CERTIFIED returns the slightly larger
@@ -65,29 +66,6 @@ def _activation_slope(tag: ActivationTag, z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearSoftmax:
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-    def __post_init__(self):
-        W = as_matrix(self.weights)
-        object.__setattr__(self, "weights", W)
-        if self.bias is not None:
-            b = as_vector(self.bias)
-            if b.size != W.shape[0]:
-                raise DimensionError("bias length must equal the number of classes")
-            object.__setattr__(self, "bias", b)
-
-    @property
-    def label_count(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
 class MLPLayer:
     weights: np.ndarray
     activation: ActivationTag
@@ -108,7 +86,8 @@ class MLPLayer:
 class MLP:
     """Stack of linear layers with activations; the final layer emits logits
     that feed a softmax cross-entropy head, so its activation must be IDENTITY.
-    The feature map is everything before the final layer."""
+    The feature map is everything before the final layer; the one-layer MLP
+    is the linear softmax classifier, whose feature map is empty."""
 
     layers: tuple
 
@@ -130,15 +109,6 @@ class MLP:
     @property
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[1]
-
-
-Model = LinearSoftmax | MLP
-
-
-def as_mlp(model: Model) -> MLP:
-    if isinstance(model, MLP):
-        return model
-    return MLP((MLPLayer(model.weights, ActivationTag.IDENTITY, model.bias),))
 
 
 class BatchLoss(NamedTuple):
@@ -176,7 +146,7 @@ def _check_labels(k: int, Y) -> np.ndarray:
     return Y
 
 
-def _input_rows(model: Model, X) -> np.ndarray:
+def _input_rows(model: MLP, X) -> np.ndarray:
     X = as_matrix(X)
     if X.shape[1] != model.input_dim:
         raise DimensionError(f"input has dimension {X.shape[1]}, expected {model.input_dim}")
@@ -196,9 +166,9 @@ def _propagate(layers: Sequence[MLPLayer], A: np.ndarray) -> tuple[np.ndarray, l
     return A, tape
 
 
-def forward(model: Model, X) -> np.ndarray:
+def forward(model: MLP, X) -> np.ndarray:
     """Logits of every row of X (n x d -> n x k)."""
-    return _propagate(as_mlp(model).layers, _input_rows(model, X))[0]
+    return _propagate(model.layers, _input_rows(model, X))[0]
 
 
 def feature_map(layers: Sequence[MLPLayer], X) -> np.ndarray:
@@ -206,29 +176,28 @@ def feature_map(layers: Sequence[MLPLayer], X) -> np.ndarray:
     return _propagate(layers, as_matrix(X))[0]
 
 
-def losses(model: Model, X, Y) -> np.ndarray:
+def losses(model: MLP, X, Y) -> np.ndarray:
     """Cross entropy of every (row of X, label in Y) pair, forward pass only."""
     Z = forward(model, X)
     Y = _check_labels(model.label_count, Y)
     return _row_log_sum_exp(Z) - Z[np.arange(Z.shape[0]), Y]
 
 
-def loss_grads(model: Model, X, Y, params: bool = False) -> BatchLoss:
+def loss_grads(model: MLP, X, Y, params: bool = False) -> BatchLoss:
     """One forward and one backward pass over all rows: softmax cross entropy
     with exact reverse-mode gradients with respect to every input row and,
     with `params`, to the weights and biases summed over the rows."""
-    mlp = as_mlp(model)
-    Z, tape = _propagate(mlp.layers, _input_rows(model, X))
+    Z, tape = _propagate(model.layers, _input_rows(model, X))
     rows = np.arange(Z.shape[0])
-    Y = _check_labels(mlp.label_count, Y)
+    Y = _check_labels(model.label_count, Y)
     lse = _row_log_sum_exp(Z)
     values = lse - Z[rows, Y]
     delta = np.exp(Z - lse[:, None])
     delta[rows, Y] -= 1.0
-    grads_w: list = [None] * len(mlp.layers)
-    grads_b: list = [None] * len(mlp.layers)
-    for idx in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[idx]
+    grads_w: list = [None] * len(model.layers)
+    grads_b: list = [None] * len(model.layers)
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[idx]
         a_in, pre = tape[idx]
         dpre = delta * _activation_slope(layer.activation, pre)
         if params:
@@ -240,20 +209,20 @@ def loss_grads(model: Model, X, Y, params: bool = False) -> BatchLoss:
     return BatchLoss(values, delta, grads_w if params else None, grads_b if params else None)
 
 
-def label_loss_matrix(model: Model, xs: np.ndarray) -> np.ndarray:
+def label_loss_matrix(model: MLP, xs: np.ndarray) -> np.ndarray:
     """Loss of every (sample, label) pair; row i is x_i against all labels."""
     Z = forward(model, xs)
     return _row_log_sum_exp(Z)[:, None] - Z
 
 
-def ce_lipschitz_bound(model: LinearSoftmax, tag: NormTag, mode: BoundMode = BoundMode.CERTIFIED) -> float:
-    """Lipschitz constant of x -> CE(softmax(Wx+b), y), uniform over labels.
+def ce_lipschitz_bound(W: np.ndarray, tag: NormTag, mode: BoundMode = BoundMode.CERTIFIED) -> float:
+    """Lipschitz constant of x -> CE(softmax(Wx+b), y), uniform over labels,
+    for the head's weight matrix W (the bias never enters).
 
     OPERATOR: the operator norm of W under `tag`.
     CERTIFIED: the constant provable from grad_x = W^T (p - e_y), using
     ||p - e_y||_2 <= sqrt(2) and ||p - e_y||_1 <= 2.
     """
-    W = model.weights
     if mode == BoundMode.OPERATOR:
         return operator_norm(W, tag)
     if tag == NormTag.L2:
@@ -266,15 +235,14 @@ def ce_lipschitz_bound(model: LinearSoftmax, tag: NormTag, mode: BoundMode = Bou
     raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
 
 
-def ce_slice_lipschitz(model: LinearSoftmax, y: int, tag: NormTag) -> float:
+def ce_slice_lipschitz(W: np.ndarray, y: int, tag: NormTag) -> float:
     """Tight constant for the fixed-label slice x -> CE(softmax(Wx), y).
 
     The gradient is W^T (p - e_y) with p in the probability simplex, and the
     dual norm of W^T (p - e_y) is maximized at a simplex vertex, so the exact
     supremum over the simplex is max_j ||row_j - row_y||_dual.
     """
-    y = int(_check_labels(model.label_count, [y])[0])
-    W = model.weights
+    y = int(_check_labels(W.shape[0], [y])[0])
     dual = tag.dual
     return max(norm(W[j] - W[y], dual) for j in range(W.shape[0]))
 
@@ -318,18 +286,17 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: Norm
     return float(np.max(dout[keep] / din[keep]))
 
 
-def phi_head_split(model: MLP) -> tuple[tuple, LinearSoftmax]:
-    """Feature map (all layers but the last) and the linear softmax head."""
-    head_layer = model.layers[-1]
-    head = LinearSoftmax(head_layer.weights, head_layer.bias)
-    return model.layers[:-1], head
+def phi_head_split(model: MLP) -> tuple[tuple, MLP]:
+    """Feature map (all layers but the last, possibly none) and the linear
+    softmax head as a one-layer MLP."""
+    return model.layers[:-1], MLP(model.layers[-1:])
 
 
 def phi_lipschitz_bound(layers: Sequence[MLPLayer], tag: NormTag) -> float:
     return float(math.prod(operator_norm(layer.weights, tag) for layer in layers))
 
 
-def accuracy(model: Model, points) -> float:
+def accuracy(model: MLP, points) -> float:
     hits = np.argmax(forward(model, points.xs), axis=1) == points.ys
     return int(np.count_nonzero(hits)) / len(points)
 
@@ -337,11 +304,9 @@ def accuracy(model: Model, points) -> float:
 _FORMAT_HEADER = "wasslip-model v1"
 
 
-def save_model(model: Model, path, norm_tag: NormTag = NormTag.L2) -> None:
-    mlp = as_mlp(model)
-    kind = "linear" if isinstance(model, LinearSoftmax) else "mlp"
-    lines = [_FORMAT_HEADER, f"kind {kind}", f"norm {norm_tag.value}", f"layers {len(mlp.layers)}"]
-    for layer in mlp.layers:
+def save_model(model: MLP, path, norm_tag: NormTag = NormTag.L2) -> None:
+    lines = [_FORMAT_HEADER, "kind mlp", f"norm {norm_tag.value}", f"layers {len(model.layers)}"]
+    for layer in model.layers:
         r, c = layer.weights.shape
         has_bias = 1 if layer.bias is not None else 0
         lines.append(f"layer {r} {c} {layer.activation.value} {has_bias}")
@@ -352,10 +317,12 @@ def save_model(model: Model, path, norm_tag: NormTag = NormTag.L2) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_model(path) -> tuple[Model, NormTag]:
-    """Parse a model file written by `save_model`.  A truncated or trailing
-    file, a malformed line, layers that do not chain, or a `kind linear` file
-    with more than one layer raise io.InputFileError naming the file and line."""
+def load_model(path) -> tuple[MLP, NormTag]:
+    """Parse a model file written by `save_model`.  `kind linear` files, which
+    hold exactly one layer, are read as the one-layer MLP.  A truncated or
+    trailing file, a malformed line, layers that do not chain, or a `kind
+    linear` file with more than one layer raise io.InputFileError naming the
+    file and line."""
     lines = io.read_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
@@ -403,6 +370,4 @@ def load_model(path) -> tuple[Model, NormTag]:
         fail("trailing lines after the last layer", pos + 1)
     if layers[-1].activation != ActivationTag.IDENTITY:
         fail("the final layer must have IDENTITY activation (logits)")
-    if kind == "linear":
-        return LinearSoftmax(layers[0].weights, layers[0].bias), NormTag(norm_name)
     return MLP(tuple(layers)), NormTag(norm_name)

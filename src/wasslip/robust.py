@@ -17,7 +17,7 @@ sub-grid the dual value can only dominate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,9 +32,7 @@ from wasslip.measures import (
 )
 from wasslip.models import (
     BoundMode,
-    LinearSoftmax,
     MLP,
-    Model,
     ce_lipschitz_bound,
     feature_map,
     label_loss_matrix,
@@ -124,7 +122,7 @@ class RobustCertificate:
         return doc
 
 
-def empirical_risk(model: Model, mu: DiscreteMeasure) -> float:
+def empirical_risk(model: MLP, mu: DiscreteMeasure) -> float:
     """Weighted mean loss of the model over mu's support."""
     values = losses(model, mu.support.xs, mu.support.ys)
     bad = np.flatnonzero(~np.isfinite(values))
@@ -214,15 +212,16 @@ def _label_option_tables(instance: RobustInstance, loss_matrix: np.ndarray):
 
 def minimize_dual(
     instance: RobustInstance,
-    model: LinearSoftmax,
+    head: MLP,
     bound_mode: BoundMode = BoundMode.CERTIFIED,
 ) -> DualSolution:
-    """Leftmost exact minimizer of the dual over lambda >= the loss Lipschitz
-    bound, by the kink sweep of `_minimize_envelope`."""
-    if not isinstance(model, LinearSoftmax):
-        raise TypeError("the direct dual needs a linear softmax model; deeper nets go through pushforward_risk")
-    l_bound = ce_lipschitz_bound(model, instance.metric.x_norm, bound_mode)
-    values, dists = _label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
+    """Leftmost exact minimizer of the dual of a one-layer (linear softmax)
+    head over lambda >= the loss Lipschitz bound, by the kink sweep of
+    `_minimize_envelope`."""
+    if len(head.layers) != 1:
+        raise ValueError("the direct dual needs a one-layer head; deeper nets go through robust_certificate_for")
+    l_bound = ce_lipschitz_bound(head.layers[0].weights, instance.metric.x_norm, bound_mode)
+    values, dists = _label_option_tables(instance, label_loss_matrix(head, instance.empirical.support.xs))
     lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=l_bound)
     return DualSolution(lam, value, env, active, l_bound)
 
@@ -236,12 +235,6 @@ def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, 
     if values.size != len(targets):
         raise DimensionError("one loss per candidate target required")
     return values, cost_matrix(instance.metric, instance.empirical.support, targets).entries
-
-
-def _lp_oracle(instance: RobustInstance, model: Model) -> float:
-    """The restricted primal LP on the model's losses at the candidate targets."""
-    targets = instance.candidate_targets
-    return primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
 
 
 def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSolution:
@@ -281,31 +274,64 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     return float(solution.value)
 
 
-def kappa_threshold(instance: RobustInstance, model: LinearSoftmax, l_bound: float, floor: float = 1e-9) -> float:
+def kappa_threshold(instance: RobustInstance, head: MLP, l_bound: float, floor: float = 1e-9) -> float:
     """Smallest kappa beyond which no label switch can ever pay inside the
-    dual (so the value collapses to empirical risk + rho * l_bound).  Returns
-    inf when l_bound = 0."""
+    dual of a one-layer head (so the value collapses to empirical risk +
+    rho * l_bound).  Returns inf when l_bound = 0."""
     if l_bound < 0.0:
         raise ValueError("l_bound must be non-negative")
     if l_bound == 0.0:
         return math.inf
     labels = instance.empirical.support.ys
-    L = label_loss_matrix(model, instance.empirical.support.xs)
+    L = label_loss_matrix(head, instance.empirical.support.xs)
     dy = instance.metric.label_metric[:, labels].T  # (n, k): d_Y(y, y_i)
     gain = (L - L[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
     return max(float(np.max(gain, initial=0.0)), floor)
 
 
-def _assemble_certificate(
+def robust_certificate_for(
+    model: MLP,
     instance: RobustInstance,
-    dual: DualSolution,
-    emp: float,
-    l_bound: float,
-    oracle_value: float | None,
+    bound_mode: BoundMode = BoundMode.CERTIFIED,
 ) -> RobustCertificate:
-    decomposition = abs(
-        dual.value - (float(np.dot(instance.empirical.weights, dual.envelopes)) + dual.lambda_star * instance.rho)
-    )
+    """Upper bound on the robust risk of a model via its feature space,
+    cross-checked against the restricted primal LP when the instance has a
+    candidate set.
+
+    The feature map phi (all layers but the head, none for a linear model)
+    carries the ball B(mu, rho) into B(phi#mu, rho*lip(phi)) with label weight
+    kappa*lip(phi), where the head loss is convex and Lipschitz, so the direct
+    dual applies.  The reported lambda* and Lipschitz bound are rescaled to the
+    input metric, where the head constraint reads bound(head)*lip(phi) <=
+    lambda.  An empty phi has lip(phi) = 1.0 exactly, so a linear model is
+    certified by the direct dual on the input space.
+    """
+    phi_layers, head = phi_head_split(model)
+    tag = instance.metric.x_norm
+    lip_phi = phi_lipschitz_bound(phi_layers, tag)
+    mu = instance.empirical
+    emp = empirical_risk(model, mu)
+    # the restricted primal LP on the model's losses at the candidate targets
+    targets = instance.candidate_targets
+    oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
+
+    feature_rho = instance.rho * lip_phi
+    if lip_phi == 0.0:
+        # constant feature map: the image ball degenerates to a point
+        dual = DualSolution(0.0, emp, np.full(len(mu), emp), mu.support.ys, 0.0)
+    else:
+        feature_metric = MetricSpec(
+            x_norm=tag,
+            kappa=instance.metric.kappa if math.isinf(instance.metric.kappa) else instance.metric.kappa * lip_phi,
+            label_count=instance.metric.label_count,
+            label_metric=instance.metric.label_metric,
+        )
+        feature_mu = pushforward(mu, lambda xs: feature_map(phi_layers, xs))
+        dual = minimize_dual(RobustInstance(feature_mu, feature_metric, feature_rho), head, bound_mode)
+
+    # verdicts hold in the feature metric; lambda* and the Lipschitz bound are
+    # reported in the input metric
+    decomposition = abs(dual.value - (float(np.dot(mu.weights, dual.envelopes)) + dual.lambda_star * feature_rho))
     verdicts = [
         ("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9),
         ("objective_decomposition", decomposition <= 1e-10),
@@ -317,83 +343,14 @@ def _assemble_certificate(
     return RobustCertificate(
         empirical_risk=emp,
         robust_value=dual.value,
-        lambda_star=dual.lambda_star,
+        lambda_star=dual.lambda_star * lip_phi,
         rho=instance.rho,
         kappa=instance.metric.kappa,
-        lipschitz_bound_used=l_bound,
+        lipschitz_bound_used=dual.lambda_floor * lip_phi,
         oracle_value=oracle_value,
         oracle_gap=gap,
         verdicts=tuple(verdicts),
     )
-
-
-def certify_robust_risk(
-    instance: RobustInstance,
-    model: LinearSoftmax,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-    with_oracle: bool | None = None,
-) -> RobustCertificate:
-    """Dual robust value for a linear softmax model, optionally cross-checked
-    against the restricted primal LP on the instance's candidate set."""
-    dual = minimize_dual(instance, model, bound_mode)
-    emp = empirical_risk(model, instance.empirical)
-    run_oracle = instance.candidate_targets is not None if with_oracle is None else with_oracle
-    oracle_value = _lp_oracle(instance, model) if run_oracle else None
-    return _assemble_certificate(instance, dual, emp, dual.lambda_floor, oracle_value)
-
-
-def pushforward_risk(
-    instance: RobustInstance,
-    model: MLP,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-) -> RobustCertificate:
-    """Upper bound on the robust risk of a deep model via its feature space.
-
-    The feature map phi (all layers but the head) carries the ball
-    B(mu, rho) into B(phi#mu, rho*lip(phi)) with label weight kappa*lip(phi),
-    where the head loss is convex and Lipschitz, so the direct dual applies.
-    The reported lambda* and Lipschitz bound are rescaled to the input metric,
-    where the head constraint reads bound(head)*lip(phi) <= lambda.
-    """
-    if not isinstance(model, MLP):
-        raise TypeError("pushforward_risk expects an MLP; use certify_robust_risk for linear models")
-    phi_layers, head = phi_head_split(model)
-    tag = instance.metric.x_norm
-    lip_phi = phi_lipschitz_bound(phi_layers, tag)
-    emp = empirical_risk(model, instance.empirical)
-
-    oracle_value = None if instance.candidate_targets is None else _lp_oracle(instance, model)
-
-    if lip_phi == 0.0:
-        # constant feature map: the image ball degenerates to a point
-        dual = DualSolution(0.0, emp, np.full(len(instance.empirical), emp), instance.empirical.support.ys, 0.0)
-        return _assemble_certificate(instance, dual, emp, 0.0, oracle_value)
-
-    feature_metric = MetricSpec(
-        x_norm=tag,
-        kappa=instance.metric.kappa if math.isinf(instance.metric.kappa) else instance.metric.kappa * lip_phi,
-        label_count=instance.metric.label_count,
-        label_metric=instance.metric.label_metric,
-    )
-    feature_instance = RobustInstance(
-        empirical=pushforward(instance.empirical, lambda xs: feature_map(phi_layers, xs)),
-        metric=feature_metric,
-        rho=instance.rho * lip_phi,
-    )
-    feature_dual = minimize_dual(feature_instance, head, bound_mode)
-    cert = _assemble_certificate(feature_instance, feature_dual, emp, feature_dual.lambda_floor * lip_phi, oracle_value)
-    # verdicts hold in the feature metric; report lambda* and the ball in the input metric
-    return replace(cert, lambda_star=feature_dual.lambda_star * lip_phi, rho=instance.rho, kappa=instance.metric.kappa)
-
-
-def robust_certificate_for(
-    model: Model,
-    instance: RobustInstance,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-) -> RobustCertificate:
-    if isinstance(model, LinearSoftmax):
-        return certify_robust_risk(instance, model, bound_mode)
-    return pushforward_risk(instance, model, bound_mode)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from wasslip.measures import (
 from wasslip.models import (
     ActivationTag,
     BoundMode,
-    LinearSoftmax,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,
@@ -46,7 +45,7 @@ from wasslip.robust import (
     grid_targets,
     minimize_dual_on_targets,
     primal_robust_risk_lp,
-    pushforward_risk,
+    robust_certificate_for,
 )
 from wasslip.seeding import derive_rng
 
@@ -77,8 +76,9 @@ def seeded_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / w.sum()
 
 
-def seeded_linear_model(rng: np.random.Generator, dim: int, k: int, scale: float = 1.0) -> LinearSoftmax:
-    return LinearSoftmax(scale * rng.standard_normal((k, dim)))
+def seeded_linear_model(rng: np.random.Generator, dim: int, k: int, scale: float = 1.0) -> MLP:
+    """A linear softmax classifier: the one-layer MLP without bias."""
+    return MLP((MLPLayer(scale * rng.standard_normal((k, dim)), ActivationTag.IDENTITY),))
 
 
 def seeded_mlp(
@@ -167,8 +167,9 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
     def ce_slice(grid: np.ndarray) -> np.ndarray:
         return losses(model, grid, np.full(grid.shape[0], y))
 
-    certified = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
-    tight = ce_slice_lipschitz(model, y, NormTag.L2)
+    W = model.layers[0].weights
+    certified = ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED)
+    tight = ce_slice_lipschitz(W, y, NormTag.L2)
     cases.append(("ce_slice_equality", ce_slice, certified, z, True))
     cases.append(("ce_slice_growth", ce_slice, 0.5 * tight, z, False))
 
@@ -253,7 +254,7 @@ def check_pushforward_bound(seed: int, cases: int = 10, grid_side: int = 7) -> V
         instance = RobustInstance(
             instance.empirical, metric, rho, grid_targets(instance, grid_side, pad=0.1)
         )
-        cert = pushforward_risk(instance, model)
+        cert = robust_certificate_for(model, instance)
         worst = max(worst, cert.oracle_value - cert.robust_value)
     return VerdictRecord(
         "pushforward_bound",

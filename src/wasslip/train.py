@@ -26,11 +26,8 @@ import numpy as np
 from wasslip.measures import MetricSpec, PointSet, empirical_from_samples
 from wasslip.models import (
     BoundMode,
-    LinearSoftmax,
     MLP,
     MLPLayer,
-    Model,
-    as_mlp,
     loss_grads,
     losses,
     network_lipschitz_bound,
@@ -64,7 +61,6 @@ class TrainConfig:
     batch_size: int | None = None  # None = full batch
     seed: int = 0
     momentum: float = 0.0
-    warm_start_power: bool = True
     layer_cap: float | None = None
     bound_mode: BoundMode = BoundMode.CERTIFIED
     norm: NormTag = NormTag.L2
@@ -136,14 +132,15 @@ def _certified_factor(mode: BoundMode) -> float:
 
 
 def _spectral_data(W: np.ndarray, warm: np.ndarray | None):
-    """sigma, u, v, next warm start, and whether the subgradient is usable
-    (zero matrix or near-tied top singular values give subgradient 0)."""
+    """sigma, u, v (v is also the next warm start), and whether the
+    subgradient is usable (zero matrix or near-tied top singular values give
+    subgradient 0)."""
     sigma, u, v = power_iteration(W, tol=1e-13, v0=warm)
     if sigma <= 1e-12:
-        return sigma, u, v, v, False
+        return sigma, u, v, False
     deflated = W - sigma * np.outer(u, v)
     sigma2, _, _ = power_iteration(deflated, tol=1e-12) if deflated.any() else (0.0, None, None)
-    return sigma, u, v, v, (sigma - sigma2) >= _SIGMA_GAP_TOL
+    return sigma, u, v, (sigma - sigma2) >= _SIGMA_GAP_TOL
 
 
 def project_layer_lipschitz(W: np.ndarray, cap: float) -> np.ndarray:
@@ -182,11 +179,8 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
         raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
     factor = _certified_factor(config.bound_mode)
 
-    data = []
-    for j, layer in enumerate(layers):
-        sigma, u, v, warm_v, usable = _spectral_data(layer.weights, warm[j] if config.warm_start_power else None)
-        warm[j] = warm_v
-        data.append((sigma, u, v, usable))
+    data = [_spectral_data(layer.weights, v0) for layer, v0 in zip(layers, warm)]
+    warm[:] = [v for _, _, v, _ in data]
     sigmas = [d[0] for d in data]
 
     if config.objective == ObjectiveKind.DUAL_LINEAR:
@@ -217,16 +211,15 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
     return penalty, grads
 
 
-def objective_and_grad(model: Model, batch: PointSet, config: TrainConfig, warm: list | None = None) -> ObjectiveEval:
+def objective_and_grad(model: MLP, batch: PointSet, config: TrainConfig) -> ObjectiveEval:
     """Regularized objective value and exact (sub)gradients on a batch of
     labeled points."""
-    mlp = as_mlp(model)
-    return _objective(mlp, batch.xs, batch.ys, config, [None] * len(mlp.layers) if warm is None else warm)
+    return _objective(model, batch.xs, batch.ys, config, [None] * len(model.layers))
 
 
 def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> ObjectiveEval:
     if config.objective == ObjectiveKind.DUAL_LINEAR and len(mlp.layers) != 1:
-        raise ValueError("DUAL_LINEAR requires a LinearSoftmax (single-layer) model")
+        raise ValueError("DUAL_LINEAR requires a single-layer (linear softmax) model")
     erm, grads_w, grads_b = _erm_grads(mlp, X, Y)
     penalty, pen_grads = _penalty_and_grads(mlp, config, warm)
     grads_w = [g + pen for g, pen in zip(grads_w, pen_grads)]
@@ -239,14 +232,13 @@ def _metrics(model: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm
     return erm, penalty, erm + penalty
 
 
-def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainReport:
+def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainReport:
     """Deterministic (momentum) gradient descent; records per-epoch risk,
     penalty, and both Lipschitz bounds, then certifies the final model."""
     t0 = time.perf_counter()
-    mlp = as_mlp(model)
     layers = [
         MLPLayer(layer.weights.copy(), layer.activation, None if layer.bias is None else layer.bias.copy())
-        for layer in mlp.layers
+        for layer in model.layers
     ]
     current = MLP(tuple(layers))
     warm = [None] * len(layers)
@@ -294,10 +286,5 @@ def train_loop(model: Model, dataset: PointSet, config: TrainConfig) -> TrainRep
     if not diverged:
         metric = MetricSpec(config.norm, config.kappa, dataset.label_count)
         instance = RobustInstance(empirical_from_samples(dataset), metric, config.rho)
-        final_model: Model = (
-            LinearSoftmax(current.layers[0].weights, current.layers[0].bias)
-            if isinstance(model, LinearSoftmax)
-            else current
-        )
-        certificate = robust_certificate_for(final_model, instance, config.bound_mode)
+        certificate = robust_certificate_for(current, instance, config.bound_mode)
     return TrainReport(records, current, certificate, time.perf_counter() - t0, diverged)

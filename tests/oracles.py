@@ -250,9 +250,7 @@ def dense_lambda_grid_min(phi, lam_lo: float, lam_hi: float, points: int = 100_0
 
 
 def _layer_list(model):
-    if hasattr(model, "layers"):
-        return [(layer.weights, layer.bias, layer.activation.value) for layer in model.layers]
-    return [(model.weights, model.bias, "IDENTITY")]
+    return [(layer.weights, layer.bias, layer.activation.value) for layer in model.layers]
 
 
 def vector_loss_grad(model, x, y: int):

@@ -25,11 +25,11 @@ from wasslip.models import (
 from wasslip.numerics import NormTag, operator_norm
 from wasslip.robust import (
     RobustInstance,
-    certify_robust_risk,
     empirical_risk,
     kappa_threshold,
     lattice_targets,
     minimize_dual,
+    robust_certificate_for,
 )
 from wasslip.seeding import derive_rng
 from wasslip.suite import (
@@ -85,7 +85,7 @@ def test_criterion_02_upper_bound_and_grid_refinement():
         for step in (4, 2, 1):  # nested lattices with 25, 81, 289 grid points
             axes = [ax[::step] for ax in fine]
             instance = RobustInstance(base.empirical, base.metric, rho, lattice_targets(base, axes))
-            cert = certify_robust_risk(instance, model)
+            cert = robust_certificate_for(model, instance)
             all_upper &= cert.oracle_gap >= -1e-9
             gaps.append(cert.oracle_gap)
         all_monotone &= gaps[1] <= gaps[0] + 1e-9 and gaps[2] <= gaps[1] + 1e-9
@@ -103,7 +103,7 @@ def test_criterion_03_label_lock_threshold():
         points = seeded_points(rng, int(rng.integers(3, 7)), 2, k)
         rho = float(rng.uniform(0.05, 1.0))
         mu = empirical_from_samples(points)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         base = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, k), rho)
         kappa0 = kappa_threshold(base, model, bound)
         ok &= math.isfinite(kappa0)

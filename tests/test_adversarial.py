@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import linear
 from oracles import boundary_max_loss, linf_corner_max_loss, vector_loss, vector_pgd
 import wasslip.adversarial as adversarial
 from wasslip.adversarial import (
@@ -23,9 +24,9 @@ from wasslip.measures import (
     empirical_from_samples,
     transport_cost,
 )
-from wasslip.models import LinearSoftmax, losses
+from wasslip.models import losses
 from wasslip.numerics import NormTag, norm
-from wasslip.robust import RobustInstance, certify_robust_risk, empirical_risk
+from wasslip.robust import RobustInstance, empirical_risk, robust_certificate_for
 from wasslip.seeding import derive_rng
 from wasslip.suite import check_adversarial_bounds, seeded_linear_model, seeded_mlp, seeded_points
 
@@ -187,7 +188,7 @@ class TestRobustBound:
         points = seeded_points(rng, 4, 2, 3)
         eps = 0.2
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, math.inf, 3), eps)
-        cert = certify_robust_risk(instance, model)
+        cert = robust_certificate_for(model, instance)
         emp = empirical_risk(model, instance.empirical)
         assert cert.robust_value == pytest.approx(emp + eps * cert.lipschitz_bound_used, abs=1e-9)
         verdict = check_adversarial_bound(model, instance, BallSpec(NormTag.L2, eps), AttackConfig(seed=2))
@@ -259,7 +260,7 @@ class TestRobustBound:
         rng = derive_rng(51, "equality-spot")
         w = rng.standard_normal(2)
         w /= np.sqrt(w @ w)
-        model = LinearSoftmax(np.stack([w, -w]))
+        model = linear(np.stack([w, -w]))
         # margins around -8: badly misclassified, loss slope ~ exactly 1
         xs, ys = [], []
         for _ in range(5):
@@ -271,7 +272,7 @@ class TestRobustBound:
         mu = empirical_from_samples(PointSet(xs, ys, 2))
         eps = 0.1
         instance = RobustInstance(mu, MetricSpec(NormTag.L2, math.inf, 2), eps)
-        cert = certify_robust_risk(instance, model)
+        cert = robust_certificate_for(model, instance)
         grid = adversarial_risk(model, mu, BallSpec(NormTag.L2, eps), AttackConfig(method="GRID", grid_points=101))
         emp = empirical_risk(model, mu)
         assert cert.robust_value == pytest.approx(emp + eps * 2.0, abs=1e-9)  # sqrt2*sigma = 2||w||

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import linear
 from oracles import vector_fgsm, vector_grid, vector_loss_grad, vector_pgd
 from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
 from wasslip.measures import DiscreteMeasure, PointSet
-from wasslip.models import ActivationTag, LinearSoftmax, MLP, MLPLayer, forward, loss_grads, losses
+from wasslip.models import ActivationTag, MLP, MLPLayer, forward, loss_grads, losses
 from wasslip.numerics import NormTag
 from wasslip.seeding import derive_rng
 from wasslip.suite import seeded_linear_model, seeded_mlp, seeded_points, seeded_weights
@@ -22,7 +23,7 @@ def _models(seed):
     rng = derive_rng(seed, "batched-models")
     return {
         "linear": seeded_linear_model(rng, 2, 3, scale=0.9),
-        "linear_bias": LinearSoftmax(rng.standard_normal((3, 2)), rng.standard_normal(3)),
+        "linear_bias": linear(rng.standard_normal((3, 2)), rng.standard_normal(3)),
         "relu": seeded_mlp(rng, [2, 6, 3], scale=1.2, bias=True),
         "tanh": seeded_mlp(rng, [2, 5, 4, 3], activation=ActivationTag.TANH, bias=True),
     }

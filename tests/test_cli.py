@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import read_csv
 
 from wasslip.cli import ConfigError, main, validate_config
 from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv, two_moons
-from wasslip.io import load_json, read_csv
+from wasslip.io import load_json
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -352,6 +353,55 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         assert f"config error at model.path: {what}" in err
+
+    def test_two_layer_kind_linear_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n")
+        model = tmp_path / "model.txt"
+        layers = ["layer 2 2 RELU 0", "1.0,0.0", "0.0,1.0", "layer 2 2 IDENTITY 0", "1.0,0.0", "0.0,1.0"]
+        model.write_text("\n".join(["wasslip-model v1", "kind linear", "norm L2", "layers 2", *layers]) + "\n")
+        code, err = self._certify(tmp_path, capsys, data, model)
+        assert code == 2
+        assert f"{model}:4: kind linear needs exactly one layer, got 2" in err
+
+
+class TestLinearModelFiles:
+    """A `kind linear` file is read as the one-layer MLP: it certifies to the
+    same bytes as the `kind mlp` file with the same weights."""
+
+    LINEAR = [
+        "wasslip-model v1",
+        "kind linear",
+        "norm L2",
+        "layers 1",
+        "layer 2 2 IDENTITY 1",
+        "0.75,-0.5",
+        "-0.25,1.125",
+        "0.125,-0.0625",
+    ]
+
+    def _certificate(self, tmp_path, kind, doc):
+        model = tmp_path / f"{kind}.txt"
+        model.write_text("\n".join([self.LINEAR[0], f"kind {kind}", *self.LINEAR[2:]]) + "\n")
+        cfg = write_config(tmp_path, {**doc, "model": {"path": str(model)}}, name=f"{kind}.json")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+        return read_bytes(tmp_path / kind / "certificate.json")
+
+    # sha256 of certificate.json, recorded when linear models still had a
+    # model type and a certificate route of their own
+    @pytest.mark.parametrize(
+        "robust, digest",
+        [
+            ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "897edc0d3be4dc489ada95f635bd023c5406c1ad4b4ee8250b01c57f1efc3ae6"),
+            ({"rho": 0.3, "bound_mode": "operator"}, "296e1ba40890d3a612b8c4f4e7678ff1f9166a444a87a1f5a9e70f25c1000ab2"),
+        ],
+        ids=["oracle", "kappa-inf"],
+    )
+    def test_kind_linear_and_one_layer_mlp_certify_identically(self, tmp_path, robust, digest):
+        doc = {"seed": 2, "dataset": {"generator": "gaussian-blobs", "n": 12, "k": 2, "dim": 2, "seed": 5}, "robust": robust}
+        linear = self._certificate(tmp_path, "linear", doc)
+        assert linear == self._certificate(tmp_path, "mlp", doc)
+        assert hashlib.sha256(linear).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
+from helpers import read_csv
 from hypothesis import given, settings, strategies as st
 
-from wasslip.io import dumps, fmt_float, format_cell, read_csv, sha256_hex, write_csv
+from wasslip.io import dumps, fmt_float, format_cell, sha256_hex, write_csv
 
 
 class TestFloatFormat:

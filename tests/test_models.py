@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import linear
 from oracles import finite_difference_gradient, vector_pre_activations
 
 from wasslip.io import InputFileError
@@ -10,11 +11,9 @@ from wasslip.measures import PointSet
 from wasslip.models import (
     ActivationTag,
     BoundMode,
-    LinearSoftmax,
     MLP,
     MLPLayer,
     accuracy,
-    as_mlp,
     ce_lipschitz_bound,
     ce_slice_lipschitz,
     empirical_lipschitz,
@@ -31,7 +30,7 @@ from wasslip.numerics import DimensionError, NormTag
 def seeded_linear(seed, k=3, d=4, scale=1.0, bias=False):
     rng = np.random.default_rng(seed)
     b = 0.3 * rng.standard_normal(k) if bias else None
-    return LinearSoftmax(scale * rng.standard_normal((k, d)), b)
+    return linear(scale * rng.standard_normal((k, d)), b)
 
 
 def seeded_net(seed, dims, bias=False, activation=ActivationTag.RELU, scale=1.0):
@@ -66,17 +65,17 @@ def relative_error(got, expected):
 
 class TestSoftmaxCE:
     def test_zero_weights_uniform(self):
-        model = LinearSoftmax(np.zeros((4, 3)))
+        model = linear(np.zeros((4, 3)))
         value = loss_of(model, np.array([0.7, -0.1, 2.0]), 2)
         assert value == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_symmetric_logits(self):
-        model = LinearSoftmax(np.array([[1.0], [-1.0]]))
+        model = linear(np.array([[1.0], [-1.0]]))
         value = loss_of(model, np.array([0.0]), 0)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_logsumexp_stable_for_huge_logits(self):
-        model = LinearSoftmax(np.array([[1000.0], [-1000.0]]))
+        model = linear(np.array([[1000.0], [-1000.0]]))
         value = loss_of(model, np.array([1.0]), 0)
         assert math.isfinite(value)
         assert value == pytest.approx(0.0, abs=1e-9)
@@ -102,7 +101,7 @@ class TestSoftmaxCE:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_convex_in_x_midpoint(self, seed):
         rng = np.random.default_rng(seed)
-        model = LinearSoftmax(rng.standard_normal((3, 2)))
+        model = linear(rng.standard_normal((3, 2)))
         y = int(rng.integers(0, 3))
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
@@ -113,7 +112,7 @@ class TestSoftmaxCE:
     def test_convex_in_x_thousand_seeded_triples(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            model = LinearSoftmax(rng.standard_normal((3, 2)))
+            model = linear(rng.standard_normal((3, 2)))
             y = int(rng.integers(0, 3))
             a = rng.standard_normal(2)
             b = rng.standard_normal(2)
@@ -131,16 +130,21 @@ class TestMLPForwardBackward:
         assert np.allclose(logits, W @ x)
 
     def test_single_layer_equals_linear_softmax(self):
-        model = seeded_linear(4)
-        net = as_mlp(model)
+        """The one-layer net is softmax regression: logits W x, loss
+        lse(z) - z_y, grad_x = W^T (p - e_y), grad_W = (p - e_y) x^T."""
+        net = seeded_linear(4)
+        W = net.layers[0].weights
         x = np.random.default_rng(0).standard_normal(4)
+        z = W @ x
         logits = forward(net, [x])[0]
-        assert np.allclose(logits, model.weights @ x)
-        ev_net = loss_grads(net, [x], [1], params=True)
-        ev_lin = loss_grads(model, [x], [1], params=True)
-        assert ev_net.losses[0] == pytest.approx(ev_lin.losses[0], abs=1e-12)
-        assert np.allclose(ev_net.grad_x, ev_lin.grad_x)
-        assert np.allclose(flat_param_grads(ev_net), flat_param_grads(ev_lin))
+        assert np.allclose(logits, z)
+        p = np.exp(z - np.max(z))
+        p /= p.sum()
+        residual = p - np.eye(3)[1]
+        ev = loss_grads(net, [x], [1], params=True)
+        assert ev.losses[0] == pytest.approx(math.log(np.sum(np.exp(z))) - z[1], abs=1e-12)
+        assert np.allclose(ev.grad_x[0], W.T @ residual)
+        assert np.allclose(flat_param_grads(ev), np.outer(residual, x).ravel())
 
     def test_forward_matches_straight_line_reimplementation(self):
         net = seeded_net(7, [3, 5, 2], bias=True)
@@ -215,27 +219,25 @@ class TestMLPForwardBackward:
 
 class TestLipschitzBounds:
     def test_zero_matrix_both_modes(self):
-        model = LinearSoftmax(np.zeros((3, 3)))
         for mode in BoundMode:
-            assert ce_lipschitz_bound(model, NormTag.L2, mode) == 0.0
+            assert ce_lipschitz_bound(np.zeros((3, 3)), NormTag.L2, mode) == 0.0
 
     def test_identity_constants(self):
-        model = LinearSoftmax(np.eye(4))
-        assert ce_lipschitz_bound(model, NormTag.L2, BoundMode.OPERATOR) == pytest.approx(1.0, abs=1e-10)
-        assert ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        W = np.eye(4)
+        assert ce_lipschitz_bound(W, NormTag.L2, BoundMode.OPERATOR) == pytest.approx(1.0, abs=1e-10)
+        assert ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_linf_and_l1_certified_forms(self):
         W = np.array([[1.0, -2.0], [0.5, 3.0]])
-        model = LinearSoftmax(W)
-        assert ce_lipschitz_bound(model, NormTag.LINF, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.5)
-        assert ce_lipschitz_bound(model, NormTag.L1, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.0)
+        assert ce_lipschitz_bound(W, NormTag.LINF, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.5)
+        assert ce_lipschitz_bound(W, NormTag.L1, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_empirical_below_certified(self, seed):
         rng = np.random.default_rng(300 + seed)
         model = seeded_linear(300 + seed, k=3, d=3)
         y = int(rng.integers(0, 3))
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         est = empirical_lipschitz(
             lambda X: losses(model, X, np.full(len(X), y)),
             2.0 * rng.standard_normal((201, 3)),
@@ -248,8 +250,9 @@ class TestLipschitzBounds:
         rng = np.random.default_rng(seed)
         model = seeded_linear(seed, k=4, d=3)
         y = int(rng.integers(0, 4))
-        tight = ce_slice_lipschitz(model, y, NormTag.L2)
-        certified = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        W = model.layers[0].weights
+        tight = ce_slice_lipschitz(W, y, NormTag.L2)
+        certified = ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED)
         assert tight <= certified + 1e-9
         est = empirical_lipschitz(
             lambda X: losses(model, X, np.full(len(X), y)),
@@ -303,12 +306,8 @@ class TestLipschitzBounds:
         rng = np.random.default_rng(9)
         W = rng.standard_normal((3, 2))
         b = rng.standard_normal(3)
-        plain = LinearSoftmax(W)
-        biased = LinearSoftmax(W, b)
-        for mode in BoundMode:
-            assert ce_lipschitz_bound(plain, NormTag.L2, mode) == pytest.approx(
-                ce_lipschitz_bound(biased, NormTag.L2, mode), abs=1e-9
-            )
+        plain = linear(W)
+        biased = linear(W, b)
         sampler_rng = np.random.default_rng(10)
         samples = sampler_rng.standard_normal((40, 2))
 
@@ -349,13 +348,27 @@ class TestModelFile:
             assert np.array_equal(a.bias, b.bias)
 
     def test_round_trip_linear(self, tmp_path):
+        """A linear model is written as the one-layer `kind mlp` file."""
         model = seeded_linear(3, bias=True)
         path = tmp_path / "model.txt"
         save_model(model, path)
+        assert path.read_text().splitlines()[1] == "kind mlp"
         back, tag = load_model(path)
-        assert isinstance(back, LinearSoftmax)
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.bias, model.bias)
+        assert len(back.layers) == 1 and back.layers[0].activation == ActivationTag.IDENTITY
+        assert np.array_equal(back.layers[0].weights, model.layers[0].weights)
+        assert np.array_equal(back.layers[0].bias, model.layers[0].bias)
+
+    def test_kind_linear_reads_as_one_layer_mlp(self, tmp_path):
+        model = seeded_linear(3, bias=True)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "kind linear"] + lines[2:]) + "\n")
+        back, _ = load_model(path)
+        (layer,) = back.layers
+        assert layer.activation == ActivationTag.IDENTITY
+        assert np.array_equal(layer.weights, model.layers[0].weights)
+        assert np.array_equal(layer.bias, model.layers[0].bias)
 
     def test_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -406,6 +419,6 @@ class TestModelFile:
 
 class TestAccuracy:
     def test_accuracy_on_separable_points(self):
-        model = LinearSoftmax(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        model = linear(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         points = PointSet([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0]], [0, 1, 0], 2)
         assert accuracy(model, points) == 1.0

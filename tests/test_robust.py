@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from helpers import linear
 from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at, vector_loss
 import wasslip.robust as robust
+from wasslip import io
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import (
     DiscreteMeasure,
@@ -15,7 +18,6 @@ from wasslip.measures import (
 from wasslip.models import (
     ActivationTag,
     BoundMode,
-    LinearSoftmax,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,
@@ -27,7 +29,6 @@ from wasslip.numerics import NormTag, solve_lp
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
-    certify_robust_risk,
     check_envelope_collapse,
     empirical_risk,
     grid_targets,
@@ -36,7 +37,7 @@ from wasslip.robust import (
     minimize_dual,
     minimize_dual_on_targets,
     primal_robust_risk_lp,
-    pushforward_risk,
+    robust_certificate_for,
 )
 from wasslip.suite import seeded_finite_instance, seeded_linear_model, seeded_mlp, seeded_points
 from wasslip.seeding import derive_rng
@@ -48,18 +49,11 @@ def single_atom_instance(rho, kappa=1.0, k=2):
     return RobustInstance(DiscreteMeasure(support, np.array([1.0])), metric, rho)
 
 
-def table_model(loss_row):
-    """LinearSoftmax whose losses at x=0 are an arbitrary table: set bias
-    logits to -loss (softmax CE at W=0 reduces to logsumexp shift)."""
-    # For hand instances we instead evaluate inner ops with an explicit callable.
-    raise NotImplementedError
-
-
 class TestEmpiricalRisk:
     def test_constant_loss(self):
         """Zero weights give the loss log(k) at every point."""
         mu = empirical_from_samples(seeded_points(derive_rng(0, "t"), 5, 2, 2))
-        assert empirical_risk(LinearSoftmax(np.zeros((2, 2))), mu) == pytest.approx(math.log(2.0))
+        assert empirical_risk(linear(np.zeros((2, 2))), mu) == pytest.approx(math.log(2.0))
 
     def test_dirac(self):
         model = seeded_linear_model(derive_rng(1, "t"), 2, 2)
@@ -74,7 +68,7 @@ class TestEmpiricalRisk:
 
     def test_non_finite_loss_reports_index(self):
         """Logits of about 1e400 overflow at the second point only."""
-        model = LinearSoftmax(np.array([[1e200], [-1e200]]))
+        model = linear(np.array([[1e200], [-1e200]]))
         mu = empirical_from_samples(PointSet([[0.0], [1e200]], [0, 1], 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="index 1"):
             empirical_risk(model, mu)
@@ -126,7 +120,7 @@ class TestDualObjective:
         model = seeded_linear_model(rng, 2, 3, scale=1.0)
         points = seeded_points(rng, 4, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.1)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         # the dual is only ever minimized at or above the Lipschitz bound
         dual = minimize_dual(instance, model)
         assert dual.lambda_floor == bound and dual.lambda_star >= bound
@@ -137,7 +131,7 @@ class TestDualObjective:
         model = seeded_linear_model(rng, 2, 3, scale=0.7)
         points = seeded_points(rng, 4, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1e9, 3), 0.0)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         emp = empirical_risk(model, instance.empirical)
         assert dual_at(instance, model, bound) == pytest.approx(emp, abs=1e-9)
 
@@ -156,7 +150,7 @@ class TestDualObjective:
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
         points = seeded_points(rng, 5, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         lams = bound + rng.uniform(0.0, 3.0, 30)
         for _ in range(50):
             a, b = rng.choice(lams, 2, replace=False)
@@ -292,7 +286,7 @@ class TestMinimizeDualModel:
         rho = float(rng.uniform(0.0, 1.0))
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), rho)
         dual = minimize_dual(instance, model)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
 
         labels = points.ys
         L = np.array([[vector_loss(model, x, y) for y in range(3)] for x in points.xs])
@@ -327,7 +321,7 @@ class TestMinimizeDualModel:
         lp = primal_robust_risk_lp(instance, losses)
         finite_dual = minimize_dual_on_targets(instance, losses)
         assert dual.value >= lp - 1e-9
-        if finite_dual.lambda_star >= ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED) - 1e-12:
+        if finite_dual.lambda_star >= ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED) - 1e-12:
             assert abs(dual.value - lp) <= 1e-6 * (1.0 + abs(dual.value))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -371,7 +365,7 @@ class TestKappaThreshold:
         points = seeded_points(rng, 5, 2, 3)
         rho = float(rng.uniform(0.05, 1.0))
         mu = empirical_from_samples(points)
-        bound = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         base = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, 3), rho)
         kappa0 = kappa_threshold(base, model, bound)
         assert math.isfinite(kappa0)
@@ -382,7 +376,7 @@ class TestKappaThreshold:
         assert np.array_equal(dual.active_labels, points.ys)
 
     def test_zero_bound_returns_inf(self):
-        model = LinearSoftmax(np.zeros((2, 2)))
+        model = linear(np.zeros((2, 2)))
         points = seeded_points(derive_rng(0, "z"), 3, 2, 2)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 2), 0.1)
         assert kappa_threshold(instance, model, 0.0) == math.inf
@@ -394,7 +388,7 @@ class TestCertificates:
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
         points = seeded_points(rng, 5, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, math.inf, 3), 0.0)
-        cert = certify_robust_risk(instance, model)
+        cert = robust_certificate_for(model, instance)
         assert cert.robust_value == pytest.approx(cert.empirical_risk, abs=1e-9)
         assert cert.all_passed()
 
@@ -412,7 +406,7 @@ class TestCertificates:
         for step in (4, 2, 1):  # nested 5 -> 9 -> 17 lattices
             axes = [ax[::step] for ax in fine_axes]
             instance = RobustInstance(base.empirical, base.metric, rho, lattice_targets(base, axes))
-            cert = certify_robust_risk(instance, model)
+            cert = robust_certificate_for(model, instance)
             assert cert.oracle_gap >= -1e-9
             gaps.append(cert.oracle_gap)
         assert gaps[1] <= gaps[0] + 1e-9
@@ -421,21 +415,72 @@ class TestCertificates:
     def test_lipschitz_bound_computed_once(self, monkeypatch):
         calls = []
 
-        def counting(model, tag, mode):
+        def counting(W, tag, mode):
             calls.append(tag)
-            return ce_lipschitz_bound(model, tag, mode)
+            return ce_lipschitz_bound(W, tag, mode)
 
         monkeypatch.setattr(robust, "ce_lipschitz_bound", counting)
         rng = derive_rng(23, "cert-once")
         points = seeded_points(rng, 5, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
-        linear = seeded_linear_model(rng, 2, 3)
-        cert = certify_robust_risk(instance, linear)
+        model = seeded_linear_model(rng, 2, 3)
+        cert = robust_certificate_for(model, instance)
         assert len(calls) == 1
-        assert cert.lipschitz_bound_used == ce_lipschitz_bound(linear, NormTag.L2, BoundMode.CERTIFIED)
-        push = pushforward_risk(instance, seeded_mlp(rng, [2, 4, 3]))
+        assert cert.lipschitz_bound_used == ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
+        push = robust_certificate_for(seeded_mlp(rng, [2, 4, 3]), instance)
         assert len(calls) == 2
         assert push.lipschitz_bound_used > 0.0
+
+
+class TestGoldenCertificates:
+    """sha256 of `io.dumps(cert.to_json_dict())` on seeded instances, recorded
+    when linear models still had a model type and a certificate route of their
+    own: certifying a linear model as the one-layer MLP with an empty feature
+    map must not move a bit."""
+
+    CASES = [
+        ("linear", NormTag.L1, 1.0, False, BoundMode.CERTIFIED, "f952cd85fd2dd7a1b9a5ef1b30cee45f3aff57acce38f7f2993071e76989fbb8"),
+        ("linear", NormTag.L1, 1.0, True, BoundMode.CERTIFIED, "4a2f33981832b18ae42f0c1e4eca31bba1742a143263a8fe552c1410906721df"),
+        ("linear", NormTag.L1, math.inf, False, BoundMode.CERTIFIED, "a8009c5c5b53b170a22d6e431ada4131751d8ab1877faf5316a7566019a98f94"),
+        ("linear", NormTag.L1, math.inf, True, BoundMode.CERTIFIED, "20ecfd541afce657273b63886081a920096a6f7ec960cdadf886c6eaf2f37ebe"),
+        ("linear", NormTag.L2, 1.0, False, BoundMode.CERTIFIED, "d2ef65f253cdde9a848048fcd64d42b64fc358757c0822c19d9101889dc58b94"),
+        ("linear", NormTag.L2, 1.0, True, BoundMode.CERTIFIED, "d4a5eb0a7383c2a83fb9658402997e397e88f3fe82427b9a483d493829831f19"),
+        ("linear", NormTag.L2, math.inf, False, BoundMode.CERTIFIED, "faf57d2dc27534d2af70c84aff3273f75eb6ef8cab8dc7dcfc7b52a6d53304bc"),
+        ("linear", NormTag.L2, math.inf, True, BoundMode.CERTIFIED, "678d05880b6f197e7a437f09dba0ae9aa0e44648c3bc7e6a65bf43fe27b8b6fb"),
+        ("linear", NormTag.LINF, 1.0, False, BoundMode.CERTIFIED, "07510849781e2491ca8144de7ad36cf8bb2659f1043d24ea202d3d08dd3d6d48"),
+        ("linear", NormTag.LINF, 1.0, True, BoundMode.CERTIFIED, "a4f6a803c875acc4eb13a8816538144b3d4922882870bb6c1aa7f3ffd1bf6398"),
+        ("linear", NormTag.LINF, math.inf, False, BoundMode.CERTIFIED, "deb8953393c9d44fbeae78f4d3171fa1c9fa92fb6fd26c4d758f19d8dfa1c43f"),
+        ("linear", NormTag.LINF, math.inf, True, BoundMode.CERTIFIED, "3aebbde59073361d8b1b183778f337f9069b53c9599dae921dfb95cf7715fd4a"),
+        ("linear", NormTag.L2, 1.0, True, BoundMode.OPERATOR, "27c7f03617a58387f3cda0a9f69a6a5095ac268a31352f3e0527099eda1e349e"),
+        ("mlp", NormTag.L2, 1.0, True, BoundMode.CERTIFIED, "2cec68785c045c57b41684b92a020b83e48f255438f4efa2b69a615d3e4fbc7a"),
+        ("mlp", NormTag.LINF, math.inf, False, BoundMode.OPERATOR, "735e5a50c59b52aa4728623590733ee0250e282625c4c7c3e1476ff65b9525a9"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, tag, kappa, grid, mode, digest",
+        CASES,
+        ids=[f"{c[0]}-{c[1].value}-{c[2]}-{'grid' if c[3] else 'dual'}-{c[4].value}" for c in CASES],
+    )
+    def test_certificate_bytes_pinned(self, kind, tag, kappa, grid, mode, digest):
+        rng = derive_rng(7, f"golden/{kind}/{tag.value}/{kappa}/{grid}")
+        points = seeded_points(rng, 6, 2, 3)
+        if kind == "linear":
+            model = seeded_linear_model(rng, 2, 3, scale=0.8)
+        else:
+            model = seeded_mlp(rng, [2, 4, 3], scale=0.9, bias=True)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(tag, kappa, 3), 0.3)
+        if grid:
+            instance = RobustInstance(instance.empirical, instance.metric, instance.rho, grid_targets(instance, 5, pad=0.1))
+        cert = robust_certificate_for(model, instance, mode)
+        assert (cert.oracle_value is not None) == grid
+        assert hashlib.sha256(io.dumps(cert.to_json_dict()).encode()).hexdigest() == digest
+
+    def test_direct_dual_needs_a_one_layer_head(self):
+        rng = derive_rng(8, "golden/head")
+        points = seeded_points(rng, 4, 2, 3)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
+        with pytest.raises(ValueError, match="one-layer head"):
+            minimize_dual(instance, seeded_mlp(rng, [2, 4, 3]))
 
 
 class TestPushforward:
@@ -444,11 +489,10 @@ class TestPushforward:
         k = 3
         W = rng.standard_normal((k, 2))
         mlp = MLP((MLPLayer(np.eye(2), ActivationTag.IDENTITY), MLPLayer(W, ActivationTag.IDENTITY)))
-        linear = LinearSoftmax(W)
         points = seeded_points(rng, 4, 2, k)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, k), 0.3)
-        push = pushforward_risk(instance, mlp)
-        direct = certify_robust_risk(instance, linear)
+        push = robust_certificate_for(mlp, instance)
+        direct = robust_certificate_for(linear(W), instance)
         assert push.robust_value == pytest.approx(direct.robust_value, abs=1e-9)
         assert push.lambda_star == pytest.approx(direct.lambda_star, abs=1e-9)
         assert push.lipschitz_bound_used == pytest.approx(direct.lipschitz_bound_used, abs=1e-9)
@@ -463,13 +507,13 @@ class TestPushforward:
         points = seeded_points(rng, 4, 2, k)
         rho, kappa = 0.2, 1.0
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, kappa, k), rho)
-        push = pushforward_risk(instance, mlp)
+        push = robust_certificate_for(mlp, instance)
 
         scaled_points = PointSet(c * points.xs, points.ys, k)
         scaled_instance = RobustInstance(
             empirical_from_samples(scaled_points), MetricSpec(NormTag.L2, kappa * c, k), rho * c
         )
-        direct = certify_robust_risk(scaled_instance, LinearSoftmax(W))
+        direct = robust_certificate_for(linear(W), scaled_instance)
         assert push.robust_value == pytest.approx(direct.robust_value, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -482,7 +526,7 @@ class TestPushforward:
         rho = float(rng.uniform(0.05, 0.4))
         base = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, k), rho)
         instance = RobustInstance(base.empirical, base.metric, rho, grid_targets(base, 7, pad=0.1))
-        cert = pushforward_risk(instance, mlp)
+        cert = robust_certificate_for(mlp, instance)
         assert cert.oracle_value is not None
         assert cert.robust_value >= cert.oracle_value - 1e-8
 
@@ -491,7 +535,7 @@ class TestPushforward:
         mlp = MLP((MLPLayer(np.zeros((2, 2)), ActivationTag.RELU), MLPLayer(np.eye(2), ActivationTag.IDENTITY)))
         points = seeded_points(derive_rng(1, "pf0"), 3, 2, k)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, k), 0.4)
-        cert = pushforward_risk(instance, mlp)
+        cert = robust_certificate_for(mlp, instance)
         assert cert.robust_value == pytest.approx(cert.empirical_risk, abs=1e-12)
 
 
@@ -585,8 +629,8 @@ class TestKinkSweep:
         model = seeded_linear_model(rng, 8, 10, scale=0.8)
         points = seeded_points(rng, 4000, 8, 10)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 10), 0.1)
-        cert = certify_robust_risk(instance, model)
-        lam_lo = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        cert = robust_certificate_for(model, instance)
+        lam_lo = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         values = label_loss_matrix(model, points.xs)
         dists = instance.metric.label_metric[:, points.ys].T
         weights = instance.empirical.weights
@@ -619,7 +663,7 @@ class TestEnvelopeCollapse:
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
         z = rng.standard_normal(2)
         y = 1
-        gamma = ce_lipschitz_bound(model, NormTag.L2, BoundMode.CERTIFIED)
+        gamma = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         check = check_envelope_collapse(lambda X: model_losses(model, X, np.full(len(X), y)), gamma, z, tol=1e-3)
         assert check.equality_holds and not check.growth_detected
 
@@ -628,6 +672,6 @@ class TestEnvelopeCollapse:
         model = seeded_linear_model(rng, 2, 3, scale=0.8)
         z = rng.standard_normal(2)
         y = 0
-        gamma = 0.5 * ce_slice_lipschitz(model, y, NormTag.L2)
+        gamma = 0.5 * ce_slice_lipschitz(model.layers[0].weights, y, NormTag.L2)
         check = check_envelope_collapse(lambda X: model_losses(model, X, np.full(len(X), y)), gamma, z)
         assert check.growth_detected

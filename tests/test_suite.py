@@ -37,7 +37,7 @@ class TestBuilders:
     def test_seeded_models_deterministic(self):
         m1 = seeded_linear_model(derive_rng(2, "m"), 3, 2)
         m2 = seeded_linear_model(derive_rng(2, "m"), 3, 2)
-        assert np.array_equal(m1.weights, m2.weights)
+        assert len(m1.layers) == 1 and np.array_equal(m1.layers[0].weights, m2.layers[0].weights)
         n1 = seeded_mlp(derive_rng(3, "n"), [2, 4, 2], bias=True)
         n2 = seeded_mlp(derive_rng(3, "n"), [2, 4, 2], bias=True)
         for a, b in zip(n1.layers, n2.layers):

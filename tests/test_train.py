@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import linear
 from oracles import spectral_norm_jacobi
 from wasslip.datasets import gaussian_blobs
 from wasslip.models import (
     ActivationTag,
-    LinearSoftmax,
     MLP,
     MLPLayer,
     accuracy,
@@ -162,7 +162,7 @@ class TestTrainLoop:
         """Full-batch gradient descent on the convex single-layer objective
         decreases monotonically over the first epochs at a small step size."""
         points = self._blobs()
-        model = LinearSoftmax(np.zeros((2, 2)))
+        model = linear(np.zeros((2, 2)))
         cfg = TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.0, epochs=10, learning_rate=0.1)
         report = train_loop(model, points, cfg)
         objs = [r.objective for r in report.records]
@@ -287,7 +287,7 @@ class TestTrainLoop:
 
     def test_final_certificate_present_and_consistent(self):
         points = self._blobs(n=30)
-        model = LinearSoftmax(np.zeros((2, 2)))
+        model = linear(np.zeros((2, 2)))
         cfg = TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.2, epochs=5, learning_rate=0.1)
         report = train_loop(model, points, cfg)
         cert = report.certificate
