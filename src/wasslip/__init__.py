@@ -1,9 +1,10 @@
 """wasslip: transport-robust risk certificates for Lipschitz classifiers.
 
 Exact optimal transport over finite supports, the one-dimensional dual of the
-worst-case risk over a transport ball, feature-space certificates for deep
-models, adversarial-risk bounds, and the regularized training objectives they
-justify; every analytic route is paired with an LP or grid oracle.
+worst-case risk over a transport ball, certificates for deep models from one
+loss table in the input metric, adversarial-risk bounds, and the regularized
+training objectives they justify; every analytic route is paired with an LP
+or grid oracle.
 """
 
 from wasslip.numerics import (
@@ -45,7 +46,6 @@ from wasslip.robust import (
     RobustCertificate,
     RobustInstance,
     check_envelope_collapse,
-    empirical_risk,
     kappa_threshold,
     minimize_dual,
     minimize_dual_on_targets,

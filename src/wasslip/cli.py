@@ -311,6 +311,10 @@ def cmd_certify(cfg: dict, out_dir: Path) -> int:
     cert = robust_certificate_for(model, instance, BoundMode(section["bound_mode"]))
     doc = cert.to_json_dict(_fingerprint(cfg, points, section["rho"], section["kappa"], norm_tag, section["bound_mode"]))
     io.dump_json(doc, out_dir / "certificate.json")
+    failing = [name for name, ok in cert.verdicts if not ok]
+    if failing:
+        print(f"certificate verdicts FAILED: {', '.join(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -160,15 +160,19 @@ def _pairwise_x_distances(xs: np.ndarray, xt: np.ndarray, tag: NormTag) -> np.nd
     return np.max(np.abs(diff), axis=2)
 
 
+def label_costs(spec: MetricSpec, source_ys, target_ys) -> np.ndarray:
+    """kappa * d_Y(y, y') for every (source label, target label) pair; with
+    kappa = inf a label change costs inf and keeping the label 0."""
+    dy = spec.label_metric[np.ix_(source_ys, target_ys)]
+    if math.isinf(spec.kappa):
+        return np.where(dy > 0.0, math.inf, 0.0)
+    return spec.kappa * dy
+
+
 def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMatrix:
     if source.dim != target.dim:
         raise DimensionError("source and target point sets have different dimensions")
-    dx = _pairwise_x_distances(source.xs, target.xs, spec.x_norm)
-    dy = spec.label_metric[np.ix_(source.ys, target.ys)]
-    if math.isinf(spec.kappa):
-        entries = np.where(dy > 0.0, math.inf, dx)
-    else:
-        entries = dx + spec.kappa * dy
+    entries = _pairwise_x_distances(source.xs, target.xs, spec.x_norm) + label_costs(spec, source.ys, target.ys)
     if source is target:
         np.fill_diagonal(entries, 0.0)
     return CostMatrix(entries)

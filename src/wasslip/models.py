@@ -172,7 +172,8 @@ def forward(model: MLP, X) -> np.ndarray:
 
 
 def feature_map(layers: Sequence[MLPLayer], X) -> np.ndarray:
-    """The feature map phi (see `phi_head_split`) applied to every row of X."""
+    """Every row of X through the given layers; `model.layers[:-1]` gives the
+    feature map phi."""
     return _propagate(layers, as_matrix(X))[0]
 
 
@@ -286,13 +287,8 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: Norm
     return float(np.max(dout[keep] / din[keep]))
 
 
-def phi_head_split(model: MLP) -> tuple[tuple, MLP]:
-    """Feature map (all layers but the last, possibly none) and the linear
-    softmax head as a one-layer MLP."""
-    return model.layers[:-1], MLP(model.layers[-1:])
-
-
 def phi_lipschitz_bound(layers: Sequence[MLPLayer], tag: NormTag) -> float:
+    """Product of the layers' operator norms (1.0 for no layers)."""
     return float(math.prod(operator_norm(layer.weights, tag) for layer in layers))
 
 

@@ -5,13 +5,19 @@ convex dual: minimize over lambda >= L of
 
     lambda * rho + sum_i w_i * max_k (value_ik - lambda * dist_ik),
 
-where the inner envelope ranges either over the finite label set (the
-continuous input supremum collapses onto the sample point once lambda
-dominates the per-label loss Lipschitz constant) or over an explicit finite
-candidate set with arbitrary loss tables (in which case the identity is exact
-LP duality and L = 0).  The primal restricted to a finite candidate set is
-also solved directly as an LP and serves as the independent oracle; on any
-sub-grid the dual value can only dominate it.
+where the inner envelope ranges either over the finite label set or over an
+explicit finite candidate set with arbitrary loss tables (in which case the
+identity is exact LP duality and L = 0).
+
+A model f = head o phi (phi is every layer but the last, none for a linear
+model) has a loss x -> CE(f(x), y) that is L-Lipschitz in the input metric
+with L = bound(head) * lip(phi).  Once lambda >= L the continuous input
+supremum collapses onto the sample point, so a certificate is the label dual
+on the model's own loss table (row i: x_i against every label, costs
+kappa * d_Y) over lambda >= L.  A constant phi gives L = 0; the loss is then
+constant in x and that dual is the exact supremum.  The primal restricted to
+a finite candidate set is also solved directly as an LP and serves as the
+independent oracle; on any sub-grid the dual value can only dominate it.
 """
 
 from __future__ import annotations
@@ -27,17 +33,15 @@ from wasslip.measures import (
     MetricSpec,
     PointSet,
     cost_matrix,
+    label_costs,
     marginal_rows,
-    pushforward,
 )
 from wasslip.models import (
     BoundMode,
     MLP,
     ce_lipschitz_bound,
-    feature_map,
     label_loss_matrix,
     losses,
-    phi_head_split,
     phi_lipschitz_bound,
 )
 from wasslip.numerics import (
@@ -122,15 +126,6 @@ class RobustCertificate:
         return doc
 
 
-def empirical_risk(model: MLP, mu: DiscreteMeasure) -> float:
-    """Weighted mean loss of the model over mu's support."""
-    values = losses(model, mu.support.xs, mu.support.ys)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"loss is non-finite at support index {bad[0]}")
-    return float(np.dot(mu.weights, values))
-
-
 def _envelope_eval(values: np.ndarray, dists: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     scores = values - lam * dists
     return np.max(scores, axis=1), np.argmax(scores, axis=1)
@@ -145,8 +140,7 @@ def _minimize_envelope(
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Leftmost minimizer of F(lam) = lam*rho + sum_i w_i max_k (values[i,k] -
     lam*dists[i,k]) over lam >= lam_lo, by an exact sorted-kink sweep.
-    Infinite-cost options are padded out beforehand (value -inf); they never
-    win the max and so never lower the infimum.
+    Infinite-cost options are padded out beforehand by `_finite_options`.
 
     F is convex and piecewise linear with slope rho - sum_i w_i d_i(lam), where
     d_i(lam) is the distance of atom i's active option.  Each atom's upper
@@ -194,36 +188,29 @@ def _minimize_envelope(
     return best_lam, best_lam * rho + float(np.dot(weights, env)), env, active
 
 
-def _label_option_tables(instance: RobustInstance, loss_matrix: np.ndarray):
-    """Per-sample option tables over the label set: values are losses at the
-    sample's own input, distances are kappa * d_Y.  kappa=inf label moves are
-    padded out (value -inf) since they cannot lower the dual infimum."""
-    labels = instance.empirical.support.ys
-    k = instance.metric.label_count
-    dy = instance.metric.label_metric[np.ix_(np.arange(k), labels)].T  # (n, k): d_Y(y, y_i)
-    values = loss_matrix.copy()
-    if math.isinf(instance.metric.kappa):
-        dists = np.zeros_like(dy)
-        values = np.where(dy > 0.0, -math.inf, values)
-    else:
-        dists = instance.metric.kappa * dy
-    return values, dists
+def _finite_options(values: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Option tables for `_minimize_envelope`: an infinite-cost option gets
+    value -inf and cost 0, so it never wins the max and never lowers the
+    infimum."""
+    if np.shape(values) != dists.shape:
+        raise DimensionError(f"{np.shape(values)} option values for {dists.shape} option costs")
+    infinite = ~np.isfinite(dists)
+    if np.any(np.all(infinite, axis=1)):
+        raise ValueError("a source atom has no finite-cost option")
+    return np.where(infinite, -math.inf, values), np.where(infinite, 0.0, dists)
 
 
-def minimize_dual(
-    instance: RobustInstance,
-    head: MLP,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-) -> DualSolution:
-    """Leftmost exact minimizer of the dual of a one-layer (linear softmax)
-    head over lambda >= the loss Lipschitz bound, by the kink sweep of
-    `_minimize_envelope`."""
-    if len(head.layers) != 1:
-        raise ValueError("the direct dual needs a one-layer head; deeper nets go through robust_certificate_for")
-    l_bound = ce_lipschitz_bound(head.layers[0].weights, instance.metric.x_norm, bound_mode)
-    values, dists = _label_option_tables(instance, label_loss_matrix(head, instance.empirical.support.xs))
-    lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=l_bound)
-    return DualSolution(lam, value, env, active, l_bound)
+def minimize_dual(instance: RobustInstance, table: np.ndarray, lam_lo: float) -> DualSolution:
+    """Leftmost exact minimizer over lambda >= lam_lo of the label dual on a
+    (sample, label) loss table: option (i, y) keeps x_i, relabels it y and
+    costs kappa * d_Y(y_i, y).  It bounds the supremum over the input ball
+    once lam_lo is at least the Lipschitz constant of every loss slice
+    x -> loss(x, y)."""
+    support = instance.empirical.support
+    costs = label_costs(instance.metric, support.ys, np.arange(support.label_count))
+    values, dists = _finite_options(table, costs)
+    lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo)
+    return DualSolution(lam, value, env, active, lam_lo)
 
 
 def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, np.ndarray]:
@@ -241,16 +228,9 @@ def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSol
     """Dual of the ball supremum restricted to the finite candidate set, with
     arbitrary loss tables; equals the primal LP value by exact LP duality.
     `active_labels` holds candidate-target indices here."""
-    target_values, dists = _target_table(instance, target_losses)
-    values = np.broadcast_to(target_values, dists.shape).copy()
-    infinite = ~np.isfinite(dists)
-    if np.any(np.all(infinite, axis=1)):
-        raise ValueError("a source atom has no finite-cost candidate target")
-    values[infinite] = -math.inf
-    dists[infinite] = 0.0
-    lam, value, env, active = _minimize_envelope(
-        instance.empirical.weights, values, dists, instance.rho, lam_lo=0.0
-    )
+    target_values, costs = _target_table(instance, target_losses)
+    values, dists = _finite_options(np.broadcast_to(target_values, costs.shape), costs)
+    lam, value, env, active = _minimize_envelope(instance.empirical.weights, values, dists, instance.rho, lam_lo=0.0)
     return DualSolution(lam, value, env, active, 0.0)
 
 
@@ -261,9 +241,9 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     values, C = _target_table(instance, target_losses)
     w = instance.empirical.weights
     finite = np.isfinite(C)
-    for i in range(C.shape[0]):
-        if w[i] > 0.0 and not finite[i].any():
-            raise ValueError(f"source atom {i} has no finite-cost candidate target")
+    stuck = np.flatnonzero((w > 0.0) & ~finite.any(axis=1))
+    if stuck.size:
+        raise ValueError(f"source atom {stuck[0]} has no finite-cost candidate target")
     rows, cols = np.nonzero(finite)
     objective = values[cols]
     eq = [(row, float(v)) for row, v in zip(marginal_rows(rows, C.shape[0]), w)]
@@ -274,18 +254,18 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     return float(solution.value)
 
 
-def kappa_threshold(instance: RobustInstance, head: MLP, l_bound: float, floor: float = 1e-9) -> float:
+def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float, floor: float = 1e-9) -> float:
     """Smallest kappa beyond which no label switch can ever pay inside the
-    dual of a one-layer head (so the value collapses to empirical risk +
-    rho * l_bound).  Returns inf when l_bound = 0."""
+    label dual on a (sample, label) loss table over lambda >= l_bound (so the
+    value collapses to empirical risk + rho * l_bound).  Returns inf when
+    l_bound = 0."""
     if l_bound < 0.0:
         raise ValueError("l_bound must be non-negative")
     if l_bound == 0.0:
         return math.inf
     labels = instance.empirical.support.ys
-    L = label_loss_matrix(head, instance.empirical.support.xs)
-    dy = instance.metric.label_metric[:, labels].T  # (n, k): d_Y(y, y_i)
-    gain = (L - L[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
+    dy = instance.metric.label_metric[labels]  # (n, k): d_Y(y_i, y)
+    gain = (table - table[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
     return max(float(np.max(gain, initial=0.0)), floor)
 
 
@@ -294,44 +274,32 @@ def robust_certificate_for(
     instance: RobustInstance,
     bound_mode: BoundMode = BoundMode.CERTIFIED,
 ) -> RobustCertificate:
-    """Upper bound on the robust risk of a model via its feature space,
-    cross-checked against the restricted primal LP when the instance has a
-    candidate set.
+    """Upper bound on the robust risk of a model from one loss table and one
+    dual, cross-checked against the restricted primal LP when the instance
+    has a candidate set.
 
-    The feature map phi (all layers but the head, none for a linear model)
-    carries the ball B(mu, rho) into B(phi#mu, rho*lip(phi)) with label weight
-    kappa*lip(phi), where the head loss is convex and Lipschitz, so the direct
-    dual applies.  The reported lambda* and Lipschitz bound are rescaled to the
-    input metric, where the head constraint reads bound(head)*lip(phi) <=
-    lambda.  An empty phi has lip(phi) = 1.0 exactly, so a linear model is
-    certified by the direct dual on the input space.
+    For f = head o phi (phi is every layer but the last, none for a linear
+    model) each loss slice x -> CE(f(x), y) is bound(head)*lip(phi)-Lipschitz
+    in the input norm, so the label dual on the model's loss table over
+    lambda >= that product bounds the supremum over the input ball.  An empty
+    phi has lip(phi) = 1.0 exactly; a constant phi has lip(phi) = 0, and the
+    dual over every lambda >= 0 is then the exact supremum.
     """
-    phi_layers, head = phi_head_split(model)
-    tag = instance.metric.x_norm
-    lip_phi = phi_lipschitz_bound(phi_layers, tag)
     mu = instance.empirical
-    emp = empirical_risk(model, mu)
+    tag = instance.metric.x_norm
+    table = label_loss_matrix(model, mu.support.xs)
+    own = table[np.arange(len(mu)), mu.support.ys]
+    bad = np.flatnonzero(~np.isfinite(own))
+    if bad.size:
+        raise ValueError(f"loss is non-finite at support index {bad[0]}")
+    emp = float(np.dot(mu.weights, own))
+    l_bound = ce_lipschitz_bound(model.layers[-1].weights, tag, bound_mode) * phi_lipschitz_bound(model.layers[:-1], tag)
+    dual = minimize_dual(instance, table, l_bound)
     # the restricted primal LP on the model's losses at the candidate targets
     targets = instance.candidate_targets
     oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
 
-    feature_rho = instance.rho * lip_phi
-    if lip_phi == 0.0:
-        # constant feature map: the image ball degenerates to a point
-        dual = DualSolution(0.0, emp, np.full(len(mu), emp), mu.support.ys, 0.0)
-    else:
-        feature_metric = MetricSpec(
-            x_norm=tag,
-            kappa=instance.metric.kappa if math.isinf(instance.metric.kappa) else instance.metric.kappa * lip_phi,
-            label_count=instance.metric.label_count,
-            label_metric=instance.metric.label_metric,
-        )
-        feature_mu = pushforward(mu, lambda xs: feature_map(phi_layers, xs))
-        dual = minimize_dual(RobustInstance(feature_mu, feature_metric, feature_rho), head, bound_mode)
-
-    # verdicts hold in the feature metric; lambda* and the Lipschitz bound are
-    # reported in the input metric
-    decomposition = abs(dual.value - (float(np.dot(mu.weights, dual.envelopes)) + dual.lambda_star * feature_rho))
+    decomposition = abs(dual.value - (float(np.dot(mu.weights, dual.envelopes)) + dual.lambda_star * instance.rho))
     verdicts = [
         ("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9),
         ("objective_decomposition", decomposition <= 1e-10),
@@ -343,10 +311,10 @@ def robust_certificate_for(
     return RobustCertificate(
         empirical_risk=emp,
         robust_value=dual.value,
-        lambda_star=dual.lambda_star * lip_phi,
+        lambda_star=dual.lambda_star,
         rho=instance.rho,
         kappa=instance.metric.kappa,
-        lipschitz_bound_used=dual.lambda_floor * lip_phi,
+        lipschitz_bound_used=l_bound,
         oracle_value=oracle_value,
         oracle_gap=gap,
         verdicts=tuple(verdicts),

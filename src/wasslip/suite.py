@@ -239,7 +239,8 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
 
 
 def check_pushforward_bound(seed: int, cases: int = 10, grid_side: int = 7) -> VerdictRecord:
-    """Feature-space certificate dominates the input-space grid LP oracle."""
+    """The certificate of a one-hidden-layer MLP dominates the input-space
+    grid LP oracle."""
     rng = derive_rng(seed, "verify/pushforward-bound")
     worst = -math.inf
     for _ in range(cases):

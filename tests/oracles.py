@@ -294,6 +294,11 @@ def vector_loss(model, x, y: int) -> float:
     return vector_loss_grad(model, x, y)[0]
 
 
+def empirical_risk(model, mu) -> float:
+    """Weighted mean loss over mu's support, one atom at a time."""
+    return math.fsum(w * vector_loss(model, x, y) for w, x, y in zip(mu.weights, mu.support.xs, mu.support.ys))
+
+
 def finite_difference_gradient(f, x, h: float) -> np.ndarray:
     """Central differences per coordinate: (f(x+h e_i) - f(x-h e_i)) / 2h."""
     if h <= 0.0:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import finite_difference_gradient, spectral_norm_jacobi, vector_pre_activations
+from oracles import empirical_risk, finite_difference_gradient, spectral_norm_jacobi, vector_pre_activations
 from wasslip.cli import main
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import MetricSpec, empirical_from_samples
@@ -19,13 +19,13 @@ from wasslip.models import (
     BoundMode,
     accuracy,
     ce_lipschitz_bound,
+    label_loss_matrix,
     loss_grads,
     losses,
 )
 from wasslip.numerics import NormTag, operator_norm
 from wasslip.robust import (
     RobustInstance,
-    empirical_risk,
     kappa_threshold,
     lattice_targets,
     minimize_dual,
@@ -105,9 +105,10 @@ def test_criterion_03_label_lock_threshold():
         mu = empirical_from_samples(points)
         bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         base = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, k), rho)
-        kappa0 = kappa_threshold(base, model, bound)
+        table = label_loss_matrix(model, points.xs)
+        kappa0 = kappa_threshold(base, table, bound)
         ok &= math.isfinite(kappa0)
-        dual = minimize_dual(RobustInstance(mu, MetricSpec(NormTag.L2, 2.0 * kappa0, k), rho), model)
+        dual = minimize_dual(RobustInstance(mu, MetricSpec(NormTag.L2, 2.0 * kappa0, k), rho), table, bound)
         expected = empirical_risk(model, mu) + rho * bound
         ok &= abs(dual.value - expected) <= 1e-9
         ok &= bool(np.array_equal(dual.active_labels, points.ys))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import linear
-from oracles import boundary_max_loss, linf_corner_max_loss, vector_loss, vector_pgd
+from oracles import boundary_max_loss, empirical_risk, linf_corner_max_loss, vector_loss, vector_pgd
 import wasslip.adversarial as adversarial
 from wasslip.adversarial import (
     AttackConfig,
@@ -26,7 +26,7 @@ from wasslip.measures import (
 )
 from wasslip.models import losses
 from wasslip.numerics import NormTag, norm
-from wasslip.robust import RobustInstance, empirical_risk, robust_certificate_for
+from wasslip.robust import RobustInstance, robust_certificate_for
 from wasslip.seeding import derive_rng
 from wasslip.suite import check_adversarial_bounds, seeded_linear_model, seeded_mlp, seeded_points
 

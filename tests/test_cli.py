@@ -226,6 +226,42 @@ class TestCommands:
         doc = load_json(out / "verify_report.json")
         assert doc["all_passed"] is False
 
+    def test_certify_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        from wasslip import cli as cli_module
+        from wasslip.robust import RobustCertificate
+
+        forced = RobustCertificate(
+            0.5, 0.5, 0.0, 0.1, 1.0, 0.0, verdicts=(("objective_decomposition", True), ("dual_dominates_lp_oracle", False))
+        )
+        monkeypatch.setattr(cli_module, "robust_certificate_for", lambda model, instance, mode: forced)
+        cfg = write_config(
+            tmp_path,
+            {"seed": 2, "dataset": self._dataset_section(), "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "kappa": 1.0}},
+        )
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        assert "dual_dominates_lp_oracle" in capsys.readouterr().err
+        doc = load_json(out / "certificate.json")
+        assert [v["passed"] for v in doc["verdicts"]] == [True, False]
+
+    def test_certify_constant_feature_map_is_sound(self, tmp_path):
+        """Zero hidden weights with biases: lip(phi) = 0.  The certificate
+        once reported the empirical risk, below its own LP oracle."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 3,
+                "dataset": {"generator": "gaussian-blobs", "n": 12, "k": 2, "dim": 2, "seed": 3},
+                "model": {"dims": [2, 4, 2], "init_scale": 0.0},
+                "robust": {"rho": 0.3, "kappa": 1.0, "oracle_grid_side": 5},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        doc = load_json(out / "certificate.json")
+        assert all(v["passed"] for v in doc["verdicts"])
+        assert doc["robust_value"] >= doc["oracle_value"] > doc["empirical_risk"]
+
     def test_exit_code_2_on_bad_config(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["certify", "--config", missing]) == 2

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import linear
-from oracles import dense_lambda_grid_min, dual_brute_force, dual_derivatives, dual_objective_at, vector_loss
+from oracles import (
+    dense_lambda_grid_min,
+    dual_brute_force,
+    dual_derivatives,
+    dual_objective_at,
+    empirical_risk,
+    vector_loss,
+)
+import wasslip.models as models
 import wasslip.robust as robust
 from wasslip import io
 from wasslip.datasets import gaussian_blobs
@@ -14,6 +22,7 @@ from wasslip.measures import (
     MetricSpec,
     PointSet,
     empirical_from_samples,
+    label_costs,
 )
 from wasslip.models import (
     ActivationTag,
@@ -30,7 +39,6 @@ from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
     check_envelope_collapse,
-    empirical_risk,
     grid_targets,
     kappa_threshold,
     lattice_targets,
@@ -49,42 +57,72 @@ def single_atom_instance(rho, kappa=1.0, k=2):
     return RobustInstance(DiscreteMeasure(support, np.array([1.0])), metric, rho)
 
 
+def certified_empirical_risk(model, mu):
+    """The empirical risk a certificate at rho = 0 reports."""
+    instance = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, mu.support.label_count), 0.0)
+    return robust_certificate_for(model, instance).empirical_risk
+
+
 class TestEmpiricalRisk:
+    """The certificate reads its empirical risk off the loss table's own-label
+    column."""
+
     def test_constant_loss(self):
         """Zero weights give the loss log(k) at every point."""
         mu = empirical_from_samples(seeded_points(derive_rng(0, "t"), 5, 2, 2))
-        assert empirical_risk(linear(np.zeros((2, 2))), mu) == pytest.approx(math.log(2.0))
+        assert certified_empirical_risk(linear(np.zeros((2, 2))), mu) == pytest.approx(math.log(2.0))
 
     def test_dirac(self):
         model = seeded_linear_model(derive_rng(1, "t"), 2, 2)
         mu = DiscreteMeasure(PointSet([[1.0, 2.0]], [1], 2), np.array([1.0]))
-        assert empirical_risk(model, mu) == pytest.approx(vector_loss(model, [1.0, 2.0], 1))
+        assert certified_empirical_risk(model, mu) == pytest.approx(vector_loss(model, [1.0, 2.0], 1))
 
     def test_uniform_three_losses(self):
         model = seeded_linear_model(derive_rng(2, "t"), 1, 2)
         mu = empirical_from_samples(PointSet([[0.0], [1.0], [2.0]], [0, 1, 0], 2))
         expected = sum(vector_loss(model, [x], y) for x, y in ((0.0, 0), (1.0, 1), (2.0, 0))) / 3.0
-        assert empirical_risk(model, mu) == pytest.approx(expected)
+        assert certified_empirical_risk(model, mu) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_the_per_row_losses(self, seed):
+        rng = derive_rng(seed, "t-bits")
+        model = seeded_mlp(rng, [2, 5, 4, 3], scale=1.3) if seed % 2 else seeded_linear_model(rng, 2, 3)
+        mu = empirical_from_samples(seeded_points(rng, 9, 2, 3))
+        expected = float(np.dot(mu.weights, model_losses(model, mu.support.xs, mu.support.ys)))
+        assert certified_empirical_risk(model, mu) == expected
+        assert expected == pytest.approx(empirical_risk(model, mu), rel=1e-14)
 
     def test_non_finite_loss_reports_index(self):
         """Logits of about 1e400 overflow at the second point only."""
         model = linear(np.array([[1e200], [-1e200]]))
         mu = empirical_from_samples(PointSet([[0.0], [1e200]], [0, 1], 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="index 1"):
-            empirical_risk(model, mu)
+            certified_empirical_risk(model, mu)
+
+
+def label_options(instance, table):
+    """The label dual's padded option tables, built as `minimize_dual` does."""
+    support = instance.empirical.support
+    return robust._finite_options(table, label_costs(instance.metric, support.ys, np.arange(support.label_count)))
+
+
+def linear_dual(instance, model):
+    """The label dual of a linear model over lambda >= its certified loss bound."""
+    bound = ce_lipschitz_bound(model.layers[0].weights, instance.metric.x_norm, BoundMode.CERTIFIED)
+    return minimize_dual(instance, label_loss_matrix(model, instance.empirical.support.xs), bound)
 
 
 def label_sup(lam, kappa=1.0, loss_row=(0.2, 0.9)):
     """The dual's inner max over labels for one atom at x=0 with label 0 and
     the given per-label losses: (value, winning label)."""
     instance = single_atom_instance(rho=0.0, kappa=kappa, k=len(loss_row))
-    env, active = robust._envelope_eval(*robust._label_option_tables(instance, np.array([loss_row])), lam)
+    env, active = robust._envelope_eval(*label_options(instance, np.array([loss_row])), lam)
     return float(env[0]), int(active[0])
 
 
 def dual_at(instance, model, lam):
-    """F(lam) of the direct dual, by the oracle on the library's label tables."""
-    values, dists = robust._label_option_tables(instance, label_loss_matrix(model, instance.empirical.support.xs))
+    """F(lam) of the label dual, by the oracle on the library's label tables."""
+    values, dists = label_options(instance, label_loss_matrix(model, instance.empirical.support.xs))
     return dual_objective_at(instance.empirical.weights, values, dists, instance.rho, lam)
 
 
@@ -122,7 +160,7 @@ class TestDualObjective:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.1)
         bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         # the dual is only ever minimized at or above the Lipschitz bound
-        dual = minimize_dual(instance, model)
+        dual = linear_dual(instance, model)
         assert dual.lambda_floor == bound and dual.lambda_star >= bound
         assert math.isfinite(dual.value)
 
@@ -273,7 +311,7 @@ class TestMinimizeDualModel:
         points = seeded_points(rng, 5, 2, 3)
         for kappa in (0.7, 2.0, math.inf):
             instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, kappa, 3), 0.0)
-            dual = minimize_dual(instance, model)
+            dual = linear_dual(instance, model)
             assert dual.value == pytest.approx(empirical_risk(model, instance.empirical), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -285,7 +323,7 @@ class TestMinimizeDualModel:
         points = seeded_points(rng, 4, 2, 3)
         rho = float(rng.uniform(0.0, 1.0))
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), rho)
-        dual = minimize_dual(instance, model)
+        dual = linear_dual(instance, model)
         bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
 
         labels = points.ys
@@ -316,7 +354,7 @@ class TestMinimizeDualModel:
             3,
         )
         instance = RobustInstance(base.empirical, base.metric, base.rho, matched)
-        dual = minimize_dual(instance, model)
+        dual = linear_dual(instance, model)
         losses = model_losses(model, matched.xs, matched.ys)
         lp = primal_robust_risk_lp(instance, losses)
         finite_dual = minimize_dual_on_targets(instance, losses)
@@ -333,12 +371,12 @@ class TestMinimizeDualModel:
         values_rho = []
         for rho in (0.0, 0.1, 0.3, 0.8):
             instance = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, 3), rho)
-            values_rho.append(minimize_dual(instance, model).value)
+            values_rho.append(linear_dual(instance, model).value)
         assert all(b >= a - 1e-9 for a, b in zip(values_rho, values_rho[1:]))
         values_kappa = []
         for kappa in (0.5, 1.0, 2.0, 8.0):
             instance = RobustInstance(mu, MetricSpec(NormTag.L2, kappa, 3), 0.4)
-            values_kappa.append(minimize_dual(instance, model).value)
+            values_kappa.append(linear_dual(instance, model).value)
         assert all(b <= a + 1e-9 for a, b in zip(values_kappa, values_kappa[1:]))
 
     @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
@@ -349,7 +387,7 @@ class TestMinimizeDualModel:
         points = seeded_points(rng, 4, 2, 3)
         rho = float(rng.uniform(0.05, 0.6))
         base = RobustInstance(empirical_from_samples(points), MetricSpec(tag, 1.0, 3), rho)
-        dual = minimize_dual(base, model)
+        dual = linear_dual(base, model)
         for side in (3, 6):
             instance = RobustInstance(base.empirical, base.metric, rho, grid_targets(base, side, pad=0.3))
             targets = instance.candidate_targets
@@ -367,10 +405,10 @@ class TestKappaThreshold:
         mu = empirical_from_samples(points)
         bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
         base = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, 3), rho)
-        kappa0 = kappa_threshold(base, model, bound)
+        kappa0 = kappa_threshold(base, label_loss_matrix(model, points.xs), bound)
         assert math.isfinite(kappa0)
         instance = RobustInstance(mu, MetricSpec(NormTag.L2, 2.0 * kappa0, 3), rho)
-        dual = minimize_dual(instance, model)
+        dual = linear_dual(instance, model)
         emp = empirical_risk(model, mu)
         assert dual.value == pytest.approx(emp + rho * bound, abs=1e-9)
         assert np.array_equal(dual.active_labels, points.ys)
@@ -379,7 +417,7 @@ class TestKappaThreshold:
         model = linear(np.zeros((2, 2)))
         points = seeded_points(derive_rng(0, "z"), 3, 2, 2)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 2), 0.1)
-        assert kappa_threshold(instance, model, 0.0) == math.inf
+        assert kappa_threshold(instance, label_loss_matrix(model, points.xs), 0.0) == math.inf
 
 
 class TestCertificates:
@@ -431,6 +469,27 @@ class TestCertificates:
         assert len(calls) == 2
         assert push.lipschitz_bound_used > 0.0
 
+    def test_one_forward_pass_per_certificate(self, monkeypatch):
+        """The loss table is the one pass over the support; the LP oracle adds
+        one pass over its candidate targets."""
+        rows = []
+        real = models._propagate
+
+        def spy(layers, A):
+            rows.append(A.shape[0])
+            return real(layers, A)
+
+        monkeypatch.setattr(models, "_propagate", spy)
+        rng = derive_rng(24, "cert-passes")
+        points = seeded_points(rng, 5, 2, 3)
+        model = seeded_mlp(rng, [2, 4, 4, 3])
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
+        robust_certificate_for(model, instance)
+        assert rows == [5]
+        with_oracle = RobustInstance(instance.empirical, instance.metric, 0.2, grid_targets(instance, 4))
+        assert robust_certificate_for(model, with_oracle).all_passed()
+        assert rows == [5, 5, len(with_oracle.candidate_targets)]
+
 
 class TestGoldenCertificates:
     """sha256 of `io.dumps(cert.to_json_dict())` on seeded instances, recorded
@@ -475,15 +534,11 @@ class TestGoldenCertificates:
         assert (cert.oracle_value is not None) == grid
         assert hashlib.sha256(io.dumps(cert.to_json_dict()).encode()).hexdigest() == digest
 
-    def test_direct_dual_needs_a_one_layer_head(self):
-        rng = derive_rng(8, "golden/head")
-        points = seeded_points(rng, 4, 2, 3)
-        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
-        with pytest.raises(ValueError, match="one-layer head"):
-            minimize_dual(instance, seeded_mlp(rng, [2, 4, 3]))
-
 
 class TestPushforward:
+    """Deep models: the label dual on the model's own loss table over lambda
+    >= bound(head) * lip(phi), in the input metric."""
+
     def test_identity_feature_map_reduces_to_direct_dual(self):
         rng = derive_rng(31, "pf-id")
         k = 3
@@ -537,6 +592,27 @@ class TestPushforward:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, k), 0.4)
         cert = robust_certificate_for(mlp, instance)
         assert cert.robust_value == pytest.approx(cert.empirical_risk, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, math.inf])
+    @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
+    def test_constant_feature_map_with_bias_is_exact(self, tag, kappa, rho):
+        """Zero hidden weights and non-zero biases: lip(phi) = 0, yet the
+        logits differ by label, so label moves pay.  The loss is constant in
+        x, so the LP on the support crossed with every label is the exact
+        supremum, and the certificate must equal it."""
+        rng = derive_rng(3, "pf-const")
+        k = 3
+        hidden = MLPLayer(np.zeros((3, 2)), ActivationTag.RELU, rng.uniform(0.5, 1.5, 3))
+        mlp = MLP((hidden, MLPLayer(rng.standard_normal((k, 3)), ActivationTag.IDENTITY, rng.standard_normal(k))))
+        points = seeded_points(rng, 5, 2, k)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(tag, kappa, k), rho)
+        cert = robust_certificate_for(mlp, instance)
+        assert cert.lipschitz_bound_used == 0.0 and cert.all_passed()
+        targets = PointSet(np.repeat(points.xs, k, axis=0), np.tile(np.arange(k), len(points)), k)
+        exact = RobustInstance(instance.empirical, instance.metric, rho, targets)
+        lp = primal_robust_risk_lp(exact, model_losses(mlp, targets.xs, targets.ys))
+        assert cert.robust_value == pytest.approx(lp, abs=1e-12)
 
 
 def _dual_table(rng, case: str):
