@@ -231,11 +231,17 @@ def validate_config(raw: dict) -> dict:
 
 
 def _load_points(cfg: dict, master_seed: int):
+    """The command's points and the `dataset_sha256` of their CSV text."""
     section = cfg.get("dataset")
     if section is None:
         raise ConfigError("config error at dataset: section required for this command")
     if "path" in section:
         return load_dataset_csv(section["path"])
+    points = _generate_points(section, master_seed)
+    return points, dataset_fingerprint(points)
+
+
+def _generate_points(section: dict, master_seed: int):
     seed = section["seed"] if section["seed"] is not None else derive_seed(master_seed, "dataset")
     params = {}
     if section["generator"] == "gaussian-blobs":
@@ -272,9 +278,9 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
     return model, NormTag(section["norm"])
 
 
-def _fingerprint(cfg: dict, points, rho: float, kappa: float, norm_tag: NormTag, bound_mode: str) -> dict:
+def _fingerprint(cfg: dict, dataset_sha256: str, rho: float, kappa: float, norm_tag: NormTag, bound_mode: str) -> dict:
     return {
-        "dataset_sha256": dataset_fingerprint(points),
+        "dataset_sha256": dataset_sha256,
         "seed": cfg["seed"],
         "rho": rho,
         "kappa": "inf" if math.isinf(kappa) else kappa,
@@ -291,7 +297,7 @@ def cmd_gen_data(cfg: dict, out_dir: Path) -> int:
     section = cfg.get("dataset")
     if section is None or "generator" not in section:
         raise ConfigError("config error at dataset.generator: gen-data needs a generator spec")
-    points = _load_points(cfg, cfg["seed"])
+    points = _generate_points(section, cfg["seed"])
     save_dataset_csv(points, out_dir / "dataset.csv")
     return 0
 
@@ -300,7 +306,7 @@ def cmd_certify(cfg: dict, out_dir: Path) -> int:
     section = cfg.get("robust")
     if section is None:
         raise ConfigError("config error at robust: section required for certify")
-    points = _load_points(cfg, cfg["seed"])
+    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
     model, norm_tag = _build_model(cfg, cfg["seed"], points)
     metric = MetricSpec(norm_tag, section["kappa"], points.label_count)
     instance = RobustInstance(empirical_from_samples(points), metric, section["rho"])
@@ -309,7 +315,7 @@ def cmd_certify(cfg: dict, out_dir: Path) -> int:
             instance.empirical, metric, section["rho"], grid_targets(instance, section["oracle_grid_side"], pad=0.1)
         )
     cert = robust_certificate_for(model, instance, BoundMode(section["bound_mode"]))
-    doc = cert.to_json_dict(_fingerprint(cfg, points, section["rho"], section["kappa"], norm_tag, section["bound_mode"]))
+    doc = cert.to_json_dict(_fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag, section["bound_mode"]))
     io.dump_json(doc, out_dir / "certificate.json")
     failing = [name for name, ok in cert.verdicts if not ok]
     if failing:
@@ -322,7 +328,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
     section = cfg.get("attack")
     if section is None:
         raise ConfigError("config error at attack: section required for attack")
-    points = _load_points(cfg, cfg["seed"])
+    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
     model, _ = _build_model(cfg, cfg["seed"], points)
     norm_tag = NormTag(section["norm"])
     mode = BoundMode(section["bound_mode"])
@@ -370,7 +376,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
         "seed": attack_cfg.seed,
         "sweep": sweeps,
         "fingerprint": _fingerprint(
-            cfg, points, max(section["epsilons"]), section["kappa"], norm_tag, section["bound_mode"]
+            cfg, dataset_sha256, max(section["epsilons"]), section["kappa"], norm_tag, section["bound_mode"]
         ),
     }
     io.dump_json(doc, out_dir / "attack_report.json")
@@ -382,7 +388,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     section = cfg.get("train")
     if section is None:
         raise ConfigError("config error at train: section required for train")
-    points = _load_points(cfg, cfg["seed"])
+    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
     model, norm_tag = _build_model(cfg, cfg["seed"], points)
     train_cfg = TrainConfig(
         objective=ObjectiveKind(section["objective"]),
@@ -400,7 +406,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     report = train_loop(model, points, train_cfg)
     doc = report.to_json_dict()
     doc["final_accuracy"] = accuracy(report.model, points)
-    doc["fingerprint"] = _fingerprint(cfg, points, section["rho"], section["kappa"], norm_tag, section["bound_mode"])
+    doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag, section["bound_mode"])
     io.dump_json(doc, out_dir / "train_report.json")
     io.write_csv(
         out_dir / "train_curves.csv",

@@ -2,12 +2,20 @@
 
 CSV layout: header ``label,x0,x1,...`` then one row per sample; labels are
 integers in [0, k).  All generators are pure functions of their arguments.
+
+A dataset's ``dataset_sha256`` is the sha256 of its CSV text without the final
+newline.  For a generated dataset that text is the canonical rendering
+(``dataset_fingerprint``: 17-digit floats, LF line ends).  For a file it is the
+text as read, with CRLF and CR line ends normalised to LF: every file
+``gen-data`` writes hashes the same either way, while a hand-written file that
+spells a float another way (``0.50``) hashes as its own text.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -68,9 +76,9 @@ def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointS
 def _csv_text(points: PointSet) -> str:
     """The dataset CSV without its final newline: the header, then one
     ``label,x0,x1,...`` row per sample with 17-digit floats."""
+    row = "%d," + ",".join(["%.17g"] * points.dim)
     lines = ["label," + ",".join(f"x{i}" for i in range(points.dim))]
-    for y, x in zip(points.ys.tolist(), points.xs.tolist()):
-        lines.append(",".join([str(y)] + [io.fmt_float(c) for c in x]))
+    lines += [row % (y, *x) for y, x in zip(points.ys.tolist(), points.xs.tolist())]
     return "\n".join(lines)
 
 
@@ -78,34 +86,64 @@ def save_dataset_csv(points: PointSet, path) -> None:
     Path(path).write_text(_csv_text(points) + "\n", encoding="utf-8")
 
 
-def load_dataset_csv(path, label_count: int | None = None) -> PointSet:
+# Labels are stored as int64, so the inferred label count must fit one.
+_LABEL_LIMIT = int(np.iinfo(np.int64).max)
+
+
+def load_dataset_csv(path) -> tuple[PointSet, str]:
     """Parse a dataset CSV strictly: every row has one integer label and as
-    many finite coordinates as the header names.  Anything else raises
-    io.InputFileError naming the file and line."""
-    rows = [(i + 1, ln.split(",")) for i, ln in enumerate(io.read_lines(path)) if ln.strip()]
-    if len(rows) < 2 or rows[0][1][0] != "label" or len(rows[0][1]) < 2:
+    many finite coordinates as the header names; the label count is the
+    largest label plus one.  Anything else raises io.InputFileError naming
+    the file and line.
+
+    Returns the points and the sha256 of the text read (line ends
+    normalised to LF) without its final newline."""
+    text = io.read_text(path)
+    digest = io.sha256_hex(text.removesuffix("\n").encode("utf-8"))
+    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    if len(rows) < 2 or rows[0][0] != "label" or len(rows[0]) < 2:
         raise io.InputFileError(path, None, "expected a 'label,x0,x1,...' header and at least one data row")
-    width = len(rows[0][1])
+    width = len(rows[0])
     rows = rows[1:]
-    xs, ys = np.empty((len(rows), width - 1)), np.empty(len(rows), dtype=int)
-    for r, (line, cells) in enumerate(rows):
+    try:
+        if any(len(cells) != width for cells in rows):
+            raise ValueError("ragged rows")
+        labels = [int(cells[0]) for cells in rows]
+        xs = np.array([c for cells in rows for c in cells[1:]], dtype=float).reshape(len(rows), width - 1)
+    except ValueError:
+        _raise_first_bad_row(path, text, width)
+    k = min(max(labels) + 1, _LABEL_LIMIT)
+    bad = ~np.all(np.isfinite(xs), axis=1) | np.array([not 0 <= y < k for y in labels])
+    if bad.any():
+        r = int(np.argmax(bad))
+        what = f"label {labels[r]} outside [0, {k})" if np.all(np.isfinite(xs[r])) else "non-finite coordinate"
+        raise io.InputFileError(path, _row_lines(text)[r], what)
+    return PointSet(xs, np.array(labels), k), digest
+
+
+def _row_lines(text: str) -> list:
+    """The 1-based line number of each data row (blank lines skipped)."""
+    return [i + 1 for i, ln in enumerate(text.splitlines()) if ln.strip()][1:]
+
+
+def _raise_first_bad_row(path, text: str, width: int) -> NoReturn:
+    """The per-row scan that names the first row the whole-file parse
+    rejected: a wrong field count, a label that is not an integer or a
+    coordinate that is not a number."""
+    lines = text.splitlines()
+    for line in _row_lines(text):
+        cells = lines[line - 1].split(",")
         if len(cells) != width:
             raise io.InputFileError(path, line, f"expected {width} fields, got {len(cells)}")
         try:
-            ys[r] = int(cells[0])
+            int(cells[0])
         except ValueError:
             raise io.InputFileError(path, line, f"label {cells[0]!r} is not an integer") from None
         try:
-            xs[r] = [float(c) for c in cells[1:]]
+            [float(c) for c in cells[1:]]
         except ValueError:
             raise io.InputFileError(path, line, "coordinate is not a number") from None
-    k = label_count if label_count is not None else int(ys.max()) + 1
-    bad = ~np.all(np.isfinite(xs), axis=1) | (ys < 0) | (ys >= k)
-    if bad.any():
-        r = int(np.argmax(bad))
-        what = f"label {ys[r]} outside [0, {k})" if np.all(np.isfinite(xs[r])) else "non-finite coordinate"
-        raise io.InputFileError(path, rows[r][0], what)
-    return PointSet(xs, ys, k)
+    raise AssertionError(f"{path}: the per-row scan accepts every row the whole-file parse rejected")
 
 
 def dataset_fingerprint(points: PointSet) -> str:

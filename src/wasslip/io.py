@@ -25,10 +25,11 @@ class InputFileError(ValueError):
         super().__init__(f"{where}: {msg}")
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; unreadable files raise InputFileError."""
+def read_text(path) -> str:
+    """A UTF-8 text file with its line ends normalised to LF; unreadable files
+    raise InputFileError."""
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(path, None, f"cannot read file ({exc})") from exc
 

@@ -319,7 +319,7 @@ def load_model(path) -> tuple[MLP, NormTag]:
     trailing file, a malformed line, layers that do not chain, or a `kind
     linear` file with more than one layer raise io.InputFileError naming the
     file and line."""
-    lines = io.read_lines(path)
+    lines = io.read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     pos = 0

@@ -428,3 +428,36 @@ def vector_grid(model, x, y, tag, eps, points_per_dim):
         if value > best_loss:
             best_loss, best_delta = value, delta.copy()
     return best_delta, best_loss
+
+
+def reference_dataset(text: str):
+    """Reference parser for the dataset CSV: one row at a time with `int()`
+    and `float()`.
+
+    Returns (xs, ys, label_count) for a valid file, otherwise the 1-based line
+    of the first bad row, or None when the header is at fault.  A row fails to
+    parse on a wrong field count, a label `int()` rejects or a coordinate
+    `float()` rejects; only when every row parses is a row checked for
+    non-finite coordinates or a label outside [0, max label + 1), where the
+    label count must fit an int64.
+    """
+    numbered = [(i + 1, ln.split(",")) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    if len(numbered) < 2 or numbered[0][1][0] != "label" or len(numbered[0][1]) < 2:
+        return None
+    width = len(numbered[0][1])
+    parsed = []
+    for line, cells in numbered[1:]:
+        if len(cells) != width:
+            return line
+        try:
+            label = int(cells[0])
+            coords = [float(c) for c in cells[1:]]
+        except ValueError:
+            return line
+        parsed.append((line, label, coords))
+    k = min(max(label for _, label, _ in parsed) + 1, 2**63 - 1)
+    for line, label, coords in parsed:
+        if not 0 <= label < k or not all(math.isfinite(c) for c in coords):
+            return line
+    xs = np.array([coords for _, _, coords in parsed], dtype=float)
+    return xs, np.array([label for _, label, _ in parsed]), k

@@ -84,7 +84,7 @@ class TestGenerators:
         points = gen_data("gaussian-blobs", 6, 3, 2, seed=5)
         path = tmp_path / "d.csv"
         save_dataset_csv(points, path)
-        back = load_dataset_csv(path)
+        back, _ = load_dataset_csv(path)
         assert np.array_equal(back.xs, points.xs)
         assert np.array_equal(back.ys, points.ys)
 
@@ -107,7 +107,7 @@ class TestCommands:
         cfg = write_config(tmp_path, {"seed": 1, "dataset": self._dataset_section()})
         out = tmp_path / "out"
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
-        points = load_dataset_csv(out / "dataset.csv")
+        points, _ = load_dataset_csv(out / "dataset.csv")
         assert len(points) == 6
 
     def test_certify_rho_zero_matches_empirical(self, tmp_path):
@@ -339,6 +339,7 @@ class TestBadInputFiles:
             ("1,0.5,0.5,2.0", "expected 3 fields"),
             ("1.5,0.5,0.5", "not an integer"),
             ("-1,0.5,0.5", "outside"),
+            ("99999999999999999999,1.5,-1.0", "outside"),
             ("0,abc,0.5", "not a number"),
         ],
     )

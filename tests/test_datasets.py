@@ -1,0 +1,89 @@
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import reference_dataset
+
+from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv
+from wasslip.io import InputFileError
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Cells the two parsers must agree on: underscores, padding and non-ASCII
+# digits that int()/float() accept, non-finite spellings, hex, empty cells and
+# a label too big for int64.
+ODD_CELLS = ["1_0", " 1", "1.0", "١٢", "nan", "1e400", "-0", "0x10", "", "-1", "99999999999999999999"]
+PLAIN_CELLS = ["0", "1", "2", "0.5", "-2.25", "1e-320"]
+CELL = st.sampled_from(ODD_CELLS) | st.sampled_from(PLAIN_CELLS)
+
+
+@st.composite
+def dataset_texts(draw):
+    width = draw(st.integers(2, 3))
+    header = ",".join(["label"] + [f"x{i}" for i in range(width - 1)])
+    good_row = st.lists(st.sampled_from(PLAIN_CELLS[:3]), min_size=width, max_size=width)
+    row = good_row | st.lists(CELL, min_size=width, max_size=width) | st.lists(CELL, min_size=1, max_size=4)
+    lines = [",".join(cells) for cells in draw(st.lists(row, min_size=0, max_size=5))]
+    blanks = draw(st.lists(st.integers(0, len(lines)), max_size=2))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", "  "])))
+    return "\n".join([header] + lines) + "\n"
+
+
+class TestParser:
+    @given(dataset_texts())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_accepts_exactly_what_the_reference_accepts(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("parse") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_dataset(text)
+        if isinstance(expected, tuple):
+            xs, ys, k = expected
+            points, digest = load_dataset_csv(path)
+            assert points.xs.tobytes() == xs.tobytes() and points.xs.shape == xs.shape
+            assert np.array_equal(points.ys, ys) and points.label_count == k
+            assert digest == sha256_text(text[:-1])
+        else:
+            where = f"{path}:{expected}: " if expected is not None else f"{path}: "
+            with pytest.raises(InputFileError) as err:
+                load_dataset_csv(path)
+            assert str(err.value).startswith(where)
+
+
+class TestDigest:
+    @pytest.mark.parametrize(
+        "kind, n, k, dim",
+        [
+            ("gaussian-blobs", 30, 2, 3),
+            ("gaussian-blobs", 30, 10, 3),
+            ("two-moons", 20, 2, 2),
+            ("grid", 16, 2, 2),
+            ("grid", 16, 10, 2),
+        ],
+    )
+    def test_saved_file_hashes_as_the_generated_points(self, tmp_path, kind, n, k, dim):
+        points = gen_data(kind, n, k, dim, seed=4)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(points, path)
+        back, digest = load_dataset_csv(path)
+        assert digest == dataset_fingerprint(points)
+        assert np.array_equal(back.xs, points.xs) and np.array_equal(back.ys, points.ys) and back.label_count == k
+
+    def test_non_canonical_float_hashes_as_its_own_text(self, tmp_path):
+        text = "label,x0\n0,0.50\n1,1.5"
+        path = tmp_path / "d.csv"
+        path.write_text(text + "\n", encoding="utf-8")
+        points, digest = load_dataset_csv(path)
+        assert digest == sha256_text(text)
+        assert digest != dataset_fingerprint(points) == sha256_text("label,x0\n0,0.5\n1,1.5")
+
+    def test_crlf_copy_hashes_as_the_lf_file(self, tmp_path):
+        save_dataset_csv(gen_data("gaussian-blobs", 12, 3, 2, seed=1), tmp_path / "lf.csv")
+        lf = (tmp_path / "lf.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
+        assert b"\r\n" in (tmp_path / "crlf.csv").read_bytes()
+        assert load_dataset_csv(tmp_path / "crlf.csv")[1] == load_dataset_csv(tmp_path / "lf.csv")[1]
