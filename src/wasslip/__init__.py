@@ -34,7 +34,6 @@ from wasslip.measures import (
 )
 from wasslip.models import (
     ActivationTag,
-    BoundMode,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,

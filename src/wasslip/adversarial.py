@@ -25,7 +25,7 @@ from wasslip.measures import (
     pushforward,
     transport_cost,
 )
-from wasslip.models import BoundMode, MLP, loss_grads, losses
+from wasslip.models import MLP, loss_grads, losses
 from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector, row_norms
 from wasslip.robust import (
     RobustInstance,
@@ -288,16 +288,15 @@ def check_adversarial_bound(
     instance: RobustInstance,
     ball: BallSpec,
     config: AttackConfig = AttackConfig(),
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-    grid_cross_check: bool = False,
 ) -> AdversarialBoundVerdict:
     """Machine check that the adversarial risk sits below the robust value.
 
     Requires the instance to be aligned with the attack: radius = epsilon and
-    input norm = ball norm.  Also verifies the attack-induced pushforward
-    measure lies inside the transport ball (via the coupling LP) and, when
-    candidate targets are present, that the restricted primal LP already
-    dominates the attack.
+    input norm = ball norm.  In one or two dimensions the exhaustive GRID
+    attack is checked against the robust value as well.  Also verifies the
+    attack-induced pushforward measure lies inside the transport ball (via
+    the coupling LP) and, when candidate targets are present, that the
+    restricted primal LP already dominates the attack.
     """
     if instance.rho != ball.epsilon:
         raise ValueError("instance radius must equal the attack epsilon")
@@ -307,10 +306,10 @@ def check_adversarial_bound(
     mu = instance.empirical
     result = adversarial_risk(model, mu, ball, config)
     risks = [("pgd", result)]
-    if grid_cross_check and mu.support.dim <= 2:
+    if mu.support.dim <= 2:
         risks.append(("grid", adversarial_risk(model, mu, ball, AttackConfig(method="GRID", grid_points=config.grid_points))))
 
-    cert = robust_certificate_for(model, instance, bound_mode)
+    cert = robust_certificate_for(model, instance)
 
     checks = []
     for name, res in risks:

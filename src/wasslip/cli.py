@@ -19,18 +19,16 @@ from pathlib import Path
 
 from wasslip import io
 from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
-from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv
+from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, grid_side, load_dataset_csv, save_dataset_csv
 from wasslip.measures import MetricSpec, TransportInfeasibleError, empirical_from_samples
 from wasslip.models import (
     ActivationTag,
-    BoundMode,
     MLP,
     accuracy,
     load_model,
     save_model,
 )
-from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError
-from wasslip.numerics import norm as vec_norm
+from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError, row_norms
 from wasslip.robust import RobustInstance, grid_targets, robust_certificate_for
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import run_verification_suite, seeded_mlp
@@ -112,8 +110,14 @@ def _get_bool(obj: dict, path: str, key: str, default=None):
     return v
 
 
+def _get_kappa(obj: dict, path: str) -> float:
+    kappa = _get_float(obj, path, "kappa", default=math.inf, allow_inf=True)
+    if not kappa > 0.0:
+        _fail(f"{path}.kappa", "must be positive (or \"inf\")")
+    return kappa
+
+
 _NORM_CHOICES = {t.value for t in NormTag}
-_MODE_CHOICES = {m.value for m in BoundMode}
 
 
 def validate_config(raw: dict) -> dict:
@@ -166,22 +170,19 @@ def validate_config(raw: dict) -> dict:
 
     if "robust" in raw:
         r = raw["robust"]
-        _check_keys(r, "robust", {"rho", "kappa", "bound_mode", "oracle_grid_side"})
+        _check_keys(r, "robust", {"rho", "kappa", "oracle_grid_side"})
         cfg["robust"] = {
             "rho": _get_float(r, "robust", "rho", required=True, lo=0.0),
-            "kappa": _get_float(r, "robust", "kappa", default=math.inf, allow_inf=True),
-            "bound_mode": _get_str(r, "robust", "bound_mode", default="certified", choices=_MODE_CHOICES),
+            "kappa": _get_kappa(r, "robust"),
             "oracle_grid_side": _get_int(r, "robust", "oracle_grid_side", default=None, lo=2),
         }
-        if not cfg["robust"]["kappa"] > 0.0:
-            _fail("robust.kappa", "must be positive (or \"inf\")")
 
     if "attack" in raw:
         a = raw["attack"]
-        _check_keys(a, "attack", {"epsilons", "norm", "method", "steps", "step_size", "restarts", "grid_points", "kappa", "bound_mode"})
+        _check_keys(a, "attack", {"epsilons", "norm", "method", "steps", "step_size", "restarts", "grid_points", "kappa"})
         eps = a.get("epsilons")
-        if not isinstance(eps, list) or not eps or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in eps):
-            _fail("attack.epsilons", "expected a non-empty list of numbers >= 0")
+        if not isinstance(eps, list) or not eps or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf for v in eps):
+            _fail("attack.epsilons", "expected a non-empty list of finite numbers >= 0")
         cfg["attack"] = {
             "epsilons": [float(v) for v in eps],
             "norm": _get_str(a, "attack", "norm", default="LINF", choices=_NORM_CHOICES),
@@ -190,25 +191,25 @@ def validate_config(raw: dict) -> dict:
             "step_size": _get_float(a, "attack", "step_size", default=None, lo=1e-12),
             "restarts": _get_int(a, "attack", "restarts", default=3, lo=0),
             "grid_points": _get_int(a, "attack", "grid_points", default=41, lo=3),
-            "kappa": _get_float(a, "attack", "kappa", default=math.inf, allow_inf=True),
-            "bound_mode": _get_str(a, "attack", "bound_mode", default="certified", choices=_MODE_CHOICES),
+            "kappa": _get_kappa(a, "attack"),
         }
 
     if "train" in raw:
         t = raw["train"]
-        _check_keys(t, "train", {"objective", "rho", "kappa", "learning_rate", "epochs", "batch_size", "momentum", "layer_cap", "bound_mode", "norm"})
+        _check_keys(t, "train", {"objective", "rho", "kappa", "learning_rate", "epochs", "batch_size", "momentum", "layer_cap", "norm"})
         cfg["train"] = {
             "objective": _get_str(t, "train", "objective", required=True, choices={o.value for o in ObjectiveKind}),
             "rho": _get_float(t, "train", "rho", required=True, lo=0.0),
-            "kappa": _get_float(t, "train", "kappa", default=math.inf, allow_inf=True),
+            "kappa": _get_kappa(t, "train"),
             "learning_rate": _get_float(t, "train", "learning_rate", default=0.1, lo=1e-12),
             "epochs": _get_int(t, "train", "epochs", default=100, lo=0),
             "batch_size": _get_int(t, "train", "batch_size", default=None, lo=1),
             "momentum": _get_float(t, "train", "momentum", default=0.0, lo=0.0),
             "layer_cap": _get_float(t, "train", "layer_cap", default=None, lo=1e-12),
-            "bound_mode": _get_str(t, "train", "bound_mode", default="certified", choices=_MODE_CHOICES),
             "norm": _get_str(t, "train", "norm", default="L2", choices=_NORM_CHOICES),
         }
+        if cfg["train"]["rho"] > 0.0 and cfg["train"]["norm"] != "L2":
+            _fail("train.norm", "the penalties need L2 when rho > 0")
 
     if "verify" in raw:
         v = raw["verify"]
@@ -241,18 +242,22 @@ def _load_points(cfg: dict, master_seed: int):
     return points, dataset_fingerprint(points)
 
 
+_GENERATOR_PARAMS = {"gaussian-blobs": ("std",), "two-moons": ("noise",), "grid": ("lo", "hi")}
+
+
 def _generate_points(section: dict, master_seed: int):
+    generator, n, k, dim = section["generator"], section["n"], section["k"], section["dim"]
+    if n < k:
+        _fail("dataset.n", f"must be >= dataset.k ({k})")
+    if generator == "two-moons" and dim != 2:
+        _fail("dataset.dim", "two-moons needs dim 2")
+    if generator == "two-moons" and k != 2:
+        _fail("dataset.k", "two-moons needs k 2")
+    if generator == "grid" and grid_side(n, dim) is None:
+        _fail("dataset.n", f"grid needs n = side**{dim} for an integer side, got {n}")
+    params = {key: section[key] for key in _GENERATOR_PARAMS[generator]}
     seed = section["seed"] if section["seed"] is not None else derive_seed(master_seed, "dataset")
-    params = {}
-    if section["generator"] == "gaussian-blobs":
-        params["std"] = section["std"]
-    elif section["generator"] == "two-moons":
-        params["noise"] = section["noise"]
-    else:
-        params["lo"], params["hi"] = section["lo"], section["hi"]
-    if section["generator"] == "grid":
-        return gen_data(section["generator"], section["n"], section["k"], section["dim"], seed=0, **params)
-    return gen_data(section["generator"], section["n"], section["k"], section["dim"], seed, **params)
+    return gen_data(generator, n, k, dim, 0 if generator == "grid" else seed, **params)
 
 
 def _check_model_shape(key: str, input_dim: int, label_count: int, points) -> None:
@@ -278,14 +283,16 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
     return model, NormTag(section["norm"])
 
 
-def _fingerprint(cfg: dict, dataset_sha256: str, rho: float, kappa: float, norm_tag: NormTag, bound_mode: str) -> dict:
+def _fingerprint(cfg: dict, dataset_sha256: str, rho: float, kappa: float, norm_tag: NormTag) -> dict:
+    # every certificate uses the certified loss constant; the key stays so
+    # reports keep their layout
     return {
         "dataset_sha256": dataset_sha256,
         "seed": cfg["seed"],
         "rho": rho,
         "kappa": "inf" if math.isinf(kappa) else kappa,
         "norm": norm_tag.value,
-        "bound_mode": bound_mode,
+        "bound_mode": "certified",
     }
 
 
@@ -314,8 +321,8 @@ def cmd_certify(cfg: dict, out_dir: Path) -> int:
         instance = RobustInstance(
             instance.empirical, metric, section["rho"], grid_targets(instance, section["oracle_grid_side"], pad=0.1)
         )
-    cert = robust_certificate_for(model, instance, BoundMode(section["bound_mode"]))
-    doc = cert.to_json_dict(_fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag, section["bound_mode"]))
+    cert = robust_certificate_for(model, instance)
+    doc = cert.to_json_dict(_fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag))
     io.dump_json(doc, out_dir / "certificate.json")
     failing = [name for name, ok in cert.verdicts if not ok]
     if failing:
@@ -329,9 +336,10 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
     if section is None:
         raise ConfigError("config error at attack: section required for attack")
     points, dataset_sha256 = _load_points(cfg, cfg["seed"])
+    if section["method"] == "GRID" and points.dim > 2:
+        raise ConfigError(f"config error at attack.method: GRID needs data of dimension 1 or 2, got {points.dim}")
     model, _ = _build_model(cfg, cfg["seed"], points)
     norm_tag = NormTag(section["norm"])
-    mode = BoundMode(section["bound_mode"])
     mu = empirical_from_samples(points)
     metric = MetricSpec(norm_tag, section["kappa"], points.label_count)
     attack_cfg = AttackConfig(
@@ -355,7 +363,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
         result = adversarial_risk(model, mu, ball, attack_cfg, warm_starts=starts)
         warm.append(result.perturbations)
         prev_eps = eps
-        cert = robust_certificate_for(model, RobustInstance(mu, metric, eps), mode)
+        cert = robust_certificate_for(model, RobustInstance(mu, metric, eps))
         rows.append([eps, result.adversarial_risk, cert.robust_value])
         sweeps.append(
             {
@@ -364,9 +372,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
                 "robust_value": cert.robust_value,
                 "bound_holds": result.adversarial_risk <= cert.robust_value + 1e-8,
                 "per_sample_losses": [float(v) for v in result.losses],
-                "per_sample_norms": [
-                    float(vec_norm(d, norm_tag)) if d.any() else 0.0 for d in result.perturbations
-                ],
+                "per_sample_norms": row_norms(result.perturbations, norm_tag).tolist(),
             }
         )
     doc = {
@@ -375,9 +381,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
         "kappa": "inf" if math.isinf(section["kappa"]) else section["kappa"],
         "seed": attack_cfg.seed,
         "sweep": sweeps,
-        "fingerprint": _fingerprint(
-            cfg, dataset_sha256, max(section["epsilons"]), section["kappa"], norm_tag, section["bound_mode"]
-        ),
+        "fingerprint": _fingerprint(cfg, dataset_sha256, max(section["epsilons"]), section["kappa"], norm_tag),
     }
     io.dump_json(doc, out_dir / "attack_report.json")
     io.write_csv(out_dir / "bound_curve.csv", ["epsilon", "adversarial_risk", "robust_value"], rows)
@@ -390,6 +394,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("config error at train: section required for train")
     points, dataset_sha256 = _load_points(cfg, cfg["seed"])
     model, norm_tag = _build_model(cfg, cfg["seed"], points)
+    if section["objective"] == ObjectiveKind.DUAL_LINEAR.value and len(model.layers) != 1:
+        raise ConfigError(f"config error at train.objective: dual_linear needs a one-layer model, got {len(model.layers)} layers")
     train_cfg = TrainConfig(
         objective=ObjectiveKind(section["objective"]),
         rho=section["rho"],
@@ -400,13 +406,12 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         seed=derive_seed(cfg["seed"], "train"),
         momentum=section["momentum"],
         layer_cap=section["layer_cap"],
-        bound_mode=BoundMode(section["bound_mode"]),
         norm=NormTag(section["norm"]),
     )
     report = train_loop(model, points, train_cfg)
     doc = report.to_json_dict()
     doc["final_accuracy"] = accuracy(report.model, points)
-    doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag, section["bound_mode"])
+    doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag)
     io.dump_json(doc, out_dir / "train_report.json")
     io.write_csv(
         out_dir / "train_curves.csv",

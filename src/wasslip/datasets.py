@@ -48,10 +48,16 @@ def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
     return PointSet(np.array(base) + noise * rng.standard_normal((n, 2)), np.repeat([0, 1], [n_out, n_in]), 2)
 
 
+def grid_side(n: int, dim: int) -> int | None:
+    """The lattice side with side**dim == n, or None when n is no such power."""
+    side = round(n ** (1.0 / dim))
+    return side if side**dim == n else None
+
+
 def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSet:
     """A lattice of n = side**dim points; labels cycle through [0, k)."""
-    side = round(n ** (1.0 / dim))
-    if side**dim != n:
+    side = grid_side(n, dim)
+    if side is None:
         raise ValueError(f"grid size {n} is not a perfect {dim}-th power")
     axes = [np.linspace(lo, hi, side) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -90,11 +96,19 @@ def save_dataset_csv(points: PointSet, path) -> None:
 _LABEL_LIMIT = int(np.iinfo(np.int64).max)
 
 
+def _plain(text: str) -> bool:
+    """True when text holds no character outside the number grammar's
+    alphabet that int() and float() would still read: a '_' digit separator
+    or a non-ASCII character (such as an Arabic-Indic digit)."""
+    return text.isascii() and "_" not in text
+
+
 def load_dataset_csv(path) -> tuple[PointSet, str]:
     """Parse a dataset CSV strictly: every row has one integer label and as
     many finite coordinates as the header names; the label count is the
-    largest label plus one.  Anything else raises io.InputFileError naming
-    the file and line.
+    largest label plus one.  A data row may hold ASCII characters only and
+    no '_'; ASCII whitespace around a field is accepted.  Anything else
+    raises io.InputFileError naming the file and line.
 
     Returns the points and the sha256 of the text read (line ends
     normalised to LF) without its final newline."""
@@ -108,6 +122,10 @@ def load_dataset_csv(path) -> tuple[PointSet, str]:
     try:
         if any(len(cells) != width for cells in rows):
             raise ValueError("ragged rows")
+        # one scan of the whole text; only when it flags, find out whether a
+        # data row (not the header) is at fault
+        if not _plain(text) and not all(_plain(c) for cells in rows for c in cells):
+            raise ValueError("characters outside the number grammar")
         labels = [int(cells[0]) for cells in rows]
         xs = np.array([c for cells in rows for c in cells[1:]], dtype=float).reshape(len(rows), width - 1)
     except ValueError:
@@ -128,13 +146,15 @@ def _row_lines(text: str) -> list:
 
 def _raise_first_bad_row(path, text: str, width: int) -> NoReturn:
     """The per-row scan that names the first row the whole-file parse
-    rejected: a wrong field count, a label that is not an integer or a
-    coordinate that is not a number."""
+    rejected: a wrong field count, a '_' or non-ASCII character, a label
+    that is not an integer or a coordinate that is not a number."""
     lines = text.splitlines()
     for line in _row_lines(text):
         cells = lines[line - 1].split(",")
         if len(cells) != width:
             raise io.InputFileError(path, line, f"expected {width} fields, got {len(cells)}")
+        if not _plain(lines[line - 1]):
+            raise io.InputFileError(path, line, "a number may hold ASCII characters only and no '_'")
         try:
             int(cells[0])
         except ValueError:

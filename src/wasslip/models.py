@@ -4,11 +4,9 @@ constants, layerwise product bounds, the separable power-mean relaxation of
 the product, and a sampled lower-bound estimator.  A linear softmax
 classifier is the one-layer MLP: its feature map is empty.
 
-Two flavours of the loss constant are exposed.  OPERATOR returns the plain
-operator norm of the weight matrix; CERTIFIED returns the slightly larger
-constant that actually follows from the gradient identity
-grad_x = W^T (p - e_y) (for L2 inputs, sqrt(2) times the spectral norm).
-Certificates default to CERTIFIED because only that one is provable.
+The loss constant is the one that follows from the gradient identity
+grad_x = W^T (p - e_y) (for L2 inputs, sqrt(2) times the spectral norm of
+W); the plain operator norm of W is not an upper bound on it.
 Biases are allowed everywhere but never enter a Lipschitz computation.
 """
 
@@ -41,11 +39,6 @@ class ActivationTag(str, Enum):
     RELU = "RELU"
     TANH = "TANH"
     IDENTITY = "IDENTITY"
-
-
-class BoundMode(str, Enum):
-    OPERATOR = "operator"
-    CERTIFIED = "certified"
 
 
 def _activate(tag: ActivationTag, z: np.ndarray) -> np.ndarray:
@@ -216,16 +209,12 @@ def label_loss_matrix(model: MLP, xs: np.ndarray) -> np.ndarray:
     return _row_log_sum_exp(Z)[:, None] - Z
 
 
-def ce_lipschitz_bound(W: np.ndarray, tag: NormTag, mode: BoundMode = BoundMode.CERTIFIED) -> float:
+def ce_lipschitz_bound(W: np.ndarray, tag: NormTag) -> float:
     """Lipschitz constant of x -> CE(softmax(Wx+b), y), uniform over labels,
-    for the head's weight matrix W (the bias never enters).
-
-    OPERATOR: the operator norm of W under `tag`.
-    CERTIFIED: the constant provable from grad_x = W^T (p - e_y), using
-    ||p - e_y||_2 <= sqrt(2) and ||p - e_y||_1 <= 2.
+    for the head's weight matrix W (the bias never enters): the constant
+    provable from grad_x = W^T (p - e_y), using ||p - e_y||_2 <= sqrt(2) and
+    ||p - e_y||_1 <= 2.
     """
-    if mode == BoundMode.OPERATOR:
-        return operator_norm(W, tag)
     if tag == NormTag.L2:
         return math.sqrt(2.0) * operator_norm(W, NormTag.L2)
     if tag == NormTag.LINF:

@@ -3,9 +3,8 @@
 Everything here is deterministic: power iteration starts from a fixed seeded
 vector, the simplex solver prices by Dantzig's rule with a fallback to Bland's
 rule against cycling, and tolerances are module constants rather than
-per-call knobs.  Only induced operator norms over {L1, L2, LINF} are
-supported; mixed-norm requests are rejected instead of approximated so
-downstream certificates never silently weaken.
+per-call knobs.  Only induced operator norms from one of {L1, L2, LINF} to
+itself are supported.
 """
 
 from __future__ import annotations
@@ -153,11 +152,9 @@ def power_iteration(
     return float(sigma), u, v
 
 
-def operator_norm(W, tag: NormTag, out_tag: NormTag | None = None) -> float:
-    """Induced operator norm; only matching (tag -> tag) pairs are supported."""
+def operator_norm(W, tag: NormTag) -> float:
+    """Induced operator norm of W with the `tag` norm on both sides."""
     W = as_matrix(W)
-    if out_tag is not None and out_tag != tag:
-        raise UnsupportedNormError(f"mixed-norm operator norm {tag.value}->{out_tag.value} is not supported")
     if tag == NormTag.L1:
         return float(np.max(np.sum(np.abs(W), axis=0)))
     if tag == NormTag.LINF:

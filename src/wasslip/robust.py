@@ -37,7 +37,6 @@ from wasslip.measures import (
     marginal_rows,
 )
 from wasslip.models import (
-    BoundMode,
     MLP,
     ce_lipschitz_bound,
     label_loss_matrix,
@@ -254,11 +253,11 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     return float(solution.value)
 
 
-def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float, floor: float = 1e-9) -> float:
+def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float) -> float:
     """Smallest kappa beyond which no label switch can ever pay inside the
     label dual on a (sample, label) loss table over lambda >= l_bound (so the
-    value collapses to empirical risk + rho * l_bound).  Returns inf when
-    l_bound = 0."""
+    value collapses to empirical risk + rho * l_bound), floored at 1e-9.
+    Returns inf when l_bound = 0."""
     if l_bound < 0.0:
         raise ValueError("l_bound must be non-negative")
     if l_bound == 0.0:
@@ -266,14 +265,10 @@ def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float,
     labels = instance.empirical.support.ys
     dy = instance.metric.label_metric[labels]  # (n, k): d_Y(y_i, y)
     gain = (table - table[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
-    return max(float(np.max(gain, initial=0.0)), floor)
+    return max(float(np.max(gain, initial=0.0)), 1e-9)
 
 
-def robust_certificate_for(
-    model: MLP,
-    instance: RobustInstance,
-    bound_mode: BoundMode = BoundMode.CERTIFIED,
-) -> RobustCertificate:
+def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertificate:
     """Upper bound on the robust risk of a model from one loss table and one
     dual, cross-checked against the restricted primal LP when the instance
     has a candidate set.
@@ -293,7 +288,7 @@ def robust_certificate_for(
     if bad.size:
         raise ValueError(f"loss is non-finite at support index {bad[0]}")
     emp = float(np.dot(mu.weights, own))
-    l_bound = ce_lipschitz_bound(model.layers[-1].weights, tag, bound_mode) * phi_lipschitz_bound(model.layers[:-1], tag)
+    l_bound = ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
     dual = minimize_dual(instance, table, l_bound)
     # the restricted primal LP on the model's losses at the candidate targets
     targets = instance.candidate_targets
@@ -330,40 +325,39 @@ class EnvelopeCheck:
     growth_detected: bool
 
 
+_ENVELOPE_DOUBLINGS = 3  # grid half-widths 1, 2, 4, 8 around z
+_ENVELOPE_TOL = 1e-3
+
+
 def check_envelope_collapse(
     psi: Callable[[np.ndarray], np.ndarray],
     gamma: float,
     z,
-    norm_tag: NormTag = NormTag.L2,
-    extent: float = 1.0,
-    doublings: int = 3,
     points_per_dim: int = 65,
-    tol: float = 1e-3,
 ) -> EnvelopeCheck:
-    """Grid study of sup_x psi(x) - gamma*||x - z|| for a batched psi
+    """Grid study of sup_x psi(x) - gamma*||x - z||_2 for a batched psi
     (m x d -> m values).
 
-    When gamma dominates lip(psi) the supremum collapses to psi(z); when gamma
-    is strictly below it the supremum keeps growing as the grid extent
-    doubles.  Growth is judged on the tail: the last doubling must raise the
-    supremum and no doubling may lower it (a convex psi can sit at psi(z) for
-    the first extents).  The verdict reports both behaviours so callers can
-    assert the branch they expect.
+    When gamma dominates lip(psi) the supremum collapses to psi(z) (equality
+    holds within 1e-3); when gamma is strictly below it the supremum keeps
+    growing as the grid half-width doubles from 1 to 8.  Growth is judged on
+    the tail: the last doubling must raise the supremum and no doubling may
+    lower it (a convex psi can sit at psi(z) for the first extents).  The
+    verdict reports both behaviours so callers can assert the branch they
+    expect.
     """
     z = as_vector(z)
     if z.size > 2:
         raise ValueError("grid study only supports 1- or 2-D centers")
-    if doublings < 1:
-        raise ValueError("growth needs at least one doubling")
     if points_per_dim % 2 == 0:
         points_per_dim += 1  # keep z itself on the grid
     psi_z = float(psi(z[None, :])[0])
     sups = []
-    for k in range(doublings + 1):
-        radius = extent * (2.0**k)
+    for k in range(_ENVELOPE_DOUBLINGS + 1):
+        radius = 2.0**k
         axes = np.meshgrid(*(np.linspace(c - radius, c + radius, points_per_dim) for c in z), indexing="ij")
         grid = np.stack([a.ravel() for a in axes], axis=1)
-        sups.append(float(np.max(psi(grid) - gamma * row_norms(grid - z, norm_tag))))
+        sups.append(float(np.max(psi(grid) - gamma * row_norms(grid - z, NormTag.L2))))
     slack = [max(1e-9, 1e-6 * (1.0 + abs(s))) for s in sups]
     growth = sups[-1] > sups[-2] + slack[-2] and all(b >= a - t for a, b, t in zip(sups, sups[1:], slack))
     gap = max(sups) - psi_z
@@ -371,7 +365,7 @@ def check_envelope_collapse(
         sup_values=tuple(sups),
         psi_at_center=psi_z,
         equality_gap=gap,
-        equality_holds=gap <= tol,
+        equality_holds=gap <= _ENVELOPE_TOL,
         growth_detected=growth,
     )
 

@@ -26,7 +26,6 @@ from wasslip.measures import (
 )
 from wasslip.models import (
     ActivationTag,
-    BoundMode,
     MLP,
     MLPLayer,
     ce_lipschitz_bound,
@@ -168,7 +167,7 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
         return losses(model, grid, np.full(grid.shape[0], y))
 
     W = model.layers[0].weights
-    certified = ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED)
+    certified = ce_lipschitz_bound(W, NormTag.L2)
     tight = ce_slice_lipschitz(W, y, NormTag.L2)
     cases.append(("ce_slice_equality", ce_slice, certified, z, True))
     cases.append(("ce_slice_growth", ce_slice, 0.5 * tight, z, False))
@@ -292,7 +291,6 @@ def check_adversarial_bounds(
             instance,
             BallSpec(nrm, eps),
             AttackConfig(seed=int(rng.integers(0, 2**32))),
-            grid_cross_check=True,
         )
         if not verdict.passed:
             failures.append({"epsilon": eps, "norm": nrm.value, "failed": verdict.failures()})

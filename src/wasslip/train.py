@@ -1,11 +1,14 @@
 """Gradient descent on the regularized risk objectives.
 
 Three penalties are supported, each with its weight fully determined by the
-ball radius rho and the loss Lipschitz constant (no free hyperparameter):
+ball radius rho and the loss Lipschitz constant (no free hyperparameter).
+The cross-entropy head W contributes its certified L2 constant
+sqrt(2) * ||W||_2 (`models.ce_lipschitz_bound`), so a penalty needs the L2
+norm whenever rho > 0:
 
-  DUAL_LINEAR  rho * bound(W)                      (single linear layer)
-  PRODUCT      rho * bound(head) * prod_{j<l} ||W_j||_2
-  SPECTRAL     (rho * logit_bound / l) * sum_j ||W_j||_2^l
+  DUAL_LINEAR  rho * sqrt(2) * ||W||_2             (single linear layer)
+  PRODUCT      rho * sqrt(2) * prod_j ||W_j||_2
+  SPECTRAL     (rho * sqrt(2) / l) * sum_j ||W_j||_2^l
 
 Spectral-norm subgradients use the top singular pair u v^T from power
 iteration; at a zero matrix or when the top two singular values are within
@@ -25,7 +28,6 @@ import numpy as np
 
 from wasslip.measures import MetricSpec, PointSet, empirical_from_samples
 from wasslip.models import (
-    BoundMode,
     MLP,
     MLPLayer,
     loss_grads,
@@ -62,12 +64,10 @@ class TrainConfig:
     seed: int = 0
     momentum: float = 0.0
     layer_cap: float | None = None
-    bound_mode: BoundMode = BoundMode.CERTIFIED
     norm: NormTag = NormTag.L2
 
     def __post_init__(self):
         object.__setattr__(self, "objective", ObjectiveKind(self.objective))
-        object.__setattr__(self, "bound_mode", BoundMode(self.bound_mode))
         object.__setattr__(self, "norm", NormTag(self.norm))
         if self.rho < 0.0:
             raise ValueError("rho must be non-negative")
@@ -127,10 +127,6 @@ class TrainReport:
         return doc
 
 
-def _certified_factor(mode: BoundMode) -> float:
-    return math.sqrt(2.0) if mode == BoundMode.CERTIFIED else 1.0
-
-
 def _spectral_data(W: np.ndarray, warm: np.ndarray | None):
     """sigma, u, v (v is also the next warm start), and whether the
     subgradient is usable (zero matrix or near-tied top singular values give
@@ -177,7 +173,7 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
         return 0.0, zeros
     if config.norm != NormTag.L2:
         raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
-    factor = _certified_factor(config.bound_mode)
+    factor = math.sqrt(2.0)  # the head's certified L2 loss constant is sqrt(2) * ||W||_2
 
     data = [_spectral_data(layer.weights, v0) for layer, v0 in zip(layers, warm)]
     warm[:] = [v for _, _, v, _ in data]
@@ -286,5 +282,5 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
     if not diverged:
         metric = MetricSpec(config.norm, config.kappa, dataset.label_count)
         instance = RobustInstance(empirical_from_samples(dataset), metric, config.rho)
-        certificate = robust_certificate_for(current, instance, config.bound_mode)
+        certificate = robust_certificate_for(current, instance)
     return TrainReport(records, current, certificate, time.perf_counter() - t0, diverged)

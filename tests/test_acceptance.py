@@ -16,7 +16,6 @@ from wasslip.cli import main
 from wasslip.datasets import gaussian_blobs
 from wasslip.measures import MetricSpec, empirical_from_samples
 from wasslip.models import (
-    BoundMode,
     accuracy,
     ce_lipschitz_bound,
     label_loss_matrix,
@@ -103,7 +102,7 @@ def test_criterion_03_label_lock_threshold():
         points = seeded_points(rng, int(rng.integers(3, 7)), 2, k)
         rho = float(rng.uniform(0.05, 1.0))
         mu = empirical_from_samples(points)
-        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2)
         base = RobustInstance(mu, MetricSpec(NormTag.L2, 1.0, k), rho)
         table = label_loss_matrix(model, points.xs)
         kappa0 = kappa_threshold(base, table, bound)

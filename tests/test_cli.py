@@ -233,7 +233,7 @@ class TestCommands:
         forced = RobustCertificate(
             0.5, 0.5, 0.0, 0.1, 1.0, 0.0, verdicts=(("objective_decomposition", True), ("dual_dominates_lp_oracle", False))
         )
-        monkeypatch.setattr(cli_module, "robust_certificate_for", lambda model, instance, mode: forced)
+        monkeypatch.setattr(cli_module, "robust_certificate_for", lambda model, instance: forced)
         cfg = write_config(
             tmp_path,
             {"seed": 2, "dataset": self._dataset_section(), "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "kappa": 1.0}},
@@ -261,6 +261,28 @@ class TestCommands:
         doc = load_json(out / "certificate.json")
         assert all(v["passed"] for v in doc["verdicts"])
         assert doc["robust_value"] >= doc["oracle_value"] > doc["empirical_risk"]
+
+    def test_certify_head_where_operator_norm_is_too_small(self, tmp_path):
+        """W = [[1, 0], [-1, 0]] has ||W||_2 = sqrt(2) while its loss slopes
+        reach 2: the grid LP oracle exceeds a dual floored at sqrt(2), so the
+        certificate must use the floor 2."""
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,-2,0\n0,-1.5,0.3\n1,2,0\n")
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(["wasslip-model v1", "kind mlp", "norm L2", "layers 1", "layer 2 2 IDENTITY 0", "1,0", "-1,0"]) + "\n")
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 0,
+                "dataset": {"path": str(data)},
+                "model": {"path": str(model)},
+                "robust": {"rho": 0.3, "kappa": 1.0, "oracle_grid_side": 41},
+            },
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        doc = load_json(tmp_path / "out" / "certificate.json")
+        assert doc["lipschitz_bound_used"] >= 2.0 - 1e-12
+        assert doc["robust_value"] >= doc["oracle_value"]
 
     def test_exit_code_2_on_bad_config(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -311,6 +333,56 @@ class TestCommands:
         assert doc["kappa"] == "inf"
 
 
+BLOBS = {"generator": "gaussian-blobs", "n": 6, "k": 2, "dim": 2, "seed": 9}
+
+
+class TestBadConfigs:
+    """Bad configs, including those whose fault shows only against the model
+    or the data: exit 2 naming the field, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "kappa": 0}}, "attack.kappa"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [math.inf]}}, "attack.epsilons"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "product", "rho": 0.1, "epochs": 1, "kappa": 0}}, "train.kappa"),
+            ("gen-data", {"dataset": {**BLOBS, "n": 3, "k": 4}}, "dataset.n"),
+            ("gen-data", {"dataset": {"generator": "grid", "n": 24, "k": 2, "dim": 2}}, "dataset.n"),
+            ("gen-data", {"dataset": {"generator": "two-moons", "n": 10, "k": 2, "dim": 3}}, "dataset.dim"),
+            ("gen-data", {"dataset": {"generator": "two-moons", "n": 10, "k": 3, "dim": 2}}, "dataset.k"),
+            ("certify", {"dataset": {"generator": "grid", "n": 7, "k": 2, "dim": 3}, "model": {"dims": [3, 2]}, "robust": {"rho": 0.1}}, "dataset.n"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 3, 2]}, "train": {"objective": "dual_linear", "rho": 0.1, "epochs": 1}}, "train.objective"),
+            ("attack", {"dataset": {**BLOBS, "dim": 3}, "model": {"dims": [3, 2]}, "attack": {"epsilons": [0.1], "method": "GRID"}}, "attack.method"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "norm": "L1"}}, "train.norm"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.3, "bound_mode": "operator"}}, "robust.bound_mode"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "bound_mode": "certified"}}, "attack.bound_mode"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "product", "rho": 0.1, "bound_mode": "operator"}}, "train.bound_mode"),
+        ],
+        ids=[
+            "attack-kappa-0",
+            "attack-epsilon-inf",
+            "train-kappa-0",
+            "n-below-k",
+            "grid-not-a-power",
+            "two-moons-dim-3",
+            "two-moons-k-3",
+            "certify-grid-not-a-power",
+            "dual-linear-two-layers",
+            "grid-attack-3d",
+            "train-norm-l1",
+            "robust-bound-mode",
+            "attack-bound-mode",
+            "train-bound-mode",
+        ],
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
+        cfg = write_config(tmp_path, {"seed": 1, **doc})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error at {field}:" in err
+
+
 class TestBadInputFiles:
     """A malformed dataset CSV or model file is an input error: exit code 2
     and a message naming the file and line, never a traceback."""
@@ -341,6 +413,8 @@ class TestBadInputFiles:
             ("-1,0.5,0.5", "outside"),
             ("99999999999999999999,1.5,-1.0", "outside"),
             ("0,abc,0.5", "not a number"),
+            ("1_0,0.5,0.5", "no '_'"),
+            ("0,0.5,١٢", "ASCII characters only"),
         ],
     )
     def test_bad_dataset_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, what):
@@ -425,12 +499,13 @@ class TestLinearModelFiles:
         return read_bytes(tmp_path / kind / "certificate.json")
 
     # sha256 of certificate.json, recorded when linear models still had a
-    # model type and a certificate route of their own
+    # model type and a certificate route of their own (kappa-inf: recorded on
+    # the last commit that offered a second loss constant, with the default)
     @pytest.mark.parametrize(
         "robust, digest",
         [
             ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "897edc0d3be4dc489ada95f635bd023c5406c1ad4b4ee8250b01c57f1efc3ae6"),
-            ({"rho": 0.3, "bound_mode": "operator"}, "296e1ba40890d3a612b8c4f4e7678ff1f9166a444a87a1f5a9e70f25c1000ab2"),
+            ({"rho": 0.3}, "7311fd0ff6f83fedcb0e4226810f244b1f25a63108163986d4bf1f3d58d65d97"),
         ],
         ids=["oracle", "kappa-inf"],
     )

@@ -24,7 +24,8 @@ CELL = st.sampled_from(ODD_CELLS) | st.sampled_from(PLAIN_CELLS)
 @st.composite
 def dataset_texts(draw):
     width = draw(st.integers(2, 3))
-    header = ",".join(["label"] + [f"x{i}" for i in range(width - 1)])
+    # column names are free text: only data rows obey the number grammar
+    header = ",".join(["label"] + [draw(st.sampled_from([f"x{i}", f"x_{i}", f"é{i}"])) for i in range(width - 1)])
     good_row = st.lists(st.sampled_from(PLAIN_CELLS[:3]), min_size=width, max_size=width)
     row = good_row | st.lists(CELL, min_size=width, max_size=width) | st.lists(CELL, min_size=1, max_size=4)
     lines = [",".join(cells) for cells in draw(st.lists(row, min_size=0, max_size=5))]
@@ -52,6 +53,12 @@ class TestParser:
             with pytest.raises(InputFileError) as err:
                 load_dataset_csv(path)
             assert str(err.value).startswith(where)
+
+    def test_padding_and_free_column_names_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,x_0,é\n 1 ,0.5,\t2\n0,1,1\n", encoding="utf-8")
+        points, _ = load_dataset_csv(path)
+        assert points.ys.tolist() == [1, 0] and points.xs.tolist() == [[0.5, 2.0], [1.0, 1.0]]
 
 
 class TestDigest:

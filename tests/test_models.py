@@ -10,7 +10,6 @@ from wasslip.io import InputFileError
 from wasslip.measures import PointSet
 from wasslip.models import (
     ActivationTag,
-    BoundMode,
     MLP,
     MLPLayer,
     accuracy,
@@ -218,26 +217,24 @@ class TestMLPForwardBackward:
 
 
 class TestLipschitzBounds:
-    def test_zero_matrix_both_modes(self):
-        for mode in BoundMode:
-            assert ce_lipschitz_bound(np.zeros((3, 3)), NormTag.L2, mode) == 0.0
+    def test_zero_matrix_every_norm(self):
+        for tag in NormTag:
+            assert ce_lipschitz_bound(np.zeros((3, 3)), tag) == 0.0
 
     def test_identity_constants(self):
-        W = np.eye(4)
-        assert ce_lipschitz_bound(W, NormTag.L2, BoundMode.OPERATOR) == pytest.approx(1.0, abs=1e-10)
-        assert ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert ce_lipschitz_bound(np.eye(4), NormTag.L2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_linf_and_l1_certified_forms(self):
         W = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert ce_lipschitz_bound(W, NormTag.LINF, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.5)
-        assert ce_lipschitz_bound(W, NormTag.L1, BoundMode.CERTIFIED) == pytest.approx(2.0 * 3.0)
+        assert ce_lipschitz_bound(W, NormTag.LINF) == pytest.approx(2.0 * 3.5)
+        assert ce_lipschitz_bound(W, NormTag.L1) == pytest.approx(2.0 * 3.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_empirical_below_certified(self, seed):
         rng = np.random.default_rng(300 + seed)
         model = seeded_linear(300 + seed, k=3, d=3)
         y = int(rng.integers(0, 3))
-        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2, BoundMode.CERTIFIED)
+        bound = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2)
         est = empirical_lipschitz(
             lambda X: losses(model, X, np.full(len(X), y)),
             2.0 * rng.standard_normal((201, 3)),
@@ -252,7 +249,7 @@ class TestLipschitzBounds:
         y = int(rng.integers(0, 4))
         W = model.layers[0].weights
         tight = ce_slice_lipschitz(W, y, NormTag.L2)
-        certified = ce_lipschitz_bound(W, NormTag.L2, BoundMode.CERTIFIED)
+        certified = ce_lipschitz_bound(W, NormTag.L2)
         assert tight <= certified + 1e-9
         est = empirical_lipschitz(
             lambda X: losses(model, X, np.full(len(X), y)),

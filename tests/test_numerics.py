@@ -10,7 +10,6 @@ from wasslip.numerics import (
     LPProblem,
     LPStatus,
     NormTag,
-    UnsupportedNormError,
     as_matrix,
     as_vector,
     norm,
@@ -90,10 +89,6 @@ class TestOperatorNorm:
         W = np.array([[1.0, -2.0], [3.0, 4.0]])
         assert operator_norm(W, NormTag.L1) == 6.0  # max column abs sum
         assert operator_norm(W, NormTag.LINF) == 7.0  # max row abs sum
-
-    def test_mixed_tags_rejected(self):
-        with pytest.raises(UnsupportedNormError):
-            operator_norm(np.eye(2), NormTag.L1, NormTag.L2)
 
     def test_matches_jacobi_oracle_seeded(self):
         W = RNG.standard_normal((5, 4))
