@@ -106,15 +106,16 @@ def _plain(text: str) -> bool:
 def load_dataset_csv(path) -> tuple[PointSet, str]:
     """Parse a dataset CSV strictly: every row has one integer label and as
     many finite coordinates as the header names; the label count is the
-    largest label plus one.  A data row may hold ASCII characters only and
-    no '_'; ASCII whitespace around a field is accepted.  Anything else
-    raises io.InputFileError naming the file and line.
+    largest label plus one.  Lines end at '\n' only, so line numbers match
+    an editor's.  A data row may hold ASCII characters only and no '_';
+    ASCII whitespace around a field is accepted.  Anything else raises
+    io.InputFileError naming the file and line.
 
     Returns the points and the sha256 of the text read (line ends
     normalised to LF) without its final newline."""
     text = io.read_text(path)
     digest = io.sha256_hex(text.removesuffix("\n").encode("utf-8"))
-    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    rows = [ln.split(",") for ln in text.split("\n") if ln.strip()]
     if len(rows) < 2 or rows[0][0] != "label" or len(rows[0]) < 2:
         raise io.InputFileError(path, None, "expected a 'label,x0,x1,...' header and at least one data row")
     width = len(rows[0])
@@ -141,14 +142,14 @@ def load_dataset_csv(path) -> tuple[PointSet, str]:
 
 def _row_lines(text: str) -> list:
     """The 1-based line number of each data row (blank lines skipped)."""
-    return [i + 1 for i, ln in enumerate(text.splitlines()) if ln.strip()][1:]
+    return [i + 1 for i, ln in enumerate(text.split("\n")) if ln.strip()][1:]
 
 
 def _raise_first_bad_row(path, text: str, width: int) -> NoReturn:
     """The per-row scan that names the first row the whole-file parse
     rejected: a wrong field count, a '_' or non-ASCII character, a label
     that is not an integer or a coordinate that is not a number."""
-    lines = text.splitlines()
+    lines = text.split("\n")
     for line in _row_lines(text):
         cells = lines[line - 1].split(",")
         if len(cells) != width:

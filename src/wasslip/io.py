@@ -94,10 +94,6 @@ def dump_json(value: Any, path) -> None:
     Path(path).write_text(dumps(value), encoding="utf-8")
 
 
-def load_json(path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def format_cell(cell: Any) -> str:
     if isinstance(cell, str):
         if "," in cell or "\n" in cell:

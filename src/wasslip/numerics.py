@@ -1,9 +1,10 @@
 """Dense numerical kernels shared by every other module.
 
 Everything here is deterministic: power iteration starts from a fixed seeded
-vector, the simplex solver prices by Dantzig's rule with a fallback to Bland's
-rule against cycling, and tolerances are module constants rather than
-per-call knobs.  Only induced operator norms from one of {L1, L2, LINF} to
+vector, the revised simplex solver keeps an explicit basis inverse and prices
+by Dantzig's rule with a fallback to Bland's rule against cycling, and
+tolerances are module constants rather than per-call knobs.  An LP optimum
+is returned with its dual, both checked.  Only induced operator norms from one of {L1, L2, LINF} to
 itself are supported.
 """
 
@@ -182,178 +183,186 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """`dual` holds y for the caller's rows, eq rows then ineq rows, at an
+    optimum: A^T y >= c, y >= 0 on the ineq rows and b . y = value, each
+    checked to a tolerance; a redundant row gets 0.  `pivots` counts every
+    pivot over both phases, `bland_pivots` those priced by Bland's rule."""
+
     status: LPStatus
     value: float
     point: np.ndarray | None
+    dual: np.ndarray | None
     pivots: int
+    bland_pivots: int
 
 
-def _run_simplex(T: np.ndarray, basis: list) -> tuple[str, int]:
-    """Simplex on a tableau whose last row is the objective row.
+def _pivot(carry: np.ndarray, basis: np.ndarray, col: np.ndarray, r: int, j: int) -> None:
+    """Column j, with Binv @ A[:, j] == col, enters the basis in row r: one
+    rank-one update of carry = [Binv | x_B], the basis inverse and the basic
+    values beside it."""
+    pivot_row = carry[r] / col[r]
+    carry -= col[:, None] * pivot_row
+    carry[r] = pivot_row
+    basis[r] = j
 
-    Dantzig pricing: the most negative reduced cost enters, the lowest index
-    on ties.  After m degenerate pivots in a row (minimum ratio 0), Bland's
+
+def _run_simplex(A: np.ndarray, cost: np.ndarray, basis: np.ndarray, carry: np.ndarray) -> tuple[str, int, int]:
+    """Revised simplex: maximize cost . x over A x = b, x >= 0 from a
+    feasible basis, with carry = [Binv | x_B] for that basis; basis and
+    carry are updated in place.
+
+    Each pivot prices every column once, d = (c_B Binv) A - c.  Dantzig
+    pricing: the most negative reduced cost enters, the lowest index on ties.
+    After m degenerate pivots in a row (minimum ratio 0), Bland's
     lowest-index rule prices until a pivot moves the objective again.  A
     cycle consists of degenerate pivots only, and Bland's rule cannot cycle.
     The leaving row has the minimum ratio, the lowest basic index on ties.
-    Returns the status and the number of pivots made.
+    Binv is rebuilt from A[:, basis] every m pivots.  Returns the status, the
+    number of pivots made and how many of them Bland's rule priced.
     """
-    m = T.shape[0] - 1
+    m = A.shape[0]
+    Binv, x_B = carry[:, :m], carry[:, m]
     degenerate_run = 0
+    bland_pivots = 0
     for pivots in range(MAX_ITERATIONS):
-        obj = T[-1, :-1]
-        negative = obj < -_PIVOT_TOL
-        if not negative.any():
-            return "optimal", pivots
+        d = (cost[basis] @ Binv) @ A - cost
+        j = int(d.argmin())
+        if d[j] >= -_PIVOT_TOL:
+            return "optimal", pivots, bland_pivots
         # Dantzig, or Bland (first eligible index) after a degenerate run
-        j = int(np.argmin(obj)) if degenerate_run < m else int(np.argmax(negative))
-        col = T[:m, j]
-        pos = np.nonzero(col > _PIVOT_TOL)[0]
+        bland = degenerate_run >= m
+        if bland:
+            j = int((d < -_PIVOT_TOL).argmax())
+        col = Binv @ A[:, j]
+        pos = (col > _PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
-            return "unbounded", pivots
-        rhs = np.maximum(T[:m, -1][pos], 0.0)
-        ratios = rhs / col[pos]
-        best = float(np.min(ratios))
+            return "unbounded", pivots, bland_pivots
+        ratios = np.maximum(x_B[pos], 0.0) / col[pos]
+        best = float(ratios.min())
         degenerate_run = degenerate_run + 1 if best == 0.0 else 0
         ties = pos[ratios <= best + 1e-11 * (1.0 + abs(best))]
-        r = int(min(ties, key=lambda i: basis[i]))  # lowest basic index leaves
-        piv = T[r, j]
-        T[r] /= piv
-        colvals = T[:, j].copy()
-        colvals[r] = 0.0
-        T -= np.outer(colvals, T[r])
-        basis[r] = j
+        r = int(ties[basis[ties].argmin()])  # lowest basic index leaves
+        _pivot(carry, basis, col, r, j)
+        bland_pivots += bland
+        if (pivots + 1) % m == 0:
+            Binv[:] = np.linalg.inv(A[:, basis])
     raise NumericalError("simplex iteration cap exceeded")
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:
-    """Two-phase dense simplex: Dantzig pricing with a Bland fallback.
+    """Two-phase revised simplex with an explicit basis inverse (Chvatal,
+    Linear Programming, 1983, ch. 7): Dantzig pricing with a Bland fallback.
 
-    `pivots` on the result counts every tableau pivot over both phases,
-    including those that drive artificials out of the basis after phase 1.
+    The standard form A holds the caller's rows, then a slack column per
+    ineq row, then an artificial column per eq row or row with a negative
+    right-hand side (signed so that it starts at |b|).  Phase 1 maximizes
+    minus the sum of the artificials; artificials still basic after it are
+    driven out, and a row they cannot leave is redundant and dropped.
+    Phase 2 maximizes the objective over the remaining columns.  `pivots`
+    counts every pivot over both phases, including those that drive
+    artificials out.  An optimum is returned only after `_validate_solution`
+    has checked it and its dual.
     """
     c = as_vector(problem.objective)
     n = c.size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-    for row, b in problem.eq_constraints:
-        rows.append(as_vector(row))
-        rhs.append(float(b))
-        kinds.append("eq")
-    for row, b in problem.ineq_constraints:
-        rows.append(as_vector(row))
-        rhs.append(float(b))
-        kinds.append("le")
-    for row in rows:
-        if row.size != n:
-            raise DimensionError(f"constraint row has {row.size} entries, expected {n}")
+    constraints = [*problem.eq_constraints, *problem.ineq_constraints]
+    n_eq = len(problem.eq_constraints)
+    m = len(constraints)
+    for row, _ in constraints:
+        if np.shape(row) != (n,):
+            raise DimensionError(f"constraint row has shape {np.shape(row)}, expected ({n},)")
+    b = np.array([float(rhs) for _, rhs in constraints])
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    art_rows = np.flatnonzero((np.arange(m) < n_eq) | (b < 0.0))
+    n_slack, n_art = m - n_eq, art_rows.size
+    n_real = n + n_slack
+    A = np.zeros((m, n_real + n_art))
+    if m:
+        A[:, :n] = np.array([row for row, _ in constraints], dtype=float)
+        if not np.all(np.isfinite(A[:, :n])):
+            raise ValueError("constraint entries must be finite")
+    A[n_eq + np.arange(n_slack), n + np.arange(n_slack)] = 1.0
+    A[art_rows, n_real + np.arange(n_art)] = sign[art_rows]
+    basis = n + np.arange(m) - n_eq
+    basis[art_rows] = n_real + np.arange(n_art)
+    # the starting basis matrix is diagonal with entries +-1, its own
+    # inverse, and starts every basic variable at |b|
+    carry = np.column_stack([np.diag(sign), np.abs(b)])
 
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k == "le")
-    A = np.zeros((m, n + n_slack))
-    b = np.array(rhs, dtype=float)
-    slack_col = n
-    slack_of = [-1] * m
-    for i, row in enumerate(rows):
-        A[i, :n] = row
-        if kinds[i] == "le":
-            A[i, slack_col] = 1.0
-            slack_of[i] = slack_col
-            slack_col += 1
-    negated = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            negated[i] = True
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
 
-    needs_art = [kinds[i] == "eq" or negated[i] for i in range(m)]
-    n_art = sum(needs_art)
-    total = n + n_slack + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, : n + n_slack] = A
-    T[:m, -1] = b
-    basis: list[int] = []
-    art_col = n + n_slack
-    art_cols: list[int] = []
-    for i in range(m):
-        if needs_art[i]:
-            T[i, art_col] = 1.0
-            basis.append(art_col)
-            art_cols.append(art_col)
-            art_col += 1
-        else:
-            basis.append(slack_of[i])
-
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-
-    pivots = 0
+    pivots = bland_pivots = 0
+    kept = np.arange(m)
     if n_art:
         # phase 1: maximize -sum(artificials)
-        T[-1, :] = 0.0
-        for col in art_cols:
-            T[-1, col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
-        status, pivots = _run_simplex(T, basis)
-        if status != "optimal" or T[-1, -1] < -1e-8 * scale:
-            return LPSolution(LPStatus.INFEASIBLE, math.nan, None, pivots)
-        # drive artificials out of the basis; an all-zero row is redundant
-        art_set = set(art_cols)
+        cost1 = np.zeros(n_real + n_art)
+        cost1[n_real:] = -1.0
+        status, pivots, bland_pivots = _run_simplex(A, cost1, basis, carry)
+        if status != "optimal" or float(cost1[basis] @ carry[:, m]) < -1e-8 * scale:
+            return LPSolution(LPStatus.INFEASIBLE, math.nan, None, None, pivots, bland_pivots)
+        # drive artificials out of the basis; a row with no real column left
+        # is redundant
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = -1
-                for j in range(n + n_slack):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    piv = T[i, pivot_col]
-                    T[i] /= piv
-                    colvals = T[:, pivot_col].copy()
-                    colvals[i] = 0.0
-                    T -= np.outer(colvals, T[i])
-                    basis[i] = pivot_col
-                    pivots += 1
-                else:
-                    keep[i] = False
-        col_mask = np.ones(total + 1, dtype=bool)
-        col_mask[art_cols] = False
-        T = T[np.append(keep, True)][:, col_mask]
-        basis = [basis[i] for i in range(m) if keep[i]]
-        m = len(basis)
+        for i in np.flatnonzero(basis >= n_real):
+            entries = np.flatnonzero(np.abs(carry[i, :m] @ A[:, :n_real]) > _PIVOT_TOL)
+            if entries.size:
+                j = int(entries[0])
+                _pivot(carry, basis, carry[:, :m] @ A[:, j], i, j)
+                pivots += 1
+            else:
+                keep[i] = False
+        kept = np.flatnonzero(keep)
+        if kept.size < m:
+            A, b, basis = A[kept], b[kept], basis[kept]
+        # phase 2 starts from a fresh inverse of a basis free of artificials
+        carry = np.column_stack([np.linalg.inv(A[:, basis]), carry[kept, m]])
 
-    # phase 2: restore the real objective
-    total2 = T.shape[1] - 1
-    T[-1, :] = 0.0
-    T[-1, :n] = -c
-    for i in range(m):
-        if abs(T[-1, basis[i]]) > 0.0:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    status, phase2_pivots = _run_simplex(T, basis)
+    # phase 2: the real objective
+    A = A[:, :n_real]
+    cost = np.zeros(n_real)
+    cost[:n] = c
+    status, phase2_pivots, phase2_bland = _run_simplex(A, cost, basis, carry)
     pivots += phase2_pivots
+    bland_pivots += phase2_bland
     if status == "unbounded":
-        return LPSolution(LPStatus.UNBOUNDED, math.inf, None, pivots)
+        return LPSolution(LPStatus.UNBOUNDED, math.inf, None, None, pivots, bland_pivots)
 
-    x = np.zeros(total2)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x = np.zeros(n_real)
+    x[basis] = carry[:, -1]
     point = np.where(np.abs(x[:n]) < 1e-12, 0.0, x[:n])
     if np.any(point < -FEASIBILITY_TOL):
         raise NumericalError("simplex produced a negative variable")
     point = np.maximum(point, 0.0)
-    _validate_solution(problem, point, scale)
-    return LPSolution(LPStatus.OPTIMAL, float(np.dot(c, point)), point, pivots)
+    dual = np.zeros(m)
+    dual[kept] = _validate_solution(problem, point, A, b, cost, basis, scale)
+    return LPSolution(LPStatus.OPTIMAL, float(np.dot(c, point)), point, dual, pivots, bland_pivots)
 
 
-def _validate_solution(problem: LPProblem, x: np.ndarray, scale: float) -> None:
+def _validate_solution(
+    problem: LPProblem, x: np.ndarray, A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, scale: float
+) -> np.ndarray:
+    """Check the primal point x against the caller's rows, and the dual of
+    the final basis against the standard form (A, b, cost).  Returns that
+    dual; raises NumericalError when a check fails.
+
+    y solves B^T y = c_B for the basis columns B of A.  Dual feasibility is
+    A^T y >= cost over every column, which on the slack columns says y >= 0
+    on the ineq rows; the duality gap |b . y - c . x| must vanish too.
+    """
     tol = 1e-8 * scale
-    for row, b in problem.eq_constraints:
-        if abs(float(np.dot(row, x)) - float(b)) > tol:
+    for row, rhs in problem.eq_constraints:
+        if abs(float(np.dot(row, x)) - float(rhs)) > tol:
             raise NumericalError("equality constraint violated beyond tolerance")
-    for row, b in problem.ineq_constraints:
-        if float(np.dot(row, x)) > float(b) + tol:
+    for row, rhs in problem.ineq_constraints:
+        if float(np.dot(row, x)) > float(rhs) + tol:
             raise NumericalError("inequality constraint violated beyond tolerance")
+    try:
+        y = np.linalg.solve(A[:, basis].T, cost[basis])
+    except np.linalg.LinAlgError:
+        raise NumericalError("final simplex basis is singular") from None
+    dual_tol = tol * max(1.0, float(np.max(np.abs(cost), initial=0.0)))
+    if np.any(y @ A - cost < -dual_tol):
+        raise NumericalError("dual constraint violated beyond tolerance")
+    if abs(float(np.dot(b, y)) - float(np.dot(problem.objective, x))) > dual_tol:
+        raise NumericalError("duality gap beyond tolerance")
+    return y

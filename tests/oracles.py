@@ -435,14 +435,15 @@ def reference_dataset(text: str):
     and `float()`.
 
     Returns (xs, ys, label_count) for a valid file, otherwise the 1-based line
-    of the first bad row, or None when the header is at fault.  A row fails to
+    of the first bad row, or None when the header is at fault.  Lines end at
+    '\n' only.  A row fails to
     parse on a wrong field count, a '_' or non-ASCII character in any field
     (both of which `int()` and `float()` would read), a label `int()` rejects
     or a coordinate `float()` rejects; only when every row parses is a row
     checked for non-finite coordinates or a label outside [0, max label + 1),
     where the label count must fit an int64.
     """
-    numbered = [(i + 1, ln.split(",")) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    numbered = [(i + 1, ln.split(",")) for i, ln in enumerate(text.split("\n")) if ln.strip()]
     if len(numbered) < 2 or numbered[0][1][0] != "label" or len(numbered[0][1]) < 2:
         return None
     width = len(numbered[0][1])

@@ -9,7 +9,6 @@ from helpers import read_csv
 
 from wasslip.cli import ConfigError, main, validate_config
 from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv, two_moons
-from wasslip.io import load_json
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -122,7 +121,7 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        doc = load_json(out / "certificate.json")
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
         assert doc["robust_value"] == pytest.approx(doc["empirical_risk"], abs=1e-9)
         assert all(v["passed"] for v in doc["verdicts"])
 
@@ -138,7 +137,7 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        doc = load_json(out / "certificate.json")
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
         assert doc["oracle_value"] is not None
         assert doc["oracle_gap"] >= -1e-9
 
@@ -178,7 +177,7 @@ class TestCommands:
         assert header == ["epoch", "erm", "penalty", "objective", "product_bound", "young_bound"]
         for row in rows:
             assert float(row[3]) == pytest.approx(float(row[1]) + float(row[2]), abs=1e-9)
-        doc = load_json(out / "train_report.json")
+        doc = json.loads((out / "train_report.json").read_text(encoding="utf-8"))
         assert "wall_clock" not in doc
         assert doc["certificate"]["robust_value"] >= doc["certificate"]["empirical_risk"] - 1e-9
         assert (out / "model.txt").exists()
@@ -200,7 +199,7 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        doc = load_json(out / "verify_report.json")
+        doc = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
         assert doc["all_passed"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "strong_duality",
@@ -223,7 +222,7 @@ class TestCommands:
         cfg = write_config(tmp_path, {"seed": 1, "verify": {}})
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-        doc = load_json(out / "verify_report.json")
+        doc = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
         assert doc["all_passed"] is False
 
     def test_certify_failure_exits_one(self, tmp_path, monkeypatch, capsys):
@@ -241,7 +240,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
         assert "dual_dominates_lp_oracle" in capsys.readouterr().err
-        doc = load_json(out / "certificate.json")
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
         assert [v["passed"] for v in doc["verdicts"]] == [True, False]
 
     def test_certify_constant_feature_map_is_sound(self, tmp_path):
@@ -258,7 +257,7 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        doc = load_json(out / "certificate.json")
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
         assert all(v["passed"] for v in doc["verdicts"])
         assert doc["robust_value"] >= doc["oracle_value"] > doc["empirical_risk"]
 
@@ -280,7 +279,7 @@ class TestCommands:
             },
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        doc = load_json(tmp_path / "out" / "certificate.json")
+        doc = json.loads((tmp_path / "out" / "certificate.json").read_text(encoding="utf-8"))
         assert doc["lipschitz_bound_used"] >= 2.0 - 1e-12
         assert doc["robust_value"] >= doc["oracle_value"]
 
@@ -329,7 +328,7 @@ class TestCommands:
         )
         out2 = tmp_path / "cert"
         assert main(["certify", "--config", cert_cfg, "--out", str(out2)]) == 0
-        doc = load_json(out2 / "certificate.json")
+        doc = json.loads((out2 / "certificate.json").read_text(encoding="utf-8"))
         assert doc["kappa"] == "inf"
 
 
@@ -423,6 +422,24 @@ class TestBadInputFiles:
         code, err = self._certify(tmp_path, capsys, data)
         assert code == 2
         assert f"{data}:4:" in err and what in err
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("label,x0\n0,1\u20280,2\n", "expected 2 fields, got 3"),
+            ("label,x0\n0,1\x0cabc,2\n", "expected 2 fields, got 3"),
+        ],
+        ids=["line-separator", "form-feed"],
+    )
+    def test_line_breaks_only_at_newline(self, tmp_path, capsys, text, what):
+        """A U+2028 or a form feed inside a row does not end the line: the
+        row keeps its extra field and the error names line 2, as an editor
+        counts it."""
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        code, err = self._certify(tmp_path, capsys, data)
+        assert code == 2
+        assert f"{data}:2: {what}" in err
 
     @pytest.mark.parametrize("text", ["", "x0,label\n0.5,1\n", "label,x0,x1\n"])
     def test_empty_or_headless_dataset_exits_2(self, tmp_path, capsys, text):

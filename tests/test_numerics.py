@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import finite_difference_gradient, lp_basis_enumeration, spectral_norm_jacobi, transport_cost_vertex_enumeration
+import wasslip.numerics as numerics
 from wasslip.numerics import (
     DimensionError,
     LPProblem,
     LPStatus,
     NormTag,
+    NumericalError,
     as_matrix,
     as_vector,
     norm,
@@ -154,6 +156,22 @@ class TestPowerIteration:
         assert norm(v, NormTag.L2) == pytest.approx(1.0, abs=1e-10)
 
 
+def assert_complementary_dual(problem, sol, tol=1e-9):
+    """The returned dual is feasible for min b.y s.t. A^T y >= c, y >= 0 on
+    the ineq rows, matches the value, and is complementary to the point."""
+    rows = [row for row, _ in problem.eq_constraints + problem.ineq_constraints]
+    A = np.array(rows).reshape(len(rows), sol.point.size)
+    b = np.array([rhs for _, rhs in problem.eq_constraints + problem.ineq_constraints], dtype=float)
+    n_eq = len(problem.eq_constraints)
+    reduced = A.T @ sol.dual - problem.objective
+    slack = b[n_eq:] - A[n_eq:] @ sol.point
+    assert sol.dual.shape == (len(rows),)
+    assert np.all(reduced >= -tol) and np.all(sol.dual[n_eq:] >= -tol)
+    assert float(np.dot(b, sol.dual)) == pytest.approx(sol.value, abs=tol)
+    assert np.all(np.abs(sol.point * reduced) <= tol)
+    assert np.all(np.abs(sol.dual[n_eq:] * slack) <= tol)
+
+
 class TestSimplex:
     def test_single_bound(self):
         sol = solve_lp(LPProblem(np.array([1.0]), ineq_constraints=[(np.array([1.0]), 1.0)]))
@@ -190,20 +208,40 @@ class TestSimplex:
 
     def test_beale_cycling_lp(self):
         """Beale's LP cycles under pure Dantzig pricing with these tie rules;
-        the Bland fallback must break the cycle."""
-        sol = solve_lp(
-            LPProblem(
-                np.array([0.75, -20.0, 0.5, -6.0]),
-                ineq_constraints=[
-                    (np.array([0.25, -8.0, -1.0, 9.0]), 0.0),
-                    (np.array([0.5, -12.0, -0.5, 3.0]), 0.0),
-                    (np.array([0.0, 0.0, 1.0, 0.0]), 1.0),
-                ],
-            )
+        the Bland fallback must run and break the cycle."""
+        problem = LPProblem(
+            np.array([0.75, -20.0, 0.5, -6.0]),
+            ineq_constraints=[
+                (np.array([0.25, -8.0, -1.0, 9.0]), 0.0),
+                (np.array([0.5, -12.0, -0.5, 3.0]), 0.0),
+                (np.array([0.0, 0.0, 1.0, 0.0]), 1.0),
+            ],
         )
+        sol = solve_lp(problem)
         assert sol.status == LPStatus.OPTIMAL
         assert sol.value == pytest.approx(1.25, abs=1e-12)
         assert np.allclose(sol.point, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert sol.bland_pivots > 0
+        assert_complementary_dual(problem, sol)
+
+    def test_solve_cut_short_raises(self, monkeypatch):
+        """A pricing tolerance that stops the simplex at a non-optimal basis
+        leaves x = 0 primal feasible, but the dual check must catch it."""
+        monkeypatch.setattr(numerics, "_PIVOT_TOL", 1e3)
+        with pytest.raises(NumericalError):
+            solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=[(np.array([1.0, 1.0]), 1.0)]))
+
+    def test_dual_restores_sign_of_negated_rows(self):
+        # max -x s.t. -x <= -2 (a negative right-hand side), x + y = 3
+        problem = LPProblem(
+            np.array([-1.0, 0.0]),
+            eq_constraints=[(np.array([1.0, 1.0]), 3.0)],
+            ineq_constraints=[(np.array([-1.0, 0.0]), -2.0)],
+        )
+        sol = solve_lp(problem)
+        assert sol.value == pytest.approx(-2.0, abs=1e-12)
+        assert np.allclose(sol.dual, [0.0, 1.0], atol=1e-12)
+        assert_complementary_dual(problem, sol)
 
     def test_pivots_counted_over_both_phases(self):
         # x + y = 1: x enters in phase 1 and drives the artificial out; to
@@ -217,7 +255,7 @@ class TestSimplex:
     def test_small_lps_vs_basis_enumeration(self):
         """Integer data, mostly zero right-hand sides (heavily degenerate),
         mixed eq/le rows and box rows; status and value against the
-        basis-enumeration oracle."""
+        basis-enumeration oracle, and a complementary dual at each optimum."""
         rng = np.random.default_rng(4242)
         seen = set()
         for _ in range(200):
@@ -230,11 +268,13 @@ class TestSimplex:
                 box = np.zeros(n)
                 box[j] = 1.0
                 le.append((box, float(rng.integers(1, 4))))
-            sol = solve_lp(LPProblem(c, eq_constraints=eq, ineq_constraints=le))
+            problem = LPProblem(c, eq_constraints=eq, ineq_constraints=le)
+            sol = solve_lp(problem)
             status, value = lp_basis_enumeration(c, eq, le)
             assert sol.status.value == status
             if status == "optimal":
                 assert sol.value == pytest.approx(value, abs=1e-9)
+                assert_complementary_dual(problem, sol)
             seen.add(status)
         assert seen == {"optimal", "infeasible", "unbounded"}
 
