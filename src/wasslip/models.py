@@ -242,17 +242,22 @@ class LipschitzBounds(NamedTuple):
     young: float
 
 
-def network_lipschitz_bound(model: MLP, tag: NormTag) -> LipschitzBounds:
-    """Layerwise product bound and its separable power-mean relaxation.
+def layerwise_bounds(sigmas: Sequence[float]) -> LipschitzBounds:
+    """Layerwise product bound and its separable power-mean relaxation from
+    the layers' operator norms sigma_i.
 
-    product = prod_i ||W_i|| (every activation is 1-Lipschitz); young =
-    (1/l) sum_i ||W_i||^l, which dominates the product by the
+    product = prod_i sigma_i (every activation is 1-Lipschitz); young =
+    (1/l) sum_i sigma_i^l, which dominates the product by the
     arithmetic-geometric mean inequality.
     """
-    sigmas = [operator_norm(layer.weights, tag) for layer in model.layers]
     l = len(sigmas)
     young = float(sum(s**l for s in sigmas)) / l
     return LipschitzBounds(float(math.prod(sigmas)), young)
+
+
+def network_lipschitz_bound(model: MLP, tag: NormTag) -> LipschitzBounds:
+    """`layerwise_bounds` of the model's `tag` operator norms."""
+    return layerwise_bounds([operator_norm(layer.weights, tag) for layer in model.layers])
 
 
 def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: NormTag) -> float:
@@ -307,8 +312,9 @@ def load_model(path) -> tuple[MLP, NormTag]:
     hold exactly one layer, are read as the one-layer MLP.  A truncated or
     trailing file, a malformed line, layers that do not chain, or a `kind
     linear` file with more than one layer raise io.InputFileError naming the
-    file and line."""
-    lines = io.read_text(path).splitlines()
+    file and line.  Lines end at LF only (after the universal-newline read),
+    so a form feed or U+2028 stays inside its line, as editors count it."""
+    lines = io.read_text(path).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     pos = 0

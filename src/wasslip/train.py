@@ -15,6 +15,13 @@ iteration; at a zero matrix or when the top two singular values are within
 1e-8 the subgradient is set to 0 (any subdifferential element is valid;
 zero is deterministic).  Training is plain full-batch gradient descent with
 optional momentum, deterministic given the seed.
+
+Each epoch record makes one spectral pass per layer: the warm-started power
+iteration that opens the penalty's own pass, without its deflation.  The
+recorded penalty, product bound and Young bound all come from those sigmas
+(L1 and LINF records use the closed-form operator norms).  The two bounds are
+power-iteration estimates, approached from below, logged to show training
+progress; no certificate uses them.
 """
 
 from __future__ import annotations
@@ -30,9 +37,9 @@ from wasslip.measures import MetricSpec, PointSet, empirical_from_samples
 from wasslip.models import (
     MLP,
     MLPLayer,
+    layerwise_bounds,
     loss_grads,
     losses,
-    network_lipschitz_bound,
 )
 from wasslip.numerics import (
     NormTag,
@@ -162,49 +169,55 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
+def _penalty(config: TrainConfig, sigmas: list) -> float:
+    """Penalty value of layers whose spectral norms are `sigmas`.  DUAL_LINEAR
+    is PRODUCT on its one layer."""
+    rho = config.rho
+    if rho == 0.0:
+        return 0.0
+    if config.norm != NormTag.L2:
+        raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
+    l = len(sigmas)
+    if config.objective == ObjectiveKind.DUAL_LINEAR and l != 1:
+        raise ValueError("DUAL_LINEAR requires a single linear layer")
+    scale = rho * math.sqrt(2.0)  # the head's certified L2 loss constant is sqrt(2) * ||W||_2
+    if config.objective == ObjectiveKind.SPECTRAL:
+        return scale / l * float(sum(s**l for s in sigmas))
+    return math.prod(sigmas, start=scale)
+
+
 def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[float, list]:
     """Penalty value plus per-layer weight subgradients; `warm` carries the
     power-iteration start vectors across calls."""
-    rho = config.rho
-    layers = model.layers
-    l = len(layers)
-    zeros = [np.zeros_like(layer.weights) for layer in layers]
-    if rho == 0.0:
-        return 0.0, zeros
-    if config.norm != NormTag.L2:
-        raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
-    factor = math.sqrt(2.0)  # the head's certified L2 loss constant is sqrt(2) * ||W||_2
-
-    data = [_spectral_data(layer.weights, v0) for layer, v0 in zip(layers, warm)]
+    grads = [np.zeros_like(layer.weights) for layer in model.layers]
+    if config.rho == 0.0:
+        return 0.0, grads
+    data = [_spectral_data(layer.weights, v0) for layer, v0 in zip(model.layers, warm)]
     warm[:] = [v for _, _, v, _ in data]
     sigmas = [d[0] for d in data]
-
-    if config.objective == ObjectiveKind.DUAL_LINEAR:
-        if l != 1:
-            raise ValueError("DUAL_LINEAR requires a single linear layer")
-        sigma, u, v, usable = data[0]
-        penalty = rho * factor * sigma
-        grads = zeros
-        if usable:
-            grads[0] = rho * factor * np.outer(u, v)
-        return penalty, grads
-
-    if config.objective == ObjectiveKind.PRODUCT:
-        # rho * (factor * sigma_head) * prod_{j < l} sigma_j, product rule
-        grads = zeros
-        for j, (sigma, u, v, usable) in enumerate(data):
-            if usable:
-                grads[j] = math.prod(sigmas[:j] + sigmas[j + 1 :], start=rho * factor) * np.outer(u, v)
-        return math.prod(sigmas, start=rho * factor), grads
-
-    # SPECTRAL: (rho * factor / l) * sum_j sigma_j^l
-    penalty = rho * factor / l * float(sum(s**l for s in sigmas))
-    grads = zeros
+    penalty = _penalty(config, sigmas)
+    l = len(sigmas)
+    scale = config.rho * math.sqrt(2.0)
     for j, (sigma, u, v, usable) in enumerate(data):
         if not usable:
             continue
-        grads[j] = rho * factor * sigma ** (l - 1) * np.outer(u, v)
+        if config.objective == ObjectiveKind.SPECTRAL:
+            coeff = scale * sigma ** (l - 1)
+        else:  # product rule
+            coeff = math.prod(sigmas[:j] + sigmas[j + 1 :], start=scale)
+        grads[j] = coeff * np.outer(u, v)
     return penalty, grads
+
+
+def _layer_norms(model: MLP, tag: NormTag, warm: list) -> list:
+    """Every layer's `tag` operator norm.  L2 takes one power iteration per
+    layer from the warm start, the same call that opens `_spectral_data`, and
+    advances `warm` as that does; L1 and LINF are closed forms."""
+    if tag != NormTag.L2:
+        return [operator_norm(layer.weights, tag) for layer in model.layers]
+    runs = [power_iteration(layer.weights, tol=1e-13, v0=v0) for layer, v0 in zip(model.layers, warm)]
+    warm[:] = [v for _, _, v in runs]
+    return [sigma for sigma, _, _ in runs]
 
 
 def objective_and_grad(model: MLP, batch: PointSet, config: TrainConfig) -> ObjectiveEval:
@@ -220,12 +233,6 @@ def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm
     penalty, pen_grads = _penalty_and_grads(mlp, config, warm)
     grads_w = [g + pen for g, pen in zip(grads_w, pen_grads)]
     return ObjectiveEval(erm + penalty, erm, penalty, grads_w, grads_b)
-
-
-def _metrics(model: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> tuple[float, float, float]:
-    erm = _running_sum(losses(model, X, Y)) / X.shape[0]
-    penalty, _ = _penalty_and_grads(model, config, warm)
-    return erm, penalty, erm + penalty
 
 
 def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainReport:
@@ -247,10 +254,14 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
     diverged = False
 
     def record(epoch: int) -> float:
-        erm, penalty, obj = _metrics(current, X, Y, config, warm)
-        bounds = network_lipschitz_bound(current, config.norm)
-        records.append(EpochRecord(epoch, erm, penalty, obj, bounds.product, bounds.young))
-        return obj
+        # one norm pass gives the penalty and both bounds, and moves the
+        # warm starts exactly as the penalty's own pass would
+        erm = _running_sum(losses(current, X, Y)) / X.shape[0]
+        sigmas = _layer_norms(current, config.norm, warm)
+        penalty = _penalty(config, sigmas)
+        bounds = layerwise_bounds(sigmas)
+        records.append(EpochRecord(epoch, erm, penalty, erm + penalty, bounds.product, bounds.young))
+        return erm + penalty
 
     obj = record(0)
     for epoch in range(1, config.epochs + 1):

@@ -441,6 +441,19 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{data}:2: {what}" in err
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\x0c"], ids=["line-separator", "form-feed"])
+    def test_model_line_breaks_only_at_newline(self, tmp_path, capsys, brk):
+        """A U+2028 or a form feed inside a weight row does not split it into
+        two rows: the 7-line `kind linear` file fails at line 6."""
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n")
+        model = tmp_path / "model.txt"
+        lines = ["wasslip-model v1", "kind linear", "norm L2", "layers 1", "layer 2 2 IDENTITY 1"]
+        model.write_text("\n".join(lines + [f"0.75,-0.5{brk}-0.25,1.125", "0.125,-0.0625"]) + "\n", encoding="utf-8")
+        code, err = self._certify(tmp_path, capsys, data, model)
+        assert code == 2
+        assert f"{model}:6: expected 2 finite comma-separated numbers" in err
+
     @pytest.mark.parametrize("text", ["", "x0,label\n0.5,1\n", "label,x0,x1\n"])
     def test_empty_or_headless_dataset_exits_2(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from wasslip.models import (
     MLP,
     MLPLayer,
     accuracy,
+    network_lipschitz_bound,
+    save_model,
 )
 from wasslip.numerics import NormTag, UnsupportedNormError, operator_norm
 from wasslip.seeding import derive_rng
@@ -294,3 +297,69 @@ class TestTrainLoop:
         assert cert is not None
         assert cert.robust_value >= cert.empirical_risk - 1e-9
         assert cert.rho == 0.2
+
+
+class TestRecords:
+    """Each epoch record takes the penalty and both bounds from one spectral
+    pass over the same weights, and recording leaves the trajectory alone."""
+
+    def _blobs(self):
+        return gaussian_blobs(40, 2, 2, seed=11)
+
+    def _net(self):
+        return seeded_mlp(derive_rng(15, "pin"), [2, 4, 2], scale=1.0, bias=True)
+
+    # sha256 of model.txt after 10 epochs, taken before the records shared
+    # the penalty's pass; any change to the weights' bits moves them
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            (ObjectiveKind.SPECTRAL, "919e814b91217d79838e5923728e42064d851d83fc5dbfe2b6f99f174bb3ec04"),
+            (ObjectiveKind.PRODUCT, "49f03acdc92b8b7dcad9c851f9d84598f08ba80a81dd87d21843945841d34942"),
+        ],
+    )
+    def test_trajectory_pinned(self, tmp_path, kind, digest):
+        cfg = TrainConfig(kind, rho=0.3, epochs=10, learning_rate=0.05, momentum=0.5, seed=4)
+        report = train_loop(self._net(), self._blobs(), cfg)
+        path = tmp_path / "model.txt"
+        save_model(report.model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.SPECTRAL, ObjectiveKind.PRODUCT])
+    def test_penalty_and_bounds_share_one_pass(self, kind):
+        rho = 0.3
+        cfg = TrainConfig(kind, rho=rho, epochs=10, learning_rate=0.05, momentum=0.5, seed=4)
+        report = train_loop(self._net(), self._blobs(), cfg)
+        for r in report.records:
+            bound = r.young_bound if kind == ObjectiveKind.SPECTRAL else r.product_bound
+            assert r.penalty == pytest.approx(rho * math.sqrt(2.0) * bound, rel=1e-12)
+
+    def test_one_power_iteration_per_layer_per_record(self, monkeypatch):
+        import wasslip.numerics
+        import wasslip.train
+
+        calls = []
+        real = wasslip.numerics.power_iteration
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wasslip.numerics, "power_iteration", counted)
+        monkeypatch.setattr(wasslip.train, "power_iteration", counted)
+        cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=0.3, epochs=0)
+        report = train_loop(self._net(), self._blobs(), cfg)
+        assert len(report.records) == 1
+        # two layers; the final certificate's phi and head norms add two more
+        assert len(calls) == 2 + 2
+
+    @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.LINF])
+    def test_closed_form_bounds_at_rho_zero(self, tag):
+        """With no penalty, L1 and LINF records use the closed-form operator
+        norms: the bounds of the final model are network_lipschitz_bound's."""
+        cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=0.0, epochs=3, learning_rate=0.05, norm=tag)
+        report = train_loop(self._net(), self._blobs(), cfg)
+        bounds = network_lipschitz_bound(report.model, tag)
+        last = report.records[-1]
+        assert (last.product_bound, last.young_bound) == (bounds.product, bounds.young)
+        assert last.penalty == 0.0
