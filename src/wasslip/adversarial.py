@@ -142,6 +142,11 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
     atom) blocks are stacked into S*n rows that step together; a row stops
     for good when its ascent direction is all zero.  Each atom keeps its
     first maximum in (start, step) order.
+
+    One forward/backward pass per step: the pass that scores a step's
+    iterate also gives the next step's ascent direction, so s steps make
+    s + 1 passes.  Every row is bit-identical to evaluating it alone, so
+    this equals scoring and differentiating in separate passes.
     """
     if ball.epsilon == 0.0:
         return np.zeros_like(X), losses(model, X, Y)
@@ -154,18 +159,19 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
     Xs, Ys = np.tile(X, (S, 1)), np.tile(Y, S)
     delta = np.concatenate(starts)
     best_delta = delta.copy()
-    best_loss = losses(model, Xs + delta, Ys)
+    out = loss_grads(model, Xs + delta, Ys)
+    best_loss = out.losses
     live = np.arange(S * n)
     for _ in range(steps):
-        direction = _ascent_directions(loss_grads(model, Xs[live] + delta[live], Ys[live]).grad_x, ball.norm)
+        direction = _ascent_directions(out.grad_x, ball.norm)
         moving = direction.any(axis=1)
         live, direction = live[moving], direction[moving]
         if live.size == 0:
             break
         delta[live] = _project_rows(delta[live] + step * direction, ball)
-        value = losses(model, Xs[live] + delta[live], Ys[live])
-        better = value > best_loss[live]
-        best_loss[live[better]] = value[better]
+        out = loss_grads(model, Xs[live] + delta[live], Ys[live])
+        better = out.losses > best_loss[live]
+        best_loss[live[better]] = out.losses[better]
         best_delta[live[better]] = delta[live[better]]
     per_start = best_loss.reshape(S, n)
     winner = np.argmax(per_start, axis=0)  # ties go to the earliest start

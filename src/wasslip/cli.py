@@ -462,6 +462,12 @@ def main(argv=None) -> int:
         except FileNotFoundError:
             print(f"config file not found: {args.config}", file=sys.stderr)
             return 2
+        except OSError as exc:
+            print(f"config file cannot be read: {args.config} ({exc.strerror})", file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as exc:
+            print(f"config file is not UTF-8 text: {args.config} ({exc.reason} at byte {exc.start})", file=sys.stderr)
+            return 2
         except json.JSONDecodeError as exc:
             print(f"config is not valid JSON: {exc}", file=sys.stderr)
             return 2
@@ -469,7 +475,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         out_dir = Path(args.out or cfg.get("output_dir", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            source = "--out" if args.out else "config output_dir"
+            print(f"{source} cannot be used as the output directory: {out_dir} ({exc.strerror})", file=sys.stderr)
+            return 2
         code = _COMMANDS[args.command](cfg, out_dir)
         io.dump_json(
             {"command": args.command, "config": str(args.config), "wall_clock_seconds": time.perf_counter() - t0},

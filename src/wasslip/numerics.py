@@ -113,7 +113,9 @@ def power_iteration(
 
     Iterates v <- W^T W v from a deterministic seeded start and stops when two
     successive sigma estimates differ by less than `tol`.  A zero matrix
-    returns (0, e1, e1).
+    returns (0, e1, e1).  Buffers are allocated once per call: each iteration
+    writes W v, W^T w and the next v into them through the same BLAS gemv and
+    ddot calls that `W @ v` and `np.dot(w, w)` make, with the same bits.
     """
     W = as_matrix(W)
     if max_iters < 1:
@@ -134,10 +136,15 @@ def power_iteration(
 
     sigma = 0.0
     sigma_prev = -1.0
-    w = W @ v
+    # on a strided W, `@` runs its own loop where np.dot would copy W for a
+    # gemv; keep `@` there, so every layout gets the bits `W @ v` gives
+    product = np.dot if W.flags.c_contiguous or W.flags.f_contiguous else np.matmul
+    Wt = W.T
+    w = np.empty(m)
+    v_next = np.empty(n)
     for it in range(max_iters):
-        w = W @ v
-        sigma = math.sqrt(np.dot(w, w))
+        product(W, v, out=w)
+        sigma = math.sqrt(w.dot(w))
         if sigma <= 1e-300:
             # start landed in the null space; deterministic re-kick
             v = _power_start(n, salt=it + 1)
@@ -147,8 +154,8 @@ def power_iteration(
         if abs(sigma - sigma_prev) < tol:
             break
         sigma_prev = sigma
-        v_next = W.T @ w
-        v = v_next / math.sqrt(np.dot(v_next, v_next))
+        product(Wt, w, out=v_next)
+        np.divide(v_next, math.sqrt(v_next.dot(v_next)), out=v)  # v never aliases v0
     u = w / sigma if sigma > 0.0 else np.zeros(m)
     return float(sigma), u, v
 

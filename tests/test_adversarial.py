@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from helpers import linear
 from oracles import boundary_max_loss, empirical_risk, linf_corner_max_loss, vector_loss, vector_pgd
 import wasslip.adversarial as adversarial
+import wasslip.models as models
 from wasslip.adversarial import (
     AttackConfig,
     BallSpec,
@@ -15,6 +18,7 @@ from wasslip.adversarial import (
     check_adversarial_bound,
     project_ball,
 )
+from wasslip.cli import main
 from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
@@ -24,7 +28,7 @@ from wasslip.measures import (
     empirical_from_samples,
     transport_cost,
 )
-from wasslip.models import losses
+from wasslip.models import ActivationTag, losses
 from wasslip.numerics import NormTag, norm
 from wasslip.robust import RobustInstance, robust_certificate_for
 from wasslip.seeding import derive_rng
@@ -119,6 +123,44 @@ class TestPGD:
         delta, loss = attack_one(model, x, 0, ball)
         assert norm(delta, NormTag.L1) <= 0.4 + 1e-9
         assert loss >= vector_loss(model, x, 0) - 1e-9
+
+    def test_one_model_pass_per_step(self, monkeypatch):
+        """The pass that scores a step's iterate also gives the next step's
+        direction: s steps on rows that never stop make s + 1 passes."""
+        rng = derive_rng(25, "pgd-passes")
+        model = seeded_mlp(rng, [2, 4, 2], ActivationTag.TANH, scale=0.9, bias=True)
+        points = seeded_points(rng, 5, 2, 2)
+        rngs = [derive_rng(1, f"attack/{i}") for i in range(5)]
+        rows = []
+        real = models._propagate
+
+        def counted(layers, A):
+            rows.append(A.shape[0])
+            return real(layers, A)
+
+        monkeypatch.setattr(models, "_propagate", counted)
+        steps, restarts = 7, 2
+        adversarial._pgd(model, points.xs, points.ys, BallSpec(NormTag.L2, 0.2), steps, None, rngs, restarts)
+        assert rows == [(1 + restarts) * 5] * (steps + 1)
+
+    # sha256 of attack_report.json and bound_curve.csv, recorded at commit
+    # 26a2107, when each PGD step made a second pass to score its iterate
+    def test_pgd_l2_sweep_bytes_pinned(self, tmp_path):
+        doc = {
+            "seed": 4,
+            "dataset": {"generator": "gaussian-blobs", "n": 24, "k": 2, "dim": 2, "seed": 8},
+            "model": {"dims": [2, 8, 2], "seed": 6, "init_scale": 0.9},
+            "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", "method": "PGD", "steps": 20, "restarts": 2},
+        }
+        cfg = tmp_path / "attack.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("attack_report.json", "bound_curve.csv")}
+        assert digests == {
+            "attack_report.json": "10c6d07bac908905a5c42f254ac9b875315aac3cb00ead9491556e7f478f4822",
+            "bound_curve.csv": "b8ae304da866e57ec1f24a7b22a82fdcdaae50e396c5d2e4f3ce732b60f0a4ae",
+        }
 
 
 class TestAdversarialRisk:

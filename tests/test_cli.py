@@ -292,6 +292,35 @@ class TestCommands:
         unknown = write_config(tmp_path, {"seed": 1, "robust": {"rho": 0.1, "bogus": 1}})
         assert main(["certify", "--config", unknown, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: path.write_bytes(b"\xff\xfe{}"), "config file is not UTF-8 text: {path} (invalid start byte at byte 0)"),
+            (lambda path: path.mkdir(), "config file cannot be read: {path} (Is a directory)"),
+        ],
+        ids=["not-utf8", "directory"],
+    )
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, make, message):
+        config = tmp_path / "bad.json"
+        make(config)
+        assert main(["certify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == message.format(path=config) + "\n"
+
+    @pytest.mark.parametrize(
+        "out, reason",
+        [("taken", "File exists"), ("taken/sub", "Not a directory")],
+        ids=["existing-file", "under-a-file"],
+    )
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, out, reason):
+        (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+        cfg = write_config(tmp_path, {"seed": 1, "dataset": self._dataset_section()})
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"--out cannot be used as the output directory: {tmp_path / out} ({reason})\n"
+
     def test_seed_override_changes_outputs(self, tmp_path):
         base = {"seed": 1, "dataset": self._dataset_section()}
         del base["dataset"]["seed"]  # let the master seed drive generation

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,97 @@ class TestPowerIteration:
         assert np.allclose(W @ v, sigma * u, atol=1e-7)
         assert norm(u, NormTag.L2) == pytest.approx(1.0, abs=1e-10)
         assert norm(v, NormTag.L2) == pytest.approx(1.0, abs=1e-10)
+
+
+def hadamard(n):
+    """The n x n Sylvester Hadamard matrix (n a power of two): entries +-1,
+    orthogonal columns, every singular value sqrt(n)."""
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def power_digest(runs):
+    """sha256 of sigma, u, v and the sigma history of every (result, history)
+    pair, as float64 bytes in call order."""
+    h = hashlib.sha256()
+    for (sigma, u, v), history in runs:
+        for part in (np.array([sigma]), u, v, np.array(history, dtype=float)):
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestPowerIterationBits:
+    """sigma, u, v and the history, bit for bit.  The digests were recorded at
+    commit 26a2107, before the iteration wrote into preallocated buffers."""
+
+    @pytest.mark.parametrize(
+        "delta, digest",
+        [
+            (1e-2, "7889f1fe6bc8dbf32949cdc2c924705e16c703dc8389a9c7dcbbebcb5f35f495"),
+            (1e-4, "3ae9d82348d447341eac4fceedab46121c94608e59c311fa909baaa4fb94a904"),
+            (1e-6, "44b69d6e0f38cbe8ba60e1d39a12e775c55b5c21b2b4cdba4dbef709189063f9"),
+            (1e-8, "e5dd3537169ecefe8356242da122c4ef4093c76ac211999631c7a91a6f4df6e9"),
+        ],
+        ids=["1e-2", "1e-4", "1e-6", "1e-8"],
+    )
+    def test_near_tied_hadamard_blocks(self, delta, digest):
+        # s*H and s*(1 - delta)*H' on the diagonal: sigma_1 = s*sqrt(n), tied
+        # to relative delta; H' is H with its columns reversed, and the lower
+        # block keeps 3 of its 4 columns, so W is 8 x 7 with no null space and
+        # every estimate lies between the two tied values
+        s, H = 0.75, hadamard(4)
+        W = np.zeros((8, 7))
+        W[:4, :4] = s * H
+        W[4:, 4:] = s * (1.0 - delta) * H[:, ::-1][:, :3]
+        history: list = []
+        result = power_iteration(W, tol=1e-13, history=history)
+        assert 2.0 * s * (1.0 - delta) <= result[0] <= 2.0 * s * (1.0 + 1e-15)
+        assert power_digest([(result, history)]) == digest
+
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ((2, 16), "e703321b0b6f7fd3696dbbc8bf6955b7a445262880733851459311a4f761940b"),
+            ((16, 2), "42c24f3001267fa4c9669585d8a50665e4f7ab0f92b57757d9cddb3478796fd1"),
+        ],
+        ids=["2x16", "16x2"],
+    )
+    def test_warm_started_chain(self, shape, digest):
+        # five calls on a drifting matrix, each started from the last v, the
+        # way training carries its warm start from step to step
+        rng = np.random.default_rng(33)
+        W, drift = 0.5 * rng.standard_normal(shape), 0.01 * rng.standard_normal(shape)
+        runs, v = [], None
+        for _ in range(5):
+            history: list = []
+            result = power_iteration(W, tol=1e-13, v0=v, history=history)
+            runs.append((result, history))
+            v, W = result[2], W + drift
+        assert power_digest(runs) == digest
+
+    def test_strided_view(self):
+        # a 6 x 4 view with a negative column stride, and its transpose
+        base = np.random.default_rng(34).standard_normal((12, 12))[::2, ::-3]
+        runs = []
+        for W in (base, base.T):
+            history: list = []
+            runs.append((power_iteration(W, tol=1e-13, history=history), history))
+        assert power_digest(runs) == "bcfa3c1ff6657496df8823036813da570aa94ceabbba313ebc63bd43276058a4"
+
+    def test_zero_matrix(self):
+        history: list = []
+        result = power_iteration(np.zeros((3, 2)), history=history)
+        assert history == []
+        assert power_digest([(result, history)]) == "87f07c64256d1aa0aa87e4abf4d24a05ccc3708e8b3c17662ff3d4deb5a14319"
+
+    def test_start_in_the_null_space_is_rekicked(self):
+        # W v0 is exactly 0, so the first iteration restarts from a salted start
+        history: list = []
+        result = power_iteration(np.array([[1.0, -1.0]]), tol=1e-13, v0=np.array([1.0, 1.0]), history=history)
+        assert result[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert power_digest([(result, history)]) == "c474a11aac1744bc0477f41eb28eb1bf69e4dc5d941aa9b019bf5a9a9cc1117f"
 
 
 def assert_complementary_dual(problem, sol, tol=1e-9):
