@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,58 +121,104 @@ def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
     return out
 
 
-def _random_start(rng: np.random.Generator, dim: int, ball: BallSpec) -> np.ndarray:
-    if ball.norm == NormTag.LINF:
-        return rng.uniform(-ball.epsilon, ball.epsilon, dim)
-    if ball.norm == NormTag.L2:
-        direction = rng.standard_normal(dim)
-        nd = math.sqrt(float(np.dot(direction, direction)))
-        if nd == 0.0:
-            return np.zeros(dim)
-        radius = ball.epsilon * rng.uniform() ** (1.0 / dim)
-        return direction / nd * radius
-    return project_ball(rng.uniform(-ball.epsilon, ball.epsilon, dim), ball)
+class RestartDraws(NamedTuple):
+    """Every atom's random-restart variates, drawn once and scaled to any
+    radius by `starts`.
+
+    Atom i's restarts come from its own stream derive_rng(seed,
+    f"attack/{i}"), which yields the same variates at every radius; only
+    their scaling by epsilon differs.  For L2, `base` holds each restart's
+    unit direction (zero where its normal draw was all zero) and `root` its
+    u ** (1/dim); for LINF and L1, `base` holds the random() draws that
+    numpy's uniform(-eps, eps, dim) scales.  The leading axis is the restart.
+    """
+
+    norm: NormTag
+    base: np.ndarray  # (restarts, atoms, dim)
+    root: np.ndarray | None  # (restarts, atoms), L2 only
+
+    def starts(self, ball: BallSpec) -> np.ndarray:
+        """The (restarts * atoms, dim) start rows at the ball's radius, bit for
+        bit what each stream's own draws at that radius give."""
+        if ball.norm != self.norm:
+            raise ValueError(f"restart draws for {self.norm.value} used on a {ball.norm.value} ball")
+        eps = ball.epsilon
+        if self.norm == NormTag.L2:
+            rows = self.base * (eps * self.root)[:, :, None]
+        else:
+            rows = -eps + (eps - -eps) * self.base  # low + (high - low) * random(), as uniform() computes it
+        rows = rows.reshape(-1, self.base.shape[2])
+        return _project_rows(rows, ball) if self.norm == NormTag.L1 else rows
 
 
-def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, rngs, restarts: int, warm_starts=()):
+def restart_draws(seed: int, atoms: int, dim: int, norm: NormTag, restarts: int) -> RestartDraws:
+    """Draw the `restarts` random starts of atoms 0..atoms-1 from their
+    streams: for L2 a normal direction, then (unless it is all zero) a
+    uniform radius factor; for LINF and L1 one uniform vector."""
+    base = np.zeros((restarts, atoms, dim))
+    if norm != NormTag.L2:
+        for i in range(atoms):
+            # one call draws what `restarts` calls of random(dim) would
+            base[:, i] = derive_rng(seed, f"attack/{i}").random((restarts, dim))
+        return RestartDraws(norm, base, None)
+    root = np.zeros((restarts, atoms))
+    for i in range(atoms):
+        rng = derive_rng(seed, f"attack/{i}")
+        for r in range(restarts):
+            direction = rng.standard_normal(dim)
+            nd = math.sqrt(float(np.dot(direction, direction)))
+            if nd > 0.0:
+                base[r, i] = direction / nd
+                root[r, i] = rng.uniform() ** (1.0 / dim)
+    return RestartDraws(norm, base, root)
+
+
+def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, draws: RestartDraws, warm_starts=()):
     """Projected gradient ascent from every start of every atom at once.
 
     Atom i starts from zero, from its row of each warm start (projected),
-    then from `restarts` random points drawn from rngs[i].  The S (start,
-    atom) blocks are stacked into S*n rows that step together; a row stops
-    for good when its ascent direction is all zero.  Each atom keeps its
-    first maximum in (start, step) order.
+    then from its restart rows of `draws` at this radius.  The S (start,
+    atom) blocks are stacked into S*n rows that step together.  A row stops
+    for good when its ascent direction is all zero or when its projected
+    step returns its iterate bit for bit (compared as int64 views, so -0.0
+    to 0.0 is a move): rows do not depend on the batch, so such a row would
+    get the same loss and direction at every later step, and a loss it has
+    already had is never strictly better.  Each atom keeps its first maximum
+    in (start, step) order.
 
     One forward/backward pass per step: the pass that scores a step's
-    iterate also gives the next step's ascent direction, so s steps make
-    s + 1 passes.  Every row is bit-identical to evaluating it alone, so
-    this equals scoring and differentiating in separate passes.
+    iterate also gives the next step's ascent direction, so s steps make at
+    most s + 1 passes.  Every row is bit-identical to evaluating it alone,
+    so this equals scoring and differentiating in separate passes.
     """
     if ball.epsilon == 0.0:
         return np.zeros_like(X), losses(model, X, Y)
-    if restarts > 0 and rngs is None:
-        raise ValueError("random restarts need a generator")
+    if draws.base.shape[1:] != X.shape:
+        raise ValueError(f"restart draws of shape {draws.base.shape} do not fit {X.shape[0]} atoms in dimension {X.shape[1]}")
     starts = [np.zeros_like(X)] + [_project_rows(np.asarray(ws, dtype=float), ball) for ws in warm_starts]
-    starts += [np.stack([_random_start(rng, X.shape[1], ball) for rng in rngs]) for _ in range(restarts)]
-    S, (n, d) = len(starts), X.shape
+    delta = np.concatenate(starts + [draws.starts(ball)])
+    n, d = X.shape
+    S = delta.shape[0] // n
     step = step_size if step_size is not None else 2.5 * ball.epsilon / steps
+    # the live rows' points, labels and iterates are kept packed in live order
     Xs, Ys = np.tile(X, (S, 1)), np.tile(Y, S)
-    delta = np.concatenate(starts)
     best_delta = delta.copy()
     out = loss_grads(model, Xs + delta, Ys)
     best_loss = out.losses
     live = np.arange(S * n)
     for _ in range(steps):
         direction = _ascent_directions(out.grad_x, ball.norm)
-        moving = direction.any(axis=1)
-        live, direction = live[moving], direction[moving]
-        if live.size == 0:
-            break
-        delta[live] = _project_rows(delta[live] + step * direction, ball)
-        out = loss_grads(model, Xs[live] + delta[live], Ys[live])
+        stepped = _project_rows(delta + step * direction, ball)
+        keep = direction.any(axis=1) & np.any(stepped.view(np.int64) != delta.view(np.int64), axis=1)
+        if not keep.all():
+            live, Xs, Ys, stepped = live[keep], Xs[keep], Ys[keep], stepped[keep]
+            if live.size == 0:
+                break
+        delta = stepped
+        out = loss_grads(model, Xs + delta, Ys)
         better = out.losses > best_loss[live]
         best_loss[live[better]] = out.losses[better]
-        best_delta[live[better]] = delta[live[better]]
+        best_delta[live[better]] = delta[better]
     per_start = best_loss.reshape(S, n)
     winner = np.argmax(per_start, axis=0)  # ties go to the earliest start
     atoms = np.arange(n)
@@ -250,6 +296,7 @@ def adversarial_risk(
     ball: BallSpec,
     config: AttackConfig = AttackConfig(),
     warm_starts: Sequence[np.ndarray] = (),
+    draws: RestartDraws | None = None,
 ) -> AttackResult:
     """Weighted average of per-sample worst-case losses.
 
@@ -258,7 +305,9 @@ def adversarial_risk(
     makes the reported risk monotone in epsilon by construction.  Every atom
     is attacked at once; its random restarts come from its own stream
     derive_rng(config.seed, f"attack/{i}"), so results do not depend on how
-    the atoms are batched.
+    the atoms are batched.  A sweep over several radii passes `draws` from
+    one `restart_draws` call (same seed, norm and restarts as `config`);
+    without them PGD draws its own.
     """
     X, Y = mu.support.xs, mu.support.ys
     if config.method == "GRID":
@@ -266,8 +315,9 @@ def adversarial_risk(
     elif config.method == "FGSM":
         deltas, values = _fgsm(model, X, Y, ball)
     else:
-        rngs = [derive_rng(config.seed, f"attack/{i}") for i in range(len(Y))]
-        deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, rngs, config.restarts, warm_starts)
+        if draws is None:
+            draws = restart_draws(config.seed, len(Y), X.shape[1], ball.norm, config.restarts)
+        deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, draws, warm_starts)
     sizes = row_norms(deltas, ball.norm)
     if np.any(sizes > ball.epsilon + 1e-9):
         raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")

@@ -3,8 +3,8 @@ and the verification suite, driven by a strict JSON config.
 
     wasslip <gen-data|train|certify|attack|verify> --config cfg.json [--out DIR] [--seed N]
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage, config or
-input-file error, 3 numerical failure.  Reports are byte-identical across reruns with
+Exit codes: 0 success/verified, 1 verification failure, 2 usage, config,
+input-file or report-write error, 3 numerical failure.  Reports are byte-identical across reruns with
 the same seed; wall-clock and other volatile facts go to metadata.json.
 """
 
@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from wasslip import io
-from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
+from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk, restart_draws
 from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, grid_side, load_dataset_csv, save_dataset_csv
 from wasslip.measures import MetricSpec, TransportInfeasibleError, empirical_from_samples
 from wasslip.models import (
@@ -29,7 +29,7 @@ from wasslip.models import (
     save_model,
 )
 from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError, row_norms
-from wasslip.robust import RobustInstance, grid_targets, robust_certificate_for
+from wasslip.robust import RobustInstance, certificate_table, certify_on_table, grid_targets, robust_certificate_for
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import run_verification_suite, seeded_mlp
 from wasslip.train import ObjectiveKind, TrainConfig, train_loop
@@ -351,6 +351,13 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
         grid_points=section["grid_points"],
     )
 
+    # what does not depend on the radius is computed once: the restart
+    # variates and the certificate's loss table and lambda floor
+    draws = None
+    if attack_cfg.method == "PGD":
+        draws = restart_draws(attack_cfg.seed, len(mu), points.dim, norm_tag, attack_cfg.restarts)
+    shared = certificate_table(model, mu, norm_tag)
+
     rows = []
     sweeps = []
     warm: list = []
@@ -360,10 +367,10 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
         starts = []
         if warm and prev_eps and prev_eps > 0:
             starts = [warm[-1], warm[-1] * (eps / prev_eps)]
-        result = adversarial_risk(model, mu, ball, attack_cfg, warm_starts=starts)
+        result = adversarial_risk(model, mu, ball, attack_cfg, warm_starts=starts, draws=draws)
         warm.append(result.perturbations)
         prev_eps = eps
-        cert = robust_certificate_for(model, RobustInstance(mu, metric, eps))
+        cert = certify_on_table(RobustInstance(mu, metric, eps), shared)
         rows.append([eps, result.adversarial_risk, cert.robust_value])
         sweeps.append(
             {
@@ -487,7 +494,7 @@ def main(argv=None) -> int:
             out_dir / "metadata.json",
         )
         return code
-    except (ConfigError, io.InputFileError) as exc:
+    except (ConfigError, io.InputFileError, io.ReportWriteError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (NumericalError, TransportInfeasibleError, UnsupportedNormError) as exc:

@@ -14,7 +14,6 @@ spells a float another way (``0.50``) hashes as its own text.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -89,7 +88,7 @@ def _csv_text(points: PointSet) -> str:
 
 
 def save_dataset_csv(points: PointSet, path) -> None:
-    Path(path).write_text(_csv_text(points) + "\n", encoding="utf-8")
+    io.write_text(path, _csv_text(points) + "\n")
 
 
 # Labels are stored as int64, so the inferred label count must fit one.

@@ -25,6 +25,19 @@ class InputFileError(ValueError):
         super().__init__(f"{where}: {msg}")
 
 
+class ReportWriteError(RuntimeError):
+    """A report that cannot be written; the message names the path and the
+    operating system's reason."""
+
+
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 report; a failed write raises ReportWriteError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ReportWriteError(f"cannot write report: {path} ({exc.strerror or exc})") from exc
+
+
 def read_text(path) -> str:
     """A UTF-8 text file with its line ends normalised to LF; unreadable files
     raise InputFileError."""
@@ -91,7 +104,7 @@ def dumps(value: Any) -> str:
 
 
 def dump_json(value: Any, path) -> None:
-    Path(path).write_text(dumps(value), encoding="utf-8")
+    write_text(path, dumps(value))
 
 
 def format_cell(cell: Any) -> str:
@@ -112,7 +125,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Non
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_cell(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def sha256_hex(data: bytes) -> str:

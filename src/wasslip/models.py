@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -304,7 +303,7 @@ def save_model(model: MLP, path, norm_tag: NormTag = NormTag.L2) -> None:
             lines.append(",".join(fmt_float(v) for v in row))
         if layer.bias is not None:
             lines.append(",".join(fmt_float(v) for v in layer.bias))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    io.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> tuple[MLP, NormTag]:

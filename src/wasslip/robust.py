@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,33 +268,39 @@ def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float)
     return max(float(np.max(gain, initial=0.0)), 1e-9)
 
 
-def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertificate:
-    """Upper bound on the robust risk of a model from one loss table and one
-    dual, cross-checked against the restricted primal LP when the instance
-    has a candidate set.
+class CertificateTable(NamedTuple):
+    """What a model's certificates on one empirical measure share at every
+    radius: the (sample, label) loss table, the empirical risk read off it,
+    and the lambda floor bound(head) * lip(phi) in the input norm."""
 
-    For f = head o phi (phi is every layer but the last, none for a linear
-    model) each loss slice x -> CE(f(x), y) is bound(head)*lip(phi)-Lipschitz
-    in the input norm, so the label dual on the model's loss table over
-    lambda >= that product bounds the supremum over the input ball.  An empty
-    phi has lip(phi) = 1.0 exactly; a constant phi has lip(phi) = 0, and the
-    dual over every lambda >= 0 is then the exact supremum.
-    """
-    mu = instance.empirical
-    tag = instance.metric.x_norm
+    table: np.ndarray
+    empirical_risk: float
+    lambda_floor: float
+
+
+def certificate_table(model: MLP, mu: DiscreteMeasure, tag: NormTag) -> CertificateTable:
+    """One forward pass for the loss table and the spectral norms for the
+    floor.  For f = head o phi (phi is every layer but the last, none for a
+    linear model) each loss slice x -> CE(f(x), y) is
+    bound(head)*lip(phi)-Lipschitz in the input norm.  An empty phi has
+    lip(phi) = 1.0 exactly; a constant phi has lip(phi) = 0."""
     table = label_loss_matrix(model, mu.support.xs)
     own = table[np.arange(len(mu)), mu.support.ys]
     bad = np.flatnonzero(~np.isfinite(own))
     if bad.size:
         raise ValueError(f"loss is non-finite at support index {bad[0]}")
-    emp = float(np.dot(mu.weights, own))
-    l_bound = ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
-    dual = minimize_dual(instance, table, l_bound)
-    # the restricted primal LP on the model's losses at the candidate targets
-    targets = instance.candidate_targets
-    oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
+    floor = ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
+    return CertificateTable(table, float(np.dot(mu.weights, own)), floor)
 
-    decomposition = abs(dual.value - (float(np.dot(mu.weights, dual.envelopes)) + dual.lambda_star * instance.rho))
+
+def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_value: float | None = None) -> RobustCertificate:
+    """The certificate at the instance's radius from its measure's shared
+    table: the label dual over lambda >= the floor bounds the supremum over
+    the input ball (at a floor of 0 it is the exact supremum).  A given
+    `oracle_value` (the restricted primal LP) adds the oracle verdict."""
+    emp = shared.empirical_risk
+    dual = minimize_dual(instance, shared.table, shared.lambda_floor)
+    decomposition = abs(dual.value - (float(np.dot(instance.empirical.weights, dual.envelopes)) + dual.lambda_star * instance.rho))
     verdicts = [
         ("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9),
         ("objective_decomposition", decomposition <= 1e-10),
@@ -309,11 +315,23 @@ def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertif
         lambda_star=dual.lambda_star,
         rho=instance.rho,
         kappa=instance.metric.kappa,
-        lipschitz_bound_used=l_bound,
+        lipschitz_bound_used=shared.lambda_floor,
         oracle_value=oracle_value,
         oracle_gap=gap,
         verdicts=tuple(verdicts),
     )
+
+
+def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertificate:
+    """Upper bound on the robust risk of a model from one loss table and one
+    dual (`certificate_table`, then `certify_on_table`), cross-checked
+    against the restricted primal LP when the instance has a candidate set.
+    A sweep over radii on one measure builds the table once and calls
+    `certify_on_table` per radius."""
+    shared = certificate_table(model, instance.empirical, instance.metric.x_norm)
+    targets = instance.candidate_targets
+    oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
+    return certify_on_table(instance, shared, oracle_value)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,6 @@ class TestPGD:
         rng = derive_rng(25, "pgd-passes")
         model = seeded_mlp(rng, [2, 4, 2], ActivationTag.TANH, scale=0.9, bias=True)
         points = seeded_points(rng, 5, 2, 2)
-        rngs = [derive_rng(1, f"attack/{i}") for i in range(5)]
         rows = []
         real = models._propagate
 
@@ -140,27 +139,127 @@ class TestPGD:
 
         monkeypatch.setattr(models, "_propagate", counted)
         steps, restarts = 7, 2
-        adversarial._pgd(model, points.xs, points.ys, BallSpec(NormTag.L2, 0.2), steps, None, rngs, restarts)
+        draws = adversarial.restart_draws(1, 5, 2, NormTag.L2, restarts)
+        adversarial._pgd(model, points.xs, points.ys, BallSpec(NormTag.L2, 0.2), steps, None, draws)
         assert rows == [(1 + restarts) * 5] * (steps + 1)
 
-    # sha256 of attack_report.json and bound_curve.csv, recorded at commit
-    # 26a2107, when each PGD step made a second pass to score its iterate
-    def test_pgd_l2_sweep_bytes_pinned(self, tmp_path):
+    def test_rows_retire_at_exact_fixed_points(self, monkeypatch):
+        """Sign steps on a binary linear model drive every LINF row into a
+        corner, where its projected step returns it bit for bit; such rows
+        stop reaching the model, and the result keeps the bytes it had when
+        every row stepped to the end (digest recorded at commit d54108a)."""
+        rng = derive_rng(26, "pgd-retire")
+        model = seeded_linear_model(rng, 3, 2)
+        mu = empirical_from_samples(seeded_points(rng, 6, 3, 2))
+        rows = []
+        real = models._propagate
+
+        def counted(layers, A):
+            rows.append(A.shape[0])
+            return real(layers, A)
+
+        monkeypatch.setattr(models, "_propagate", counted)
+        config = AttackConfig(seed=3, steps=12, restarts=2)
+        result = adversarial_risk(model, mu, BallSpec(NormTag.LINF, 0.3), config)
+        S, n = 1 + config.restarts, 6
+        assert sum(rows) < S * n * (config.steps + 1)
+        assert rows[-1] < S * n
+        assert np.array_equal(np.abs(result.perturbations), np.full((n, 3), 0.3))
+        digest = hashlib.sha256(result.perturbations.tobytes() + result.losses.tobytes()).hexdigest()
+        assert digest == "5af2fdc1338ad7e228a75ef364a3612376770b9b19498ade3ee26e25598260a9"
+
+    @pytest.mark.parametrize("tag", list(NormTag))
+    def test_restart_draws_equal_per_radius_draws(self, tag, monkeypatch):
+        """Variates drawn once and scaled at each radius equal each stream's
+        own draws at that radius, bit for bit.  Atom 1's first L2 normal draw
+        is all zero, so its start is zero and it skips the uniform draw."""
+        real = derive_rng
+
+        class FirstNormalZero:
+            def __init__(self, rng):
+                self._rng, self._zeroed = rng, False
+
+            def standard_normal(self, size):
+                draw = self._rng.standard_normal(size)
+                if self._zeroed:
+                    return draw
+                self._zeroed = True
+                return np.zeros(size)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        def streams(seed, name):
+            rng = real(seed, name)
+            return FirstNormalZero(rng) if name == "attack/1" else rng
+
+        monkeypatch.setattr(adversarial, "derive_rng", streams)
+        atoms, dim, restarts, seed = 4, 3, 3, 11
+        draws = adversarial.restart_draws(seed, atoms, dim, tag, restarts)
+        for eps in (0.01, 0.3, 2.5):
+            expected = np.empty((restarts, atoms, dim))
+            for i in range(atoms):
+                rng = streams(seed, f"attack/{i}")
+                for r in range(restarts):
+                    if tag == NormTag.L2:
+                        direction = rng.standard_normal(dim)
+                        nd = math.sqrt(float(np.dot(direction, direction)))
+                        expected[r, i] = np.zeros(dim) if nd == 0.0 else direction / nd * (eps * rng.uniform() ** (1.0 / dim))
+                    else:
+                        start = rng.uniform(-eps, eps, dim)
+                        expected[r, i] = project_ball(start, BallSpec(tag, eps)) if tag == NormTag.L1 else start
+            got = draws.starts(BallSpec(tag, eps))
+            assert got.view(np.int64).tolist() == expected.reshape(-1, dim).view(np.int64).tolist()
+        if tag == NormTag.L2:
+            assert not draws.starts(BallSpec(tag, 1.0))[1].any()  # restart 0 of atom 1
+
+    @staticmethod
+    def _sweep_digests(tmp_path, norm):
+        """sha256 of attack_report.json and bound_curve.csv of a seeded PGD
+        sweep over three radii."""
         doc = {
             "seed": 4,
             "dataset": {"generator": "gaussian-blobs", "n": 24, "k": 2, "dim": 2, "seed": 8},
             "model": {"dims": [2, 8, 2], "seed": 6, "init_scale": 0.9},
-            "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", "method": "PGD", "steps": 20, "restarts": 2},
+            "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": norm, "method": "PGD", "steps": 20, "restarts": 2},
         }
         cfg = tmp_path / "attack.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("attack_report.json", "bound_curve.csv")}
-        assert digests == {
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("attack_report.json", "bound_curve.csv")}
+
+    # recorded at commit 26a2107, when each PGD step made a second pass to
+    # score its iterate
+    def test_pgd_l2_sweep_bytes_pinned(self, tmp_path):
+        assert self._sweep_digests(tmp_path, "L2") == {
             "attack_report.json": "10c6d07bac908905a5c42f254ac9b875315aac3cb00ead9491556e7f478f4822",
             "bound_curve.csv": "b8ae304da866e57ec1f24a7b22a82fdcdaae50e396c5d2e4f3ce732b60f0a4ae",
         }
+
+    # recorded at commit d54108a, when each radius drew its restarts with
+    # uniform(-eps, eps) and no row retired before its last step
+    @pytest.mark.parametrize(
+        "norm, digests",
+        [
+            (
+                "LINF",
+                {
+                    "attack_report.json": "ac045708bde144741fa5aa5bcc05030394b120dcb6ea65c3afb2ea692f30c7e3",
+                    "bound_curve.csv": "8b1ebc2a8cc9ba56306dfbb63477cd93c83044e5b3b48ebf420c7b4a9fe34c7b",
+                },
+            ),
+            (
+                "L1",
+                {
+                    "attack_report.json": "6c81f1c23f5bdf045764bc3fa68ca722258a7d043cc8e13ea8e232387e63bc78",
+                    "bound_curve.csv": "e9164e5c56808e4a1a6de6711c1daee88aba1f77e5bc889eb9581efb5cf7da70",
+                },
+            ),
+        ],
+    )
+    def test_pgd_sweep_bytes_pinned(self, tmp_path, norm, digests):
+        assert self._sweep_digests(tmp_path, norm) == digests
 
 
 class TestAdversarialRisk:

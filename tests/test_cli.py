@@ -321,6 +321,28 @@ class TestCommands:
         assert "Traceback" not in err
         assert err == f"--out cannot be used as the output directory: {tmp_path / out} ({reason})\n"
 
+    @pytest.mark.parametrize(
+        "command, section, blocked",
+        [
+            ("gen-data", {}, "dataset.csv"),
+            ("certify", {"model": {"dims": [2, 2]}, "robust": {"rho": 0.1}}, "certificate.json"),
+            ("attack", {"model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "steps": 2, "restarts": 1}}, "bound_curve.csv"),
+            ("train", {"model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "epochs": 1}}, "model.txt"),
+            ("gen-data", {}, "metadata.json"),
+        ],
+        ids=["gen-data", "certify", "attack", "train", "metadata"],
+    )
+    def test_unwritable_report_exits_2_naming_it(self, tmp_path, capsys, command, section, blocked):
+        """A directory where a report goes is a report-write error: exit 2
+        and one line, not a traceback with the exit code of a failed check."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path, {"seed": 1, "dataset": self._dataset_section(), **section})
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"cannot write report: {out / blocked} (Is a directory)\n"
+
     def test_seed_override_changes_outputs(self, tmp_path):
         base = {"seed": 1, "dataset": self._dataset_section()}
         del base["dataset"]["seed"]  # let the master seed drive generation
