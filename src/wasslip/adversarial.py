@@ -13,7 +13,6 @@ ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import MLP, loss_grads, losses
-from wasslip.numerics import FEASIBILITY_TOL, NormTag, as_vector, row_norms
+from wasslip.numerics import FEASIBILITY_TOL, FrozenRecord, NormTag, NumericalError, as_vector, row_norms
 from wasslip.robust import (
     RobustInstance,
     primal_robust_risk_lp,
@@ -35,36 +34,37 @@ from wasslip.robust import (
 from wasslip.seeding import derive_rng
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    norm: NormTag
-    epsilon: float
+class BallSpec(FrozenRecord):
+    __slots__ = ("norm", "epsilon")
 
-    def __post_init__(self):
-        if self.epsilon < 0.0 or not math.isfinite(self.epsilon):
+    def __init__(self, norm: NormTag, epsilon: float):
+        if epsilon < 0.0 or not math.isfinite(epsilon):
             raise ValueError("epsilon must be finite and non-negative")
+        self._fill(norm=norm, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class AttackConfig:
-    method: str = "PGD"  # PGD | FGSM | GRID
-    steps: int = 40
-    step_size: float | None = None  # default: 2.5 * epsilon / steps
-    restarts: int = 3
-    seed: int = 0
-    grid_points: int = 41
+class AttackConfig(FrozenRecord):
+    __slots__ = ("method", "steps", "step_size", "restarts", "seed", "grid_points")
 
-    def __post_init__(self):
-        if self.method not in ("PGD", "FGSM", "GRID"):
-            raise ValueError(f"unknown attack method {self.method!r}")
-        if self.steps < 1:
+    def __init__(
+        self,
+        method: str = "PGD",  # PGD | FGSM | GRID
+        steps: int = 40,
+        step_size: float | None = None,  # default: 2.5 * epsilon / steps
+        restarts: int = 3,
+        seed: int = 0,
+        grid_points: int = 41,
+    ):
+        if method not in ("PGD", "FGSM", "GRID"):
+            raise ValueError(f"unknown attack method {method!r}")
+        if steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0.0:
+        if step_size is not None and step_size <= 0.0:
             raise ValueError("step_size must be positive")
+        self._fill(method=method, steps=steps, step_size=step_size, restarts=restarts, seed=seed, grid_points=grid_points)
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     perturbations: np.ndarray
     losses: np.ndarray
     adversarial_risk: float
@@ -310,6 +310,12 @@ def adversarial_risk(
     without them PGD draws its own.
     """
     X, Y = mu.support.xs, mu.support.ys
+    # the largest values an attack forms: a point plus a perturbation of up
+    # to a uniform start's span of 2 epsilon plus a step (2.5 epsilon / steps
+    # by default), and in L2 the sum of dim squares of such a perturbation
+    span = 2.5 * ball.epsilon + (config.step_size or 0.0)
+    if not math.isfinite(float(np.max(np.abs(X))) + span) or (ball.norm == NormTag.L2 and not math.isfinite(span * span * X.shape[1])):
+        raise NumericalError(f"the attack at epsilon {ball.epsilon!r} leaves the floating-point range")
     if config.method == "GRID":
         deltas, values = _grid(model, X, Y, ball, config.grid_points)
     elif config.method == "FGSM":
@@ -322,11 +328,12 @@ def adversarial_risk(
     if np.any(sizes > ball.epsilon + 1e-9):
         raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")
     risk = float(np.dot(mu.weights, values))
+    if not math.isfinite(risk):
+        raise NumericalError(f"the attacked losses overflow at epsilon {ball.epsilon!r}")
     return AttackResult(deltas, values, risk, config.method, ball.epsilon, ball.norm)
 
 
-@dataclass(frozen=True)
-class AdversarialBoundVerdict:
+class AdversarialBoundVerdict(NamedTuple):
     passed: bool
     adversarial_risk: float
     robust_value: float

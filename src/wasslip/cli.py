@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from wasslip import io
 from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk, restart_draws
 from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, grid_side, load_dataset_csv, save_dataset_csv
@@ -118,6 +120,15 @@ def _get_kappa(obj: dict, path: str) -> float:
 
 
 _NORM_CHOICES = {t.value for t in NormTag}
+# the envelope grid needs 2 points per axis to reach beyond its centre
+_VERIFY_MINIMUMS = {
+    "strong_duality_instances": 1,
+    "envelope_points_per_dim": 2,
+    "pushforward_triples": 1,
+    "pushforward_cases": 1,
+    "adversarial_tuples": 1,
+    "chain_nets": 1,
+}
 
 
 def validate_config(raw: dict) -> dict:
@@ -213,16 +224,8 @@ def validate_config(raw: dict) -> dict:
 
     if "verify" in raw:
         v = raw["verify"]
-        allowed = {
-            "strong_duality_instances",
-            "envelope_points_per_dim",
-            "pushforward_triples",
-            "pushforward_cases",
-            "adversarial_tuples",
-            "chain_nets",
-        }
-        _check_keys(v, "verify", allowed)
-        cfg["verify"] = {key: _get_int(v, "verify", key, default=None, lo=1) for key in allowed if key in v}
+        _check_keys(v, "verify", set(_VERIFY_MINIMUMS))
+        cfg["verify"] = {key: _get_int(v, "verify", key, lo=lo) for key, lo in _VERIFY_MINIMUMS.items() if key in v}
 
     return cfg
 
@@ -488,7 +491,9 @@ def main(argv=None) -> int:
             source = "--out" if args.out else "config output_dir"
             print(f"{source} cannot be used as the output directory: {out_dir} ({exc.strerror})", file=sys.stderr)
             return 2
-        code = _COMMANDS[args.command](cfg, out_dir)
+        # an overflow surfaces as a NumericalError (exit 3), not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _COMMANDS[args.command](cfg, out_dir)
         io.dump_json(
             {"command": args.command, "config": str(args.config), "wall_clock_seconds": time.perf_counter() - t0},
             out_dir / "metadata.json",

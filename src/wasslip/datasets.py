@@ -20,9 +20,19 @@ import numpy as np
 
 from wasslip import io
 from wasslip.measures import PointSet
+from wasslip.numerics import NumericalError
 from wasslip.seeding import derive_rng
 
 GENERATORS = ("gaussian-blobs", "two-moons", "grid")
+
+
+def _generated(kind: str, xs: np.ndarray, ys: np.ndarray, k: int) -> PointSet:
+    """A generator's points.  Finite parameters whose coordinates overflow
+    (a `std` of 1e308) are a numerical failure, not bad input."""
+    bad = np.flatnonzero(~np.all(np.isfinite(xs), axis=1))
+    if bad.size:
+        raise NumericalError(f"{kind} coordinates overflow: row {bad[0]} is not finite")
+    return PointSet(xs, ys, k)
 
 
 def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6, center_box: float = 3.0) -> PointSet:
@@ -33,7 +43,7 @@ def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6, center
     xs = rng.standard_normal((n, dim))  # scaled and shifted in place: no full-size temporaries
     xs *= std
     xs += centers[ys]
-    return PointSet(xs, ys, k)
+    return _generated("gaussian-blobs", xs, ys, k)
 
 
 def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
@@ -44,7 +54,7 @@ def two_moons(n: int, seed: int, noise: float = 0.15) -> PointSet:
     t_out = np.linspace(0.0, math.pi, n_out)
     t_in = np.linspace(0.0, math.pi, n_in)
     base = [[math.cos(t), math.sin(t)] for t in t_out] + [[1.0 - math.cos(t), 0.5 - math.sin(t)] for t in t_in]
-    return PointSet(np.array(base) + noise * rng.standard_normal((n, 2)), np.repeat([0, 1], [n_out, n_in]), 2)
+    return _generated("two-moons", np.array(base) + noise * rng.standard_normal((n, 2)), np.repeat([0, 1], [n_out, n_in]), 2)
 
 
 def grid_side(n: int, dim: int) -> int | None:
@@ -61,7 +71,7 @@ def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSe
     axes = [np.linspace(lo, hi, side) for _ in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack([m.ravel() for m in mesh], axis=1)
-    return PointSet(lattice, np.arange(n) % k, k)
+    return _generated("grid", lattice, np.arange(n) % k, k)
 
 
 def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointSet:

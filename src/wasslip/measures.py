@@ -10,7 +10,6 @@ big-M surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from wasslip.numerics import (
     DimensionError,
     FEASIBILITY_TOL,
+    FrozenRecord,
     LPProblem,
     LPStatus,
     NormTag,
@@ -30,19 +30,16 @@ class TransportInfeasibleError(RuntimeError):
     """No finite-cost coupling exists between the two measures."""
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(FrozenRecord):
     """n labeled points: `xs` (n x d floats) and `ys` (n integer labels in
     [0, label_count)).  Both are stored as read-only copies; row i of `xs`
     carries label `ys[i]`."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    label_count: int
+    __slots__ = ("xs", "ys", "label_count")
 
-    def __post_init__(self):
-        xs = np.array(self.xs, dtype=float, order="C")
-        ys = np.asarray(self.ys)
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, label_count: int):
+        xs = np.array(xs, dtype=float, order="C")
+        ys = np.asarray(ys)
         if xs.ndim != 2:
             raise DimensionError(f"xs must be an n x d array, got shape {xs.shape}")
         if xs.shape[0] == 0:
@@ -55,13 +52,12 @@ class PointSet:
         if ys.dtype.kind not in "iub" and not np.all(np.isfinite(ys) & (ys == np.floor(ys))):
             raise ValueError("labels must be integers")
         ys = ys.astype(int)
-        outside = np.flatnonzero((ys < 0) | (ys >= self.label_count))
+        outside = np.flatnonzero((ys < 0) | (ys >= label_count))
         if outside.size:
-            raise ValueError(f"label {ys[outside[0]]} outside [0, {self.label_count})")
+            raise ValueError(f"label {ys[outside[0]]} outside [0, {label_count})")
         xs.setflags(write=False)
         ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self._fill(xs=xs, ys=ys, label_count=label_count)
 
     @property
     def dim(self) -> int:
@@ -71,16 +67,14 @@ class PointSet:
         return self.xs.shape[0]
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(FrozenRecord):
     """Weights on the rows of a point set, stored as a read-only copy."""
 
-    support: PointSet
-    weights: np.ndarray
+    __slots__ = ("support", "weights")
 
-    def __post_init__(self):
-        w = as_vector(self.weights)
-        if w.size != len(self.support):
+    def __init__(self, support: PointSet, weights: np.ndarray):
+        w = as_vector(weights)
+        if w.size != len(support):
             raise DimensionError("one weight per support point required")
         if np.any(w < 0.0):
             raise ValueError("weights must be non-negative")
@@ -88,7 +82,7 @@ class DiscreteMeasure:
             raise ValueError(f"weights must sum to 1, got {float(np.sum(w))!r}")
         w = w.copy()
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self._fill(support=support, weights=w)
 
     def __len__(self) -> int:
         return len(self.support)
@@ -104,25 +98,19 @@ def discrete_label_metric(label_count: int) -> np.ndarray:
     return 1.0 - np.eye(label_count)
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(FrozenRecord):
     """Product metric ||x-x'|| + kappa * d_Y(y,y') on labeled points."""
 
-    x_norm: NormTag
-    kappa: float
-    label_count: int
-    label_metric: np.ndarray | None = None
+    __slots__ = ("x_norm", "kappa", "label_count", "label_metric")
 
-    def __post_init__(self):
-        if not (self.kappa > 0.0):  # inf is allowed, zero and NaN are not
+    def __init__(self, x_norm: NormTag, kappa: float, label_count: int, label_metric: np.ndarray | None = None):
+        if not (kappa > 0.0):  # inf is allowed, zero and NaN are not
             raise ValueError("kappa must be positive (or inf)")
-        if self.label_count < 1:
+        if label_count < 1:
             raise ValueError("label_count must be >= 1")
-        lm = self.label_metric
-        lm = discrete_label_metric(self.label_count) if lm is None else np.asarray(lm, dtype=float)
-        k = self.label_count
-        if lm.shape != (k, k):
-            raise DimensionError(f"label metric must be {k}x{k}")
+        lm = discrete_label_metric(label_count) if label_metric is None else np.asarray(label_metric, dtype=float)
+        if lm.shape != (label_count, label_count):
+            raise DimensionError(f"label metric must be {label_count}x{label_count}")
         if not np.all(np.isfinite(lm)):
             raise ValueError("label metric entries must be finite")
         if np.any(lm < 0.0):
@@ -135,20 +123,19 @@ class MetricSpec:
         broken = np.argwhere(lm[:, :, None] > lm[:, None, :] + lm.T[None, :, :] + 1e-12)
         if broken.size:
             raise ValueError("label metric violates the triangle inequality at ({},{},{})".format(*broken[0]))
-        object.__setattr__(self, "label_metric", lm)
+        self._fill(x_norm=x_norm, kappa=kappa, label_count=label_count, label_metric=lm)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    entries: np.ndarray
+class CostMatrix(FrozenRecord):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray):
+        e = np.asarray(entries, dtype=float)
         if e.ndim != 2:
             raise DimensionError("cost matrix must be 2-D")
         if np.any(np.isnan(e)) or np.any(e < 0.0):
             raise ValueError("costs must be non-negative (inf allowed)")
-        object.__setattr__(self, "entries", e)
+        self._fill(entries=e)
 
 
 def _pairwise_x_distances(xs: np.ndarray, xt: np.ndarray, tag: NormTag) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -24,6 +23,7 @@ from wasslip import io
 from wasslip.io import fmt_float
 from wasslip.numerics import (
     DimensionError,
+    FrozenRecord,
     NormTag,
     UnsupportedNormError,
     as_matrix,
@@ -57,34 +57,29 @@ def _activation_slope(tag: ActivationTag, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-@dataclass(frozen=True)
-class MLPLayer:
-    weights: np.ndarray
-    activation: ActivationTag
-    bias: np.ndarray | None = None
+class MLPLayer(FrozenRecord):
+    __slots__ = ("weights", "activation", "bias")
 
-    def __post_init__(self):
-        W = as_matrix(self.weights)
-        object.__setattr__(self, "weights", W)
-        object.__setattr__(self, "activation", ActivationTag(self.activation))
-        if self.bias is not None:
-            b = as_vector(self.bias)
-            if b.size != W.shape[0]:
+    def __init__(self, weights: np.ndarray, activation: ActivationTag, bias: np.ndarray | None = None):
+        W = as_matrix(weights)
+        activation = ActivationTag(activation)
+        if bias is not None:
+            bias = as_vector(bias)
+            if bias.size != W.shape[0]:
                 raise DimensionError("bias length must equal the layer output dimension")
-            object.__setattr__(self, "bias", b)
+        self._fill(weights=W, activation=activation, bias=bias)
 
 
-@dataclass(frozen=True)
-class MLP:
+class MLP(FrozenRecord):
     """Stack of linear layers with activations; the final layer emits logits
     that feed a softmax cross-entropy head, so its activation must be IDENTITY.
     The feature map is everything before the final layer; the one-layer MLP
     is the linear softmax classifier, whose feature map is empty."""
 
-    layers: tuple
+    __slots__ = ("layers",)
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
+    def __init__(self, layers: tuple):
+        layers = tuple(layers)
         if not layers:
             raise ValueError("an MLP needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
@@ -92,7 +87,7 @@ class MLP:
                 raise DimensionError("consecutive layer dimensions do not chain")
         if layers[-1].activation != ActivationTag.IDENTITY:
             raise ValueError("the final layer must have IDENTITY activation (logits)")
-        object.__setattr__(self, "layers", layers)
+        self._fill(layers=layers)
 
     @property
     def label_count(self) -> int:

@@ -11,8 +11,8 @@ itself are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,24 @@ class UnsupportedNormError(ValueError):
 
 class NumericalError(RuntimeError):
     """A solver exceeded its iteration cap or failed internal validation."""
+
+
+class FrozenRecord:
+    """Base of the validating records: each subclass lists its fields in
+    `__slots__` and sets them once, at the end of `__init__`, with `_fill`;
+    afterwards no field can be set or deleted."""
+
+    __slots__ = ()
+
+    def _fill(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
 class NormTag(str, Enum):
@@ -179,17 +197,16 @@ class LPStatus(str, Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """max objective . x  s.t.  eq rows hold, ineq rows are <=, x >= 0."""
+class LPProblem(NamedTuple):
+    """max objective . x  s.t.  eq rows hold, ineq rows are <=, x >= 0; each
+    constraint is a (row, rhs) pair."""
 
     objective: np.ndarray
-    eq_constraints: list = field(default_factory=list)
-    ineq_constraints: list = field(default_factory=list)
+    eq_constraints: Sequence = ()
+    ineq_constraints: Sequence = ()
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """`dual` holds y for the caller's rows, eq rows then ineq rows, at an
     optimum: A^T y >= c, y >= 0 on the ineq rows and b . y = value, each
     checked to a tolerance; a redundant row gets 0.  `pivots` counts every

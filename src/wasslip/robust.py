@@ -23,7 +23,6 @@ independent oracle; on any sub-grid the dual value can only dominate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ from wasslip.models import (
 )
 from wasslip.numerics import (
     DimensionError,
+    FrozenRecord,
     LPProblem,
     LPStatus,
     NormTag,
@@ -54,56 +54,74 @@ from wasslip.numerics import (
     solve_lp,
 )
 
-@dataclass(frozen=True)
-class RobustInstance:
+class RobustInstance(FrozenRecord):
     """An empirical measure, the product metric, a ball radius, and an
     optional finite candidate set used by the LP oracle."""
 
-    empirical: DiscreteMeasure
-    metric: MetricSpec
-    rho: float
-    candidate_targets: PointSet | None = None
+    __slots__ = ("empirical", "metric", "rho", "candidate_targets")
 
-    def __post_init__(self):
-        if self.rho < 0.0:
+    def __init__(self, empirical: DiscreteMeasure, metric: MetricSpec, rho: float, candidate_targets: PointSet | None = None):
+        if rho < 0.0:
             raise ValueError("rho must be non-negative")
-        if self.metric.label_count != self.empirical.support.label_count:
+        if metric.label_count != empirical.support.label_count:
             raise ValueError("metric and measure disagree on the label count")
+        self._fill(empirical=empirical, metric=metric, rho=rho, candidate_targets=candidate_targets)
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(FrozenRecord):
     """The dual's minimizer and value; `lambda_floor` is the lower bound the
     dual was minimized over (the loss Lipschitz bound, or 0 on targets)."""
 
-    lambda_star: float
-    value: float
-    envelopes: np.ndarray
-    active_labels: np.ndarray
-    lambda_floor: float
+    __slots__ = ("lambda_star", "value", "envelopes", "active_labels", "lambda_floor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "envelopes", np.asarray(self.envelopes, dtype=float))
-        object.__setattr__(self, "active_labels", np.asarray(self.active_labels, dtype=int))
+    def __init__(self, lambda_star: float, value: float, envelopes: np.ndarray, active_labels: np.ndarray, lambda_floor: float):
+        self._fill(
+            lambda_star=lambda_star,
+            value=value,
+            envelopes=np.asarray(envelopes, dtype=float),
+            active_labels=np.asarray(active_labels, dtype=int),
+            lambda_floor=lambda_floor,
+        )
 
 
-@dataclass(frozen=True)
-class RobustCertificate:
-    empirical_risk: float
-    robust_value: float
-    lambda_star: float
-    rho: float
-    kappa: float
-    lipschitz_bound_used: float
-    oracle_value: float | None = None
-    oracle_gap: float | None = None
-    verdicts: tuple = ()
+class RobustCertificate(FrozenRecord):
+    __slots__ = (
+        "empirical_risk",
+        "robust_value",
+        "lambda_star",
+        "rho",
+        "kappa",
+        "lipschitz_bound_used",
+        "oracle_value",
+        "oracle_gap",
+        "verdicts",
+    )
 
-    def __post_init__(self):
-        if self.robust_value < self.empirical_risk - 1e-9:
-            raise NumericalError(
-                f"robust value {self.robust_value} fell below the empirical risk {self.empirical_risk}"
-            )
+    def __init__(
+        self,
+        empirical_risk: float,
+        robust_value: float,
+        lambda_star: float,
+        rho: float,
+        kappa: float,
+        lipschitz_bound_used: float,
+        oracle_value: float | None = None,
+        oracle_gap: float | None = None,
+        verdicts: tuple = (),
+    ):
+        if robust_value < empirical_risk - 1e-9:
+            raise NumericalError(f"robust value {robust_value} fell below the empirical risk {empirical_risk}")
+        self._fill(
+            empirical_risk=empirical_risk,
+            robust_value=robust_value,
+            lambda_star=lambda_star,
+            rho=rho,
+            kappa=kappa,
+            lipschitz_bound_used=lipschitz_bound_used,
+            oracle_value=oracle_value,
+            oracle_gap=oracle_gap,
+            verdicts=verdicts,
+        )
 
     def all_passed(self) -> bool:
         return all(ok for _, ok in self.verdicts)
@@ -288,7 +306,7 @@ def certificate_table(model: MLP, mu: DiscreteMeasure, tag: NormTag) -> Certific
     own = table[np.arange(len(mu)), mu.support.ys]
     bad = np.flatnonzero(~np.isfinite(own))
     if bad.size:
-        raise ValueError(f"loss is non-finite at support index {bad[0]}")
+        raise NumericalError(f"loss is non-finite at support index {bad[0]}")
     floor = ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
     return CertificateTable(table, float(np.dot(mu.weights, own)), floor)
 
@@ -300,6 +318,8 @@ def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_
     `oracle_value` (the restricted primal LP) adds the oracle verdict."""
     emp = shared.empirical_risk
     dual = minimize_dual(instance, shared.table, shared.lambda_floor)
+    if not math.isfinite(dual.value):
+        raise NumericalError(f"the robust value overflows at rho {instance.rho!r}: {dual.value!r}")
     decomposition = abs(dual.value - (float(np.dot(instance.empirical.weights, dual.envelopes)) + dual.lambda_star * instance.rho))
     verdicts = [
         ("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9),
@@ -334,8 +354,7 @@ def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertif
     return certify_on_table(instance, shared, oracle_value)
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
+class EnvelopeCheck(NamedTuple):
     sup_values: tuple
     psi_at_center: float
     equality_gap: float
@@ -367,6 +386,8 @@ def check_envelope_collapse(
     z = as_vector(z)
     if z.size > 2:
         raise ValueError("grid study only supports 1- or 2-D centers")
+    if points_per_dim < 2:
+        raise ValueError(f"points_per_dim must be >= 2, got {points_per_dim}: one point per axis is only z")
     if points_per_dim % 2 == 0:
         points_per_dim += 1  # keep z itself on the grid
     psi_z = float(psi(z[None, :])[0])

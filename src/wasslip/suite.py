@@ -10,7 +10,7 @@ instances, and reports a verdict with enough diagnostics to debug a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from wasslip.models import (
     losses,
     phi_lipschitz_bound,
 )
-from wasslip.numerics import NormTag, operator_norm, row_norms
+from wasslip.numerics import NormTag, NumericalError, operator_norm, row_norms
 from wasslip.robust import (
     RobustInstance,
     check_envelope_collapse,
@@ -51,8 +51,7 @@ from wasslip.seeding import derive_rng
 _NORMS = (NormTag.L1, NormTag.L2, NormTag.LINF)
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -90,6 +89,8 @@ def seeded_mlp(
     layers = []
     for i in range(len(dims) - 1):
         W = scale / math.sqrt(dims[i]) * rng.standard_normal((dims[i + 1], dims[i]))
+        if not np.all(np.isfinite(W)):
+            raise NumericalError(f"scale {scale!r} overflows the weights of layer {i}")
         b = 0.1 * rng.standard_normal(dims[i + 1]) if bias else None
         act = activation if i < len(dims) - 2 else ActivationTag.IDENTITY
         layers.append(MLPLayer(W, act, b))

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from wasslip.models import (
     losses,
 )
 from wasslip.numerics import (
+    FrozenRecord,
     NormTag,
+    NumericalError,
     UnsupportedNormError,
     operator_norm,
     power_iteration,
@@ -60,34 +62,47 @@ class ObjectiveKind(str, Enum):
     SPECTRAL = "spectral"
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    objective: ObjectiveKind
-    rho: float
-    kappa: float = math.inf
-    learning_rate: float = 0.1
-    epochs: int = 100
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
-    momentum: float = 0.0
-    layer_cap: float | None = None
-    norm: NormTag = NormTag.L2
+class TrainConfig(FrozenRecord):
+    __slots__ = ("objective", "rho", "kappa", "learning_rate", "epochs", "batch_size", "seed", "momentum", "layer_cap", "norm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objective", ObjectiveKind(self.objective))
-        object.__setattr__(self, "norm", NormTag(self.norm))
-        if self.rho < 0.0:
+    def __init__(
+        self,
+        objective: ObjectiveKind,
+        rho: float,
+        kappa: float = math.inf,
+        learning_rate: float = 0.1,
+        epochs: int = 100,
+        batch_size: int | None = None,  # None = full batch
+        seed: int = 0,
+        momentum: float = 0.0,
+        layer_cap: float | None = None,
+        norm: NormTag = NormTag.L2,
+    ):
+        objective = ObjectiveKind(objective)
+        norm = NormTag(norm)
+        if rho < 0.0:
             raise ValueError("rho must be non-negative")
-        if self.learning_rate <= 0.0:
+        if learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
+        if epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.layer_cap is not None and self.layer_cap <= 0.0:
+        if layer_cap is not None and layer_cap <= 0.0:
             raise ValueError("layer_cap must be positive")
+        self._fill(
+            objective=objective,
+            rho=rho,
+            kappa=kappa,
+            learning_rate=learning_rate,
+            epochs=epochs,
+            batch_size=batch_size,
+            seed=seed,
+            momentum=momentum,
+            layer_cap=layer_cap,
+            norm=norm,
+        )
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     erm: float
     penalty: float
@@ -96,8 +111,7 @@ class EpochRecord:
     young_bound: float
 
 
-@dataclass(frozen=True)
-class ObjectiveEval:
+class ObjectiveEval(NamedTuple):
     value: float
     erm: float
     penalty: float
@@ -105,8 +119,7 @@ class ObjectiveEval:
     grads_b: list
 
 
-@dataclass
-class TrainReport:
+class TrainReport(NamedTuple):
     records: list
     model: MLP
     certificate: RobustCertificate | None
@@ -237,7 +250,9 @@ def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm
 
 def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainReport:
     """Deterministic (momentum) gradient descent; records per-epoch risk,
-    penalty, and both Lipschitz bounds, then certifies the final model."""
+    penalty, and both Lipschitz bounds, then certifies the final model.  An
+    objective above the divergence limit stops training (`diverged`); a
+    step or record that is not finite raises NumericalError."""
     t0 = time.perf_counter()
     layers = [
         MLPLayer(layer.weights.copy(), layer.activation, None if layer.bias is None else layer.bias.copy())
@@ -260,12 +275,15 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
         sigmas = _layer_norms(current, config.norm, warm)
         penalty = _penalty(config, sigmas)
         bounds = layerwise_bounds(sigmas)
-        records.append(EpochRecord(epoch, erm, penalty, erm + penalty, bounds.product, bounds.young))
+        rec = EpochRecord(epoch, erm, penalty, erm + penalty, bounds.product, bounds.young)
+        if not all(map(math.isfinite, rec[1:])):
+            raise NumericalError(f"training overflowed: the objective or a bound of epoch {epoch} is not finite")
+        records.append(rec)
         return erm + penalty
 
     obj = record(0)
     for epoch in range(1, config.epochs + 1):
-        if not math.isfinite(obj) or obj > _DIVERGENCE_LIMIT:
+        if obj > _DIVERGENCE_LIMIT:
             diverged = True
             break
         if config.batch_size is None:
@@ -283,6 +301,8 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
                 if b is not None:
                     velocity_b[j] = config.momentum * velocity_b[j] - config.learning_rate * ev.grads_b[j]
                     b = b + velocity_b[j]
+                if not (np.all(np.isfinite(W)) and (b is None or np.all(np.isfinite(b)))):
+                    raise NumericalError(f"training overflowed: layer {j}'s parameters are not finite in epoch {epoch}")
                 if config.layer_cap is not None:
                     W = project_layer_lipschitz(W, config.layer_cap)
                 new_layers.append(MLPLayer(W, layer.activation, b))

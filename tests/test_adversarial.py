@@ -29,7 +29,7 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import ActivationTag, losses
-from wasslip.numerics import NormTag, norm
+from wasslip.numerics import NormTag, NumericalError, norm
 from wasslip.robust import RobustInstance, robust_certificate_for
 from wasslip.seeding import derive_rng
 from wasslip.suite import check_adversarial_bounds, seeded_linear_model, seeded_mlp, seeded_points
@@ -309,6 +309,17 @@ class TestAdversarialRisk:
             for d in result.perturbations:
                 assert norm(d, tag) <= 0.25 + 1e-9
             assert np.all(result.losses >= losses(model, mu.support.xs, mu.support.ys) - 1e-9)
+
+    def test_range_check_squares_the_perturbation_not_the_point(self):
+        """Points at 1e200 are in range for an L2 radius of 0.1 (their squares
+        never form); a radius whose squared span overflows is a numerical
+        failure."""
+        model = linear(np.array([[1e-300, 0.0], [0.0, 1e-300]]))
+        mu = empirical_from_samples(PointSet([[1e200, 0.0], [0.5, 0.5]], [0, 1], 2))
+        result = adversarial_risk(model, mu, BallSpec(NormTag.L2, 0.1), AttackConfig(seed=1))
+        assert math.isfinite(result.adversarial_risk)
+        with pytest.raises(NumericalError, match="leaves the floating-point range"):
+            adversarial_risk(model, mu, BallSpec(NormTag.L2, 1e160), AttackConfig(seed=1))
 
 
 class TestRobustBound:

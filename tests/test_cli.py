@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,7 @@ class TestBadConfigs:
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.3, "bound_mode": "operator"}}, "robust.bound_mode"),
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "bound_mode": "certified"}}, "attack.bound_mode"),
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "product", "rho": 0.1, "bound_mode": "operator"}}, "train.bound_mode"),
+            ("verify", {"verify": {"envelope_points_per_dim": 1}}, "verify.envelope_points_per_dim"),
         ],
         ids=[
             "attack-kappa-0",
@@ -423,6 +425,7 @@ class TestBadConfigs:
             "robust-bound-mode",
             "attack-bound-mode",
             "train-bound-mode",
+            "envelope-one-point",
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
@@ -431,6 +434,37 @@ class TestBadConfigs:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"config error at {field}:" in err
+
+    def test_envelope_points_per_dim_two_is_accepted(self):
+        assert validate_config({"seed": 1, "verify": {"envelope_points_per_dim": 2}})["verify"] == {"envelope_points_per_dim": 2}
+
+
+class TestOverflowingConfigs:
+    """Finite config values whose arithmetic overflows: exit 3 with one
+    `numerical failure:` line, no traceback and no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 1e308}}, "the robust value overflows at rho 1e+308"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e308]}}, "the attack at epsilon 1e+308 leaves the floating-point range"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e160], "norm": "L2"}}, "the attack at epsilon 1e+160 leaves the floating-point range"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "loss is non-finite at support index 0"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 1024, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "scale 1e+308 overflows the weights of layer 0"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e300, "epochs": 3}}, "training overflowed"),
+            ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
+            ("gen-data", {"dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2, "lo": 1e308, "hi": -1e308}}, "grid coordinates overflow"),
+        ],
+        ids=["certify-rho", "attack-epsilon", "attack-l2-norm-squares", "certify-init-scale", "init-scale-weights", "train-learning-rate", "blobs-std", "grid-extent"],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):
+        cfg = write_config(tmp_path, {"seed": 1, **doc})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert message in lines[0]
 
 
 class TestBadInputFiles:

@@ -251,9 +251,10 @@ class TestPowerIterationBits:
 def assert_complementary_dual(problem, sol, tol=1e-9):
     """The returned dual is feasible for min b.y s.t. A^T y >= c, y >= 0 on
     the ineq rows, matches the value, and is complementary to the point."""
-    rows = [row for row, _ in problem.eq_constraints + problem.ineq_constraints]
+    constraints = [*problem.eq_constraints, *problem.ineq_constraints]
+    rows = [row for row, _ in constraints]
     A = np.array(rows).reshape(len(rows), sol.point.size)
-    b = np.array([rhs for _, rhs in problem.eq_constraints + problem.ineq_constraints], dtype=float)
+    b = np.array([rhs for _, rhs in constraints], dtype=float)
     n_eq = len(problem.eq_constraints)
     reduced = A.T @ sol.dual - problem.objective
     slack = b[n_eq:] - A[n_eq:] @ sol.point

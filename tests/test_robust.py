@@ -33,7 +33,7 @@ from wasslip.models import (
     label_loss_matrix,
     losses as model_losses,
 )
-from wasslip.numerics import NormTag, solve_lp
+from wasslip.numerics import NormTag, NumericalError, solve_lp
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
@@ -92,10 +92,11 @@ class TestEmpiricalRisk:
         assert expected == pytest.approx(empirical_risk(model, mu), rel=1e-14)
 
     def test_non_finite_loss_reports_index(self):
-        """Logits of about 1e400 overflow at the second point only."""
+        """Logits of about 1e400 overflow at the second point only: a
+        numerical failure (exit 3 from the CLI), not bad input."""
         model = linear(np.array([[1e200], [-1e200]]))
         mu = empirical_from_samples(PointSet([[0.0], [1e200]], [0, 1], 2))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="index 1"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="index 1"):
             certified_empirical_risk(model, mu)
 
 
@@ -731,6 +732,13 @@ class TestEnvelopeCollapse:
         assert check.growth_detected
         # sup over [-R, R] is R/2: doubling the extent doubles the sup
         assert check.sup_values[1] == pytest.approx(2.0 * check.sup_values[0], rel=1e-9)
+
+    def test_one_point_per_axis_is_rejected(self):
+        """A grid of one point per axis is z alone: the supremum could never
+        grow, so a growth branch would fail falsely."""
+        with pytest.raises(ValueError, match="points_per_dim must be >= 2"):
+            check_envelope_collapse(lambda X: np.abs(X[:, 0]), 0.5, np.array([0.0]), points_per_dim=1)
+        assert check_envelope_collapse(lambda X: np.abs(X[:, 0]), 0.5, np.array([0.0]), points_per_dim=2).growth_detected
 
     def test_growth_judged_on_the_tail(self):
         # 2 * max(0, |x| - 3) - |x| peaks at x = 0 until the extent passes 6
