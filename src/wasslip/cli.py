@@ -34,7 +34,7 @@ from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError, row_
 from wasslip.robust import RobustInstance, certificate_table, certify_on_table, grid_targets, robust_certificate_for
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import run_verification_suite, seeded_mlp
-from wasslip.train import ObjectiveKind, TrainConfig, train_loop
+from wasslip.train import EpochRecord, ObjectiveKind, TrainConfig, train_loop
 
 
 class ConfigError(ValueError):
@@ -363,16 +363,14 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
 
     rows = []
     sweeps = []
-    warm: list = []
-    prev_eps = None
+    prev = None  # the last radius and its perturbations: the next radius's warm starts
     for eps in sorted(section["epsilons"]):
         ball = BallSpec(norm_tag, eps)
         starts = []
-        if warm and prev_eps and prev_eps > 0:
-            starts = [warm[-1], warm[-1] * (eps / prev_eps)]
+        if prev is not None and prev[0] > 0:
+            starts = [prev[1], prev[1] * (eps / prev[0])]
         result = adversarial_risk(model, mu, ball, attack_cfg, warm_starts=starts, draws=draws)
-        warm.append(result.perturbations)
-        prev_eps = eps
+        prev = (eps, result.perturbations)
         cert = certify_on_table(RobustInstance(mu, metric, eps), shared)
         rows.append([eps, result.adversarial_risk, cert.robust_value])
         sweeps.append(
@@ -404,8 +402,6 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("config error at train: section required for train")
     points, dataset_sha256 = _load_points(cfg, cfg["seed"])
     model, norm_tag = _build_model(cfg, cfg["seed"], points)
-    if section["objective"] == ObjectiveKind.DUAL_LINEAR.value and len(model.layers) != 1:
-        raise ConfigError(f"config error at train.objective: dual_linear needs a one-layer model, got {len(model.layers)} layers")
     train_cfg = TrainConfig(
         objective=ObjectiveKind(section["objective"]),
         rho=section["rho"],
@@ -423,11 +419,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     doc["final_accuracy"] = accuracy(report.model, points)
     doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag)
     io.dump_json(doc, out_dir / "train_report.json")
-    io.write_csv(
-        out_dir / "train_curves.csv",
-        ["epoch", "erm", "penalty", "objective", "product_bound", "young_bound"],
-        [[r.epoch, r.erm, r.penalty, r.objective, r.product_bound, r.young_bound] for r in report.records],
-    )
+    io.write_csv(out_dir / "train_curves.csv", EpochRecord._fields, report.records)
     save_model(report.model, out_dir / "model.txt", train_cfg.norm)
     return 0
 
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
             print(f"{source} cannot be used as the output directory: {out_dir} ({exc.strerror})", file=sys.stderr)
             return 2
         # an overflow surfaces as a NumericalError (exit 3), not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             code = _COMMANDS[args.command](cfg, out_dir)
         io.dump_json(
             {"command": args.command, "config": str(args.config), "wall_clock_seconds": time.perf_counter() - t0},

@@ -21,6 +21,7 @@ from wasslip.numerics import (
     LPProblem,
     LPStatus,
     NormTag,
+    NumericalError,
     as_vector,
     solve_lp,
 )
@@ -94,10 +95,6 @@ def empirical_from_samples(points: PointSet) -> DiscreteMeasure:
     return DiscreteMeasure(points, np.full(n, 1.0 / n))
 
 
-def discrete_label_metric(label_count: int) -> np.ndarray:
-    return 1.0 - np.eye(label_count)
-
-
 class MetricSpec(FrozenRecord):
     """Product metric ||x-x'|| + kappa * d_Y(y,y') on labeled points."""
 
@@ -108,7 +105,7 @@ class MetricSpec(FrozenRecord):
             raise ValueError("kappa must be positive (or inf)")
         if label_count < 1:
             raise ValueError("label_count must be >= 1")
-        lm = discrete_label_metric(label_count) if label_metric is None else np.asarray(label_metric, dtype=float)
+        lm = 1.0 - np.eye(label_count) if label_metric is None else np.asarray(label_metric, dtype=float)
         if lm.shape != (label_count, label_count):
             raise DimensionError(f"label metric must be {label_count}x{label_count}")
         if not np.all(np.isfinite(lm)):
@@ -157,9 +154,15 @@ def label_costs(spec: MetricSpec, source_ys, target_ys) -> np.ndarray:
 
 
 def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMatrix:
+    """Every source-to-target cost; an x-distance that overflows between
+    (always finite) points raises NumericalError."""
     if source.dim != target.dim:
         raise DimensionError("source and target point sets have different dimensions")
-    entries = _pairwise_x_distances(source.xs, target.xs, spec.x_norm) + label_costs(spec, source.ys, target.ys)
+    dist = _pairwise_x_distances(source.xs, target.xs, spec.x_norm)
+    bad = np.argwhere(~np.isfinite(dist))
+    if bad.size:
+        raise NumericalError(f"the {spec.x_norm.value} distance from source {bad[0, 0]} to target {bad[0, 1]} overflows")
+    entries = dist + label_costs(spec, source.ys, target.ys)
     if source is target:
         np.fill_diagonal(entries, 0.0)
     return CostMatrix(entries)
@@ -177,7 +180,9 @@ def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
     """Equality rows of a coupling LP whose variables are the finite-cost
     cells (row-major, as np.nonzero lists them): row r sums the variables
     whose source (or target) index is r."""
-    return (index[None, :] == np.arange(count)[:, None]).astype(float)
+    rows = np.zeros((count, index.size))
+    rows[index, np.arange(index.size)] = 1.0
+    return rows
 
 
 def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) -> float:
@@ -197,9 +202,8 @@ def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) 
 
     rows, cols = np.nonzero(finite)
     objective = -C[rows, cols]
-    eq = [(row, float(v)) for row, v in zip(marginal_rows(rows, n), a)]
-    eq += [(row, float(v)) for row, v in zip(marginal_rows(cols, m), b)]
-    solution = solve_lp(LPProblem(objective, eq_constraints=eq))
+    marginals = np.concatenate([marginal_rows(rows, n), marginal_rows(cols, m)])
+    solution = solve_lp(LPProblem(objective, marginals, np.concatenate([a, b])))
     if solution.status != LPStatus.OPTIMAL:
         raise TransportInfeasibleError(f"coupling LP terminated with status {solution.status.value}")
     return float(-solution.value)

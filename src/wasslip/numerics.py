@@ -3,16 +3,16 @@
 Everything here is deterministic: power iteration starts from a fixed seeded
 vector, the revised simplex solver keeps an explicit basis inverse and prices
 by Dantzig's rule with a fallback to Bland's rule against cycling, and
-tolerances are module constants rather than per-call knobs.  An LP optimum
-is returned with its dual, both checked.  Only induced operator norms from one of {L1, L2, LINF} to
-itself are supported.
+tolerances are module constants rather than per-call knobs.  An LP holds its
+constraints as matrices; its optimum is returned with its dual, both checked.
+Only induced operator norms from one of {L1, L2, LINF} to itself are supported.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +122,6 @@ def _power_start(n: int, salt: int = 0) -> np.ndarray:
 
 def power_iteration(
     W,
-    max_iters: int = MAX_ITERATIONS,
     tol: float = CONVERGENCE_TOL,
     v0: np.ndarray | None = None,
     history: list | None = None,
@@ -131,13 +130,13 @@ def power_iteration(
 
     Iterates v <- W^T W v from a deterministic seeded start and stops when two
     successive sigma estimates differ by less than `tol`.  A zero matrix
-    returns (0, e1, e1).  Buffers are allocated once per call: each iteration
-    writes W v, W^T w and the next v into them through the same BLAS gemv and
-    ddot calls that `W @ v` and `np.dot(w, w)` make, with the same bits.
+    returns (0, e1, e1); on any other, a sigma that is not positive and
+    finite (its squares overflow or underflow) raises NumericalError.
+    Buffers are allocated once per call: each iteration writes W v, W^T w
+    and the next v into them through the same BLAS gemv and ddot calls that
+    `W @ v` and `np.dot(w, w)` make, with the same bits.
     """
     W = as_matrix(W)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     m, n = W.shape
     if not W.any():
         u = np.zeros(m)
@@ -160,7 +159,7 @@ def power_iteration(
     Wt = W.T
     w = np.empty(m)
     v_next = np.empty(n)
-    for it in range(max_iters):
+    for it in range(MAX_ITERATIONS):
         product(W, v, out=w)
         sigma = math.sqrt(w.dot(w))
         if sigma <= 1e-300:
@@ -174,8 +173,9 @@ def power_iteration(
         sigma_prev = sigma
         product(Wt, w, out=v_next)
         np.divide(v_next, math.sqrt(v_next.dot(v_next)), out=v)  # v never aliases v0
-    u = w / sigma if sigma > 0.0 else np.zeros(m)
-    return float(sigma), u, v
+    if not 0.0 < sigma < math.inf:
+        raise NumericalError(f"power iteration lost the scale of a non-zero {m}x{n} matrix: sigma = {sigma}")
+    return float(sigma), w / sigma, v
 
 
 def operator_norm(W, tag: NormTag) -> float:
@@ -198,12 +198,16 @@ class LPStatus(str, Enum):
 
 
 class LPProblem(NamedTuple):
-    """max objective . x  s.t.  eq rows hold, ineq rows are <=, x >= 0; each
-    constraint is a (row, rhs) pair."""
+    """max objective . x  s.t.  eq_constraints @ x == eq_rhs,
+    ineq_constraints @ x <= ineq_rhs and x >= 0.  Each `*_constraints` is an
+    (m x n) matrix, one row per constraint, with its m right-hand sides in
+    `*_rhs`; `()` is no rows."""
 
     objective: np.ndarray
-    eq_constraints: Sequence = ()
-    ineq_constraints: Sequence = ()
+    eq_constraints: np.ndarray = ()
+    eq_rhs: np.ndarray = ()
+    ineq_constraints: np.ndarray = ()
+    ineq_rhs: np.ndarray = ()
 
 
 class LPSolution(NamedTuple):
@@ -277,34 +281,33 @@ def solve_lp(problem: LPProblem) -> LPSolution:
     """Two-phase revised simplex with an explicit basis inverse (Chvatal,
     Linear Programming, 1983, ch. 7): Dantzig pricing with a Bland fallback.
 
-    The standard form A holds the caller's rows, then a slack column per
-    ineq row, then an artificial column per eq row or row with a negative
-    right-hand side (signed so that it starts at |b|).  Phase 1 maximizes
-    minus the sum of the artificials; artificials still basic after it are
-    driven out, and a row they cannot leave is redundant and dropped.
-    Phase 2 maximizes the objective over the remaining columns.  `pivots`
-    counts every pivot over both phases, including those that drive
-    artificials out.  An optimum is returned only after `_validate_solution`
-    has checked it and its dual.
+    The standard form A holds the only copy of the caller's rows, eq over
+    ineq, then a slack column per ineq row, then an artificial column per eq
+    row or row with a negative right-hand side (signed so that it starts at
+    |b|).  Phase 1 maximizes minus the sum of the artificials; artificials
+    still basic after it are driven out, and a row they cannot leave is
+    redundant and dropped.  Phase 2 maximizes the objective over the
+    remaining columns.  `pivots` counts every pivot over both phases,
+    including those that drive artificials out.  An optimum is returned only
+    after `_validate_solution` has checked it and its dual.
     """
     c = as_vector(problem.objective)
     n = c.size
-    constraints = [*problem.eq_constraints, *problem.ineq_constraints]
-    n_eq = len(problem.eq_constraints)
-    m = len(constraints)
-    for row, _ in constraints:
-        if np.shape(row) != (n,):
-            raise DimensionError(f"constraint row has shape {np.shape(row)}, expected ({n},)")
-    b = np.array([float(rhs) for _, rhs in constraints])
+    A_eq, b_eq = _constraint_block("eq", problem.eq_constraints, problem.eq_rhs, n)
+    A_ub, b_ub = _constraint_block("ineq", problem.ineq_constraints, problem.ineq_rhs, n)
+    n_eq, n_slack = len(A_eq), len(A_ub)
+    m = n_eq + n_slack
+    b = b_rows = np.concatenate([b_eq, b_ub])
     sign = np.where(b < 0.0, -1.0, 1.0)
     art_rows = np.flatnonzero((np.arange(m) < n_eq) | (b < 0.0))
-    n_slack, n_art = m - n_eq, art_rows.size
+    n_art = art_rows.size
     n_real = n + n_slack
     A = np.zeros((m, n_real + n_art))
-    if m:
-        A[:, :n] = np.array([row for row, _ in constraints], dtype=float)
-        if not np.all(np.isfinite(A[:, :n])):
-            raise ValueError("constraint entries must be finite")
+    rows = A[:, :n]  # the caller's rows; phase 1 may drop some from A, not from this view
+    rows[:n_eq] = A_eq
+    rows[n_eq:] = A_ub
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(b))):
+        raise ValueError("constraint entries must be finite")
     A[n_eq + np.arange(n_slack), n + np.arange(n_slack)] = 1.0
     A[art_rows, n_real + np.arange(n_art)] = sign[art_rows]
     basis = n + np.arange(m) - n_eq
@@ -358,28 +361,42 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         raise NumericalError("simplex produced a negative variable")
     point = np.maximum(point, 0.0)
     dual = np.zeros(m)
-    dual[kept] = _validate_solution(problem, point, A, b, cost, basis, scale)
+    dual[kept] = _validate_solution(rows, b_rows, n_eq, point, A, b, cost, basis, scale)
     return LPSolution(LPStatus.OPTIMAL, float(np.dot(c, point)), point, dual, pivots, bland_pivots)
 
 
+def _constraint_block(kind: str, rows, rhs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block as an (m x n) matrix and its m right-hand sides,
+    without a copy of float arrays; an empty sequence is no rows."""
+    rows = np.asarray(rows, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, n)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionError(f"{kind} constraints have shape {rows.shape}, expected (m, {n})")
+    if rhs.shape != (len(rows),):
+        raise DimensionError(f"{len(rows)} {kind} constraints need {len(rows)} right-hand sides, got shape {rhs.shape}")
+    return rows, rhs
+
+
 def _validate_solution(
-    problem: LPProblem, x: np.ndarray, A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, scale: float
+    rows: np.ndarray, b_rows: np.ndarray, n_eq: int, x: np.ndarray, A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, scale: float
 ) -> np.ndarray:
-    """Check the primal point x against the caller's rows, and the dual of
-    the final basis against the standard form (A, b, cost).  Returns that
-    dual; raises NumericalError when a check fails.
+    """Check the primal point x against the caller's rows (the first n_eq
+    are equalities), and the dual of the final basis against the standard
+    form (A, b, cost).  Returns that dual; raises NumericalError when a
+    check fails.
 
     y solves B^T y = c_B for the basis columns B of A.  Dual feasibility is
     A^T y >= cost over every column, which on the slack columns says y >= 0
     on the ineq rows; the duality gap |b . y - c . x| must vanish too.
     """
     tol = 1e-8 * scale
-    for row, rhs in problem.eq_constraints:
-        if abs(float(np.dot(row, x)) - float(rhs)) > tol:
-            raise NumericalError("equality constraint violated beyond tolerance")
-    for row, rhs in problem.ineq_constraints:
-        if float(np.dot(row, x)) > float(rhs) + tol:
-            raise NumericalError("inequality constraint violated beyond tolerance")
+    lhs = rows @ x
+    if np.any(np.abs(lhs[:n_eq] - b_rows[:n_eq]) > tol):
+        raise NumericalError("equality constraint violated beyond tolerance")
+    if np.any(lhs[n_eq:] > b_rows[n_eq:] + tol):
+        raise NumericalError("inequality constraint violated beyond tolerance")
     try:
         y = np.linalg.solve(A[:, basis].T, cost[basis])
     except np.linalg.LinAlgError:
@@ -387,6 +404,6 @@ def _validate_solution(
     dual_tol = tol * max(1.0, float(np.max(np.abs(cost), initial=0.0)))
     if np.any(y @ A - cost < -dual_tol):
         raise NumericalError("dual constraint violated beyond tolerance")
-    if abs(float(np.dot(b, y)) - float(np.dot(problem.objective, x))) > dual_tol:
+    if abs(float(np.dot(b, y)) - float(np.dot(cost[: x.size], x))) > dual_tol:
         raise NumericalError("duality gap beyond tolerance")
     return y

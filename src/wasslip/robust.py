@@ -263,9 +263,8 @@ def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
         raise ValueError(f"source atom {stuck[0]} has no finite-cost candidate target")
     rows, cols = np.nonzero(finite)
     objective = values[cols]
-    eq = [(row, float(v)) for row, v in zip(marginal_rows(rows, C.shape[0]), w)]
     budget = C[rows, cols]
-    solution = solve_lp(LPProblem(objective, eq_constraints=eq, ineq_constraints=[(budget, float(instance.rho))]))
+    solution = solve_lp(LPProblem(objective, marginal_rows(rows, C.shape[0]), w, budget[None, :], [instance.rho]))
     if solution.status != LPStatus.OPTIMAL:
         raise NumericalError(f"restricted primal LP unexpectedly {solution.status.value}")
     return float(solution.value)

@@ -275,11 +275,8 @@ def check_adversarial_bounds(
     rng = derive_rng(seed, "verify/adversarial")
     combos = [(eps, nrm) for eps in epsilons for nrm in norms]
     failures = []
-    done = 0
-    idx = 0
-    while done < tuples:
+    for idx in range(tuples):
         eps, nrm = combos[idx % len(combos)]
-        idx += 1
         k = int(rng.integers(2, 4))
         n = int(rng.integers(3, 7))
         dataset = seeded_points(rng, n, 2, k, spread=1.0)
@@ -295,7 +292,6 @@ def check_adversarial_bounds(
         )
         if not verdict.passed:
             failures.append({"epsilon": eps, "norm": nrm.value, "failed": verdict.failures()})
-        done += 1
     return VerdictRecord(
         "adversarial_bound",
         not failures,

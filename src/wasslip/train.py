@@ -1,14 +1,15 @@
 """Gradient descent on the regularized risk objectives.
 
-Three penalties are supported, each with its weight fully determined by the
+Two penalties are supported, each with its weight fully determined by the
 ball radius rho and the loss Lipschitz constant (no free hyperparameter).
 The cross-entropy head W contributes its certified L2 constant
 sqrt(2) * ||W||_2 (`models.ce_lipschitz_bound`), so a penalty needs the L2
 norm whenever rho > 0:
 
-  DUAL_LINEAR  rho * sqrt(2) * ||W||_2             (single linear layer)
-  PRODUCT      rho * sqrt(2) * prod_j ||W_j||_2
-  SPECTRAL     (rho * sqrt(2) / l) * sum_j ||W_j||_2^l
+  PRODUCT   rho * sqrt(2) * prod_j ||W_j||_2
+  SPECTRAL  (rho * sqrt(2) / l) * sum_j ||W_j||_2^l
+
+On a one-layer (linear softmax) model both are rho * sqrt(2) * ||W||_2.
 
 Spectral-norm subgradients use the top singular pair u v^T from power
 iteration; at a zero matrix or when the top two singular values are within
@@ -57,7 +58,6 @@ _SIGMA_GAP_TOL = 1e-8
 
 
 class ObjectiveKind(str, Enum):
-    DUAL_LINEAR = "dual_linear"
     PRODUCT = "product"
     SPECTRAL = "spectral"
 
@@ -130,17 +130,7 @@ class TrainReport(NamedTuple):
         # wall-clock deliberately excluded: reports must be byte-stable
         doc = {
             "diverged": self.diverged,
-            "epochs": [
-                {
-                    "epoch": r.epoch,
-                    "erm": r.erm,
-                    "penalty": r.penalty,
-                    "objective": r.objective,
-                    "product_bound": r.product_bound,
-                    "young_bound": r.young_bound,
-                }
-                for r in self.records
-            ],
+            "epochs": [r._asdict() for r in self.records],
         }
         if self.certificate is not None:
             doc["certificate"] = self.certificate.to_json_dict()
@@ -183,16 +173,13 @@ def _running_sum(values: np.ndarray) -> float:
 
 
 def _penalty(config: TrainConfig, sigmas: list) -> float:
-    """Penalty value of layers whose spectral norms are `sigmas`.  DUAL_LINEAR
-    is PRODUCT on its one layer."""
+    """Penalty value of layers whose spectral norms are `sigmas`."""
     rho = config.rho
     if rho == 0.0:
         return 0.0
     if config.norm != NormTag.L2:
         raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
     l = len(sigmas)
-    if config.objective == ObjectiveKind.DUAL_LINEAR and l != 1:
-        raise ValueError("DUAL_LINEAR requires a single linear layer")
     scale = rho * math.sqrt(2.0)  # the head's certified L2 loss constant is sqrt(2) * ||W||_2
     if config.objective == ObjectiveKind.SPECTRAL:
         return scale / l * float(sum(s**l for s in sigmas))
@@ -240,8 +227,6 @@ def objective_and_grad(model: MLP, batch: PointSet, config: TrainConfig) -> Obje
 
 
 def _objective(mlp: MLP, X: np.ndarray, Y: np.ndarray, config: TrainConfig, warm: list) -> ObjectiveEval:
-    if config.objective == ObjectiveKind.DUAL_LINEAR and len(mlp.layers) != 1:
-        raise ValueError("DUAL_LINEAR requires a single-layer (linear softmax) model")
     erm, grads_w, grads_b = _erm_grads(mlp, X, Y)
     penalty, pen_grads = _penalty_and_grads(mlp, config, warm)
     grads_w = [g + pen for g, pen in zip(grads_w, pen_grads)]

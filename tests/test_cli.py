@@ -142,6 +142,34 @@ class TestCommands:
         assert doc["oracle_value"] is not None
         assert doc["oracle_gap"] >= -1e-9
 
+    def test_oracle_lp_at_benchmark_scale_is_two_constraint_matrices(self, tmp_path, monkeypatch):
+        """The oracle LP of CI's benchmark-scale certify: 40 source marginal
+        rows and the budget row over 15,120 coupling variables (40 atoms to
+        378 targets, the 169 grid points with each of 2 labels and the 40
+        atoms; a finite kappa lets every target be reached), sized as the
+        benchmark's tracer reads an LPProblem."""
+        import wasslip.robust
+
+        problems = []
+
+        def spy(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        solve_lp = wasslip.robust.solve_lp
+        monkeypatch.setattr(wasslip.robust, "solve_lp", spy)
+        doc = {
+            "seed": 1,
+            "dataset": {"generator": "gaussian-blobs", "n": 40, "k": 2, "dim": 2, "seed": 7},
+            "model": {"dims": [2, 2], "init_scale": 0.6},
+            "robust": {"rho": 0.1, "kappa": 1.0, "oracle_grid_side": 13},
+        }
+        assert main(["certify", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+        (problem,) = problems
+        assert len(problem.objective) == 15_120
+        assert len(problem.eq_constraints) + len(problem.ineq_constraints) == 41
+        assert problem.eq_constraints.shape == (40, 15_120) and problem.ineq_constraints.shape == (1, 15_120)
+
     def test_attack_sweep_bound_holds_row_wise(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -362,7 +390,7 @@ class TestCommands:
                 "seed": 6,
                 "dataset": {"generator": "gaussian-blobs", "n": 20, "k": 2, "dim": 2, "seed": 13},
                 "model": {"dims": [2, 2], "seed": 14},
-                "train": {"objective": "dual_linear", "rho": 0.1, "epochs": 3, "learning_rate": 0.1},
+                "train": {"objective": "product", "rho": 0.1, "epochs": 3, "learning_rate": 0.1},
             },
             name="train.json",
         )
@@ -403,6 +431,7 @@ class TestBadConfigs:
             ("gen-data", {"dataset": {"generator": "two-moons", "n": 10, "k": 3, "dim": 2}}, "dataset.k"),
             ("certify", {"dataset": {"generator": "grid", "n": 7, "k": 2, "dim": 3}, "model": {"dims": [3, 2]}, "robust": {"rho": 0.1}}, "dataset.n"),
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 3, 2]}, "train": {"objective": "dual_linear", "rho": 0.1, "epochs": 1}}, "train.objective"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "dual_linear", "rho": 0.1, "epochs": 1}}, "train.objective"),
             ("attack", {"dataset": {**BLOBS, "dim": 3}, "model": {"dims": [3, 2]}, "attack": {"epsilons": [0.1], "method": "GRID"}}, "attack.method"),
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "norm": "L1"}}, "train.norm"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.3, "bound_mode": "operator"}}, "robust.bound_mode"),
@@ -420,6 +449,7 @@ class TestBadConfigs:
             "two-moons-k-3",
             "certify-grid-not-a-power",
             "dual-linear-two-layers",
+            "dual-linear-one-layer",
             "grid-attack-3d",
             "train-norm-l1",
             "robust-bound-mode",
@@ -451,13 +481,38 @@ class TestOverflowingConfigs:
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e160], "norm": "L2"}}, "the attack at epsilon 1e+160 leaves the floating-point range"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "loss is non-finite at support index 0"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 1024, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "scale 1e+308 overflows the weights of layer 0"),
-            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e300, "epochs": 3}}, "training overflowed"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e80}, "robust": {"rho": 0.1}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e-155}, "robust": {"rho": 0.1}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e300, "epochs": 3}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
             ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
             ("gen-data", {"dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2, "lo": 1e308, "hi": -1e308}}, "grid coordinates overflow"),
         ],
-        ids=["certify-rho", "attack-epsilon", "attack-l2-norm-squares", "certify-init-scale", "init-scale-weights", "train-learning-rate", "blobs-std", "grid-extent"],
+        ids=[
+            "certify-rho",
+            "attack-epsilon",
+            "attack-l2-norm-squares",
+            "certify-init-scale",
+            "init-scale-weights",
+            "certify-init-scale-1e80",
+            "certify-init-scale-1e-155",
+            "train-learning-rate",
+            "blobs-std",
+            "grid-extent",
+        ],
     )
     def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):
+        self._assert_exits_3(tmp_path, capsys, command, doc, message)
+
+    def test_oracle_distance_overflow_exits_3(self, tmp_path, capsys):
+        # L2 distances between points at +-1e200 overflow; the model's small
+        # weights keep the losses and the spectral norm finite
+        data = tmp_path / "far.csv"
+        data.write_text("label,x0,x1\n0,1e200,1e200\n1,-1e200,-1e200\n0,1e200,-1e200\n1,-1e200,1e200\n")
+        doc = {"dataset": {"path": str(data)}, "model": {"dims": [2, 2], "init_scale": 1e-60}, "robust": {"rho": 0.1, "oracle_grid_side": 3}}
+        self._assert_exits_3(tmp_path, capsys, "certify", doc, "the L2 distance from source 0 to target 0 overflows")
+
+    @staticmethod
+    def _assert_exits_3(tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"seed": 1, **doc})
         with warnings.catch_warnings():
             warnings.simplefilter("error")

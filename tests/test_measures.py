@@ -17,7 +17,7 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import ActivationTag, MLPLayer, feature_map, phi_lipschitz_bound
-from wasslip.numerics import DimensionError, NormTag
+from wasslip.numerics import DimensionError, NormTag, NumericalError
 
 
 class TestPointSet:
@@ -246,6 +246,32 @@ class TestTransportCost:
         lhs = transport_cost(mu, mix, C)
         rhs = lam * transport_cost(mu, n1, C) + (1 - lam) * transport_cost(mu, n2, C)
         assert lhs <= rhs + 1e-8
+
+
+class TestCostMatrixOverflow:
+    """A distance between finite points that overflows is a numerical
+    failure naming the first pair, not an unreachable target."""
+
+    @pytest.mark.parametrize(
+        "tag, far_source, far_target, pair",
+        [
+            (NormTag.L1, [1e308, 1e308], [-1.0, -1.0], "source 1 to target 0"),  # each |diff| is finite, their sum is not
+            (NormTag.L2, [1e200, 1e200], [-1e200, -1e200], "source 0 to target 1"),  # the squares overflow
+            (NormTag.LINF, [1e308, 0.0], [-1e308, 0.0], "source 1 to target 1"),  # the difference itself overflows
+        ],
+        ids=["L1", "L2", "LINF"],
+    )
+    def test_overflowing_distance_raises(self, tag, far_source, far_target, pair):
+        source = PointSet([[0.0, 0.0], far_source], [0, 1], 2)
+        target = PointSet([[0.5, 0.5], far_target], [0, 1], 2)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"the {tag.value} distance from {pair} overflows"):
+            cost_matrix(MetricSpec(tag, 1.0, 2), source, target)
+
+    def test_infinite_label_cost_is_not_an_overflow(self):
+        spec = MetricSpec(NormTag.L2, math.inf, 2)
+        support = PointSet([[1e150, 0.0], [-1e150, 0.0]], [0, 1], 2)
+        C = cost_matrix(spec, support, support).entries
+        assert C[0, 0] == 0.0 and math.isinf(C[0, 1]) and math.isinf(C[1, 0])
 
 
 class TestBallContains:

@@ -149,6 +149,14 @@ class TestPowerIteration:
             for prev, nxt in zip(history, history[1:]):
                 assert nxt >= prev - 1e-12
 
+    @pytest.mark.parametrize("scale", [1e77, 1e80, 1e-90, 1e-155, 1e-200])
+    def test_scale_out_of_reach_raises(self, scale):
+        # the squares the iteration takes overflow (sigma came back 0) or
+        # underflow (sigma came back 0 or NaN) on this non-zero matrix
+        W = scale * np.random.default_rng(5).standard_normal((16, 2))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-zero 16x2 matrix"):
+            power_iteration(W, tol=1e-13)
+
     def test_singular_vectors_consistent(self):
         W = np.random.default_rng(3).standard_normal((4, 3))
         sigma, u, v = power_iteration(W, tol=1e-13)
@@ -248,17 +256,27 @@ class TestPowerIterationBits:
         assert power_digest([(result, history)]) == "c474a11aac1744bc0477f41eb28eb1bf69e4dc5d941aa9b019bf5a9a9cc1117f"
 
 
+def lp_from_pairs(c, eq=(), le=()):
+    """The LPProblem of eq and le lists of (row, rhs) pairs, the form the
+    basis-enumeration oracle takes."""
+
+    def block(pairs):
+        rows = np.array([row for row, _ in pairs], dtype=float).reshape(len(pairs), len(c))
+        return rows, np.array([rhs for _, rhs in pairs], dtype=float)
+
+    return LPProblem(c, *block(eq), *block(le))
+
+
 def assert_complementary_dual(problem, sol, tol=1e-9):
     """The returned dual is feasible for min b.y s.t. A^T y >= c, y >= 0 on
     the ineq rows, matches the value, and is complementary to the point."""
-    constraints = [*problem.eq_constraints, *problem.ineq_constraints]
-    rows = [row for row, _ in constraints]
-    A = np.array(rows).reshape(len(rows), sol.point.size)
-    b = np.array([rhs for _, rhs in constraints], dtype=float)
+    n = sol.point.size
+    A = np.concatenate([np.reshape(problem.eq_constraints, (-1, n)), np.reshape(problem.ineq_constraints, (-1, n))])
+    b = np.concatenate([np.asarray(problem.eq_rhs, dtype=float), np.asarray(problem.ineq_rhs, dtype=float)])
     n_eq = len(problem.eq_constraints)
     reduced = A.T @ sol.dual - problem.objective
     slack = b[n_eq:] - A[n_eq:] @ sol.point
-    assert sol.dual.shape == (len(rows),)
+    assert sol.dual.shape == (len(A),)
     assert np.all(reduced >= -tol) and np.all(sol.dual[n_eq:] >= -tol)
     assert float(np.dot(b, sol.dual)) == pytest.approx(sol.value, abs=tol)
     assert np.all(np.abs(sol.point * reduced) <= tol)
@@ -267,14 +285,12 @@ def assert_complementary_dual(problem, sol, tol=1e-9):
 
 class TestSimplex:
     def test_single_bound(self):
-        sol = solve_lp(LPProblem(np.array([1.0]), ineq_constraints=[(np.array([1.0]), 1.0)]))
+        sol = solve_lp(LPProblem(np.array([1.0]), ineq_constraints=np.array([[1.0]]), ineq_rhs=np.array([1.0])))
         assert sol.status == LPStatus.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_optimum_set(self):
-        sol = solve_lp(
-            LPProblem(np.array([1.0, 1.0]), ineq_constraints=[(np.array([1.0, 1.0]), 1.0)])
-        )
+        sol = solve_lp(LPProblem(np.array([1.0, 1.0]), ineq_constraints=np.array([[1.0, 1.0]]), ineq_rhs=np.array([1.0])))
         assert sol.status == LPStatus.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-12)
 
@@ -283,32 +299,60 @@ class TestSimplex:
         assert sol.status == LPStatus.UNBOUNDED
 
     def test_infeasible(self):
-        sol = solve_lp(LPProblem(np.array([1.0]), ineq_constraints=[(np.array([1.0]), -1.0)]))
+        sol = solve_lp(LPProblem(np.array([1.0]), ineq_constraints=np.array([[1.0]]), ineq_rhs=np.array([-1.0])))
         assert sol.status == LPStatus.INFEASIBLE
 
     def test_equality_constraints(self):
         # max x + 2y s.t. x + y = 1
-        sol = solve_lp(
-            LPProblem(np.array([1.0, 2.0]), eq_constraints=[(np.array([1.0, 1.0]), 1.0)])
-        )
+        sol = solve_lp(LPProblem(np.array([1.0, 2.0]), eq_constraints=np.array([[1.0, 1.0]]), eq_rhs=np.array([1.0])))
         assert sol.status == LPStatus.OPTIMAL
         assert sol.value == pytest.approx(2.0, abs=1e-12)
         assert sol.point[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=[(np.array([1.0]), 1.0)]))
+            solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=np.array([[1.0]]), ineq_rhs=np.array([1.0])))
+
+    def test_constraint_blocks_are_checked(self):
+        c, one = np.array([1.0, 2.0]), np.array([1.0])
+        with pytest.raises(DimensionError, match="eq constraints have shape"):
+            solve_lp(LPProblem(c, np.array([[1.0, 1.0, 1.0]]), one))
+        with pytest.raises(DimensionError, match="ineq constraints have shape"):
+            solve_lp(LPProblem(c, ineq_constraints=np.array([1.0, 1.0]), ineq_rhs=one))  # a row, not a matrix
+        with pytest.raises(DimensionError, match="1 eq constraints need 1 right-hand sides"):
+            solve_lp(LPProblem(c, np.array([[1.0, 1.0]]), np.array([1.0, 2.0])))
+        with pytest.raises(DimensionError, match="0 ineq constraints need 0 right-hand sides"):
+            solve_lp(LPProblem(c, ineq_rhs=one))
+
+    @pytest.mark.parametrize("n_eq, violated", [(1, "equality"), (0, "inequality")])
+    def test_primal_residuals_are_checked(self, n_eq, violated):
+        # max x s.t. x = 1 (or x <= 1) in standard form [x | slack]; the basis
+        # {x} is optimal, but the point handed over is x = 1.5
+        A, b, cost = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0])
+        with pytest.raises(NumericalError, match=f"^{violated} constraint violated"):
+            numerics._validate_solution(A[:, :1], b, n_eq, np.array([1.5]), A, b, cost, np.array([0]), 1.0)
+
+    @pytest.mark.parametrize("block", ["eq", "ineq"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entries_raise(self, block, bad):
+        rows, rhs = np.array([[1.0, 1.0]]), np.array([1.0])
+        for broken in (np.array([[1.0, bad]]), rhs), (rows, np.array([bad])):
+            with pytest.raises(ValueError, match="constraint entries must be finite"):
+                solve_lp(LPProblem(np.array([1.0, 2.0]), **{f"{block}_constraints": broken[0], f"{block}_rhs": broken[1]}))
 
     def test_beale_cycling_lp(self):
         """Beale's LP cycles under pure Dantzig pricing with these tie rules;
         the Bland fallback must run and break the cycle."""
         problem = LPProblem(
             np.array([0.75, -20.0, 0.5, -6.0]),
-            ineq_constraints=[
-                (np.array([0.25, -8.0, -1.0, 9.0]), 0.0),
-                (np.array([0.5, -12.0, -0.5, 3.0]), 0.0),
-                (np.array([0.0, 0.0, 1.0, 0.0]), 1.0),
-            ],
+            ineq_constraints=np.array(
+                [
+                    [0.25, -8.0, -1.0, 9.0],
+                    [0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                ]
+            ),
+            ineq_rhs=np.array([0.0, 0.0, 1.0]),
         )
         sol = solve_lp(problem)
         assert sol.status == LPStatus.OPTIMAL
@@ -322,14 +366,16 @@ class TestSimplex:
         leaves x = 0 primal feasible, but the dual check must catch it."""
         monkeypatch.setattr(numerics, "_PIVOT_TOL", 1e3)
         with pytest.raises(NumericalError):
-            solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=[(np.array([1.0, 1.0]), 1.0)]))
+            solve_lp(LPProblem(np.array([1.0, 2.0]), ineq_constraints=np.array([[1.0, 1.0]]), ineq_rhs=np.array([1.0])))
 
     def test_dual_restores_sign_of_negated_rows(self):
         # max -x s.t. -x <= -2 (a negative right-hand side), x + y = 3
         problem = LPProblem(
             np.array([-1.0, 0.0]),
-            eq_constraints=[(np.array([1.0, 1.0]), 3.0)],
-            ineq_constraints=[(np.array([-1.0, 0.0]), -2.0)],
+            eq_constraints=np.array([[1.0, 1.0]]),
+            eq_rhs=np.array([3.0]),
+            ineq_constraints=np.array([[-1.0, 0.0]]),
+            ineq_rhs=np.array([-2.0]),
         )
         sol = solve_lp(problem)
         assert sol.value == pytest.approx(-2.0, abs=1e-12)
@@ -339,9 +385,9 @@ class TestSimplex:
     def test_pivots_counted_over_both_phases(self):
         # x + y = 1: x enters in phase 1 and drives the artificial out; to
         # maximize y, phase 2 makes one more pivot
-        eq = [(np.array([1.0, 1.0]), 1.0)]
-        assert solve_lp(LPProblem(np.array([1.0, 0.0]), eq_constraints=eq)).pivots == 1
-        sol = solve_lp(LPProblem(np.array([0.0, 1.0]), eq_constraints=eq))
+        eq, eq_rhs = np.array([[1.0, 1.0]]), np.array([1.0])
+        assert solve_lp(LPProblem(np.array([1.0, 0.0]), eq, eq_rhs)).pivots == 1
+        sol = solve_lp(LPProblem(np.array([0.0, 1.0]), eq, eq_rhs))
         assert sol.value == pytest.approx(1.0, abs=1e-12)
         assert sol.pivots == 2
 
@@ -361,7 +407,7 @@ class TestSimplex:
                 box = np.zeros(n)
                 box[j] = 1.0
                 le.append((box, float(rng.integers(1, 4))))
-            problem = LPProblem(c, eq_constraints=eq, ineq_constraints=le)
+            problem = lp_from_pairs(c, eq, le)
             sol = solve_lp(problem)
             status, value = lp_basis_enumeration(c, eq, le)
             assert sol.status.value == status
@@ -375,16 +421,12 @@ class TestSimplex:
         n, m = C.shape
         nv = n * m
         obj = -C.reshape(nv)
-        eq = []
+        eq = np.zeros((n + m, nv))
         for i in range(n):
-            row = np.zeros(nv)
-            row[i * m : (i + 1) * m] = 1.0
-            eq.append((row, a[i]))
+            eq[i, i * m : (i + 1) * m] = 1.0
         for j in range(m):
-            row = np.zeros(nv)
-            row[j::m] = 1.0
-            eq.append((row, b[j]))
-        return solve_lp(LPProblem(obj, eq_constraints=eq))
+            eq[n + j, j::m] = 1.0
+        return solve_lp(LPProblem(obj, eq, np.concatenate([a, b])))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_transport_polytope_vs_vertex_enumeration(self, seed):

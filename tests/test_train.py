@@ -49,8 +49,7 @@ class TestObjectiveAndGrad:
         net = seeded_mlp(rng, [2, 3, 2], scale=0.8)
         batch = seeded_points(rng, 5, 2, 2)
         for kind in ObjectiveKind:
-            model = net if kind != ObjectiveKind.DUAL_LINEAR else seeded_mlp(rng, [2, 2], scale=0.8)
-            ev = objective_and_grad(model, batch, TrainConfig(kind, rho=0.0))
+            ev = objective_and_grad(net, batch, TrainConfig(kind, rho=0.0))
             assert ev.penalty == 0.0
             assert ev.value == ev.erm
 
@@ -62,13 +61,6 @@ class TestObjectiveAndGrad:
         # ERM gradient is unaffected; the penalty contribution must vanish
         ev0 = objective_and_grad(net, batch, TrainConfig(ObjectiveKind.SPECTRAL, rho=0.0))
         assert np.allclose(ev.grads_w[0], ev0.grads_w[0])
-
-    def test_dual_linear_requires_single_layer(self):
-        rng = derive_rng(2, "dl")
-        net = seeded_mlp(rng, [2, 3, 2])
-        batch = seeded_points(rng, 3, 2, 2)
-        with pytest.raises(ValueError):
-            objective_and_grad(net, batch, TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.1))
 
     def test_non_l2_penalty_rejected(self):
         rng = derive_rng(3, "nrm")
@@ -105,10 +97,10 @@ class TestObjectiveAndGrad:
             denom = max(np.linalg.norm(fd), 1e-10)
             assert np.linalg.norm(pen_grad - fd) / denom <= 1e-3
 
-    @pytest.mark.parametrize("kind", [ObjectiveKind.DUAL_LINEAR, ObjectiveKind.PRODUCT])
-    def test_other_penalty_gradients_match_fd(self, kind):
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 3, 2]], ids=["product-one-layer", "product"])
+    def test_other_penalty_gradients_match_fd(self, dims):
+        kind = ObjectiveKind.PRODUCT
         rng = derive_rng(17, f"fd-{kind.value}")
-        dims = [3, 2] if kind == ObjectiveKind.DUAL_LINEAR else [3, 3, 2]
         net = seeded_mlp(rng, dims, scale=1.2)
         if not all(sigma_gap_ok(layer.weights) for layer in net.layers):
             pytest.skip("near-tied singular values")
@@ -166,7 +158,7 @@ class TestTrainLoop:
         decreases monotonically over the first epochs at a small step size."""
         points = self._blobs()
         model = linear(np.zeros((2, 2)))
-        cfg = TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.0, epochs=10, learning_rate=0.1)
+        cfg = TrainConfig(ObjectiveKind.PRODUCT, rho=0.0, epochs=10, learning_rate=0.1)
         report = train_loop(model, points, cfg)
         objs = [r.objective for r in report.records]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
@@ -291,7 +283,7 @@ class TestTrainLoop:
     def test_final_certificate_present_and_consistent(self):
         points = self._blobs(n=30)
         model = linear(np.zeros((2, 2)))
-        cfg = TrainConfig(ObjectiveKind.DUAL_LINEAR, rho=0.2, epochs=5, learning_rate=0.1)
+        cfg = TrainConfig(ObjectiveKind.PRODUCT, rho=0.2, epochs=5, learning_rate=0.1)
         report = train_loop(model, points, cfg)
         cert = report.certificate
         assert cert is not None
