@@ -227,7 +227,7 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
 
 def _fgsm(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec):
     """One normalized gradient step per atom from its clean point, projected;
-    atoms whose step does not increase the loss keep the clean point."""
+    atoms whose step lowers the loss keep the clean point."""
     out = loss_grads(model, X, Y)
     if ball.epsilon == 0.0:
         return np.zeros_like(X), out.losses

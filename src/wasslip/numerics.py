@@ -234,6 +234,13 @@ def _pivot(carry: np.ndarray, basis: np.ndarray, col: np.ndarray, r: int, j: int
     basis[r] = j
 
 
+def _basis_inverse(B: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise NumericalError("simplex basis is singular") from None
+
+
 def _run_simplex(A: np.ndarray, cost: np.ndarray, basis: np.ndarray, carry: np.ndarray) -> tuple[str, int, int]:
     """Revised simplex: maximize cost . x over A x = b, x >= 0 from a
     feasible basis, with carry = [Binv | x_B] for that basis; basis and
@@ -267,13 +274,15 @@ def _run_simplex(A: np.ndarray, cost: np.ndarray, basis: np.ndarray, carry: np.n
             return "unbounded", pivots, bland_pivots
         ratios = np.maximum(x_B[pos], 0.0) / col[pos]
         best = float(ratios.min())
+        if not math.isfinite(best):  # a pivot on entries near the float range overflowed
+            raise NumericalError("a simplex basic value is not finite")
         degenerate_run = degenerate_run + 1 if best == 0.0 else 0
         ties = pos[ratios <= best + 1e-11 * (1.0 + abs(best))]
         r = int(ties[basis[ties].argmin()])  # lowest basic index leaves
         _pivot(carry, basis, col, r, j)
         bland_pivots += bland
         if (pivots + 1) % m == 0:
-            Binv[:] = np.linalg.inv(A[:, basis])
+            Binv[:] = _basis_inverse(A[:, basis])
     raise NumericalError("simplex iteration cap exceeded")
 
 
@@ -342,7 +351,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         if kept.size < m:
             A, b, basis = A[kept], b[kept], basis[kept]
         # phase 2 starts from a fresh inverse of a basis free of artificials
-        carry = np.column_stack([np.linalg.inv(A[:, basis]), carry[kept, m]])
+        carry = np.column_stack([_basis_inverse(A[:, basis]), carry[kept, m]])
 
     # phase 2: the real objective
     A = A[:, :n_real]

@@ -430,4 +430,6 @@ def grid_targets(instance: RobustInstance, side: int, pad: float = 0.0) -> Point
     lo = xs.min(axis=0) - (instance.rho + pad)
     hi = xs.max(axis=0) + (instance.rho + pad)
     axes = [np.linspace(lo[d], hi[d], side) for d in range(xs.shape[1])]
+    if not all(np.all(np.isfinite(axis)) for axis in axes):
+        raise NumericalError(f"the oracle grid overflows at rho {instance.rho!r}")
     return lattice_targets(instance, axes)

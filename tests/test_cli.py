@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import read_csv
+from hypothesis import given, settings, strategies as st
 
-from wasslip.cli import ConfigError, main, validate_config
+from wasslip.cli import _SCHEMA, ConfigError, main, validate_config
 from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv, two_moons
 
 
@@ -52,6 +57,63 @@ class TestConfigValidation:
     def test_epsilons_validated(self):
         with pytest.raises(ConfigError, match=r"attack\.epsilons"):
             validate_config({"seed": 1, "attack": {"epsilons": [-0.1]}})
+
+    def test_readme_config_block_validates(self):
+        """The README's config block, without its comments and its two
+        `path` alternatives, is a valid config, and it names every key."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+        for section, table in _SCHEMA.items():
+            keys = doc if section == "config" else doc[section]
+            assert set(table) <= set(keys), section
+        del doc["dataset"]["path"], doc["model"]["path"]
+        cfg = validate_config(doc)
+        assert "step_size" not in cfg["attack"] and "batch_size" not in cfg["train"] and "layer_cap" not in cfg["train"]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(section, key) for section, table in _SCHEMA.items() for key, rule in table.items() if not rule.required],
+    )
+    def test_null_means_absent(self, section, key):
+        doc = {
+            "seed": 1,
+            "dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2},
+            "model": {"dims": [2, 2]},
+            "robust": {"rho": 0.1},
+            "attack": {"epsilons": [0.1]},
+            "train": {"objective": "spectral", "rho": 0.1},
+            "verify": {},
+        }
+        with_null = json.loads(json.dumps(doc))
+        (with_null if section == "config" else with_null[section])[key] = None
+        assert validate_config(with_null) == validate_config(doc)
+
+    @pytest.mark.parametrize("where", ["config", "dataset", "model"])
+    def test_seeds_are_64_bit(self, where):
+        def config(seed):
+            doc = {"seed": 1, "dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2}, "model": {"dims": [2, 2]}}
+            (doc if where == "config" else doc[where])["seed"] = seed
+            return doc
+
+        assert validate_config(config(2**64 - 1))
+        with pytest.raises(ConfigError, match=rf"{where}\.seed: must be <= 18446744073709551615"):
+            validate_config(config(2**64 + 1))
+        with pytest.raises(ConfigError, match=rf"{where}\.seed: must be >= 0"):
+            validate_config(config(-5))
+
+    @pytest.mark.parametrize("seed, message", [("-5", "must be >= 0"), (str(2**64 + 1), "must be <= 18446744073709551615")])
+    def test_seed_flag_has_the_seed_key_rule(self, tmp_path, capsys, seed, message):
+        cfg = write_config(tmp_path, {"seed": 1, "dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2}})
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", seed]) == 2
+        assert capsys.readouterr().err == f"config error at --seed: {message}\n"
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
+    def test_numbers_beyond_the_float_range_are_not_finite(self):
+        with pytest.raises(ConfigError, match=r"robust\.rho: must be finite"):
+            validate_config({"seed": 1, "robust": {"rho": 10**400}})
+        with pytest.raises(ConfigError, match=r"attack\.epsilons"):
+            validate_config({"seed": 1, "attack": {"epsilons": [10**400]}})
 
 
 class TestGenerators:
@@ -486,6 +548,14 @@ class TestOverflowingConfigs:
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e300, "epochs": 3}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
             ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
             ("gen-data", {"dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2, "lo": 1e308, "hi": -1e308}}, "grid coordinates overflow"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 1e308, "oracle_grid_side": 3}}, "the oracle grid overflows at rho 1e+308"),
+            # label costs of 1e100 leave the oracle LP's basis numerically singular,
+            # at a refactorization and at the start of phase 2
+            ("certify", {"dataset": {**BLOBS, "seed": 2}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "simplex basis is singular"),
+            ("certify", {"dataset": {**BLOBS, "n": 12, "seed": 1}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "simplex basis is singular"),
+            ("certify", {"dataset": {**BLOBS, "std": 0}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "kappa": 1e308, "oracle_grid_side": 2}}, "a simplex basic value is not finite"),
+            # more bytes than any address space: the allocation fails at once
+            ("gen-data", {"dataset": {**BLOBS, "n": 10**17}}, "out of memory"),
         ],
         ids=[
             "certify-rho",
@@ -498,6 +568,11 @@ class TestOverflowingConfigs:
             "train-learning-rate",
             "blobs-std",
             "grid-extent",
+            "oracle-grid-rho",
+            "oracle-kappa-1e100-refactorization",
+            "oracle-kappa-1e100-phase-2",
+            "oracle-kappa-1e308",
+            "out-of-memory",
         ],
     )
     def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):
@@ -520,6 +595,60 @@ class TestOverflowingConfigs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert message in lines[0]
+
+
+FUZZ_MODEL = {"dims": [2, 3, 2], "activation": "RELU", "bias": True, "init_scale": 1.0, "norm": "L2", "seed": 5}
+FUZZ_BASES = {
+    "gen-data": {"seed": 1, "output_dir": "unused", "dataset": {**BLOBS, "std": 0.6}},
+    "certify": {"seed": 1, "dataset": BLOBS, "model": FUZZ_MODEL, "robust": {"rho": 0.1, "kappa": 1.0, "oracle_grid_side": 2}},
+    "attack": {
+        "seed": 1,
+        "dataset": BLOBS,
+        "model": FUZZ_MODEL,
+        "attack": {"epsilons": [0.1, 0.5], "norm": "L2", "method": "PGD", "steps": 3, "step_size": 0.05, "restarts": 1, "grid_points": 5, "kappa": 1.0},
+    },
+    "train": {
+        "seed": 1,
+        "dataset": BLOBS,
+        "model": FUZZ_MODEL,
+        "train": {"objective": "spectral", "rho": 0.1, "kappa": 1.0, "learning_rate": 0.1, "epochs": 3, "batch_size": 4, "momentum": 0.5, "layer_cap": 2.0, "norm": "L2"},
+    },
+}
+# keys a base leaves out that a replacement may still add
+FUZZ_EXTRA_KEYS = {"dataset": ("noise", "lo", "hi", "path"), "model": ("path",)}
+FUZZ_NAMES = ("gaussian-blobs", "two-moons", "grid", "L1", "L2", "LINF", "PGD", "FGSM", "GRID", "RELU", "TANH", "product", "spectral", "nope")
+FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 3, 0.0, 0.5, -0.5, 1e-300, 1e-12, 1e12, 1e154, 1e200, 1e308, -1e308)
+FUZZ_VALUES += ("inf", math.nan, math.inf, *FUZZ_NAMES, [], [0.1], [2, 2], {})
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A small valid config of one command with one or two keys replaced."""
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = json.loads(json.dumps(FUZZ_BASES[command]))
+    paths = [(key,) for key in doc]
+    paths += [(key, sub) for key, section in doc.items() if isinstance(section, dict) for sub in (*section, *FUZZ_EXTRA_KEYS.get(key, ()))]
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        parent = doc if len(path) == 1 else doc.get(path[0])
+        if isinstance(parent, dict):  # the first replacement may have replaced the section
+            parent[path[-1]] = json.loads(json.dumps(draw(st.sampled_from(FUZZ_VALUES))))
+    return command, doc
+
+
+class TestFailureContract:
+    """Whatever a config holds, a command succeeds, or exits 2 (config
+    error) or 3 (numerical failure); it never raises and never warns."""
+
+    @given(fuzzed_configs())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_replaced_keys_exit_0_2_or_3(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), doc)
+            with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
 
 
 class TestBadInputFiles:
