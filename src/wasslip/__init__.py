@@ -56,8 +56,9 @@ from wasslip.adversarial import (
     AttackResult,
     BallSpec,
     adversarial_risk,
-    check_adversarial_bound,
+    attack_sweep,
 )
+from wasslip.suite import check_adversarial_bound
 from wasslip.train import ObjectiveKind, TrainConfig, TrainReport, objective_and_grad, project_layer_lipschitz, train_loop
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-"""Adversarial risk under norm-bounded input perturbations, and its machine
-check against the distributionally robust value.
+"""Adversarial risk under norm-bounded input perturbations.
 
 The attack never touches labels, so pushing every atom by its perturbation
 keeps the empirical measure inside the transport ball of radius
 max_i ||delta_i||; the dual robust value at rho = epsilon therefore upper
-bounds the adversarial risk for any kappa.  PGD/FGSM report lower bounds on
-the inner maximum (which only makes the inequality easier); GRID mode makes
-the check sharp in two dimensions by sweeping a lattice plus a dense boundary
+bounds the adversarial risk for any kappa (`suite.check_adversarial_bound`
+checks this).  PGD and FGSM, its one-step case, report lower bounds on the
+inner maximum (which only makes the inequality easier); GRID mode makes the
+check sharp in two dimensions by sweeping a lattice plus a dense boundary
 ring.
 """
 
@@ -17,20 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from wasslip.measures import (
-    DiscreteMeasure,
-    PointSet,
-    cost_matrix,
-    pushforward,
-    transport_cost,
-)
+from wasslip.measures import DiscreteMeasure
 from wasslip.models import MLP, loss_grads, losses
-from wasslip.numerics import FEASIBILITY_TOL, FrozenRecord, NormTag, NumericalError, as_vector, row_norms
-from wasslip.robust import (
-    RobustInstance,
-    primal_robust_risk_lp,
-    robust_certificate_for,
-)
+from wasslip.numerics import FrozenRecord, NormTag, NumericalError, as_vector, row_norms
 from wasslip.seeding import derive_rng
 
 
@@ -113,11 +102,12 @@ def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
     if tag == NormTag.L2:
         sizes = row_norms(G, tag)
         return G / np.where(sizes > 0.0, sizes, 1.0)[:, None]
-    # an l1 budget goes entirely onto the best coordinate
+    # an l1 budget goes entirely onto the best coordinate; an all-zero row
+    # gets no direction, as under the other norms
     out = np.zeros_like(G)
     rows = np.arange(G.shape[0])
     best = np.argmax(np.abs(G), axis=1)
-    out[rows, best] = np.copysign(1.0, G[rows, best])
+    out[rows, best] = np.sign(G[rows, best])
     return out
 
 
@@ -173,18 +163,18 @@ def restart_draws(seed: int, atoms: int, dim: int, norm: NormTag, restarts: int)
     return RestartDraws(norm, base, root)
 
 
-def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, draws: RestartDraws, warm_starts=()):
+def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, draws: RestartDraws | None = None, warm_starts=()):
     """Projected gradient ascent from every start of every atom at once.
 
     Atom i starts from zero, from its row of each warm start (projected),
-    then from its restart rows of `draws` at this radius.  The S (start,
-    atom) blocks are stacked into S*n rows that step together.  A row stops
-    for good when its ascent direction is all zero or when its projected
-    step returns its iterate bit for bit (compared as int64 views, so -0.0
-    to 0.0 is a move): rows do not depend on the batch, so such a row would
-    get the same loss and direction at every later step, and a loss it has
-    already had is never strictly better.  Each atom keeps its first maximum
-    in (start, step) order.
+    then from its restart rows of `draws` at this radius, if any.  The S
+    (start, atom) blocks are stacked into S*n rows that step together.  A
+    row stops for good when its ascent direction is all zero or when its
+    projected step returns its iterate bit for bit (compared as int64 views,
+    so -0.0 to 0.0 is a move): rows do not depend on the batch, so such a
+    row would get the same loss and direction at every later step, and a
+    loss it has already had is never strictly better.  Each atom keeps its
+    first maximum in (start, step) order.
 
     One forward/backward pass per step: the pass that scores a step's
     iterate also gives the next step's ascent direction, so s steps make at
@@ -193,10 +183,12 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
     """
     if ball.epsilon == 0.0:
         return np.zeros_like(X), losses(model, X, Y)
-    if draws.base.shape[1:] != X.shape:
-        raise ValueError(f"restart draws of shape {draws.base.shape} do not fit {X.shape[0]} atoms in dimension {X.shape[1]}")
     starts = [np.zeros_like(X)] + [_project_rows(np.asarray(ws, dtype=float), ball) for ws in warm_starts]
-    delta = np.concatenate(starts + [draws.starts(ball)])
+    if draws is not None:
+        if draws.base.shape[1:] != X.shape:
+            raise ValueError(f"restart draws of shape {draws.base.shape} do not fit {X.shape[0]} atoms in dimension {X.shape[1]}")
+        starts.append(draws.starts(ball))
+    delta = np.concatenate(starts)
     n, d = X.shape
     S = delta.shape[0] // n
     step = step_size if step_size is not None else 2.5 * ball.epsilon / steps
@@ -223,20 +215,6 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
     winner = np.argmax(per_start, axis=0)  # ties go to the earliest start
     atoms = np.arange(n)
     return best_delta.reshape(S, n, d)[winner, atoms], per_start[winner, atoms]
-
-
-def _fgsm(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec):
-    """One normalized gradient step per atom from its clean point, projected;
-    atoms whose step lowers the loss keep the clean point."""
-    out = loss_grads(model, X, Y)
-    if ball.epsilon == 0.0:
-        return np.zeros_like(X), out.losses
-    delta = _project_rows(ball.epsilon * _ascent_directions(out.grad_x, ball.norm), ball)
-    value = losses(model, X + delta, Y)
-    worse = value < out.losses
-    delta[worse] = 0.0
-    value[worse] = out.losses[worse]
-    return delta, value
 
 
 def _boundary_ring(ball: BallSpec, count: int) -> np.ndarray:
@@ -301,13 +279,12 @@ def adversarial_risk(
     """Weighted average of per-sample worst-case losses.
 
     Each element of `warm_starts` holds one extra PGD starting point per atom
-    (shape n x dim); sweeping epsilon upward while passing the previous optima
-    makes the reported risk monotone in epsilon by construction.  Every atom
-    is attacked at once; its random restarts come from its own stream
-    derive_rng(config.seed, f"attack/{i}"), so results do not depend on how
-    the atoms are batched.  A sweep over several radii passes `draws` from
-    one `restart_draws` call (same seed, norm and restarts as `config`);
-    without them PGD draws its own.
+    (shape n x dim).  Every atom is attacked at once; its random restarts
+    come from its own stream derive_rng(config.seed, f"attack/{i}"), so
+    results do not depend on how the atoms are batched.  `attack_sweep`
+    passes its previous optima as warm starts and `draws` from one
+    `restart_draws` call (same seed, norm and restarts as `config`); without
+    them PGD draws its own.  FGSM and GRID use neither.
     """
     X, Y = mu.support.xs, mu.support.ys
     # the largest values an attack forms: a point plus a perturbation of up
@@ -319,7 +296,8 @@ def adversarial_risk(
     if config.method == "GRID":
         deltas, values = _grid(model, X, Y, ball, config.grid_points)
     elif config.method == "FGSM":
-        deltas, values = _fgsm(model, X, Y, ball)
+        # one step of size epsilon from the clean point, which a tie keeps
+        deltas, values = _pgd(model, X, Y, ball, 1, ball.epsilon)
     else:
         if draws is None:
             draws = restart_draws(config.seed, len(Y), X.shape[1], ball.norm, config.restarts)
@@ -333,90 +311,28 @@ def adversarial_risk(
     return AttackResult(deltas, values, risk, config.method, ball.epsilon, ball.norm)
 
 
-class AdversarialBoundVerdict(NamedTuple):
-    passed: bool
-    adversarial_risk: float
-    robust_value: float
-    lp_oracle_value: float | None
-    pushforward_cost: float
-    max_perturbation_norm: float
-    checks: tuple
-
-    def failures(self) -> list:
-        return [name for name, ok in self.checks if not ok]
-
-
-def check_adversarial_bound(
+def attack_sweep(
     model: MLP,
-    instance: RobustInstance,
-    ball: BallSpec,
+    mu: DiscreteMeasure,
+    norm: NormTag,
+    epsilons: Sequence[float],
     config: AttackConfig = AttackConfig(),
-) -> AdversarialBoundVerdict:
-    """Machine check that the adversarial risk sits below the robust value.
+) -> list:
+    """One `adversarial_risk` per radius, in ascending order of radius.
 
-    Requires the instance to be aligned with the attack: radius = epsilon and
-    input norm = ball norm.  In one or two dimensions the exhaustive GRID
-    attack is checked against the robust value as well.  Also verifies the
-    attack-induced pushforward measure lies inside the transport ball (via
-    the coupling LP) and, when candidate targets are present, that the
-    restricted primal LP already dominates the attack.
+    PGD draws its restart variates once for the whole sweep and starts each
+    radius also from the previous radius's optimum, taken as it is and
+    scaled to the new radius (when the previous radius is positive), so its
+    reported risk never falls as the radius grows.
     """
-    if instance.rho != ball.epsilon:
-        raise ValueError("instance radius must equal the attack epsilon")
-    if instance.metric.x_norm != ball.norm:
-        raise ValueError("instance input norm must match the attack ball norm")
-
-    mu = instance.empirical
-    result = adversarial_risk(model, mu, ball, config)
-    risks = [("pgd", result)]
-    if mu.support.dim <= 2:
-        risks.append(("grid", adversarial_risk(model, mu, ball, AttackConfig(method="GRID", grid_points=config.grid_points))))
-
-    cert = robust_certificate_for(model, instance)
-
-    checks = []
-    for name, res in risks:
-        checks.append((f"adversarial_risk_{name}_le_robust_value", res.adversarial_risk <= cert.robust_value + 1e-8))
-
-    # the attack map keeps labels, so its pushforward must stay in the ball
-    attacked = attack_pushforward(mu, result)
-    max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
-    costs = cost_matrix(instance.metric, mu.support, attacked.support)
-    push_cost = transport_cost(mu, attacked, costs)  # the LP ball_contains would solve again
-    checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
-
-    # restricted primal on a target set containing the attacked points: it
-    # must already dominate the attack, and the dual must dominate it
-    aug_targets = attacked_targets(mu.support, attacked.support)
-    extra = instance.candidate_targets
-    if extra is not None:
-        aug_targets = PointSet(
-            np.concatenate([aug_targets.xs, extra.xs]), np.concatenate([aug_targets.ys, extra.ys]), mu.support.label_count
-        )
-    aug_instance = RobustInstance(mu, instance.metric, instance.rho, aug_targets)
-    target_losses = losses(model, aug_targets.xs, aug_targets.ys)
-    lp_value = primal_robust_risk_lp(aug_instance, target_losses)
-    checks.append(("lp_oracle_ge_attack", lp_value >= result.adversarial_risk - 1e-8))
-    checks.append(("robust_value_ge_lp_oracle", cert.robust_value >= lp_value - 1e-9))
-
-    return AdversarialBoundVerdict(
-        passed=all(ok for _, ok in checks),
-        adversarial_risk=result.adversarial_risk,
-        robust_value=cert.robust_value,
-        lp_oracle_value=lp_value,
-        pushforward_cost=push_cost,
-        max_perturbation_norm=max_norm,
-        checks=tuple(checks),
-    )
-
-
-def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMeasure:
-    """Image of mu under the attack map x -> x + delta(x); index-aligned."""
-    return pushforward(mu, lambda xs: xs + result.perturbations)
-
-
-def attacked_targets(support: PointSet, attacked: PointSet) -> PointSet:
-    """Candidate-target set: the support rows, then the attacked points."""
-    return PointSet(
-        np.concatenate([support.xs, attacked.xs]), np.concatenate([support.ys, attacked.ys]), support.label_count
-    )
+    draws = None
+    if config.method == "PGD":
+        draws = restart_draws(config.seed, len(mu), mu.support.dim, norm, config.restarts)
+    results = []
+    for eps in sorted(epsilons):
+        starts = ()
+        if results and results[-1].epsilon > 0:
+            prev = results[-1]
+            starts = (prev.perturbations, prev.perturbations * (eps / prev.epsilon))
+        results.append(adversarial_risk(model, mu, BallSpec(norm, eps), config, starts, draws))
+    return results

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from wasslip import io
-from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk, restart_draws
+from wasslip.adversarial import AttackConfig, attack_sweep
 from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, grid_side, load_dataset_csv, save_dataset_csv
 from wasslip.measures import MetricSpec, TransportInfeasibleError, empirical_from_samples
 from wasslip.models import MLP, ActivationTag, accuracy, load_model, save_model
@@ -41,13 +41,17 @@ class ConfigError(ValueError):
 # config validation: every key is checked, unknown keys are rejected
 
 
+_U64 = 2**64 - 1  # seeds are 64-bit
+_I64 = 2**63 - 1  # sizes are numpy int64s
+
+
 def _fail(path: str, msg: str):
     raise ConfigError(f"config error at {path}: {msg}")
 
 
 def _dims(path: str, v) -> list:
-    if not isinstance(v, list) or len(v) < 2 or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in v):
-        _fail(path, "expected a list of >= 2 positive integers")
+    if not isinstance(v, list) or len(v) < 2 or not all(isinstance(d, int) and not isinstance(d, bool) and 1 <= d <= _I64 for d in v):
+        _fail(path, f"expected a list of >= 2 integers from 1 to {_I64}")
     return v
 
 
@@ -70,7 +74,6 @@ class _Key(NamedTuple):
     default: object = None
 
 
-_U64 = 2**64 - 1  # seeds are 64-bit
 _NORMS = tuple(t.value for t in NormTag)
 _KAPPA = _Key("kappa", default=math.inf)
 
@@ -86,9 +89,9 @@ _SCHEMA = {
     "dataset": {
         "path": _Key(str),  # a dataset file, instead of the generator keys below
         "generator": _Key(str, required=True, choices=GENERATORS),
-        "n": _Key(int, required=True, lo=2),
-        "k": _Key(int, required=True, lo=2),
-        "dim": _Key(int, required=True, lo=1),
+        "n": _Key(int, required=True, lo=2, hi=_I64),
+        "k": _Key(int, required=True, lo=2, hi=_I64),
+        "dim": _Key(int, required=True, lo=1, hi=_I64),
         "seed": _Key(int, lo=0, hi=_U64),
         "noise": _Key(float, lo=0.0),
         "std": _Key(float, lo=0.0),
@@ -107,16 +110,16 @@ _SCHEMA = {
     "robust": {
         "rho": _Key(float, required=True, lo=0.0),
         "kappa": _KAPPA,
-        "oracle_grid_side": _Key(int, lo=2),
+        "oracle_grid_side": _Key(int, lo=2, hi=_I64),
     },
     "attack": {
         "epsilons": _Key(_epsilons, required=True),
         "norm": _Key(str, choices=_NORMS, default="LINF"),
         "method": _Key(str, choices=("PGD", "FGSM", "GRID")),
-        "steps": _Key(int, lo=1),
+        "steps": _Key(int, lo=1, hi=_I64),
         "step_size": _Key(float, lo=1e-12),
-        "restarts": _Key(int, lo=0),
-        "grid_points": _Key(int, lo=3),
+        "restarts": _Key(int, lo=0, hi=_I64),
+        "grid_points": _Key(int, lo=3, hi=_I64),
         "kappa": _KAPPA,
     },
     "train": {
@@ -124,19 +127,19 @@ _SCHEMA = {
         "rho": _Key(float, required=True, lo=0.0),
         "kappa": _KAPPA,
         "learning_rate": _Key(float, lo=1e-12),
-        "epochs": _Key(int, lo=0),
-        "batch_size": _Key(int, lo=1),
+        "epochs": _Key(int, lo=0, hi=_I64),
+        "batch_size": _Key(int, lo=1, hi=_I64),
         "momentum": _Key(float, lo=0.0),
         "layer_cap": _Key(float, lo=1e-12),
         "norm": _Key(str, choices=_NORMS),
     },
     "verify": {
-        "strong_duality_instances": _Key(int, lo=1),
-        "envelope_points_per_dim": _Key(int, lo=2),  # 1 would leave only the centre
-        "pushforward_triples": _Key(int, lo=1),
-        "pushforward_cases": _Key(int, lo=1),
-        "adversarial_tuples": _Key(int, lo=1),
-        "chain_nets": _Key(int, lo=1),
+        "strong_duality_instances": _Key(int, lo=1, hi=_I64),
+        "envelope_points_per_dim": _Key(int, lo=2, hi=_I64),  # 1 would leave only the centre
+        "pushforward_triples": _Key(int, lo=1, hi=_I64),
+        "pushforward_cases": _Key(int, lo=1, hi=_I64),
+        "adversarial_tuples": _Key(int, lo=1, hi=_I64),
+        "chain_nets": _Key(int, lo=1, hi=_I64),
     },
 }
 _SECTIONS = tuple(name for name in _SCHEMA if name != "config")
@@ -330,27 +333,14 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
     norm_tag = NormTag(section["norm"])
     mu = empirical_from_samples(points)
     metric = MetricSpec(norm_tag, section["kappa"], points.label_count)
-
-    # what does not depend on the radius is computed once: the restart
-    # variates and the certificate's loss table and lambda floor
-    draws = None
-    if attack_cfg.method == "PGD":
-        draws = restart_draws(attack_cfg.seed, len(mu), points.dim, norm_tag, attack_cfg.restarts)
+    # the certificate's loss table and lambda floor serve every radius
     shared = certificate_table(model, mu, norm_tag)
-
     sweeps = []
-    prev = None  # the last radius and its perturbations: the next radius's warm starts
-    for eps in sorted(section["epsilons"]):
-        ball = BallSpec(norm_tag, eps)
-        starts = []
-        if prev is not None and prev[0] > 0:
-            starts = [prev[1], prev[1] * (eps / prev[0])]
-        result = adversarial_risk(model, mu, ball, attack_cfg, warm_starts=starts, draws=draws)
-        prev = (eps, result.perturbations)
-        cert = certify_on_table(RobustInstance(mu, metric, eps), shared)
+    for result in attack_sweep(model, mu, norm_tag, section["epsilons"], attack_cfg):
+        cert = certify_on_table(RobustInstance(mu, metric, result.epsilon), shared)
         sweeps.append(
             {
-                "epsilon": eps,
+                "epsilon": result.epsilon,
                 "adversarial_risk": result.adversarial_risk,
                 "robust_value": cert.robust_value,
                 "bound_holds": result.adversarial_risk <= cert.robust_value + 1e-8,
@@ -375,12 +365,12 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
 def cmd_train(cfg: dict, out_dir: Path) -> int:
     section = _section(cfg, "train", "train")
     points, dataset_sha256 = _load_points(cfg, cfg["seed"])
-    model, norm_tag = _build_model(cfg, cfg["seed"], points)
+    model, _ = _build_model(cfg, cfg["seed"], points)
     train_cfg = TrainConfig(seed=derive_seed(cfg["seed"], "train"), **section)
     report = train_loop(model, points, train_cfg)
     doc = report.to_json_dict()
     doc["final_accuracy"] = accuracy(report.model, points)
-    doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], norm_tag)
+    doc["fingerprint"] = _fingerprint(cfg, dataset_sha256, section["rho"], section["kappa"], train_cfg.norm)
     io.dump_json(doc, out_dir / "train_report.json")
     io.write_csv(out_dir / "train_curves.csv", EpochRecord._fields, report.records)
     save_model(report.model, out_dir / "model.txt", train_cfg.norm)

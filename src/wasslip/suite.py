@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wasslip.adversarial import AttackConfig, BallSpec, check_adversarial_bound
+from wasslip.adversarial import AttackConfig, AttackResult, BallSpec, adversarial_risk
 from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
@@ -37,7 +37,7 @@ from wasslip.models import (
     losses,
     phi_lipschitz_bound,
 )
-from wasslip.numerics import NormTag, NumericalError, operator_norm, row_norms
+from wasslip.numerics import FEASIBILITY_TOL, NormTag, NumericalError, operator_norm, row_norms
 from wasslip.robust import (
     RobustInstance,
     check_envelope_collapse,
@@ -261,6 +261,95 @@ def check_pushforward_bound(seed: int, cases: int = 10, grid_side: int = 7) -> V
         "pushforward_bound",
         worst <= 1e-8,
         {"cases": cases, "worst_oracle_excess": worst, "tolerance": 1e-8},
+    )
+
+
+class AdversarialBoundVerdict(NamedTuple):
+    passed: bool
+    adversarial_risk: float
+    robust_value: float
+    lp_oracle_value: float | None
+    pushforward_cost: float
+    max_perturbation_norm: float
+    checks: tuple
+
+    def failures(self) -> list:
+        return [name for name, ok in self.checks if not ok]
+
+
+def check_adversarial_bound(
+    model: MLP,
+    instance: RobustInstance,
+    ball: BallSpec,
+    config: AttackConfig = AttackConfig(),
+) -> AdversarialBoundVerdict:
+    """Machine check that the adversarial risk sits below the robust value.
+
+    Requires the instance to be aligned with the attack: radius = epsilon and
+    input norm = ball norm.  In one or two dimensions the exhaustive GRID
+    attack is checked against the robust value as well.  Also verifies the
+    attack-induced pushforward measure lies inside the transport ball (via
+    the coupling LP) and, when candidate targets are present, that the
+    restricted primal LP already dominates the attack.
+    """
+    if instance.rho != ball.epsilon:
+        raise ValueError("instance radius must equal the attack epsilon")
+    if instance.metric.x_norm != ball.norm:
+        raise ValueError("instance input norm must match the attack ball norm")
+
+    mu = instance.empirical
+    result = adversarial_risk(model, mu, ball, config)
+    risks = [("pgd", result)]
+    if mu.support.dim <= 2:
+        risks.append(("grid", adversarial_risk(model, mu, ball, AttackConfig(method="GRID", grid_points=config.grid_points))))
+
+    cert = robust_certificate_for(model, instance)
+
+    checks = []
+    for name, res in risks:
+        checks.append((f"adversarial_risk_{name}_le_robust_value", res.adversarial_risk <= cert.robust_value + 1e-8))
+
+    # the attack map keeps labels, so its pushforward must stay in the ball
+    attacked = attack_pushforward(mu, result)
+    max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
+    costs = cost_matrix(instance.metric, mu.support, attacked.support)
+    push_cost = transport_cost(mu, attacked, costs)  # the LP ball_contains would solve again
+    checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
+
+    # restricted primal on a target set containing the attacked points: it
+    # must already dominate the attack, and the dual must dominate it
+    aug_targets = attacked_targets(mu.support, attacked.support)
+    extra = instance.candidate_targets
+    if extra is not None:
+        aug_targets = PointSet(
+            np.concatenate([aug_targets.xs, extra.xs]), np.concatenate([aug_targets.ys, extra.ys]), mu.support.label_count
+        )
+    aug_instance = RobustInstance(mu, instance.metric, instance.rho, aug_targets)
+    target_losses = losses(model, aug_targets.xs, aug_targets.ys)
+    lp_value = primal_robust_risk_lp(aug_instance, target_losses)
+    checks.append(("lp_oracle_ge_attack", lp_value >= result.adversarial_risk - 1e-8))
+    checks.append(("robust_value_ge_lp_oracle", cert.robust_value >= lp_value - 1e-9))
+
+    return AdversarialBoundVerdict(
+        passed=all(ok for _, ok in checks),
+        adversarial_risk=result.adversarial_risk,
+        robust_value=cert.robust_value,
+        lp_oracle_value=lp_value,
+        pushforward_cost=push_cost,
+        max_perturbation_norm=max_norm,
+        checks=tuple(checks),
+    )
+
+
+def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMeasure:
+    """Image of mu under the attack map x -> x + delta(x); index-aligned."""
+    return pushforward(mu, lambda xs: xs + result.perturbations)
+
+
+def attacked_targets(support: PointSet, attacked: PointSet) -> PointSet:
+    """Candidate-target set: the support rows, then the attacked points."""
+    return PointSet(
+        np.concatenate([support.xs, attacked.xs]), np.concatenate([support.ys, attacked.ys]), support.label_count
     )
 
 

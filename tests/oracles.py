@@ -343,7 +343,8 @@ def _vector_direction(g, tag: str):
         return g / size if size > 0.0 else g
     out = np.zeros_like(g)
     i = int(np.argmax(np.abs(g)))
-    out[i] = math.copysign(1.0, g[i])
+    if g[i] != 0.0:
+        out[i] = math.copysign(1.0, g[i])
     return out
 
 
@@ -386,13 +387,15 @@ def vector_pgd(model, x, y, tag, eps, steps, step_size, rng, restarts, extra_sta
 
 
 def vector_fgsm(model, x, y, tag, eps):
+    """One step of size eps from the clean point, kept only when its loss is
+    strictly higher (a tie keeps the clean point)."""
     x = np.asarray(x, dtype=float)
     clean = vector_loss(model, x, y)
     if eps == 0.0:
         return np.zeros_like(x), clean
     delta = vector_project(eps * _vector_direction(vector_loss_grad(model, x, y)[1], tag), tag, eps)
     value = vector_loss(model, x + delta, y)
-    return (np.zeros_like(x), clean) if value < clean else (delta, value)
+    return (delta, value) if value > clean else (np.zeros_like(x), clean)
 
 
 def vector_grid(model, x, y, tag, eps, points_per_dim):

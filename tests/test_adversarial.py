@@ -9,15 +9,8 @@ from helpers import linear
 from oracles import boundary_max_loss, empirical_risk, linf_corner_max_loss, vector_loss, vector_pgd
 import wasslip.adversarial as adversarial
 import wasslip.models as models
-from wasslip.adversarial import (
-    AttackConfig,
-    BallSpec,
-    adversarial_risk,
-    attack_pushforward,
-    attacked_targets,
-    check_adversarial_bound,
-    project_ball,
-)
+import wasslip.suite as suite
+from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk, attack_sweep, project_ball
 from wasslip.cli import main
 from wasslip.measures import (
     DiscreteMeasure,
@@ -32,7 +25,15 @@ from wasslip.models import ActivationTag, losses
 from wasslip.numerics import NormTag, NumericalError, norm
 from wasslip.robust import RobustInstance, robust_certificate_for
 from wasslip.seeding import derive_rng
-from wasslip.suite import check_adversarial_bounds, seeded_linear_model, seeded_mlp, seeded_points
+from wasslip.suite import (
+    attack_pushforward,
+    attacked_targets,
+    check_adversarial_bound,
+    check_adversarial_bounds,
+    seeded_linear_model,
+    seeded_mlp,
+    seeded_points,
+)
 
 
 def attack_one(model, x, y, ball, method="PGD", seed=0):
@@ -288,17 +289,11 @@ class TestAdversarialRisk:
         model = seeded_mlp(rng, [2, 4, 2], scale=0.9)
         mu = empirical_from_samples(seeded_points(rng, 4, 2, 2))
         cfg = AttackConfig(seed=3, steps=15, restarts=1)
-        prev = None
-        prev_eps = None
-        warm = []
-        for eps in (0.02, 0.1, 0.3, 0.6):
-            starts = [warm[-1], warm[-1] * (eps / prev_eps)] if warm else []
-            result = adversarial_risk(model, mu, BallSpec(NormTag.L2, eps), cfg, warm_starts=starts)
-            if prev is not None:
-                assert result.adversarial_risk >= prev - 1e-9
-            prev = result.adversarial_risk
-            prev_eps = eps
-            warm.append(result.perturbations)
+        results = attack_sweep(model, mu, NormTag.L2, (0.3, 0.02, 0.6, 0.1), cfg)
+        assert [r.epsilon for r in results] == [0.02, 0.1, 0.3, 0.6]
+        for lo, hi in zip(results, results[1:]):
+            assert np.all(hi.losses >= lo.losses)
+            assert hi.adversarial_risk >= lo.adversarial_risk
 
     def test_feasibility_of_all_perturbations(self):
         rng = derive_rng(24, "feas")
@@ -381,13 +376,13 @@ class TestRobustBound:
 
     def test_one_pushforward_per_verdict(self, monkeypatch):
         calls = []
-        real = adversarial.attack_pushforward
+        real = suite.attack_pushforward
 
         def spy(mu, result):
             calls.append(1)
             return real(mu, result)
 
-        monkeypatch.setattr(adversarial, "attack_pushforward", spy)
+        monkeypatch.setattr(suite, "attack_pushforward", spy)
         assert check_adversarial_bounds(7, tuples=6).passed
         assert len(calls) == 6
 

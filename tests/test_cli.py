@@ -109,6 +109,30 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error at --seed: {message}\n"
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
+    def test_sizes_are_int64(self):
+        """Every integer size key, and each model.dims entry, stops at
+        2**63 - 1; seeds are the only keys that go further."""
+        base = {
+            "seed": 1,
+            "dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2},
+            "model": {"dims": [2, 2]},
+            "robust": {"rho": 0.1},
+            "attack": {"epsilons": [0.1]},
+            "train": {"objective": "spectral", "rho": 0.1},
+            "verify": {},
+        }
+        sizes = [(name, key) for name, table in _SCHEMA.items() for key, rule in table.items() if rule.kind is int and key != "seed"]
+        assert len(sizes) == 15
+        for name, key in sizes + [("model", "dims")]:
+            for value in (2**63 - 1, 2**63):
+                doc = json.loads(json.dumps(base))
+                doc[name][key] = [2, value, 2] if key == "dims" else value
+                if value < 2**63:
+                    validate_config(doc)
+                    continue
+                with pytest.raises(ConfigError, match=rf"{name}\.{key}: .*9223372036854775807"):
+                    validate_config(doc)
+
     def test_numbers_beyond_the_float_range_are_not_finite(self):
         with pytest.raises(ConfigError, match=r"robust\.rho: must be finite"):
             validate_config({"seed": 1, "robust": {"rho": 10**400}})
@@ -272,6 +296,23 @@ class TestCommands:
         assert "wall_clock" not in doc
         assert doc["certificate"]["robust_value"] >= doc["certificate"]["empirical_risk"] - 1e-9
         assert (out / "model.txt").exists()
+
+    @pytest.mark.parametrize("model_norm, train_norm", [("LINF", None), ("L2", "LINF")])
+    def test_train_fingerprint_names_the_training_norm(self, tmp_path, model_norm, train_norm):
+        """The fingerprint names the norm the penalty, the certificate and
+        model.txt use: train.norm (default L2), not model.norm."""
+        train = {"objective": "spectral", "rho": 0.0, "epochs": 2}
+        if train_norm is not None:
+            train["norm"] = train_norm
+        cfg = write_config(
+            tmp_path,
+            {"seed": 5, "dataset": {**BLOBS, "n": 12}, "model": {"dims": [2, 3, 2], "norm": model_norm}, "train": train},
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        used = train_norm or "L2"
+        assert json.loads((out / "train_report.json").read_text(encoding="utf-8"))["fingerprint"]["norm"] == used
+        assert f"norm {used}" in (out / "model.txt").read_text(encoding="utf-8").splitlines()
 
     def test_verify_default_suite_exit_zero(self, tmp_path):
         cfg = write_config(
@@ -500,6 +541,9 @@ class TestBadConfigs:
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "bound_mode": "certified"}}, "attack.bound_mode"),
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "product", "rho": 0.1, "bound_mode": "operator"}}, "train.bound_mode"),
             ("verify", {"verify": {"envelope_points_per_dim": 1}}, "verify.envelope_points_per_dim"),
+            ("gen-data", {"dataset": {**BLOBS, "n": 10**19}}, "dataset.n"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 10**19, 2]}, "robust": {"rho": 0.1}}, "model.dims"),
+            ("verify", {"verify": {"strong_duality_instances": 10**19}}, "verify.strong_duality_instances"),
         ],
         ids=[
             "attack-kappa-0",
@@ -518,6 +562,9 @@ class TestBadConfigs:
             "attack-bound-mode",
             "train-bound-mode",
             "envelope-one-point",
+            "n-past-int64",
+            "dims-past-int64",
+            "verify-size-past-int64",
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
@@ -617,7 +664,7 @@ FUZZ_BASES = {
 # keys a base leaves out that a replacement may still add
 FUZZ_EXTRA_KEYS = {"dataset": ("noise", "lo", "hi", "path"), "model": ("path",)}
 FUZZ_NAMES = ("gaussian-blobs", "two-moons", "grid", "L1", "L2", "LINF", "PGD", "FGSM", "GRID", "RELU", "TANH", "product", "spectral", "nope")
-FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 3, 0.0, 0.5, -0.5, 1e-300, 1e-12, 1e12, 1e154, 1e200, 1e308, -1e308)
+FUZZ_VALUES = (None, True, False, -1, 0, 1, 2, 3, 10**19, 0.0, 0.5, -0.5, 1e-300, 1e-12, 1e12, 1e154, 1e200, 1e308, -1e308)
 FUZZ_VALUES += ("inf", math.nan, math.inf, *FUZZ_NAMES, [], [0.1], [2, 2], {})
 
 

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import wasslip
-from wasslip.adversarial import AdversarialBoundVerdict, AttackConfig, AttackResult, BallSpec
+from wasslip.adversarial import AttackConfig, AttackResult, BallSpec
 from wasslip.measures import CostMatrix, DiscreteMeasure, MetricSpec, PointSet
 from wasslip.models import MLP, ActivationTag, MLPLayer
 from wasslip.numerics import LPProblem, LPSolution, LPStatus, NormTag
 from wasslip.robust import DualSolution, EnvelopeCheck, RobustCertificate, RobustInstance
-from wasslip.suite import VerdictRecord
+from wasslip.suite import AdversarialBoundVerdict, VerdictRecord
 from wasslip.train import EpochRecord, ObjectiveEval, ObjectiveKind, TrainConfig, TrainReport
 
 
