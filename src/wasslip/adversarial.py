@@ -19,7 +19,7 @@ import numpy as np
 
 from wasslip.measures import DiscreteMeasure
 from wasslip.models import MLP, loss_grads, losses
-from wasslip.numerics import FrozenRecord, NormTag, NumericalError, as_vector, row_norms
+from wasslip.numerics import FrozenRecord, NormTag, NumericalError, as_vector, axis_points, row_norms
 from wasslip.seeding import derive_rng
 
 
@@ -248,7 +248,7 @@ def _grid(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_d
     eps = ball.epsilon
     if eps == 0.0:
         return np.zeros_like(X), losses(model, X, Y)
-    axis = np.linspace(-eps, eps, points_per_dim)
+    axis = axis_points(-eps, eps, points_per_dim)
     if dim == 1:
         candidates = axis[:, None]
     else:

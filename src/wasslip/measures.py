@@ -177,9 +177,9 @@ def pushforward(mu: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> D
 
 
 def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
-    """Equality rows of a coupling LP whose variables are the finite-cost
-    cells (row-major, as np.nonzero lists them): row r sums the variables
-    whose source (or target) index is r."""
+    """Equality rows of a coupling LP whose variables are cells of a cost
+    matrix, `index` holding each variable's source (or target) index: row r
+    sums the variables whose index is r."""
     rows = np.zeros((count, index.size))
     rows[index, np.arange(index.size)] = 1.0
     return rows

@@ -11,6 +11,7 @@ Only induced operator norms from one of {L1, L2, LINF} to itself are supported.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -84,6 +85,17 @@ def as_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def axis_points(lo: float, hi: float, count: int) -> np.ndarray:
+    """np.linspace(lo, hi, count) for a count read from a config.  A count
+    whose float64 bytes exceed any address space (counted in floating point,
+    as np.linspace counts them) raises MemoryError, as a smaller allocation
+    this machine cannot hold does; np.linspace itself raises ValueError
+    there, or IndexError within 512 of 2**63."""
+    if 8.0 * count > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {count} float64 points, more bytes than any address space holds")
+    return np.linspace(lo, hi, count)
 
 
 def norm(v, tag: NormTag) -> float:

@@ -50,6 +50,7 @@ from wasslip.numerics import (
     NormTag,
     NumericalError,
     as_vector,
+    axis_points,
     row_norms,
     solve_lp,
 )
@@ -251,17 +252,39 @@ def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSol
     return DualSolution(lam, value, env, active, 0.0)
 
 
+def _undominated(values: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite-cost couplings (i, j) that no other candidate of atom i
+    dominates; (i, j') dominates (i, j) when C[i, j'] <= C[i, j] and
+    values[j'] >= values[j].  Each row is sorted by cost ascending, then loss
+    descending (the sort is stable, so the lower index comes first on exact
+    ties), and a candidate is kept when its loss is strictly above every loss
+    before it.  Returns (atoms, targets), atom by atom in that sorted order."""
+    loss = np.broadcast_to(values, C.shape)
+    order = np.lexsort((-loss, C))
+    ranked = np.take_along_axis(loss, order, axis=1)
+    before = np.maximum.accumulate(np.column_stack([np.full(len(C), -np.inf), ranked[:, :-1]]), axis=1)
+    rows, ranks = np.nonzero((ranked > before) & np.isfinite(np.take_along_axis(C, order, axis=1)))
+    return rows, order[rows, ranks]
+
+
 def primal_robust_risk_lp(instance: RobustInstance, target_losses) -> float:
     """Exact worst-case risk over distributions supported on the candidate
     set: max sum_ij pi_ij * loss_j subject to source marginals and the
-    transport budget, solved with the simplex LP."""
+    transport budget, solved with the simplex LP.
+
+    The LP gets only the couplings that `_undominated` keeps, and its
+    optimum is the same.  Every dropped (i, j) has a kept (i, j') with
+    C[i, j'] <= C[i, j] and loss_j' >= loss_j: the first candidate before
+    it in the sorted row whose loss reaches the running maximum.  Moving an
+    optimal plan's mass from (i, j) to (i, j') keeps atom i's marginal, does
+    not raise the budget row and does not lower the objective, so some
+    optimal plan lives on the kept columns."""
     values, C = _target_table(instance, target_losses)
     w = instance.empirical.weights
-    finite = np.isfinite(C)
-    stuck = np.flatnonzero((w > 0.0) & ~finite.any(axis=1))
+    stuck = np.flatnonzero((w > 0.0) & ~np.isfinite(C).any(axis=1))
     if stuck.size:
         raise ValueError(f"source atom {stuck[0]} has no finite-cost candidate target")
-    rows, cols = np.nonzero(finite)
+    rows, cols = _undominated(values, C)
     objective = values[cols]
     budget = C[rows, cols]
     solution = solve_lp(LPProblem(objective, marginal_rows(rows, C.shape[0]), w, budget[None, :], [instance.rho]))
@@ -393,7 +416,7 @@ def check_envelope_collapse(
     sups = []
     for k in range(_ENVELOPE_DOUBLINGS + 1):
         radius = 2.0**k
-        axes = np.meshgrid(*(np.linspace(c - radius, c + radius, points_per_dim) for c in z), indexing="ij")
+        axes = np.meshgrid(*(axis_points(c - radius, c + radius, points_per_dim) for c in z), indexing="ij")
         grid = np.stack([a.ravel() for a in axes], axis=1)
         sups.append(float(np.max(psi(grid) - gamma * row_norms(grid - z, NormTag.L2))))
     slack = [max(1e-9, 1e-6 * (1.0 + abs(s))) for s in sups]
@@ -429,7 +452,7 @@ def grid_targets(instance: RobustInstance, side: int, pad: float = 0.0) -> Point
     xs = instance.empirical.support.xs
     lo = xs.min(axis=0) - (instance.rho + pad)
     hi = xs.max(axis=0) + (instance.rho + pad)
-    axes = [np.linspace(lo[d], hi[d], side) for d in range(xs.shape[1])]
+    axes = [axis_points(lo[d], hi[d], side) for d in range(xs.shape[1])]
     if not all(np.all(np.isfinite(axis)) for axis in axes):
         raise NumericalError(f"the oracle grid overflows at rho {instance.rho!r}")
     return lattice_targets(instance, axes)

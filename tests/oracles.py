@@ -149,6 +149,24 @@ def lp_basis_enumeration(c, eq=(), le=(), tol: float = 1e-9) -> tuple[str, float
     return "optimal", value
 
 
+def undominated_couplings(values, C) -> set:
+    """The finite-cost couplings (i, j) that no other candidate j' of atom i
+    dominates, by comparing every pair: j' dominates j when C[i, j'] <=
+    C[i, j] and values[j'] >= values[j], with one of them strict or, when
+    both tie exactly, j' < j (the first index wins)."""
+    n, m = C.shape
+    kept = set()
+    for i in range(n):
+        for j in range(m):
+            if math.isfinite(C[i, j]) and not any(
+                C[i, t] <= C[i, j] and values[t] >= values[j] and (C[i, t] < C[i, j] or values[t] > values[j] or t < j)
+                for t in range(m)
+                if t != j
+            ):
+                kept.add((i, j))
+    return kept
+
+
 def linf_corner_max_loss(loss, x: np.ndarray, eps: float) -> float:
     """Exact max of a convex loss over the LINF ball: enumerate the corners."""
     d = x.size

@@ -229,21 +229,27 @@ class TestCommands:
         assert doc["oracle_gap"] >= -1e-9
 
     def test_oracle_lp_at_benchmark_scale_is_two_constraint_matrices(self, tmp_path, monkeypatch):
-        """The oracle LP of CI's benchmark-scale certify: 40 source marginal
-        rows and the budget row over 15,120 coupling variables (40 atoms to
-        378 targets, the 169 grid points with each of 2 labels and the 40
-        atoms; a finite kappa lets every target be reached), sized as the
-        benchmark's tracer reads an LPProblem."""
+        """The oracle LP of CI's benchmark-scale certify: 40 atoms to 378
+        targets (the 169 grid points with each of 2 labels and the 40 atoms;
+        a finite kappa lets every target be reached) give 15,120 finite
+        couplings, of which 872 are undominated.  The LP is 40 source
+        marginal rows and the budget row over those 872 variables, sized as
+        the benchmark's tracer reads an LPProblem."""
         import wasslip.robust
 
-        problems = []
+        problems, tables = [], []
 
         def spy(problem):
             problems.append(problem)
             return solve_lp(problem)
 
-        solve_lp = wasslip.robust.solve_lp
+        def undominated(values, C):
+            tables.append(C)
+            return prune(values, C)
+
+        solve_lp, prune = wasslip.robust.solve_lp, wasslip.robust._undominated
         monkeypatch.setattr(wasslip.robust, "solve_lp", spy)
+        monkeypatch.setattr(wasslip.robust, "_undominated", undominated)
         doc = {
             "seed": 1,
             "dataset": {"generator": "gaussian-blobs", "n": 40, "k": 2, "dim": 2, "seed": 7},
@@ -251,10 +257,11 @@ class TestCommands:
             "robust": {"rho": 0.1, "kappa": 1.0, "oracle_grid_side": 13},
         }
         assert main(["certify", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
-        (problem,) = problems
-        assert len(problem.objective) == 15_120
+        (problem,), (C,) = problems, tables
+        assert C.shape == (40, 378) and np.isfinite(C).all()
+        assert len(problem.objective) == 872
         assert len(problem.eq_constraints) + len(problem.ineq_constraints) == 41
-        assert problem.eq_constraints.shape == (40, 15_120) and problem.ineq_constraints.shape == (1, 15_120)
+        assert problem.eq_constraints.shape == (40, 872) and problem.ineq_constraints.shape == (1, 872)
 
     def test_attack_sweep_bound_holds_row_wise(self, tmp_path):
         cfg = write_config(
@@ -596,13 +603,20 @@ class TestOverflowingConfigs:
             ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
             ("gen-data", {"dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2, "lo": 1e308, "hi": -1e308}}, "grid coordinates overflow"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 1e308, "oracle_grid_side": 3}}, "the oracle grid overflows at rho 1e+308"),
-            # label costs of 1e100 leave the oracle LP's basis numerically singular,
-            # at a refactorization and at the start of phase 2
-            ("certify", {"dataset": {**BLOBS, "seed": 2}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "simplex basis is singular"),
-            ("certify", {"dataset": {**BLOBS, "n": 12, "seed": 1}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "simplex basis is singular"),
-            ("certify", {"dataset": {**BLOBS, "std": 0}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "kappa": 1e308, "oracle_grid_side": 2}}, "a simplex basic value is not finite"),
+            # label costs of 1e100 and 1e308 break the oracle LP's simplex; over
+            # every finite coupling these LPs reach the guards inside the simplex
+            # (test_numerics' TestSimplexGuards), over the undominated ones the
+            # primal check of the point it returns
+            ("certify", {"dataset": {**BLOBS, "seed": 2}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "inequality constraint violated beyond tolerance"),
+            ("certify", {"dataset": {**BLOBS, "n": 12, "seed": 1}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}}, "inequality constraint violated beyond tolerance"),
+            ("certify", {"dataset": {**BLOBS, "std": 0}, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "kappa": 1e308, "oracle_grid_side": 2}}, "inequality constraint violated beyond tolerance"),
             # more bytes than any address space: the allocation fails at once
             ("gen-data", {"dataset": {**BLOBS, "n": 10**17}}, "out of memory"),
+            # grid sizes whose axis alone needs more bytes than any address space
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "oracle_grid_side": 2**63 - 1}}, "out of memory"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "method": "GRID", "grid_points": 2**63 - 1}}, "out of memory"),
+            ("verify", {"verify": {"envelope_points_per_dim": 2**63 - 1}}, "out of memory"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "oracle_grid_side": 2**60 - 1}}, "out of memory"),
         ],
         ids=[
             "certify-rho",
@@ -620,6 +634,10 @@ class TestOverflowingConfigs:
             "oracle-kappa-1e100-phase-2",
             "oracle-kappa-1e308",
             "out-of-memory",
+            "oracle-grid-side-out-of-memory",
+            "grid-points-out-of-memory",
+            "envelope-points-out-of-memory",
+            "oracle-grid-side-2-60-out-of-memory",
         ],
     )
     def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import finite_difference_gradient, lp_basis_enumeration, spectral_norm_jacobi, transport_cost_vertex_enumeration
 import wasslip.numerics as numerics
+import wasslip.robust as robust
+from wasslip.cli import main
 from wasslip.numerics import (
     DimensionError,
     LPProblem,
@@ -466,6 +469,57 @@ class TestSimplex:
         assert np.max(np.abs(pi.sum(axis=1) - a)) <= 1e-9
         assert np.max(np.abs(pi.sum(axis=0) - b)) <= 1e-9
         assert float(np.dot(-C.reshape(-1), sol.point)) == pytest.approx(sol.value, abs=1e-9)
+
+
+BLOBS = {"generator": "gaussian-blobs", "n": 6, "k": 2, "dim": 2, "seed": 9}
+
+
+class TestSimplexGuards:
+    """The certify configs with label costs of 1e100 and 1e308 build oracle
+    LPs that the simplex cannot solve in floating point.  Over their
+    undominated couplings they fail the primal check; over every finite
+    coupling, as the oracle built them before it dropped dominated ones,
+    they reach the guards inside the simplex, named here by the function
+    that raises and its caller."""
+
+    @pytest.mark.parametrize(
+        "doc, message, frames",
+        [
+            (
+                {"dataset": {**BLOBS, "seed": 2}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}},
+                "simplex basis is singular",
+                ["_run_simplex", "_basis_inverse"],
+            ),
+            (
+                {"dataset": {**BLOBS, "n": 12, "seed": 1}, "robust": {"rho": 0.5, "kappa": 1e100, "oracle_grid_side": 2}},
+                "simplex basis is singular",
+                ["solve_lp", "_basis_inverse"],
+            ),
+            (
+                {"dataset": {**BLOBS, "std": 0}, "robust": {"rho": 0.1, "kappa": 1e308, "oracle_grid_side": 2}},
+                "a simplex basic value is not finite",
+                ["solve_lp", "_run_simplex"],
+            ),
+        ],
+        ids=["kappa-1e100-refactorization", "kappa-1e100-phase-2", "kappa-1e308-minimum-ratio"],
+    )
+    def test_every_coupling_lp_reaches_the_guard(self, tmp_path, monkeypatch, doc, message, frames):
+        problems = []
+
+        def spy(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(robust, "_undominated", lambda values, C: np.nonzero(np.isfinite(C)))
+        monkeypatch.setattr(robust, "solve_lp", spy)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"dims": [2, 2]}, **doc}), encoding="utf-8")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        (problem,) = problems
+        # the floating-point state every CLI command runs in
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(NumericalError, match=message) as raised:
+            solve_lp(problem)
+        assert [entry.name for entry in raised.traceback][-2:] == frames
 
 
 class TestFiniteDifferences:

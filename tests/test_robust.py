@@ -11,6 +11,7 @@ from oracles import (
     dual_derivatives,
     dual_objective_at,
     empirical_risk,
+    undominated_couplings,
     vector_loss,
 )
 import wasslip.models as models
@@ -21,6 +22,7 @@ from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
     PointSet,
+    cost_matrix,
     empirical_from_samples,
     label_costs,
 )
@@ -33,7 +35,7 @@ from wasslip.models import (
     label_loss_matrix,
     losses as model_losses,
 )
-from wasslip.numerics import NormTag, NumericalError, solve_lp
+from wasslip.numerics import LPProblem, LPStatus, NormTag, NumericalError, solve_lp
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
@@ -283,8 +285,9 @@ class TestPrimalLP:
 
     def test_oracle_lp_pivot_budget(self, monkeypatch):
         """An oracle LP of the benchmark's shape (40 atoms, a 13x13 grid, 2
-        labels and the support: 41 rows, 15,120 columns) took 833 pivots
-        under Bland pricing; Dantzig pricing with its fallback takes 87."""
+        labels and the support: 41 rows, 15,120 finite couplings) took 833
+        pivots under Bland pricing and 87 under Dantzig pricing with its
+        fallback; over its 1,250 undominated couplings it takes 48."""
         solutions = []
 
         def spy(problem):
@@ -299,9 +302,67 @@ class TestPrimalLP:
         target_losses = model_losses(seeded_linear_model(derive_rng(7, "lp-budget"), 2, 2, 0.6), targets.xs, targets.ys)
         monkeypatch.setattr(robust, "solve_lp", spy)
         lp = primal_robust_risk_lp(instance, target_losses)
-        assert len(solutions[0].point) == 15_120
+        assert len(solutions[0].point) == 1_250
         assert solutions[0].pivots <= 150
         assert lp == pytest.approx(minimize_dual_on_targets(instance, target_losses).value, rel=1e-12)
+
+
+def tied_instance(rng):
+    """A small oracle instance full of ties: integer coordinates (so equal
+    costs), duplicate targets, losses from a short list (so equal losses),
+    kappa inf on some draws and zero-weight atoms."""
+    k = int(rng.integers(2, 4))
+    dim = int(rng.integers(1, 3))
+    n = int(rng.integers(1, 6))
+    support = PointSet(rng.integers(0, 3, (n, dim)).astype(float), rng.integers(0, k, n), k)
+    extra = rng.integers(0, 3, (int(rng.integers(0, 9)), dim)).astype(float)
+    copies = rng.integers(0, n, int(rng.integers(0, 4)))
+    xs = np.concatenate([support.xs, extra, support.xs[copies]])
+    ys = np.concatenate([support.ys, rng.integers(0, k, len(extra)), support.ys[copies]])
+    targets = PointSet(xs, ys, k)
+    raw = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) < 0.7)
+    raw[int(rng.integers(0, n))] += 0.5
+    weights = raw / raw.sum()
+    metric = MetricSpec(list(NormTag)[int(rng.integers(0, 3))], float(rng.choice([0.5, 1.0, math.inf])), k)
+    rho = float(rng.choice([0.0, 0.5, 1.5, rng.uniform(0.0, 3.0)]))
+    losses = np.where(rng.uniform(size=len(targets)) < 0.8, rng.choice([0.0, 0.5, 1.0, 2.0], len(targets)), rng.uniform(-1.0, 2.0, len(targets)))
+    return RobustInstance(DiscreteMeasure(support, weights), metric, rho, targets), losses
+
+
+class TestDominancePruning:
+    """The oracle LP drops the couplings another candidate of the same atom
+    dominates.  Pruning too much can only lower the oracle value and so
+    make the dual's verdict easier to pass: the kept set must equal a
+    pairwise brute force, and the value the LP over every finite coupling."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_kept_set_and_value_match_every_finite_coupling(self, seed):
+        instance, losses = tied_instance(derive_rng(seed, "dominance"))
+        C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets).entries
+        atoms, targets = robust._undominated(losses, C)
+        assert len(set(zip(atoms.tolist(), targets.tolist()))) == atoms.size
+        assert set(zip(atoms.tolist(), targets.tolist())) == undominated_couplings(losses, C)
+        rows, cols = np.nonzero(np.isfinite(C))
+        marginals = (rows[None, :] == np.arange(len(C))[:, None]).astype(float)
+        full = solve_lp(LPProblem(losses[cols], marginals, instance.empirical.weights, C[rows, cols][None, :], [instance.rho]))
+        assert full.status == LPStatus.OPTIMAL
+        assert abs(primal_robust_risk_lp(instance, losses) - full.value) <= 1e-12 * max(1.0, abs(full.value))
+
+    def test_instances_hold_the_ties(self):
+        """The seeded instances reach every case the rule must break."""
+        seen = {"duplicate targets": 0, "equal cost, unequal loss": 0, "equal loss, unequal cost": 0, "kappa inf": 0, "zero weight": 0}
+        for seed in range(200):
+            instance, losses = tied_instance(derive_rng(seed, "dominance"))
+            C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets).entries
+            xs = instance.candidate_targets.xs
+            seen["duplicate targets"] += len(np.unique(xs, axis=0)) < len(xs)
+            same_cost = (C[:, :, None] == C[:, None, :]) & np.isfinite(C)[:, :, None]
+            same_loss = losses[:, None] == losses[None, :]
+            seen["equal cost, unequal loss"] += bool(np.any(same_cost & ~same_loss))
+            seen["equal loss, unequal cost"] += bool(np.any(~same_cost & same_loss & np.isfinite(C)[:, :, None]))
+            seen["kappa inf"] += math.isinf(instance.metric.kappa)
+            seen["zero weight"] += bool(np.any(instance.empirical.weights == 0.0))
+        assert min(seen.values()) >= 20, seen
 
 
 class TestMinimizeDualModel:
@@ -499,11 +560,13 @@ class TestGoldenCertificates:
     the certified loss constant on the last commit that also offered the
     plain operator norm.  The linear L1 kappa-1, linear L2 kappa-inf and mlp
     L2 grid digests were re-recorded when the LP oracle became a revised
-    simplex, which moved their oracle_value and oracle_gap in the last bits."""
+    simplex, which moved their oracle_value and oracle_gap in the last bits;
+    the linear L1 kappa-1 grid digest again when the oracle LP dropped its
+    dominated couplings."""
 
     CASES = [
         ("linear", NormTag.L1, 1.0, False, "f952cd85fd2dd7a1b9a5ef1b30cee45f3aff57acce38f7f2993071e76989fbb8"),
-        ("linear", NormTag.L1, 1.0, True, "060377d30bea36079b00d40a665d6d09b29ac1f0ff42d8032ae3073d67d18cba"),
+        ("linear", NormTag.L1, 1.0, True, "4a2f33981832b18ae42f0c1e4eca31bba1742a143263a8fe552c1410906721df"),
         ("linear", NormTag.L1, math.inf, False, "a8009c5c5b53b170a22d6e431ada4131751d8ab1877faf5316a7566019a98f94"),
         ("linear", NormTag.L1, math.inf, True, "20ecfd541afce657273b63886081a920096a6f7ec960cdadf886c6eaf2f37ebe"),
         ("linear", NormTag.L2, 1.0, False, "d2ef65f253cdde9a848048fcd64d42b64fc358757c0822c19d9101889dc58b94"),
