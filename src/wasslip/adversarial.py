@@ -19,7 +19,7 @@ import numpy as np
 
 from wasslip.measures import DiscreteMeasure
 from wasslip.models import MLP, loss_grads, losses
-from wasslip.numerics import FrozenRecord, NormTag, NumericalError, as_vector, axis_points, row_norms
+from wasslip.numerics import FrozenRecord, NormTag, NumericalError, axis_points, ensure_addressable, row_norms
 from wasslip.seeding import derive_rng
 
 
@@ -91,10 +91,6 @@ def _project_rows(V: np.ndarray, ball: BallSpec) -> np.ndarray:
     return out
 
 
-def project_ball(v: np.ndarray, ball: BallSpec) -> np.ndarray:
-    return _project_rows(as_vector(v)[None, :], ball)[0]
-
-
 def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
     """Steepest-ascent direction of every gradient row under the ball norm."""
     if tag == NormTag.LINF:
@@ -145,6 +141,7 @@ def restart_draws(seed: int, atoms: int, dim: int, norm: NormTag, restarts: int)
     """Draw the `restarts` random starts of atoms 0..atoms-1 from their
     streams: for L2 a normal direction, then (unless it is all zero) a
     uniform radius factor; for LINF and L1 one uniform vector."""
+    ensure_addressable((restarts, atoms, dim), "the restart draws")
     base = np.zeros((restarts, atoms, dim))
     if norm != NormTag.L2:
         for i in range(atoms):

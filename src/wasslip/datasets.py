@@ -20,7 +20,7 @@ import numpy as np
 
 from wasslip import io
 from wasslip.measures import PointSet
-from wasslip.numerics import NumericalError
+from wasslip.numerics import NumericalError, ensure_addressable
 from wasslip.seeding import derive_rng
 
 GENERATORS = ("gaussian-blobs", "two-moons", "grid")
@@ -79,6 +79,7 @@ def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointS
         raise ValueError(f"unknown generator {kind!r}; choose one of {GENERATORS}")
     if n < k or k < 2:
         raise ValueError("need n >= k >= 2")
+    ensure_addressable((n, dim), "the coordinates")  # k <= n, so the centres and labels fit too
     if kind == "gaussian-blobs":
         return gaussian_blobs(n, k, dim, seed, **params)
     if kind == "two-moons":

@@ -98,6 +98,15 @@ def axis_points(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def ensure_addressable(shape: tuple, what: str) -> None:
+    """Raise MemoryError before an array of `shape` with 8-byte items is made
+    when its bytes exceed any address space, as a smaller allocation this
+    machine cannot hold does; numpy raises ValueError ("array is too big")
+    there instead."""
+    if 8 * math.prod(shape) > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {what} (shape {shape}): more bytes than any address space holds")
+
+
 def norm(v, tag: NormTag) -> float:
     v = as_vector(v)
     if v.size == 0:

@@ -5,11 +5,19 @@ Each check pits an implementation against an independent route to the same
 quantity (restricted primal LP vs. the dual, coupling LPs vs. Lipschitz
 contraction, exhaustive grids vs. analytic collapse) on freshly seeded
 instances, and reports a verdict with enough diagnostics to debug a failure.
+
+The checks share no state: each draws from its own stream
+derive_rng(seed, "verify/<name>").  So `run_verification_suite` runs them
+side by side, one process per usable CPU (this one and forked children), and
+reports them in their fixed order; the report's bytes do not depend on how
+many CPUs ran it (`taskset -c 0` gives one).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +45,7 @@ from wasslip.models import (
     losses,
     phi_lipschitz_bound,
 )
-from wasslip.numerics import FEASIBILITY_TOL, NormTag, NumericalError, operator_norm, row_norms
+from wasslip.numerics import FEASIBILITY_TOL, NormTag, NumericalError, ensure_addressable, operator_norm, row_norms
 from wasslip.robust import (
     RobustInstance,
     check_envelope_collapse,
@@ -88,6 +96,7 @@ def seeded_mlp(
 ) -> MLP:
     layers = []
     for i in range(len(dims) - 1):
+        ensure_addressable((dims[i + 1], dims[i]), f"the weights of layer {i}")
         W = scale / math.sqrt(dims[i]) * rng.standard_normal((dims[i + 1], dims[i]))
         if not np.all(np.isfinite(W)):
             raise NumericalError(f"scale {scale!r} overflows the weights of layer {i}")
@@ -434,15 +443,116 @@ DEFAULT_SIZES = {
 }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(calls: list, queue: int) -> list:
+    """(index, ok, result or exception) of every call whose index this
+    process takes from the queue pipe, one byte (one call) at a time."""
+    done = []
+    while taken := os.read(queue, 1):
+        fn, args = calls[taken[0]]
+        try:
+            done.append((taken[0], True, fn(*args)))
+        except Exception as exc:
+            done.append((taken[0], False, exc))
+    return done
+
+
+def _run_calls(calls: list, queue_order) -> list:
+    """fn(*args) of every (fn, args) in calls, returned in call order.
+
+    The calls run on min(len(calls), usable CPUs) processes: this one and
+    forked children, or a plain loop when that is one or fork is missing.
+    The work queue is a pipe pre-filled with one byte per call index (so at
+    most 256 calls), in `queue_order`; a 1-byte pipe read is atomic, so
+    faster processes take more calls.  Each child pickles its results to its own pipe and leaves by
+    os._exit, and every child is reaped before this returns or raises.  When
+    calls raise, the exception of the earliest in call order is raised, as the
+    plain loop raises it; a child that ends without sending its results is a
+    RuntimeError naming the calls lost.
+
+    Fork, not a spawned pool: a spawned worker re-imports numpy and wasslip,
+    which costs about what the checks save.  The program starts no thread of
+    its own; OpenBLAS's pool, the one other thread source, is shut down by
+    its own at-fork handler.
+    """
+    workers = min(len(calls), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(*args) for fn, args in calls]
+    queue, fill = os.pipe()
+    os.write(fill, bytes(queue_order))
+    os.close(fill)
+    children = {}  # pid -> read end of its result pipe, None once read
+    silent = []  # the children whose results did not arrive
+    try:
+        for _ in range(workers - 1):
+            receive, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(receive)
+                os.close(send)
+                raise
+            if pid == 0:  # the child serves, sends and leaves without unwinding the caller's stack
+                status = 1
+                try:
+                    os.close(receive)
+                    with os.fdopen(send, "wb") as out:
+                        pickle.dump(_serve(calls, queue), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(send)
+            children[pid] = receive
+        triples = _serve(calls, queue)
+        for pid, receive in children.items():
+            children[pid] = None
+            with os.fdopen(receive, "rb") as sent:
+                payload = sent.read()
+            try:
+                triples += pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):  # empty or cut short: the child died first
+                silent.append(pid)
+    finally:
+        os.close(queue)
+        for receive in children.values():
+            if receive is not None:
+                os.close(receive)
+        statuses = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+    results = {i: (ok, value) for i, ok, value in triples}
+    for index in range(len(calls)):
+        if index not in results:
+            lost = ", ".join(fn.__name__ for i, (fn, _) in enumerate(calls) if i not in results)
+            ended = ", ".join(f"{pid} with exit status {statuses[pid]}" for pid in silent)
+            raise RuntimeError(f"worker process {ended} ended without sending the results of {lost}")
+        ok, value = results[index]
+        if not ok:
+            raise value
+    return [results[i][1] for i in range(len(calls))]
+
+
+# The calls' queue order: longest first, as timed at the default sizes (seed
+# 7, one call at a time on an Intel Xeon core): adversarial_bound 64 ms,
+# pushforward_containment 31, strong_duality 23, pushforward_bound 11,
+# lipschitz_chain 8, envelope_collapse 5.
+_QUEUE_ORDER = (4, 2, 0, 3, 5, 1)
+
+
 def run_verification_suite(seed: int, sizes: dict | None = None) -> list:
     cfg = dict(DEFAULT_SIZES)
     if sizes:
         cfg.update(sizes)
-    return [
-        check_strong_duality(seed, cfg["strong_duality_instances"]),
-        check_envelope_collapse_suite(seed, cfg["envelope_points_per_dim"]),
-        check_pushforward_containment(seed, cfg["pushforward_triples"]),
-        check_pushforward_bound(seed, cfg["pushforward_cases"]),
-        check_adversarial_bounds(seed, cfg["adversarial_tuples"]),
-        check_lipschitz_chain(seed, cfg["chain_nets"]),
+    calls = [
+        (check_strong_duality, (seed, cfg["strong_duality_instances"])),
+        (check_envelope_collapse_suite, (seed, cfg["envelope_points_per_dim"])),
+        (check_pushforward_containment, (seed, cfg["pushforward_triples"])),
+        (check_pushforward_bound, (seed, cfg["pushforward_cases"])),
+        (check_adversarial_bounds, (seed, cfg["adversarial_tuples"])),
+        (check_lipschitz_chain, (seed, cfg["chain_nets"])),
     ]
+    return _run_calls(calls, _QUEUE_ORDER)

@@ -10,7 +10,7 @@ from oracles import boundary_max_loss, empirical_risk, linf_corner_max_loss, vec
 import wasslip.adversarial as adversarial
 import wasslip.models as models
 import wasslip.suite as suite
-from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk, attack_sweep, project_ball
+from wasslip.adversarial import AttackConfig, BallSpec, _project_rows, adversarial_risk, attack_sweep
 from wasslip.cli import main
 from wasslip.measures import (
     DiscreteMeasure,
@@ -49,7 +49,7 @@ class TestProjection:
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = 0.05 * rng.standard_normal(4)
-            out = project_ball(v, BallSpec(tag, 1.0))
+            out = _project_rows(v[None, :], BallSpec(tag, 1.0))[0]
             assert np.allclose(out, v)
 
     @pytest.mark.parametrize("tag", list(NormTag))
@@ -58,13 +58,13 @@ class TestProjection:
         ball = BallSpec(tag, 0.7)
         for _ in range(50):
             v = 3.0 * rng.standard_normal(5)
-            p = project_ball(v, ball)
+            p = _project_rows(v[None, :], ball)[0]
             assert norm(p, tag) <= 0.7 + 1e-9
-            assert np.allclose(project_ball(p, ball), p, atol=1e-12)
+            assert np.allclose(_project_rows(p[None, :], ball)[0], p, atol=1e-12)
 
     def test_l1_projection_matches_known_case(self):
         # projecting (1, 1) onto the l1 ball of radius 1 gives (0.5, 0.5)
-        out = project_ball(np.array([1.0, 1.0]), BallSpec(NormTag.L1, 1.0))
+        out = _project_rows(np.array([[1.0, 1.0]]), BallSpec(NormTag.L1, 1.0))[0]
         assert np.allclose(out, [0.5, 0.5], atol=1e-12)
 
 
@@ -208,7 +208,7 @@ class TestPGD:
                         expected[r, i] = np.zeros(dim) if nd == 0.0 else direction / nd * (eps * rng.uniform() ** (1.0 / dim))
                     else:
                         start = rng.uniform(-eps, eps, dim)
-                        expected[r, i] = project_ball(start, BallSpec(tag, eps)) if tag == NormTag.L1 else start
+                        expected[r, i] = _project_rows(start[None, :], BallSpec(tag, eps))[0] if tag == NormTag.L1 else start
             got = draws.starts(BallSpec(tag, eps))
             assert got.view(np.int64).tolist() == expected.reshape(-1, dim).view(np.int64).tolist()
         if tag == NormTag.L2:

@@ -617,6 +617,13 @@ class TestOverflowingConfigs:
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "method": "GRID", "grid_points": 2**63 - 1}}, "out of memory"),
             ("verify", {"verify": {"envelope_points_per_dim": 2**63 - 1}}, "out of memory"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 0.1, "oracle_grid_side": 2**60 - 1}}, "out of memory"),
+            # sizes whose arrays need more bytes than any address space: the
+            # check before the allocation raises, where numpy's is a ValueError
+            ("gen-data", {"dataset": {**BLOBS, "n": 2**63 - 1}}, "out of memory (Unable to allocate the coordinates"),
+            ("gen-data", {"dataset": {**BLOBS, "n": 2**63 - 1, "k": 2**63 - 1}}, "out of memory (Unable to allocate the coordinates"),
+            ("gen-data", {"dataset": {**BLOBS, "dim": 2**63 - 1}}, "out of memory (Unable to allocate the coordinates"),
+            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2**63 - 1, 2]}, "robust": {"rho": 0.1}}, "out of memory (Unable to allocate the weights of layer 0"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "restarts": 2**63 - 1}}, "out of memory (Unable to allocate the restart draws"),
         ],
         ids=[
             "certify-rho",
@@ -638,6 +645,11 @@ class TestOverflowingConfigs:
             "grid-points-out-of-memory",
             "envelope-points-out-of-memory",
             "oracle-grid-side-2-60-out-of-memory",
+            "dataset-n-out-of-memory",
+            "dataset-k-out-of-memory",
+            "dataset-dim-out-of-memory",
+            "model-dims-out-of-memory",
+            "attack-restarts-out-of-memory",
         ],
     )
     def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):

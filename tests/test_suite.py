@@ -1,6 +1,13 @@
+import json
+import os
+import time
+
 import numpy as np
 import pytest
 
+import wasslip.suite as suite
+from wasslip.cli import main
+from wasslip.numerics import NumericalError
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import (
     DEFAULT_SIZES,
@@ -90,3 +97,91 @@ class TestSuiteRun:
         the first extents (18 and 109 grow only in the last doubling)."""
         record = check_envelope_collapse_suite(seed, DEFAULT_SIZES["envelope_points_per_dim"])
         assert record.passed, record.details
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def slow_square(i):
+    """i squared and the process that computed it; the sleep lets every
+    worker take some of the calls."""
+    time.sleep(0.02)
+    return i * i, os.getpid()
+
+
+def slow_raise(i):
+    """Call 1 raises NumericalError, every later call KeyError, each after a
+    sleep that keeps every worker's first call among the later ones."""
+    time.sleep(0.02)
+    raise NumericalError(f"call {i}") if i == 1 else KeyError(f"call {i}")
+
+
+def raise_numerical(message):
+    raise NumericalError(message)
+
+
+class TestRunCalls:
+    """suite._run_calls: the checks' calls on every usable CPU."""
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_results_in_call_order(self, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        results = suite._run_calls([(slow_square, (i,)) for i in range(8)], (7, 0, 6, 1, 5, 2, 4, 3))
+        assert [square for square, _ in results] == [i * i for i in range(8)]
+        pids = {pid for _, pid in results}
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert len(pids) > 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_earliest_exception_in_call_order(self, monkeypatch, cpus):
+        # the queue takes the later failing calls first; the earliest one's
+        # exception still comes back, with its type, as a plain loop raises it
+        usable_cpus(monkeypatch, cpus)
+        calls = [(slow_square, (0,))] + [(slow_raise, (i,)) for i in range(1, 6)]
+        with pytest.raises(NumericalError, match="call 1"):
+            suite._run_calls(calls, (5, 4, 3, 2, 1, 0))
+        assert_no_child_left()
+
+    def test_child_without_results_is_a_runtime_error(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def die_in_child():
+            if os.getpid() != parent:
+                os._exit(7)
+            time.sleep(0.3)  # the child takes the other call meanwhile
+            return "parent"
+
+        with pytest.raises(RuntimeError, match=r"exit status 7 ended without sending the results of die_in_child"):
+            suite._run_calls([(die_in_child, ()), (die_in_child, ())], (0, 1))
+        assert_no_child_left()
+
+    def test_numerical_error_in_a_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(suite, "check_pushforward_bound", lambda seed, cases: raise_numerical("forced in a check"))
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"seed": 1, "verify": {"strong_duality_instances": 2, "pushforward_triples": 2, "adversarial_tuples": 1, "chain_nets": 2}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: forced in a check"]
+        assert_no_child_left()
+
+    def test_report_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
+        """At the default sizes, the report of one CPU and of several."""
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"seed": 30}))
+        reports = []
+        for cpus in (1, 4):
+            usable_cpus(monkeypatch, cpus)
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / f"cpus-{cpus}")]) == 0
+            reports.append((tmp_path / f"cpus-{cpus}" / "verify_report.json").read_bytes())
+            assert_no_child_left()
+        assert reports[0] == reports[1]
