@@ -26,7 +26,6 @@ from wasslip.measures import (
     MetricSpec,
     PointSet,
     TransportInfeasibleError,
-    ball_contains,
     cost_matrix,
     empirical_from_samples,
     pushforward,
@@ -38,7 +37,6 @@ from wasslip.models import (
     MLPLayer,
     ce_lipschitz_bound,
     empirical_lipschitz,
-    network_lipschitz_bound,
 )
 from wasslip.robust import (
     DualSolution,

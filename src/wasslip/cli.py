@@ -276,15 +276,12 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
 
 
 def _fingerprint(cfg: dict, dataset_sha256: str, rho: float, kappa: float, norm_tag: NormTag) -> dict:
-    # every certificate uses the certified loss constant; the key stays so
-    # reports keep their layout
     return {
         "dataset_sha256": dataset_sha256,
         "seed": cfg["seed"],
         "rho": rho,
         "kappa": "inf" if math.isinf(kappa) else kappa,
         "norm": norm_tag.value,
-        "bound_mode": "certified",
     }
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from wasslip.numerics import (
     DimensionError,
-    FEASIBILITY_TOL,
     FrozenRecord,
     LPProblem,
     LPStatus,
@@ -207,10 +206,3 @@ def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) 
     if solution.status != LPStatus.OPTIMAL:
         raise TransportInfeasibleError(f"coupling LP terminated with status {solution.status.value}")
     return float(-solution.value)
-
-
-def ball_contains(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix, rho: float) -> bool:
-    """Whether nu lies in the transport ball of radius rho around mu."""
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
-    return transport_cost(mu, nu, costs) <= rho + FEASIBILITY_TOL

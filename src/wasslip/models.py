@@ -249,11 +249,6 @@ def layerwise_bounds(sigmas: Sequence[float]) -> LipschitzBounds:
     return LipschitzBounds(float(math.prod(sigmas)), young)
 
 
-def network_lipschitz_bound(model: MLP, tag: NormTag) -> LipschitzBounds:
-    """`layerwise_bounds` of the model's `tag` operator norms."""
-    return layerwise_bounds([operator_norm(layer.weights, tag) for layer in model.layers])
-
-
 def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: NormTag) -> float:
     """Sampled lower bound on lip(f) for a batched map f (n x d -> n x k): the
     max difference quotient over consecutive rows of `points` plus the

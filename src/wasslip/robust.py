@@ -69,76 +69,32 @@ class RobustInstance(FrozenRecord):
         self._fill(empirical=empirical, metric=metric, rho=rho, candidate_targets=candidate_targets)
 
 
-class DualSolution(FrozenRecord):
+class DualSolution(NamedTuple):
     """The dual's minimizer and value; `lambda_floor` is the lower bound the
     dual was minimized over (the loss Lipschitz bound, or 0 on targets)."""
 
-    __slots__ = ("lambda_star", "value", "envelopes", "active_labels", "lambda_floor")
-
-    def __init__(self, lambda_star: float, value: float, envelopes: np.ndarray, active_labels: np.ndarray, lambda_floor: float):
-        self._fill(
-            lambda_star=lambda_star,
-            value=value,
-            envelopes=np.asarray(envelopes, dtype=float),
-            active_labels=np.asarray(active_labels, dtype=int),
-            lambda_floor=lambda_floor,
-        )
+    lambda_star: float
+    value: float
+    envelopes: np.ndarray
+    active_labels: np.ndarray
+    lambda_floor: float
 
 
-class RobustCertificate(FrozenRecord):
-    __slots__ = (
-        "empirical_risk",
-        "robust_value",
-        "lambda_star",
-        "rho",
-        "kappa",
-        "lipschitz_bound_used",
-        "oracle_value",
-        "oracle_gap",
-        "verdicts",
-    )
-
-    def __init__(
-        self,
-        empirical_risk: float,
-        robust_value: float,
-        lambda_star: float,
-        rho: float,
-        kappa: float,
-        lipschitz_bound_used: float,
-        oracle_value: float | None = None,
-        oracle_gap: float | None = None,
-        verdicts: tuple = (),
-    ):
-        if robust_value < empirical_risk - 1e-9:
-            raise NumericalError(f"robust value {robust_value} fell below the empirical risk {empirical_risk}")
-        self._fill(
-            empirical_risk=empirical_risk,
-            robust_value=robust_value,
-            lambda_star=lambda_star,
-            rho=rho,
-            kappa=kappa,
-            lipschitz_bound_used=lipschitz_bound_used,
-            oracle_value=oracle_value,
-            oracle_gap=oracle_gap,
-            verdicts=verdicts,
-        )
-
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.verdicts)
+class RobustCertificate(NamedTuple):
+    empirical_risk: float
+    robust_value: float
+    lambda_star: float
+    rho: float
+    kappa: float
+    lipschitz_bound_used: float
+    oracle_value: float | None = None
+    oracle_gap: float | None = None
+    verdicts: tuple = ()
 
     def to_json_dict(self, fingerprint: dict | None = None) -> dict:
-        doc = {
-            "empirical_risk": self.empirical_risk,
-            "robust_value": self.robust_value,
-            "lambda_star": self.lambda_star,
-            "rho": self.rho,
-            "kappa": "inf" if math.isinf(self.kappa) else self.kappa,
-            "lipschitz_bound_used": self.lipschitz_bound_used,
-            "oracle_value": self.oracle_value,
-            "oracle_gap": self.oracle_gap,
-            "verdicts": [{"check": name, "passed": bool(ok)} for name, ok in self.verdicts],
-        }
+        doc = self._asdict()
+        doc["kappa"] = "inf" if math.isinf(self.kappa) else self.kappa
+        doc["verdicts"] = [{"check": name, "passed": bool(ok)} for name, ok in self.verdicts]
         if fingerprint is not None:
             doc["fingerprint"] = fingerprint
         return doc
@@ -337,16 +293,18 @@ def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_
     """The certificate at the instance's radius from its measure's shared
     table: the label dual over lambda >= the floor bounds the supremum over
     the input ball (at a floor of 0 it is the exact supremum).  A given
-    `oracle_value` (the restricted primal LP) adds the oracle verdict."""
+    `oracle_value` (the restricted primal LP) adds the oracle verdict.  A
+    robust value that overflows, or falls more than 1e-9 below the empirical
+    risk, raises NumericalError before any certificate is built."""
     emp = shared.empirical_risk
     dual = minimize_dual(instance, shared.table, shared.lambda_floor)
     if not math.isfinite(dual.value):
         raise NumericalError(f"the robust value overflows at rho {instance.rho!r}: {dual.value!r}")
-    decomposition = abs(dual.value - (float(np.dot(instance.empirical.weights, dual.envelopes)) + dual.lambda_star * instance.rho))
-    verdicts = [
-        ("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9),
-        ("objective_decomposition", decomposition <= 1e-10),
-    ]
+    if dual.value < emp - 1e-9:
+        raise NumericalError(f"robust value {dual.value} fell below the empirical risk {emp}")
+    # true past the raise above; kept while perfbench's corrupted-report test
+    # flips it (ROADMAP item 6)
+    verdicts = [("robust_value_ge_empirical_risk", dual.value >= emp - 1e-9)]
     gap = None
     if oracle_value is not None:
         gap = dual.value - oracle_value
@@ -378,7 +336,6 @@ def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertif
 
 class EnvelopeCheck(NamedTuple):
     sup_values: tuple
-    psi_at_center: float
     equality_gap: float
     equality_holds: bool
     growth_detected: bool
@@ -424,7 +381,6 @@ def check_envelope_collapse(
     gap = max(sups) - psi_z
     return EnvelopeCheck(
         sup_values=tuple(sups),
-        psi_at_center=psi_z,
         equality_gap=gap,
         equality_holds=gap <= _ENVELOPE_TOL,
         growth_detected=growth,

@@ -277,7 +277,6 @@ class AdversarialBoundVerdict(NamedTuple):
     passed: bool
     adversarial_risk: float
     robust_value: float
-    lp_oracle_value: float | None
     pushforward_cost: float
     max_perturbation_norm: float
     checks: tuple
@@ -322,7 +321,7 @@ def check_adversarial_bound(
     attacked = attack_pushforward(mu, result)
     max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
     costs = cost_matrix(instance.metric, mu.support, attacked.support)
-    push_cost = transport_cost(mu, attacked, costs)  # the LP ball_contains would solve again
+    push_cost = transport_cost(mu, attacked, costs)
     checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
 
     # restricted primal on a target set containing the attacked points: it
@@ -343,7 +342,6 @@ def check_adversarial_bound(
         passed=all(ok for _, ok in checks),
         adversarial_risk=result.adversarial_risk,
         robust_value=cert.robust_value,
-        lp_oracle_value=lp_value,
         pushforward_cost=push_cost,
         max_perturbation_norm=max_norm,
         checks=tuple(checks),

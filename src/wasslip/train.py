@@ -28,7 +28,6 @@ progress; no certificate uses them.
 from __future__ import annotations
 
 import math
-import time
 from enum import Enum
 from typing import NamedTuple
 
@@ -123,11 +122,9 @@ class TrainReport(NamedTuple):
     records: list
     model: MLP
     certificate: RobustCertificate | None
-    wall_clock: float
     diverged: bool
 
     def to_json_dict(self) -> dict:
-        # wall-clock deliberately excluded: reports must be byte-stable
         doc = {
             "diverged": self.diverged,
             "epochs": [r._asdict() for r in self.records],
@@ -238,7 +235,6 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
     penalty, and both Lipschitz bounds, then certifies the final model.  An
     objective above the divergence limit stops training (`diverged`); a
     step or record that is not finite raises NumericalError."""
-    t0 = time.perf_counter()
     layers = [
         MLPLayer(layer.weights.copy(), layer.activation, None if layer.bias is None else layer.bias.copy())
         for layer in model.layers
@@ -299,4 +295,4 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
         metric = MetricSpec(config.norm, config.kappa, dataset.label_count)
         instance = RobustInstance(empirical_from_samples(dataset), metric, config.rho)
         certificate = robust_certificate_for(current, instance)
-    return TrainReport(records, current, certificate, time.perf_counter() - t0, diverged)
+    return TrainReport(records, current, certificate, diverged)

@@ -16,7 +16,6 @@ from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
     PointSet,
-    ball_contains,
     cost_matrix,
     empirical_from_samples,
     transport_cost,
@@ -231,29 +230,34 @@ class TestPGD:
         return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("attack_report.json", "bound_curve.csv")}
 
     # recorded at commit 26a2107, when each PGD step made a second pass to
-    # score its iterate
+    # score its iterate; attack_report.json re-recorded when the certificate
+    # dropped its objective_decomposition verdict and its fingerprint the
+    # constant bound_mode, with no number moved
     def test_pgd_l2_sweep_bytes_pinned(self, tmp_path):
         assert self._sweep_digests(tmp_path, "L2") == {
-            "attack_report.json": "10c6d07bac908905a5c42f254ac9b875315aac3cb00ead9491556e7f478f4822",
+            "attack_report.json": "140e8961d3b811e9b3197d0456e1cb1c2c4e8386af2020ce050bb439cf829a22",
             "bound_curve.csv": "b8ae304da866e57ec1f24a7b22a82fdcdaae50e396c5d2e4f3ce732b60f0a4ae",
         }
 
     # recorded at commit d54108a, when each radius drew its restarts with
-    # uniform(-eps, eps) and no row retired before its last step
+    # uniform(-eps, eps) and no row retired before its last step;
+    # attack_report.json re-recorded when the certificate dropped its
+    # objective_decomposition verdict and its fingerprint the constant
+    # bound_mode, with no number moved
     @pytest.mark.parametrize(
         "norm, digests",
         [
             (
                 "LINF",
                 {
-                    "attack_report.json": "ac045708bde144741fa5aa5bcc05030394b120dcb6ea65c3afb2ea692f30c7e3",
+                    "attack_report.json": "86827e82aad5c991e1ad0db24651f31a625f576e1ae59d5693e0e396892e3db0",
                     "bound_curve.csv": "8b1ebc2a8cc9ba56306dfbb63477cd93c83044e5b3b48ebf420c7b4a9fe34c7b",
                 },
             ),
             (
                 "L1",
                 {
-                    "attack_report.json": "6c81f1c23f5bdf045764bc3fa68ca722258a7d043cc8e13ea8e232387e63bc78",
+                    "attack_report.json": "6ae5fa7b6562d6f4a34f3a171a1f491dbdec562ad95c5804f21a38cc37e9996a",
                     "bound_curve.csv": "e9164e5c56808e4a1a6de6711c1daee88aba1f77e5bc889eb9581efb5cf7da70",
                 },
             ),
@@ -371,7 +375,6 @@ class TestRobustBound:
         metric = MetricSpec(NormTag.L2, 1.0, 2)
         costs = cost_matrix(metric, mu.support, pushed.support)
         rho = max(norm(d, NormTag.L2) for d in result.perturbations)
-        assert ball_contains(mu, pushed, costs, rho)
         assert transport_cost(mu, pushed, costs) <= rho + 1e-9
 
     def test_one_pushforward_per_verdict(self, monkeypatch):

@@ -228,6 +228,49 @@ class TestCommands:
         assert doc["oracle_value"] is not None
         assert doc["oracle_gap"] >= -1e-9
 
+    @pytest.mark.parametrize(
+        "robust, names",
+        [
+            ({"rho": 0.2}, ["robust_value_ge_empirical_risk"]),
+            ({"rho": 0.2, "oracle_grid_side": 5}, ["robust_value_ge_empirical_risk", "dual_dominates_lp_oracle"]),
+        ],
+        ids=["no-oracle", "oracle"],
+    )
+    def test_certificate_verdict_names(self, tmp_path, robust, names):
+        cfg = write_config(tmp_path, {"seed": 3, "dataset": self._dataset_section(), "model": {"dims": [2, 2], "seed": 4}, "robust": robust})
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+        assert [v["check"] for v in doc["verdicts"]] == names
+
+    def test_fingerprints_carry_only_live_keys(self, tmp_path):
+        base = {"seed": 2, "dataset": self._dataset_section(), "model": {"dims": [2, 3, 2], "seed": 4}}
+        runs = {
+            "certify": ({"robust": {"rho": 0.1}}, "certificate.json"),
+            "attack": ({"attack": {"epsilons": [0.1], "steps": 2, "restarts": 1}}, "attack_report.json"),
+            "train": ({"train": {"objective": "spectral", "rho": 0.1, "epochs": 2}}, "train_report.json"),
+        }
+        for command, (section, report) in runs.items():
+            cfg = write_config(tmp_path, {**base, **section}, name=f"{command}.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            doc = json.loads((tmp_path / command / report).read_text(encoding="utf-8"))
+            assert list(doc["fingerprint"]) == ["dataset_sha256", "seed", "rho", "kappa", "norm"], command
+
+    def test_certify_value_below_empirical_risk_exits_3(self, tmp_path, monkeypatch, capsys):
+        import wasslip.robust
+
+        real = wasslip.robust.minimize_dual
+
+        def below(instance, table, lam_lo):
+            support = instance.empirical.support
+            emp = float(np.dot(instance.empirical.weights, table[np.arange(len(support)), support.ys]))
+            return real(instance, table, lam_lo)._replace(value=emp - 1e-6)
+
+        monkeypatch.setattr(wasslip.robust, "minimize_dual", below)
+        doc = {"dataset": self._dataset_section(), "model": {"dims": [2, 2]}, "robust": {"rho": 0.1}}
+        TestOverflowingConfigs._assert_exits_3(tmp_path, capsys, "certify", doc, "fell below the empirical risk")
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
     def test_oracle_lp_at_benchmark_scale_is_two_constraint_matrices(self, tmp_path, monkeypatch):
         """The oracle LP of CI's benchmark-scale certify: 40 atoms to 378
         targets (the 169 grid points with each of 2 labels and the 40 atoms;
@@ -369,7 +412,7 @@ class TestCommands:
         from wasslip.robust import RobustCertificate
 
         forced = RobustCertificate(
-            0.5, 0.5, 0.0, 0.1, 1.0, 0.0, verdicts=(("objective_decomposition", True), ("dual_dominates_lp_oracle", False))
+            0.5, 0.5, 0.0, 0.1, 1.0, 0.0, verdicts=(("robust_value_ge_empirical_risk", True), ("dual_dominates_lp_oracle", False))
         )
         monkeypatch.setattr(cli_module, "robust_certificate_for", lambda model, instance: forced)
         cfg = write_config(
@@ -712,9 +755,59 @@ def fuzzed_configs(draw):
     return command, doc
 
 
+FUZZ_DATASET = b"label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n0,0.25,0.75\n1,1.25,-0.5\n0,-0.5,0.5\n1,2.0,-1.5\n"
+FUZZ_MODEL_FILE = "\n".join(
+    [
+        "wasslip-model v1",
+        "kind mlp",
+        "norm L2",
+        "layers 2",
+        "layer 3 2 RELU 1",
+        "0.5,-0.5",
+        "-0.25,0.75",
+        "0.125,-0.2",
+        "0.05,0.1,-0.05",
+        "layer 2 3 IDENTITY 1",
+        "-0.9,0.1,0.4",
+        "0.25,0.3,-0.1",
+        "0.2,-0.1",
+        "",
+    ]
+).encode()
+FUZZ_INSERTS = tuple(t.encode() for t in ("0", "7", ",", "\n", "nan", "1e999", "_", "\u0660", "layers 3", "kind linear"))
+FUZZ_FILE_COMMANDS = {
+    "certify": {"robust": {"rho": 0.1}},
+    "certify-oracle": {"robust": {"rho": 0.1, "oracle_grid_side": 3}},
+    "attack": {"attack": {"epsilons": [0.1], "steps": 2, "restarts": 1}},
+    "train": {"train": {"objective": "spectral", "rho": 0.1, "epochs": 2}},
+}
+
+
+@st.composite
+def mutated_input_files(draw):
+    """A command, and the valid dataset CSV and model file with one of them
+    cut or spliced: byte deletions, a truncation or inserted tokens."""
+    command = draw(st.sampled_from(sorted(FUZZ_FILE_COMMANDS)))
+    files = {"dataset": FUZZ_DATASET, "model": FUZZ_MODEL_FILE}
+    target = draw(st.sampled_from(sorted(files)))
+    data = files[target]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("delete", "truncate", "insert")))
+        if edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 3)) :]
+        elif edit == "truncate":
+            data = data[:at]
+        else:
+            data = data[:at] + draw(st.sampled_from(FUZZ_INSERTS)) + data[at:]
+    files[target] = data
+    return command, files
+
+
 class TestFailureContract:
-    """Whatever a config holds, a command succeeds, or exits 2 (config
-    error) or 3 (numerical failure); it never raises and never warns."""
+    """Whatever a config or an input file holds, a command succeeds, or
+    exits 2 (config or input error) or 3 (numerical failure); it never
+    raises and never warns."""
 
     @given(fuzzed_configs())
     @settings(max_examples=600, deadline=None, derandomize=True)
@@ -726,6 +819,24 @@ class TestFailureContract:
                 warnings.simplefilter("error")
                 code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3)
+
+    @given(mutated_input_files())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mutated_input_files_exit_0_2_or_3(self, case):
+        """A non-zero exit prints exactly one line on stderr."""
+        command, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model = Path(tmp) / "data.csv", Path(tmp) / "model.txt"
+            data.write_bytes(files["dataset"])
+            model.write_bytes(files["model"])
+            doc = {"seed": 1, "dataset": {"path": str(data)}, "model": {"path": str(model)}, **FUZZ_FILE_COMMANDS[command]}
+            cfg = write_config(Path(tmp), doc)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([command.split("-")[0], "--config", cfg, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        assert code == 0 or len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestBadInputFiles:
@@ -876,12 +987,14 @@ class TestLinearModelFiles:
 
     # sha256 of certificate.json, recorded when linear models still had a
     # model type and a certificate route of their own (kappa-inf: recorded on
-    # the last commit that offered a second loss constant, with the default)
+    # the last commit that offered a second loss constant, with the default);
+    # re-recorded when the certificate dropped its objective_decomposition
+    # verdict and its fingerprint the constant bound_mode, with no number moved
     @pytest.mark.parametrize(
         "robust, digest",
         [
-            ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "897edc0d3be4dc489ada95f635bd023c5406c1ad4b4ee8250b01c57f1efc3ae6"),
-            ({"rho": 0.3}, "7311fd0ff6f83fedcb0e4226810f244b1f25a63108163986d4bf1f3d58d65d97"),
+            ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "01fbbff2e9d436676f8cfa47b86c19e6f220ad52f9a2824d18252fc878908bc2"),
+            ({"rho": 0.3}, "db8d0ec9fed3e96c4fadde207d6dc041fccac622170ee5e3beeab7ebcb8e4005"),
         ],
         ids=["oracle", "kappa-inf"],
     )

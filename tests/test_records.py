@@ -1,6 +1,7 @@
-"""The package's records: plain NamedTuples or __slots__ classes on
-FrozenRecord, none generated by dataclasses, and none of them can be changed
-after construction."""
+"""The package's records: __slots__ classes on FrozenRecord where the
+constructor validates its inputs, plain NamedTuples everywhere else (the
+certificate and the dual solution among them), none generated by
+dataclasses, and none of them can be changed after construction."""
 
 import importlib
 import pkgutil
@@ -38,20 +39,20 @@ def _records():
         layer,
         model,
         RobustInstance(mu, metric, 0.1),
-        DualSolution(1.0, 0.2, [0.1, 0.2], [0, 1], 1.0),
+        DualSolution(1.0, 0.2, np.array([0.1, 0.2]), np.array([0, 1]), 1.0),
         cert,
         BallSpec(NormTag.L2, 0.1),
         AttackConfig(),
         TrainConfig(ObjectiveKind.SPECTRAL, 0.1),
         LPProblem(np.ones(2)),
         LPSolution(LPStatus.OPTIMAL, 1.0, np.ones(2), np.ones(1), 1, 0),
-        EnvelopeCheck((0.0,), 0.0, 0.0, True, False),
+        EnvelopeCheck((0.0,), 0.0, True, False),
         AttackResult(np.zeros((2, 2)), np.zeros(2), 0.0, "PGD", 0.1, NormTag.L2),
-        AdversarialBoundVerdict(True, 0.1, 0.2, None, 0.0, 0.0, ()),
+        AdversarialBoundVerdict(True, 0.1, 0.2, 0.0, 0.0, ()),
         VerdictRecord("check", True, {}),
         EpochRecord(0, 0.1, 0.0, 0.1, 1.0, 1.0),
         ObjectiveEval(0.1, 0.1, 0.0, [], []),
-        TrainReport([], model, cert, 0.0, False),
+        TrainReport([], model, cert, False),
     ]
 
 

@@ -39,6 +39,8 @@ from wasslip.numerics import LPProblem, LPStatus, NormTag, NumericalError, solve
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
+    certificate_table,
+    certify_on_table,
     check_envelope_collapse,
     grid_targets,
     kappa_threshold,
@@ -489,7 +491,7 @@ class TestCertificates:
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, math.inf, 3), 0.0)
         cert = robust_certificate_for(model, instance)
         assert cert.robust_value == pytest.approx(cert.empirical_risk, abs=1e-9)
-        assert cert.all_passed()
+        assert all(ok for _, ok in cert.verdicts)
 
     def test_grid_refinement_gap_monotone(self):
         rng = derive_rng(22, "cert-grid")
@@ -510,6 +512,18 @@ class TestCertificates:
             gaps.append(cert.oracle_gap)
         assert gaps[1] <= gaps[0] + 1e-9
         assert gaps[2] <= gaps[1] + 1e-9
+
+    def test_value_below_empirical_risk_raises(self, monkeypatch):
+        """A dual value more than 1e-9 below the empirical risk is a
+        numerical failure, raised before any certificate is built."""
+        rng = derive_rng(25, "cert-below")
+        points = seeded_points(rng, 5, 2, 3)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
+        shared = certificate_table(seeded_linear_model(rng, 2, 3), instance.empirical, NormTag.L2)
+        real = robust.minimize_dual
+        monkeypatch.setattr(robust, "minimize_dual", lambda *args: real(*args)._replace(value=shared.empirical_risk - 1e-6))
+        with pytest.raises(NumericalError, match="fell below the empirical risk"):
+            certify_on_table(instance, shared)
 
     def test_lipschitz_bound_computed_once(self, monkeypatch):
         calls = []
@@ -548,7 +562,7 @@ class TestCertificates:
         robust_certificate_for(model, instance)
         assert rows == [5]
         with_oracle = RobustInstance(instance.empirical, instance.metric, 0.2, grid_targets(instance, 4))
-        assert robust_certificate_for(model, with_oracle).all_passed()
+        assert all(ok for _, ok in robust_certificate_for(model, with_oracle).verdicts)
         assert rows == [5, 5, len(with_oracle.candidate_targets)]
 
 
@@ -562,23 +576,25 @@ class TestGoldenCertificates:
     L2 grid digests were re-recorded when the LP oracle became a revised
     simplex, which moved their oracle_value and oracle_gap in the last bits;
     the linear L1 kappa-1 grid digest again when the oracle LP dropped its
-    dominated couplings."""
+    dominated couplings.  All fourteen were re-recorded when the certificate
+    dropped its always-true objective_decomposition verdict; no number
+    moved."""
 
     CASES = [
-        ("linear", NormTag.L1, 1.0, False, "f952cd85fd2dd7a1b9a5ef1b30cee45f3aff57acce38f7f2993071e76989fbb8"),
-        ("linear", NormTag.L1, 1.0, True, "4a2f33981832b18ae42f0c1e4eca31bba1742a143263a8fe552c1410906721df"),
-        ("linear", NormTag.L1, math.inf, False, "a8009c5c5b53b170a22d6e431ada4131751d8ab1877faf5316a7566019a98f94"),
-        ("linear", NormTag.L1, math.inf, True, "20ecfd541afce657273b63886081a920096a6f7ec960cdadf886c6eaf2f37ebe"),
-        ("linear", NormTag.L2, 1.0, False, "d2ef65f253cdde9a848048fcd64d42b64fc358757c0822c19d9101889dc58b94"),
-        ("linear", NormTag.L2, 1.0, True, "d4a5eb0a7383c2a83fb9658402997e397e88f3fe82427b9a483d493829831f19"),
-        ("linear", NormTag.L2, math.inf, False, "faf57d2dc27534d2af70c84aff3273f75eb6ef8cab8dc7dcfc7b52a6d53304bc"),
-        ("linear", NormTag.L2, math.inf, True, "9a77658a4411e512ec23c739a270b26281fdaa280be37b38420f6a1a6d3c415f"),
-        ("linear", NormTag.LINF, 1.0, False, "07510849781e2491ca8144de7ad36cf8bb2659f1043d24ea202d3d08dd3d6d48"),
-        ("linear", NormTag.LINF, 1.0, True, "a4f6a803c875acc4eb13a8816538144b3d4922882870bb6c1aa7f3ffd1bf6398"),
-        ("linear", NormTag.LINF, math.inf, False, "deb8953393c9d44fbeae78f4d3171fa1c9fa92fb6fd26c4d758f19d8dfa1c43f"),
-        ("linear", NormTag.LINF, math.inf, True, "3aebbde59073361d8b1b183778f337f9069b53c9599dae921dfb95cf7715fd4a"),
-        ("mlp", NormTag.L2, 1.0, True, "0dd5d6f7045806ab0b4a6b6986e9ed1ba46c45c52cbd47e15183d43bd7bbe5b4"),
-        ("mlp", NormTag.LINF, math.inf, False, "fbe539105f9e93f64c87159e97177f3ee834294a468f90374eaa544b9c60dac3"),
+        ("linear", NormTag.L1, 1.0, False, "407fb05e7cd4653ae04fcdcce360816dc8f30976f0db0e8d385ab6646e9952c5"),
+        ("linear", NormTag.L1, 1.0, True, "80b071942e2df674f15547fdb589a1e230c7c267d96d0bf9e484b778e4a97f2d"),
+        ("linear", NormTag.L1, math.inf, False, "ad100194d4b432d9bd39d9b083e87fb4ff8c62df5c4bd852ec6abc2c7ec5b0bc"),
+        ("linear", NormTag.L1, math.inf, True, "7098c1ee0112291158f8876e9b0a850e5861c54e05474dcab15bff01d052c10d"),
+        ("linear", NormTag.L2, 1.0, False, "7cbfe0458cb80c06a06388e9a6d923c888dcacdf85a5f731132fdafac536d880"),
+        ("linear", NormTag.L2, 1.0, True, "3ca4f80859ace6ad3969864885f978a1216bcfd4bcfa165395012ccfd255b294"),
+        ("linear", NormTag.L2, math.inf, False, "9aea571eb2e1a30ff1749cffaf45b8d1cc079fd662f028016869be7891947104"),
+        ("linear", NormTag.L2, math.inf, True, "40bdff5c3811a5e57517ef5f4cd9b889d8855dc7907f83efeacb59f3b1e5b850"),
+        ("linear", NormTag.LINF, 1.0, False, "bbbd1070c72f329330a91b90be3175624a5571c92dac9c6a8ecd5bf5d5197346"),
+        ("linear", NormTag.LINF, 1.0, True, "801d5fe6ba36e9a111ff7be3c9a9b0bc78ebd832e6ebda7c8a9f275a0bd8f64e"),
+        ("linear", NormTag.LINF, math.inf, False, "ba05ba79281b395807b4de2a1ca3e79e31c49f7e3d8c33c77ebf22a91dafcdb8"),
+        ("linear", NormTag.LINF, math.inf, True, "72529e4228adcb7bb5b3fe6d3c86d89b4a8d417e474fa263afd2e2678639b1cb"),
+        ("mlp", NormTag.L2, 1.0, True, "6f57972f12ec304c68095f8919d62a0c9338457b793a330edb8cfc9a4df8421e"),
+        ("mlp", NormTag.LINF, math.inf, False, "203c2f0c00fccc6c5e0360441e54c30223d5a3a4bbc12d762946cd02467e2ca0"),
     ]
 
     # the "-certified" suffix keeps the ids the cases had when a second,
@@ -676,7 +692,7 @@ class TestPushforward:
         points = seeded_points(rng, 5, 2, k)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(tag, kappa, k), rho)
         cert = robust_certificate_for(mlp, instance)
-        assert cert.lipschitz_bound_used == 0.0 and cert.all_passed()
+        assert cert.lipschitz_bound_used == 0.0 and all(ok for _, ok in cert.verdicts)
         targets = PointSet(np.repeat(points.xs, k, axis=0), np.tile(np.arange(k), len(points)), k)
         exact = RobustInstance(instance.empirical, instance.metric, rho, targets)
         lp = primal_robust_risk_lp(exact, model_losses(mlp, targets.xs, targets.ys))

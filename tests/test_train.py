@@ -12,7 +12,7 @@ from wasslip.models import (
     MLP,
     MLPLayer,
     accuracy,
-    network_lipschitz_bound,
+    layerwise_bounds,
     save_model,
 )
 from wasslip.numerics import NormTag, UnsupportedNormError, operator_norm
@@ -348,10 +348,10 @@ class TestRecords:
     @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.LINF])
     def test_closed_form_bounds_at_rho_zero(self, tag):
         """With no penalty, L1 and LINF records use the closed-form operator
-        norms: the bounds of the final model are network_lipschitz_bound's."""
+        norms: the bounds of the final model are layerwise_bounds of them."""
         cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=0.0, epochs=3, learning_rate=0.05, norm=tag)
         report = train_loop(self._net(), self._blobs(), cfg)
-        bounds = network_lipschitz_bound(report.model, tag)
+        bounds = layerwise_bounds([operator_norm(l.weights, tag) for l in report.model.layers])
         last = report.records[-1]
         assert (last.product_bound, last.young_bound) == (bounds.product, bounds.young)
         assert last.penalty == 0.0
