@@ -379,7 +379,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     doc = {
         "seed": cfg["seed"],
         "all_passed": all(r.passed for r in records),
-        "checks": [r.to_json_dict() for r in records],
+        "checks": [r._asdict() for r in records],
     }
     io.dump_json(doc, out_dir / "verify_report.json")
     if not doc["all_passed"]:

@@ -1,7 +1,7 @@
 """Finitely supported measures over labeled points, the kappa-product metric,
 pushforwards, and exact transport costs via the simplex LP.
 
-The metric on a labeled pair is ||x - x'|| + kappa * d_Y(y, y').  With
+The metric on a labeled pair is ||x - x'|| + kappa * [y != y'].  With
 kappa = inf a label mismatch costs infinity; the transport LP encodes that
 exactly by dropping the corresponding coupling variables instead of using a
 big-M surrogate.
@@ -9,7 +9,6 @@ big-M surrogate.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -95,31 +94,16 @@ def empirical_from_samples(points: PointSet) -> DiscreteMeasure:
 
 
 class MetricSpec(FrozenRecord):
-    """Product metric ||x-x'|| + kappa * d_Y(y,y') on labeled points."""
+    """Product metric ||x-x'|| + kappa * [y != y'] on labeled points."""
 
-    __slots__ = ("x_norm", "kappa", "label_count", "label_metric")
+    __slots__ = ("x_norm", "kappa", "label_count")
 
-    def __init__(self, x_norm: NormTag, kappa: float, label_count: int, label_metric: np.ndarray | None = None):
+    def __init__(self, x_norm: NormTag, kappa: float, label_count: int):
         if not (kappa > 0.0):  # inf is allowed, zero and NaN are not
             raise ValueError("kappa must be positive (or inf)")
         if label_count < 1:
             raise ValueError("label_count must be >= 1")
-        lm = 1.0 - np.eye(label_count) if label_metric is None else np.asarray(label_metric, dtype=float)
-        if lm.shape != (label_count, label_count):
-            raise DimensionError(f"label metric must be {label_count}x{label_count}")
-        if not np.all(np.isfinite(lm)):
-            raise ValueError("label metric entries must be finite")
-        if np.any(lm < 0.0):
-            raise ValueError("label metric must be non-negative")
-        if np.max(np.abs(np.diag(lm))) > 0.0:
-            raise ValueError("label metric must have a zero diagonal")
-        if np.max(np.abs(lm - lm.T)) > 1e-12:
-            raise ValueError("label metric must be symmetric")
-        # exhaustive triangle-inequality check over (a, b, c): lm[a,b] <= lm[a,c] + lm[c,b]
-        broken = np.argwhere(lm[:, :, None] > lm[:, None, :] + lm.T[None, :, :] + 1e-12)
-        if broken.size:
-            raise ValueError("label metric violates the triangle inequality at ({},{},{})".format(*broken[0]))
-        self._fill(x_norm=x_norm, kappa=kappa, label_count=label_count, label_metric=lm)
+        self._fill(x_norm=x_norm, kappa=kappa, label_count=label_count)
 
 
 class CostMatrix(FrozenRecord):
@@ -144,12 +128,9 @@ def _pairwise_x_distances(xs: np.ndarray, xt: np.ndarray, tag: NormTag) -> np.nd
 
 
 def label_costs(spec: MetricSpec, source_ys, target_ys) -> np.ndarray:
-    """kappa * d_Y(y, y') for every (source label, target label) pair; with
+    """kappa * [y != y'] for every (source label, target label) pair; with
     kappa = inf a label change costs inf and keeping the label 0."""
-    dy = spec.label_metric[np.ix_(source_ys, target_ys)]
-    if math.isinf(spec.kappa):
-        return np.where(dy > 0.0, math.inf, 0.0)
-    return spec.kappa * dy
+    return np.where(np.not_equal.outer(source_ys, target_ys), spec.kappa, 0.0)
 
 
 def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMatrix:

@@ -1,8 +1,9 @@
 """MLP classifiers with cross-entropy loss, exact reverse-mode gradients, and
 the Lipschitz bookkeeping the robust certificates rely on: per-label loss
-constants, layerwise product bounds, the separable power-mean relaxation of
-the product, and a sampled lower-bound estimator.  A linear softmax
-classifier is the one-layer MLP: its feature map is empty.
+constants, the certificate's lambda floor `loss_lipschitz`, layerwise
+product bounds, the separable power-mean relaxation of the product, and a
+sampled lower-bound estimator.  A linear softmax classifier is the one-layer
+MLP: its feature map is empty.
 
 The loss constant is the one that follows from the gradient identity
 grad_x = W^T (p - e_y) (for L2 inputs, sqrt(2) times the spectral norm of
@@ -203,14 +204,19 @@ def label_loss_matrix(model: MLP, xs: np.ndarray) -> np.ndarray:
     return _row_log_sum_exp(Z)[:, None] - Z
 
 
+# sup of ||p - e_y||_2 over the probability simplex: the head's L2 loss
+# constant is this times ||W||_2
+CE_GRAD_L2 = math.sqrt(2.0)
+
+
 def ce_lipschitz_bound(W: np.ndarray, tag: NormTag) -> float:
     """Lipschitz constant of x -> CE(softmax(Wx+b), y), uniform over labels,
     for the head's weight matrix W (the bias never enters): the constant
-    provable from grad_x = W^T (p - e_y), using ||p - e_y||_2 <= sqrt(2) and
-    ||p - e_y||_1 <= 2.
+    provable from grad_x = W^T (p - e_y), using ||p - e_y||_2 <= sqrt(2)
+    (`CE_GRAD_L2`) and ||p - e_y||_1 <= 2.
     """
     if tag == NormTag.L2:
-        return math.sqrt(2.0) * operator_norm(W, NormTag.L2)
+        return CE_GRAD_L2 * operator_norm(W, NormTag.L2)
     if tag == NormTag.LINF:
         # sup over ||v||_1 <= 2 of ||W^T v||_1 = 2 * max abs row sum
         return 2.0 * operator_norm(W, NormTag.LINF)
@@ -273,6 +279,14 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray], points, tag: Norm
 def phi_lipschitz_bound(layers: Sequence[MLPLayer], tag: NormTag) -> float:
     """Product of the layers' operator norms (1.0 for no layers)."""
     return float(math.prod(operator_norm(layer.weights, tag) for layer in layers))
+
+
+def loss_lipschitz(model: MLP, tag: NormTag) -> float:
+    """The certificate's lambda floor: a Lipschitz constant, in the `tag`
+    input norm, of every loss slice x -> CE(f(x), y) of f = head o phi,
+    bound(head) * lip(phi).  An empty phi (a linear model) has lip(phi) = 1.0
+    exactly; a constant phi gives 0."""
+    return ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
 
 
 def accuracy(model: MLP, points) -> float:

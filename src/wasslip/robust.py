@@ -11,13 +11,14 @@ identity is exact LP duality and L = 0).
 
 A model f = head o phi (phi is every layer but the last, none for a linear
 model) has a loss x -> CE(f(x), y) that is L-Lipschitz in the input metric
-with L = bound(head) * lip(phi).  Once lambda >= L the continuous input
-supremum collapses onto the sample point, so a certificate is the label dual
-on the model's own loss table (row i: x_i against every label, costs
-kappa * d_Y) over lambda >= L.  A constant phi gives L = 0; the loss is then
-constant in x and that dual is the exact supremum.  The primal restricted to
-a finite candidate set is also solved directly as an LP and serves as the
-independent oracle; on any sub-grid the dual value can only dominate it.
+with L = bound(head) * lip(phi) (`models.loss_lipschitz`).  Once lambda >= L
+the continuous input supremum collapses onto the sample point, so a
+certificate is the label dual on the model's own loss table (row i: x_i
+against every label, costs kappa * [y_i != y]) over lambda >= L.  A constant
+phi gives L = 0; the loss is then constant in x and that dual is the exact
+supremum.  The primal restricted to a finite candidate set is also solved
+directly as an LP and serves as the independent oracle; on any sub-grid the
+dual value can only dominate it.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from wasslip.measures import (
     label_costs,
     marginal_rows,
 )
-from wasslip.models import (
-    MLP,
-    ce_lipschitz_bound,
-    label_loss_matrix,
-    losses,
-    phi_lipschitz_bound,
-)
+from wasslip.models import MLP, label_loss_matrix, loss_lipschitz, losses
 from wasslip.numerics import (
     DimensionError,
     FrozenRecord,
@@ -177,7 +172,7 @@ def _finite_options(values: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, 
 def minimize_dual(instance: RobustInstance, table: np.ndarray, lam_lo: float) -> DualSolution:
     """Leftmost exact minimizer over lambda >= lam_lo of the label dual on a
     (sample, label) loss table: option (i, y) keeps x_i, relabels it y and
-    costs kappa * d_Y(y_i, y).  It bounds the supremum over the input ball
+    costs kappa * [y_i != y].  It bounds the supremum over the input ball
     once lam_lo is at least the Lipschitz constant of every loss slice
     x -> loss(x, y)."""
     support = instance.empirical.support
@@ -259,15 +254,15 @@ def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float)
     if l_bound == 0.0:
         return math.inf
     labels = instance.empirical.support.ys
-    dy = instance.metric.label_metric[labels]  # (n, k): d_Y(y_i, y)
-    gain = (table - table[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
+    switch = labels[:, None] != np.arange(instance.metric.label_count)
+    gain = (table - table[np.arange(len(labels)), labels][:, None])[switch] / l_bound
     return max(float(np.max(gain, initial=0.0)), 1e-9)
 
 
 class CertificateTable(NamedTuple):
     """What a model's certificates on one empirical measure share at every
     radius: the (sample, label) loss table, the empirical risk read off it,
-    and the lambda floor bound(head) * lip(phi) in the input norm."""
+    and the lambda floor `models.loss_lipschitz` in the input norm."""
 
     table: np.ndarray
     empirical_risk: float
@@ -275,18 +270,15 @@ class CertificateTable(NamedTuple):
 
 
 def certificate_table(model: MLP, mu: DiscreteMeasure, tag: NormTag) -> CertificateTable:
-    """One forward pass for the loss table and the spectral norms for the
-    floor.  For f = head o phi (phi is every layer but the last, none for a
-    linear model) each loss slice x -> CE(f(x), y) is
-    bound(head)*lip(phi)-Lipschitz in the input norm.  An empty phi has
-    lip(phi) = 1.0 exactly; a constant phi has lip(phi) = 0."""
+    """One forward pass for the loss table and `models.loss_lipschitz` for
+    the floor: every loss slice x -> CE(f(x), y) is that Lipschitz in the
+    input norm."""
     table = label_loss_matrix(model, mu.support.xs)
     own = table[np.arange(len(mu)), mu.support.ys]
     bad = np.flatnonzero(~np.isfinite(own))
     if bad.size:
         raise NumericalError(f"loss is non-finite at support index {bad[0]}")
-    floor = ce_lipschitz_bound(model.layers[-1].weights, tag) * phi_lipschitz_bound(model.layers[:-1], tag)
-    return CertificateTable(table, float(np.dot(mu.weights, own)), floor)
+    return CertificateTable(table, float(np.dot(mu.weights, own)), loss_lipschitz(model, tag))
 
 
 def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_value: float | None = None) -> RobustCertificate:

@@ -33,15 +33,16 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import (
+    CE_GRAD_L2,
     ActivationTag,
     MLP,
     MLPLayer,
-    ce_lipschitz_bound,
     ce_slice_lipschitz,
     empirical_lipschitz,
     feature_map,
     forward,
     layerwise_bounds,
+    loss_lipschitz,
     losses,
     phi_lipschitz_bound,
 )
@@ -63,9 +64,6 @@ class VerdictRecord(NamedTuple):
     name: str
     passed: bool
     details: dict
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +174,8 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
     def ce_slice(grid: np.ndarray) -> np.ndarray:
         return losses(model, grid, np.full(grid.shape[0], y))
 
-    W = model.layers[0].weights
-    certified = ce_lipschitz_bound(W, NormTag.L2)
-    tight = ce_slice_lipschitz(W, y, NormTag.L2)
+    certified = loss_lipschitz(model, NormTag.L2)
+    tight = ce_slice_lipschitz(model.layers[0].weights, y, NormTag.L2)
     cases.append(("ce_slice_equality", ce_slice, certified, z, True))
     cases.append(("ce_slice_growth", ce_slice, 0.5 * tight, z, False))
 
@@ -415,8 +412,8 @@ def check_lipschitz_chain(seed: int, nets: int = 50) -> VerdictRecord:
         worst_young = max(worst_young, bounds.product - bounds.young)
 
         l = len(sig)
-        product_pen = math.sqrt(2.0) * math.prod(sig)
-        spectral_pen = math.sqrt(2.0) / l * sum(s**l for s in sig)
+        product_pen = CE_GRAD_L2 * math.prod(sig)
+        spectral_pen = CE_GRAD_L2 / l * sum(s**l for s in sig)
         worst_penalty = max(worst_penalty, product_pen - spectral_pen)
     passed = worst_emp <= 1e-6 and worst_young <= 1e-9 and worst_penalty <= 1e-9
     return VerdictRecord(

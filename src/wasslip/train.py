@@ -3,13 +3,16 @@
 Two penalties are supported, each with its weight fully determined by the
 ball radius rho and the loss Lipschitz constant (no free hyperparameter).
 The cross-entropy head W contributes its certified L2 constant
-sqrt(2) * ||W||_2 (`models.ce_lipschitz_bound`), so a penalty needs the L2
-norm whenever rho > 0:
+sqrt(2) * ||W||_2 (`models.CE_GRAD_L2`), so a penalty needs the L2 norm
+whenever rho > 0:
 
   PRODUCT   rho * sqrt(2) * prod_j ||W_j||_2
   SPECTRAL  (rho * sqrt(2) / l) * sum_j ||W_j||_2^l
 
-On a one-layer (linear softmax) model both are rho * sqrt(2) * ||W||_2.
+PRODUCT is rho times the certificate's lambda floor `models.loss_lipschitz`
+in L2 (both take the norms from power iteration, training from warm starts),
+and SPECTRAL dominates it by the arithmetic-geometric mean inequality.  On a
+one-layer (linear softmax) model both are rho * sqrt(2) * ||W||_2.
 
 Spectral-norm subgradients use the top singular pair u v^T from power
 iteration; at a zero matrix or when the top two singular values are within
@@ -35,6 +38,7 @@ import numpy as np
 
 from wasslip.measures import MetricSpec, PointSet, empirical_from_samples
 from wasslip.models import (
+    CE_GRAD_L2,
     MLP,
     MLPLayer,
     layerwise_bounds,
@@ -177,7 +181,7 @@ def _penalty(config: TrainConfig, sigmas: list) -> float:
     if config.norm != NormTag.L2:
         raise UnsupportedNormError("penalty subgradients are only available for the L2 operator norm")
     l = len(sigmas)
-    scale = rho * math.sqrt(2.0)  # the head's certified L2 loss constant is sqrt(2) * ||W||_2
+    scale = rho * CE_GRAD_L2
     if config.objective == ObjectiveKind.SPECTRAL:
         return scale / l * float(sum(s**l for s in sigmas))
     return math.prod(sigmas, start=scale)
@@ -194,7 +198,7 @@ def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[flo
     sigmas = [d[0] for d in data]
     penalty = _penalty(config, sigmas)
     l = len(sigmas)
-    scale = config.rho * math.sqrt(2.0)
+    scale = config.rho * CE_GRAD_L2
     for j, (sigma, u, v, usable) in enumerate(data):
         if not usable:
             continue

@@ -49,9 +49,9 @@ def spectral_norm_jacobi(W: np.ndarray) -> float:
 
 
 def product_metric(spec, s, t) -> float:
-    """Reference for the product metric ||x - x'|| + kappa * d_Y(y, y')
+    """Reference for the product metric ||x - x'|| + kappa * [y != y']
     between labeled points s = (x, y) and t = (x', y'), reading only the
-    spec's norm name, kappa and label table.  With kappa = inf a label
+    spec's norm name, kappa and label count.  With kappa = inf a label
     change costs inf; without one the label term is absent."""
     (xs, ys), (xt, yt) = s, t
     xs, xt = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(xt, dtype=float))
@@ -60,12 +60,11 @@ def product_metric(spec, s, t) -> float:
     if not (0 <= ys < spec.label_count and 0 <= yt < spec.label_count):
         raise ValueError("label outside the metric's label universe")
     dx = _vector_norm(xs - xt, spec.x_norm)
-    dy = float(spec.label_metric[ys, yt])
-    if dy == 0.0:
+    if ys == yt:
         return dx
     if math.isinf(spec.kappa):
         return math.inf
-    return dx + spec.kappa * dy
+    return dx + spec.kappa
 
 
 def transport_cost_vertex_enumeration(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> float:

@@ -51,17 +51,7 @@ class TestPointSet:
 
 
 class TestMetricSpec:
-    def test_default_discrete_metric(self):
-        spec = MetricSpec(NormTag.L2, 1.0, 3)
-        assert spec.label_metric[0, 0] == 0.0
-        assert spec.label_metric[0, 2] == 1.0
-
     def test_rejects_non_metric(self):
-        bad = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="triangle"):
-            MetricSpec(NormTag.L2, 1.0, 3, bad)
-        with pytest.raises(ValueError):
-            MetricSpec(NormTag.L2, 1.0, 2, np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             MetricSpec(NormTag.L2, 0.0, 2)
 
@@ -89,16 +79,15 @@ class TestMetricSpec:
             cost_matrix(spec, PointSet([[0.0]], [0], 2), PointSet([[0.0, 1.0]], [0], 2))
 
     @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
-    @pytest.mark.parametrize("kappa", [0.7, math.inf])
-    @pytest.mark.parametrize("label_metric", ["discrete", "ordinal"])
-    def test_cost_matrix_matches_product_metric(self, tag, kappa, label_metric):
+    # "discrete": the label part is the discrete metric kappa * [y != y']
+    @pytest.mark.parametrize("kappa", [0.7, math.inf], ids=["discrete-0.7", "discrete-inf"])
+    def test_cost_matrix_matches_product_metric(self, tag, kappa):
         """Every entry of cost_matrix against the scalar reference, on a
         seeded source/target pair and on a source used as its own target
         (whose diagonal is exactly zero)."""
         rng = np.random.default_rng(17)
         k = 4
-        table = None if label_metric == "discrete" else 0.5 * np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
-        spec = MetricSpec(tag, kappa, k, table)
+        spec = MetricSpec(tag, kappa, k)
         source = PointSet(rng.standard_normal((7, 3)), rng.integers(0, k, 7), k)
         target = PointSet(rng.standard_normal((5, 3)), rng.integers(0, k, 5), k)
         for a, b in ((source, target), (source, source)):

@@ -20,7 +20,9 @@ from wasslip.models import (
     layerwise_bounds,
     load_model,
     loss_grads,
+    loss_lipschitz,
     losses,
+    phi_lipschitz_bound,
     save_model,
 )
 from wasslip.numerics import DimensionError, NormTag, operator_norm
@@ -228,6 +230,28 @@ class TestLipschitzBounds:
         W = np.array([[1.0, -2.0], [0.5, 3.0]])
         assert ce_lipschitz_bound(W, NormTag.LINF) == pytest.approx(2.0 * 3.5)
         assert ce_lipschitz_bound(W, NormTag.L1) == pytest.approx(2.0 * 3.0)
+
+    @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize(
+        "dims, activation",
+        [([4, 3], ActivationTag.IDENTITY), ([3, 5, 2], ActivationTag.RELU), ([3, 6, 4, 3], ActivationTag.TANH)],
+        ids=["linear", "relu", "tanh"],
+    )
+    def test_loss_lipschitz_is_head_times_phi(self, dims, activation, bias, tag):
+        """The certificate's floor is the head's constant times lip(phi), in
+        that order, bit for bit."""
+        for seed in range(3):
+            net = seeded_net(500 + seed, dims, bias=bias, activation=activation)
+            expected = ce_lipschitz_bound(net.layers[-1].weights, tag) * phi_lipschitz_bound(net.layers[:-1], tag)
+            assert loss_lipschitz(net, tag).hex() == expected.hex()
+
+    @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
+    def test_loss_lipschitz_of_a_zero_hidden_layer_is_zero(self, tag):
+        net = seeded_net(7, [3, 4, 2], bias=True)
+        head = net.layers[1]
+        constant = MLP((MLPLayer(np.zeros((4, 3)), ActivationTag.RELU, net.layers[0].bias), head))
+        assert loss_lipschitz(constant, tag) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_empirical_below_certified(self, seed):

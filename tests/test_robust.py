@@ -391,7 +391,7 @@ class TestMinimizeDualModel:
 
         labels = points.ys
         L = np.array([[vector_loss(model, x, y) for y in range(3)] for x in points.xs])
-        dy = instance.metric.label_metric[np.ix_(np.arange(3), labels)].T
+        dy = (labels[:, None] != np.arange(3)).astype(float)
         w = instance.empirical.weights
 
         def phi(lam):
@@ -483,6 +483,35 @@ class TestKappaThreshold:
         assert kappa_threshold(instance, label_loss_matrix(model, points.xs), 0.0) == math.inf
 
 
+class TestLabelMetric:
+    """`label_costs` and `kappa_threshold` against their formulas on the
+    explicit 0/1 label table dy = 1 - I, bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, math.inf])
+    def test_label_costs_match_the_table_formula(self, kappa):
+        rng = derive_rng(3, "label-costs")
+        source, target = rng.integers(0, 4, 9), rng.integers(0, 4, 6)
+        dy = (1.0 - np.eye(4))[np.ix_(source, target)]
+        expected = np.where(dy > 0.0, math.inf, 0.0) if math.isinf(kappa) else kappa * dy
+        got = label_costs(MetricSpec(NormTag.L2, kappa, 4), source, target)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kappa_threshold_matches_the_table_formula(self, seed, kappa):
+        rng = derive_rng(seed, "kappa-threshold-bits")
+        model = seeded_mlp(rng, [2, 5, 4], bias=True)
+        points = seeded_points(rng, 7, 2, 4)
+        instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, kappa, 4), 0.1)
+        table = label_loss_matrix(model, points.xs)
+        l_bound = models.loss_lipschitz(model, NormTag.L2)
+        labels = points.ys
+        dy = (1.0 - np.eye(4))[labels]
+        gain = (table - table[np.arange(len(labels)), labels][:, None])[dy > 0.0] / (l_bound * dy[dy > 0.0])
+        expected = max(float(np.max(gain, initial=0.0)), 1e-9)
+        assert kappa_threshold(instance, table, l_bound).hex() == expected.hex()
+
+
 class TestCertificates:
     def test_rho_zero_kappa_inf_equals_empirical(self):
         rng = derive_rng(21, "cert0")
@@ -528,11 +557,11 @@ class TestCertificates:
     def test_lipschitz_bound_computed_once(self, monkeypatch):
         calls = []
 
-        def counting(W, tag):
+        def counting(model, tag):
             calls.append(tag)
-            return ce_lipschitz_bound(W, tag)
+            return models.loss_lipschitz(model, tag)
 
-        monkeypatch.setattr(robust, "ce_lipschitz_bound", counting)
+        monkeypatch.setattr(robust, "loss_lipschitz", counting)
         rng = derive_rng(23, "cert-once")
         points = seeded_points(rng, 5, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
@@ -792,7 +821,7 @@ class TestKinkSweep:
         cert = robust_certificate_for(model, instance)
         lam_lo = ce_lipschitz_bound(model.layers[0].weights, NormTag.L2)
         values = label_loss_matrix(model, points.xs)
-        dists = instance.metric.label_metric[:, points.ys].T
+        dists = (points.ys[:, None] != np.arange(10)).astype(float)
         weights = instance.empirical.weights
         lam = cert.lambda_star
         assert cert.robust_value == pytest.approx(dual_objective_at(weights, values, dists, 0.1, lam), rel=1e-15)

@@ -88,7 +88,7 @@ class TestSuiteRun:
             "lipschitz_chain",
         ]
         for r in records:
-            doc = r.to_json_dict()
+            doc = r._asdict()
             assert set(doc) == {"name", "passed", "details"}
 
     @pytest.mark.parametrize("seed", [17, 18, 30, 109])
