@@ -57,9 +57,7 @@ class AttackResult(NamedTuple):
     perturbations: np.ndarray
     losses: np.ndarray
     adversarial_risk: float
-    method: str
     epsilon: float
-    norm: NormTag
 
 
 def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
@@ -107,71 +105,44 @@ def _ascent_directions(G: np.ndarray, tag: NormTag) -> np.ndarray:
     return out
 
 
-class RestartDraws(NamedTuple):
-    """Every atom's random-restart variates, drawn once and scaled to any
-    radius by `starts`.
+def restart_draws(seed: int, atoms: int, dim: int, norm: NormTag, restarts: int) -> np.ndarray:
+    """Every atom's `restarts` random starts as points of the unit ball, shape
+    (restarts, atoms, dim); `_pgd` scales them by the radius and projects
+    them onto the ball, so one draw serves every radius.
 
-    Atom i's restarts come from its own stream derive_rng(seed,
-    f"attack/{i}"), which yields the same variates at every radius; only
-    their scaling by epsilon differs.  For L2, `base` holds each restart's
-    unit direction (zero where its normal draw was all zero) and `root` its
-    u ** (1/dim); for LINF and L1, `base` holds the random() draws that
-    numpy's uniform(-eps, eps, dim) scales.  The leading axis is the restart.
+    Atom i draws from its own stream derive_rng(seed, f"attack/{i}"): for
+    LINF and L1 one uniform(-1, 1) vector per restart; for L2, per restart, a
+    normal direction and then, unless it is all zero (which gives a zero
+    row), a uniform radius factor u ** (1/dim).
     """
-
-    norm: NormTag
-    base: np.ndarray  # (restarts, atoms, dim)
-    root: np.ndarray | None  # (restarts, atoms), L2 only
-
-    def starts(self, ball: BallSpec) -> np.ndarray:
-        """The (restarts * atoms, dim) start rows at the ball's radius, bit for
-        bit what each stream's own draws at that radius give."""
-        if ball.norm != self.norm:
-            raise ValueError(f"restart draws for {self.norm.value} used on a {ball.norm.value} ball")
-        eps = ball.epsilon
-        if self.norm == NormTag.L2:
-            rows = self.base * (eps * self.root)[:, :, None]
-        else:
-            rows = -eps + (eps - -eps) * self.base  # low + (high - low) * random(), as uniform() computes it
-        rows = rows.reshape(-1, self.base.shape[2])
-        return _project_rows(rows, ball) if self.norm == NormTag.L1 else rows
-
-
-def restart_draws(seed: int, atoms: int, dim: int, norm: NormTag, restarts: int) -> RestartDraws:
-    """Draw the `restarts` random starts of atoms 0..atoms-1 from their
-    streams: for L2 a normal direction, then (unless it is all zero) a
-    uniform radius factor; for LINF and L1 one uniform vector."""
     ensure_addressable((restarts, atoms, dim), "the restart draws")
-    base = np.zeros((restarts, atoms, dim))
-    if norm != NormTag.L2:
-        for i in range(atoms):
-            # one call draws what `restarts` calls of random(dim) would
-            base[:, i] = derive_rng(seed, f"attack/{i}").random((restarts, dim))
-        return RestartDraws(norm, base, None)
-    root = np.zeros((restarts, atoms))
+    draws = np.zeros((restarts, atoms, dim))
     for i in range(atoms):
         rng = derive_rng(seed, f"attack/{i}")
+        if norm != NormTag.L2:
+            draws[:, i] = rng.uniform(-1.0, 1.0, (restarts, dim))
+            continue
         for r in range(restarts):
             direction = rng.standard_normal(dim)
             nd = math.sqrt(float(np.dot(direction, direction)))
             if nd > 0.0:
-                base[r, i] = direction / nd
-                root[r, i] = rng.uniform() ** (1.0 / dim)
-    return RestartDraws(norm, base, root)
+                draws[r, i] = direction / nd * rng.uniform() ** (1.0 / dim)
+    return draws
 
 
-def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, draws: RestartDraws | None = None, warm_starts=()):
+def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, step_size, draws: np.ndarray | None = None, warm_starts=()):
     """Projected gradient ascent from every start of every atom at once.
 
     Atom i starts from zero, from its row of each warm start (projected),
-    then from its restart rows of `draws` at this radius, if any.  The S
-    (start, atom) blocks are stacked into S*n rows that step together.  A
-    row stops for good when its ascent direction is all zero or when its
-    projected step returns its iterate bit for bit (compared as int64 views,
-    so -0.0 to 0.0 is a move): rows do not depend on the batch, so such a
-    row would get the same loss and direction at every later step, and a
-    loss it has already had is never strictly better.  Each atom keeps its
-    first maximum in (start, step) order.
+    then from its unit-ball rows of `draws` (see `restart_draws`) scaled to
+    this radius and projected, if any.  The S (start, atom) blocks are
+    stacked into S*n rows that step together.  A row stops for good when its
+    ascent direction is all zero or when its projected step returns its
+    iterate bit for bit (compared as int64 views, so -0.0 to 0.0 is a move):
+    rows do not depend on the batch, so such a row would get the same loss
+    and direction at every later step, and a loss it has already had is
+    never strictly better.  Each atom keeps its first maximum in (start,
+    step) order.
 
     One forward/backward pass per step: the pass that scores a step's
     iterate also gives the next step's ascent direction, so s steps make at
@@ -182,9 +153,9 @@ def _pgd(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, steps: int, s
         return np.zeros_like(X), losses(model, X, Y)
     starts = [np.zeros_like(X)] + [_project_rows(np.asarray(ws, dtype=float), ball) for ws in warm_starts]
     if draws is not None:
-        if draws.base.shape[1:] != X.shape:
-            raise ValueError(f"restart draws of shape {draws.base.shape} do not fit {X.shape[0]} atoms in dimension {X.shape[1]}")
-        starts.append(draws.starts(ball))
+        if draws.shape[1:] != X.shape:
+            raise ValueError(f"restart draws of shape {draws.shape} do not fit {X.shape[0]} atoms in dimension {X.shape[1]}")
+        starts.append(_project_rows(ball.epsilon * draws.reshape(-1, X.shape[1]), ball))
     delta = np.concatenate(starts)
     n, d = X.shape
     S = delta.shape[0] // n
@@ -271,21 +242,22 @@ def adversarial_risk(
     ball: BallSpec,
     config: AttackConfig = AttackConfig(),
     warm_starts: Sequence[np.ndarray] = (),
-    draws: RestartDraws | None = None,
+    draws: np.ndarray | None = None,
 ) -> AttackResult:
     """Weighted average of per-sample worst-case losses.
 
     Each element of `warm_starts` holds one extra PGD starting point per atom
     (shape n x dim).  Every atom is attacked at once; its random restarts
     come from its own stream derive_rng(config.seed, f"attack/{i}"), so
-    results do not depend on how the atoms are batched.  `attack_sweep`
-    passes its previous optima as warm starts and `draws` from one
-    `restart_draws` call (same seed, norm and restarts as `config`); without
-    them PGD draws its own.  FGSM and GRID use neither.
+    results do not depend on how the atoms are batched.  The restarts are
+    unit-ball points from `restart_draws`, scaled to this radius and
+    projected.  `attack_sweep` passes its previous optima as warm starts and
+    `draws` from one `restart_draws` call (same seed, norm and restarts as
+    `config`); without them PGD draws its own.  FGSM and GRID use neither.
     """
     X, Y = mu.support.xs, mu.support.ys
-    # the largest values an attack forms: a point plus a perturbation of up
-    # to a uniform start's span of 2 epsilon plus a step (2.5 epsilon / steps
+    # the largest values an attack forms: a point plus a perturbation of a
+    # few epsilon (a start inside the ball plus a step, 2.5 epsilon / steps
     # by default), and in L2 the sum of dim squares of such a perturbation
     span = 2.5 * ball.epsilon + (config.step_size or 0.0)
     if not math.isfinite(float(np.max(np.abs(X))) + span) or (ball.norm == NormTag.L2 and not math.isfinite(span * span * X.shape[1])):
@@ -305,7 +277,7 @@ def adversarial_risk(
     risk = float(np.dot(mu.weights, values))
     if not math.isfinite(risk):
         raise NumericalError(f"the attacked losses overflow at epsilon {ball.epsilon!r}")
-    return AttackResult(deltas, values, risk, config.method, ball.epsilon, ball.norm)
+    return AttackResult(deltas, values, risk, ball.epsilon)
 
 
 def attack_sweep(
@@ -317,10 +289,11 @@ def attack_sweep(
 ) -> list:
     """One `adversarial_risk` per radius, in ascending order of radius.
 
-    PGD draws its restart variates once for the whole sweep and starts each
-    radius also from the previous radius's optimum, taken as it is and
-    scaled to the new radius (when the previous radius is positive), so its
-    reported risk never falls as the radius grows.
+    PGD draws its restarts once for the whole sweep, as unit-ball points
+    that each radius scales to itself, and starts each radius also from the
+    previous radius's optimum, taken as it is and scaled to the new radius
+    (when the previous radius is positive), so its reported risk never falls
+    as the radius grows.
     """
     draws = None
     if config.method == "PGD":

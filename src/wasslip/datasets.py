@@ -106,13 +106,6 @@ def save_dataset_csv(points: PointSet, path) -> None:
 _LABEL_LIMIT = int(np.iinfo(np.int64).max)
 
 
-def _plain(text: str) -> bool:
-    """True when text holds no character outside the number grammar's
-    alphabet that int() and float() would still read: a '_' digit separator
-    or a non-ASCII character (such as an Arabic-Indic digit)."""
-    return text.isascii() and "_" not in text
-
-
 def load_dataset_csv(path) -> tuple[PointSet, str]:
     """Parse a dataset CSV strictly: every row has one integer label and as
     many finite coordinates as the header names; the label count is the
@@ -135,7 +128,7 @@ def load_dataset_csv(path) -> tuple[PointSet, str]:
             raise ValueError("ragged rows")
         # one scan of the whole text; only when it flags, find out whether a
         # data row (not the header) is at fault
-        if not _plain(text) and not all(_plain(c) for cells in rows for c in cells):
+        if not io.plain_number_text(text) and not all(io.plain_number_text(c) for cells in rows for c in cells):
             raise ValueError("characters outside the number grammar")
         labels = [int(cells[0]) for cells in rows]
         xs = np.array([c for cells in rows for c in cells[1:]], dtype=float).reshape(len(rows), width - 1)
@@ -164,8 +157,8 @@ def _raise_first_bad_row(path, text: str, width: int) -> NoReturn:
         cells = lines[line - 1].split(",")
         if len(cells) != width:
             raise io.InputFileError(path, line, f"expected {width} fields, got {len(cells)}")
-        if not _plain(lines[line - 1]):
-            raise io.InputFileError(path, line, "a number may hold ASCII characters only and no '_'")
+        if not io.plain_number_text(lines[line - 1]):
+            raise io.InputFileError(path, line, io.NOT_PLAIN_NUMBER)
         try:
             int(cells[0])
         except ValueError:

@@ -47,6 +47,17 @@ def read_text(path) -> str:
         raise InputFileError(path, None, f"cannot read file ({exc})") from exc
 
 
+NOT_PLAIN_NUMBER = "a number may hold ASCII characters only and no '_'"
+
+
+def plain_number_text(text: str) -> bool:
+    """True when text holds no character outside the number grammar of
+    dataset CSVs and model files that int() and float() would still read: a
+    '_' digit separator or a non-ASCII character (such as an Arabic-Indic
+    digit).  Readers report text that fails with NOT_PLAIN_NUMBER."""
+    return text.isascii() and "_" not in text
+
+
 def fmt_float(x: float) -> str:
     """Render a finite float with 17 significant digits."""
     x = float(x)

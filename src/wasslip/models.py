@@ -315,8 +315,10 @@ def load_model(path) -> tuple[MLP, NormTag]:
     hold exactly one layer, are read as the one-layer MLP.  A truncated or
     trailing file, a malformed line, layers that do not chain, or a `kind
     linear` file with more than one layer raise io.InputFileError naming the
-    file and line.  Lines end at LF only (after the universal-newline read),
-    so a form feed or U+2028 stays inside its line, as editors count it."""
+    file and line.  Numbers follow the dataset CSV's grammar: ASCII only and
+    no '_' (`io.plain_number_text`), and counts are ASCII digits.  Lines end
+    at LF only (after the universal-newline read), so a form feed or U+2028
+    stays inside its line, as editors count it."""
     lines = io.read_text(path).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
@@ -343,18 +345,22 @@ def load_model(path) -> tuple[MLP, NormTag]:
             row = np.array([math.nan])
         if row.size != size or not np.all(np.isfinite(row)):
             fail(f"expected {size} finite comma-separated numbers")
+        # the whole line, as the dataset CSV checks its rows: strip() also
+        # drops non-ASCII spaces, which float() accepts
+        if not io.plain_number_text(lines[pos - 1]):
+            fail(io.NOT_PLAIN_NUMBER)
         return row
 
     line(re.escape(_FORMAT_HEADER), f"the header {_FORMAT_HEADER!r}")
     (kind,) = line("kind (linear|mlp)", "'kind linear' or 'kind mlp'")
     (norm_name,) = line(f"norm ({'|'.join(t.value for t in NormTag)})", "'norm' and a norm tag")
-    (count,) = line(r"layers ([1-9]\d*)", "'layers' and a positive count")
+    (count,) = line("layers ([1-9][0-9]*)", "'layers' and a positive count")
     if kind == "linear" and count != "1":
         fail(f"kind linear needs exactly one layer, got {count}")
     acts = "|".join(t.value for t in ActivationTag)
     layers = []
     for _ in range(int(count)):
-        r, c, act, has_bias = line(rf"layer ([1-9]\d*) ([1-9]\d*) ({acts}) ([01])", "'layer ROWS COLS ACTIVATION 0|1'")
+        r, c, act, has_bias = line(f"layer ([1-9][0-9]*) ([1-9][0-9]*) ({acts}) ([01])", "'layer ROWS COLS ACTIVATION 0|1'")
         r, c = int(r), int(c)
         if layers and c != layers[-1].weights.shape[0]:
             fail(f"layer takes {c} inputs but the previous layer has {layers[-1].weights.shape[0]} outputs")

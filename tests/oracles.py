@@ -366,15 +366,15 @@ def _vector_direction(g, tag: str):
 
 
 def _vector_random_start(rng, dim: int, tag: str, eps: float):
-    if tag == "LINF":
-        return rng.uniform(-eps, eps, dim)
+    """One restart: a unit-ball point drawn from the atom's stream, scaled to
+    eps and projected onto the ball."""
     if tag == "L2":
         direction = rng.standard_normal(dim)
         size = math.sqrt(float(np.dot(direction, direction)))
-        if size == 0.0:
-            return np.zeros(dim)
-        return direction / size * (eps * rng.uniform() ** (1.0 / dim))
-    return vector_project(rng.uniform(-eps, eps, dim), tag, eps)
+        unit = np.zeros(dim) if size == 0.0 else direction / size * rng.uniform() ** (1.0 / dim)
+    else:
+        unit = rng.uniform(-1.0, 1.0, dim)
+    return vector_project(eps * unit, tag, eps)
 
 
 def vector_pgd(model, x, y, tag, eps, steps, step_size, rng, restarts, extra_starts=()):

@@ -126,7 +126,8 @@ class TestPGD:
 
     def test_one_model_pass_per_step(self, monkeypatch):
         """The pass that scores a step's iterate also gives the next step's
-        direction: s steps on rows that never stop make s + 1 passes."""
+        direction: s steps on rows that never stop make s + 1 passes, each
+        over the zero start, the warm start and the restarts of every atom."""
         rng = derive_rng(25, "pgd-passes")
         model = seeded_mlp(rng, [2, 4, 2], ActivationTag.TANH, scale=0.9, bias=True)
         points = seeded_points(rng, 5, 2, 2)
@@ -138,10 +139,12 @@ class TestPGD:
             return real(layers, A)
 
         monkeypatch.setattr(models, "_propagate", counted)
-        steps, restarts = 7, 2
-        draws = adversarial.restart_draws(1, 5, 2, NormTag.L2, restarts)
-        adversarial._pgd(model, points.xs, points.ys, BallSpec(NormTag.L2, 0.2), steps, None, draws)
-        assert rows == [(1 + restarts) * 5] * (steps + 1)
+        steps, warm = 7, [0.1 * points.xs]
+        for restarts in (2, 0):
+            rows.clear()
+            draws = adversarial.restart_draws(1, 5, 2, NormTag.L2, restarts)
+            adversarial._pgd(model, points.xs, points.ys, BallSpec(NormTag.L2, 0.2), steps, None, draws, warm)
+            assert rows == [(1 + len(warm) + restarts) * 5] * (steps + 1)
 
     def test_rows_retire_at_exact_fixed_points(self, monkeypatch):
         """Sign steps on a binary linear model drive every LINF row into a
@@ -169,10 +172,12 @@ class TestPGD:
         assert digest == "5af2fdc1338ad7e228a75ef364a3612376770b9b19498ade3ee26e25598260a9"
 
     @pytest.mark.parametrize("tag", list(NormTag))
-    def test_restart_draws_equal_per_radius_draws(self, tag, monkeypatch):
-        """Variates drawn once and scaled at each radius equal each stream's
-        own draws at that radius, bit for bit.  Atom 1's first L2 normal draw
-        is all zero, so its start is zero and it skips the uniform draw."""
+    def test_restart_draws_are_each_streams_unit_points(self, tag, monkeypatch):
+        """Every atom's unit rows, bit for bit, from its own stream in draw
+        order: LINF and L1 draw the random() doubles that uniform(-1, 1)
+        scales; L2 draws per restart a normal direction, then its radius
+        factor.  Atom 1's first L2 normal draw is all zero, so its row is
+        zero and it skips that radius draw."""
         real = derive_rng
 
         class FirstNormalZero:
@@ -196,22 +201,38 @@ class TestPGD:
         monkeypatch.setattr(adversarial, "derive_rng", streams)
         atoms, dim, restarts, seed = 4, 3, 3, 11
         draws = adversarial.restart_draws(seed, atoms, dim, tag, restarts)
-        for eps in (0.01, 0.3, 2.5):
-            expected = np.empty((restarts, atoms, dim))
-            for i in range(atoms):
-                rng = streams(seed, f"attack/{i}")
-                for r in range(restarts):
-                    if tag == NormTag.L2:
-                        direction = rng.standard_normal(dim)
-                        nd = math.sqrt(float(np.dot(direction, direction)))
-                        expected[r, i] = np.zeros(dim) if nd == 0.0 else direction / nd * (eps * rng.uniform() ** (1.0 / dim))
-                    else:
-                        start = rng.uniform(-eps, eps, dim)
-                        expected[r, i] = _project_rows(start[None, :], BallSpec(tag, eps))[0] if tag == NormTag.L1 else start
-            got = draws.starts(BallSpec(tag, eps))
-            assert got.view(np.int64).tolist() == expected.reshape(-1, dim).view(np.int64).tolist()
+        assert isinstance(draws, np.ndarray)
+        expected = np.zeros((restarts, atoms, dim))
+        for i in range(atoms):
+            rng = streams(seed, f"attack/{i}")
+            for r in range(restarts):
+                if tag != NormTag.L2:
+                    expected[r, i] = 2.0 * rng.random(dim) - 1.0
+                    continue
+                direction = rng.standard_normal(dim)
+                nd = math.sqrt(float(np.dot(direction, direction)))
+                if nd > 0.0:
+                    expected[r, i] = direction / nd * rng.uniform() ** (1.0 / dim)
+        assert draws.view(np.int64).tolist() == expected.view(np.int64).tolist()
         if tag == NormTag.L2:
-            assert not draws.starts(BallSpec(tag, 1.0))[1].any()  # restart 0 of atom 1
+            assert not draws[0, 1].any() and draws[1, 1].any()
+
+    @pytest.mark.parametrize("tag", list(NormTag))
+    def test_restart_draws_of_an_atom_ignore_the_others(self, tag):
+        five = adversarial.restart_draws(4, 5, 3, tag, 2)
+        three = adversarial.restart_draws(4, 3, 3, tag, 2)
+        assert five[:, :3].view(np.int64).tolist() == three.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("tag", list(NormTag))
+    def test_restart_draws_lie_in_the_unit_ball(self, tag):
+        draws = adversarial.restart_draws(6, 40, 3, tag, 4)
+        assert draws.shape == (4, 40, 3)
+        if tag == NormTag.L2:
+            # unit direction times a factor in [0, 1], up to rounding
+            assert np.all(np.linalg.norm(draws, axis=2) <= 1.0 + 1e-15)
+        else:
+            assert np.all(np.abs(draws) <= 1.0)
+        assert adversarial.restart_draws(6, 40, 3, tag, 0).shape == (0, 40, 3)
 
     @staticmethod
     def _sweep_digests(tmp_path, norm):

@@ -911,6 +911,29 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{model}:6: expected 2 finite comma-separated numbers" in err
 
+    @pytest.mark.parametrize(
+        "index, text, line, what",
+        [
+            (5, "0.75,1_0", 6, "a number may hold ASCII characters only and no '_'"),
+            (5, "0.75,\u0661\u0662", 6, "a number may hold ASCII characters only and no '_'"),
+            (3, "layers 1\u0660", 4, "expected 'layers' and a positive count"),
+            (4, "layer 2 2\u0660 IDENTITY 0", 5, "expected 'layer ROWS COLS ACTIVATION 0|1'"),
+        ],
+        ids=["underscore", "arabic-indic-weight", "arabic-indic-layers", "arabic-indic-layer"],
+    )
+    def test_model_numbers_follow_the_dataset_grammar(self, tmp_path, capsys, index, text, line, what):
+        """int() and float() read '1_0' and Arabic-Indic digits, and the
+        regex \\d matches the latter; a model file holds neither."""
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,0.5,1.0\n1,1.5,-1.0\n")
+        model = tmp_path / "model.txt"
+        lines = ["wasslip-model v1", "kind mlp", "norm L2", "layers 1", "layer 2 2 IDENTITY 0", "0.75,-0.5", "-0.25,1.125"]
+        lines[index] = text
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = self._certify(tmp_path, capsys, data, model)
+        assert code == 2
+        assert f"{model}:{line}: {what}" in err
+
     @pytest.mark.parametrize("text", ["", "x0,label\n0.5,1\n", "label,x0,x1\n"])
     def test_empty_or_headless_dataset_exits_2(self, tmp_path, capsys, text):
         data = tmp_path / "data.csv"

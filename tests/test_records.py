@@ -47,7 +47,7 @@ def _records():
         LPProblem(np.ones(2)),
         LPSolution(LPStatus.OPTIMAL, 1.0, np.ones(2), np.ones(1), 1, 0),
         EnvelopeCheck((0.0,), 0.0, True, False),
-        AttackResult(np.zeros((2, 2)), np.zeros(2), 0.0, "PGD", 0.1, NormTag.L2),
+        AttackResult(np.zeros((2, 2)), np.zeros(2), 0.0, 0.1),
         AdversarialBoundVerdict(True, 0.1, 0.2, 0.0, 0.0, ()),
         VerdictRecord("check", True, {}),
         EpochRecord(0, 0.1, 0.0, 0.1, 1.0, 1.0),
