@@ -3,9 +3,11 @@
 Everything here is deterministic: power iteration starts from a fixed seeded
 vector, the revised simplex solver keeps an explicit basis inverse and prices
 by Dantzig's rule with a fallback to Bland's rule against cycling, and
-tolerances are module constants rather than per-call knobs.  An LP holds its
-constraints as matrices; its optimum is returned with its dual, both checked.
-Only induced operator norms from one of {L1, L2, LINF} to itself are supported.
+tolerances are module constants rather than per-call knobs; power iteration
+has one, and exact power-of-two rescaling gives it the whole double range.  An
+LP holds its constraints as matrices; its optimum is returned with its dual,
+both checked.  Only induced operator norms from one of {L1, L2, LINF} to
+itself are supported.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
-CONVERGENCE_TOL = 1e-10
 MAX_ITERATIONS = 10_000
 
 _PIVOT_TOL = 1e-10
 # fixed stream so every power-iteration call sees the same starting vector
 _POWER_SEED = 0x9E3779B97F4A7C15
+_POWER_TOL = 1e-13
+# a largest entry in this window keeps sigma's squares normal and finite
+_POWER_RANGE = (2.0**-200, 2.0**200)
 
 
 class DimensionError(ValueError):
@@ -143,28 +147,34 @@ def _power_start(n: int, salt: int = 0) -> np.ndarray:
 
 def power_iteration(
     W,
-    tol: float = CONVERGENCE_TOL,
     v0: np.ndarray | None = None,
     history: list | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest singular value of W with unit left/right singular vectors.
 
-    Iterates v <- W^T W v from a deterministic seeded start and stops when two
-    successive sigma estimates differ by less than `tol`.  A zero matrix
-    returns (0, e1, e1); on any other, a sigma that is not positive and
-    finite (its squares overflow or underflow) raises NumericalError.
-    Buffers are allocated once per call: each iteration writes W v, W^T w
-    and the next v into them through the same BLAS gemv and ddot calls that
-    `W @ v` and `np.dot(w, w)` make, with the same bits.
+    Iterates v <- W^T W v from `v0` or a deterministic seeded start and stops
+    when two successive sigma estimates differ by less than 1e-13.  A zero
+    matrix returns (0, e1, e1).  A W whose largest entry, of binary exponent
+    e, leaves [2**-200, 2**200] is iterated on as the exact W * 2**-e, whose
+    estimates `history` receives, and sigma is scaled back by 2**e; a sigma
+    beyond the double range raises NumericalError.  Buffers are allocated
+    once per call: each iteration writes W v, W^T w and the next v into them
+    through the same BLAS gemv and ddot calls that `W @ v` and
+    `np.dot(w, w)` make, with the same bits.
     """
     W = as_matrix(W)
     m, n = W.shape
-    if not W.any():
+    peak = float(np.max(np.abs(W)))
+    if peak == 0.0:
         u = np.zeros(m)
         u[0] = 1.0
         v = np.zeros(n)
         v[0] = 1.0
         return 0.0, u, v
+    e = 0
+    if not _POWER_RANGE[0] <= peak <= _POWER_RANGE[1]:
+        e = math.frexp(peak)[1]
+        W = np.ldexp(W, -e)
     if v0 is None:
         v = _power_start(n)
     else:
@@ -189,14 +199,15 @@ def power_iteration(
             continue
         if history is not None:
             history.append(sigma)
-        if abs(sigma - sigma_prev) < tol:
+        if abs(sigma - sigma_prev) < _POWER_TOL:
             break
         sigma_prev = sigma
         product(Wt, w, out=v_next)
         np.divide(v_next, math.sqrt(v_next.dot(v_next)), out=v)  # v never aliases v0
-    if not 0.0 < sigma < math.inf:
-        raise NumericalError(f"power iteration lost the scale of a non-zero {m}x{n} matrix: sigma = {sigma}")
-    return float(sigma), w / sigma, v
+    try:
+        return math.ldexp(sigma, e), w / sigma, v
+    except OverflowError:
+        raise NumericalError(f"the spectral norm of a {m}x{n} matrix exceeds the floating-point range") from None
 
 
 def operator_norm(W, tag: NormTag) -> float:
@@ -207,7 +218,7 @@ def operator_norm(W, tag: NormTag) -> float:
     if tag == NormTag.LINF:
         return float(np.max(np.sum(np.abs(W), axis=1)))
     if tag == NormTag.L2:
-        sigma, _, _ = power_iteration(W, tol=1e-13)
+        sigma, _, _ = power_iteration(W)
         return sigma
     raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
 

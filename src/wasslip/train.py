@@ -14,18 +14,17 @@ in L2 (both take the norms from power iteration, training from warm starts),
 and SPECTRAL dominates it by the arithmetic-geometric mean inequality.  On a
 one-layer (linear softmax) model both are rho * sqrt(2) * ||W||_2.
 
-Spectral-norm subgradients use the top singular pair u v^T from power
-iteration; at a zero matrix or when the top two singular values are within
-1e-8 the subgradient is set to 0 (any subdifferential element is valid;
-zero is deterministic).  Training is plain full-batch gradient descent with
-optional momentum, deterministic given the seed.
+The epoch record and the step each make one warm-started power iteration
+per layer.  The step's subgradient of ||W||_2 is u v^T from that iteration:
+the subdifferential is the convex hull of u v^T over unit top singular
+pairs, so this holds at tied top singular values too, and 0 lies in it only
+at a zero matrix, which gets 0.  Training is plain full-batch gradient
+descent with optional momentum, deterministic given the seed.
 
-Each epoch record makes one spectral pass per layer: the warm-started power
-iteration that opens the penalty's own pass, without its deflation.  The
-recorded penalty, product bound and Young bound all come from those sigmas
-(L1 and LINF records use the closed-form operator norms).  The two bounds are
-power-iteration estimates, approached from below, logged to show training
-progress; no certificate uses them.
+The recorded penalty, product bound and Young bound all come from the
+record's sigmas (L1 and LINF records use the closed-form operator norms).
+The two bounds are power-iteration estimates, approached from below, logged
+to show training progress; no certificate uses them.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from wasslip.robust import RobustCertificate, RobustInstance, robust_certificate
 from wasslip.seeding import derive_rng
 
 _DIVERGENCE_LIMIT = 1e12
-_SIGMA_GAP_TOL = 1e-8
 
 
 class ObjectiveKind(str, Enum):
@@ -138,18 +136,6 @@ class TrainReport(NamedTuple):
         return doc
 
 
-def _spectral_data(W: np.ndarray, warm: np.ndarray | None):
-    """sigma, u, v (v is also the next warm start), and whether the
-    subgradient is usable (zero matrix or near-tied top singular values give
-    subgradient 0)."""
-    sigma, u, v = power_iteration(W, tol=1e-13, v0=warm)
-    if sigma <= 1e-12:
-        return sigma, u, v, False
-    deflated = W - sigma * np.outer(u, v)
-    sigma2, _, _ = power_iteration(deflated, tol=1e-12) if deflated.any() else (0.0, None, None)
-    return sigma, u, v, (sigma - sigma2) >= _SIGMA_GAP_TOL
-
-
 def project_layer_lipschitz(W: np.ndarray, cap: float) -> np.ndarray:
     """Rescale W so its spectral norm does not exceed `cap`."""
     if cap <= 0.0:
@@ -187,38 +173,34 @@ def _penalty(config: TrainConfig, sigmas: list) -> float:
     return math.prod(sigmas, start=scale)
 
 
+def _spectral_pass(model: MLP, warm: list) -> list:
+    """(sigma, u, v) of every layer from one power iteration started at the
+    layer's warm vector; each v becomes that layer's next warm start."""
+    runs = [power_iteration(layer.weights, v0=v0) for layer, v0 in zip(model.layers, warm)]
+    warm[:] = [v for _, _, v in runs]
+    return runs
+
+
 def _penalty_and_grads(model: MLP, config: TrainConfig, warm: list) -> tuple[float, list]:
     """Penalty value plus per-layer weight subgradients; `warm` carries the
     power-iteration start vectors across calls."""
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
     if config.rho == 0.0:
         return 0.0, grads
-    data = [_spectral_data(layer.weights, v0) for layer, v0 in zip(model.layers, warm)]
-    warm[:] = [v for _, _, v, _ in data]
-    sigmas = [d[0] for d in data]
+    runs = _spectral_pass(model, warm)
+    sigmas = [sigma for sigma, _, _ in runs]
     penalty = _penalty(config, sigmas)
     l = len(sigmas)
     scale = config.rho * CE_GRAD_L2
-    for j, (sigma, u, v, usable) in enumerate(data):
-        if not usable:
-            continue
+    for j, (sigma, u, v) in enumerate(runs):
+        if sigma == 0.0:
+            continue  # a zero matrix: 0 is a subgradient of its norm
         if config.objective == ObjectiveKind.SPECTRAL:
             coeff = scale * sigma ** (l - 1)
         else:  # product rule
             coeff = math.prod(sigmas[:j] + sigmas[j + 1 :], start=scale)
         grads[j] = coeff * np.outer(u, v)
     return penalty, grads
-
-
-def _layer_norms(model: MLP, tag: NormTag, warm: list) -> list:
-    """Every layer's `tag` operator norm.  L2 takes one power iteration per
-    layer from the warm start, the same call that opens `_spectral_data`, and
-    advances `warm` as that does; L1 and LINF are closed forms."""
-    if tag != NormTag.L2:
-        return [operator_norm(layer.weights, tag) for layer in model.layers]
-    runs = [power_iteration(layer.weights, tol=1e-13, v0=v0) for layer, v0 in zip(model.layers, warm)]
-    warm[:] = [v for _, _, v in runs]
-    return [sigma for sigma, _, _ in runs]
 
 
 def objective_and_grad(model: MLP, batch: PointSet, config: TrainConfig) -> ObjectiveEval:
@@ -254,10 +236,12 @@ def train_loop(model: MLP, dataset: PointSet, config: TrainConfig) -> TrainRepor
     diverged = False
 
     def record(epoch: int) -> float:
-        # one norm pass gives the penalty and both bounds, and moves the
-        # warm starts exactly as the penalty's own pass would
+        # one norm pass gives the penalty and both bounds
         erm = _running_sum(losses(current, X, Y)) / X.shape[0]
-        sigmas = _layer_norms(current, config.norm, warm)
+        if config.norm == NormTag.L2:
+            sigmas = [sigma for sigma, _, _ in _spectral_pass(current, warm)]
+        else:
+            sigmas = [operator_norm(layer.weights, config.norm) for layer in current.layers]
         penalty = _penalty(config, sigmas)
         bounds = layerwise_bounds(sigmas)
         rec = EpochRecord(epoch, erm, penalty, erm + penalty, bounds.product, bounds.young)

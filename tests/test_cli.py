@@ -640,9 +640,7 @@ class TestOverflowingConfigs:
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e160], "norm": "L2"}}, "the attack at epsilon 1e+160 leaves the floating-point range"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "loss is non-finite at support index 0"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 1024, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "scale 1e+308 overflows the weights of layer 0"),
-            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e80}, "robust": {"rho": 0.1}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
-            ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e-155}, "robust": {"rho": 0.1}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
-            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e300, "epochs": 3}}, "power iteration lost the scale of a non-zero 2x2 matrix"),
+            ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e308, "epochs": 3}}, "training overflowed"),
             ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
             ("gen-data", {"dataset": {"generator": "grid", "n": 9, "k": 2, "dim": 2, "lo": 1e308, "hi": -1e308}}, "grid coordinates overflow"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "robust": {"rho": 1e308, "oracle_grid_side": 3}}, "the oracle grid overflows at rho 1e+308"),
@@ -674,8 +672,6 @@ class TestOverflowingConfigs:
             "attack-l2-norm-squares",
             "certify-init-scale",
             "init-scale-weights",
-            "certify-init-scale-1e80",
-            "certify-init-scale-1e-155",
             "train-learning-rate",
             "blobs-std",
             "grid-extent",
@@ -715,6 +711,24 @@ class TestOverflowingConfigs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert message in lines[0]
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-155], ids=["certify-init-scale-1e80", "certify-init-scale-1e-155"])
+def test_huge_and_tiny_weights_certify(tmp_path, capsys, scale):
+    """Weights whose squares leave the double range still get a finite
+    certificate, with the lambda floor of the same weights at scale 1 times
+    the scale."""
+    certs = []
+    for s in (1.0, scale):
+        cfg = write_config(tmp_path, {"seed": 1, "dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": s}, "robust": {"rho": 0.1}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path / str(s))]) == 0
+        assert capsys.readouterr().err == ""
+        certs.append(json.loads((tmp_path / str(s) / "certificate.json").read_text(encoding="utf-8")))
+    for key in ("empirical_risk", "robust_value", "lambda_star", "lipschitz_bound_used"):
+        assert math.isfinite(certs[1][key])
+    assert certs[1]["lipschitz_bound_used"] == pytest.approx(scale * certs[0]["lipschitz_bound_used"], rel=1e-12)
 
 
 FUZZ_MODEL = {"dims": [2, 3, 2], "activation": "RELU", "bias": True, "init_scale": 1.0, "norm": "L2", "seed": 5}

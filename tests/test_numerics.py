@@ -141,28 +141,44 @@ class TestPowerIteration:
 
     def test_seeded_6x6_matches_jacobi(self):
         W = np.random.default_rng(13).standard_normal((6, 6))
-        sigma, _, _ = power_iteration(W, tol=1e-10)
+        sigma, _, _ = power_iteration(W)
         assert sigma == pytest.approx(spectral_norm_jacobi(W), rel=1e-8)
 
     def test_sigma_nondecreasing(self):
         for seed in range(8):
             W = np.random.default_rng(seed).standard_normal((5, 5))
             history: list = []
-            power_iteration(W, tol=1e-13, history=history)
+            power_iteration(W, history=history)
             for prev, nxt in zip(history, history[1:]):
                 assert nxt >= prev - 1e-12
 
-    @pytest.mark.parametrize("scale", [1e77, 1e80, 1e-90, 1e-155, 1e-200])
+    # the squares of these matrices' entries leave the double range, so the
+    # iteration rescales them; the oracle forms W^T W, so it runs on the
+    # unscaled W
+    @pytest.mark.parametrize("scale", [1e77, 1e80, 1e-90, 1e-155, 1e-200, 1e-77, 1e200, 1e300, 1e-300])
     def test_scale_out_of_reach_raises(self, scale):
-        # the squares the iteration takes overflow (sigma came back 0) or
-        # underflow (sigma came back 0 or NaN) on this non-zero matrix
-        W = scale * np.random.default_rng(5).standard_normal((16, 2))
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-zero 16x2 matrix"):
-            power_iteration(W, tol=1e-13)
+        W = np.random.default_rng(5).standard_normal((16, 2))
+        sigma, u, v = power_iteration(scale * W)
+        assert sigma == pytest.approx(scale * spectral_norm_jacobi(W), rel=1e-12)
+        assert np.allclose(W @ v, (sigma / scale) * u, atol=1e-7)
+
+    def test_rescaling_is_exact(self):
+        # power-of-two multiples of W outside the window are all rescaled to
+        # the same matrix, so they share u, v and sigma up to the power of two
+        W = np.random.default_rng(17).standard_normal((3, 4))
+        sigma, u, v = power_iteration(np.ldexp(W, 300))
+        for e in (-1000, -300, 1000):
+            scaled_sigma, scaled_u, scaled_v = power_iteration(np.ldexp(W, e))
+            assert scaled_sigma == math.ldexp(sigma, e - 300)
+            assert np.array_equal(scaled_u, u) and np.array_equal(scaled_v, v)
+
+    def test_sigma_beyond_the_double_range_raises(self):
+        with pytest.raises(NumericalError, match="spectral norm of a 2x2 matrix exceeds the floating-point range"):
+            power_iteration(np.full((2, 2), 1e308))
 
     def test_singular_vectors_consistent(self):
         W = np.random.default_rng(3).standard_normal((4, 3))
-        sigma, u, v = power_iteration(W, tol=1e-13)
+        sigma, u, v = power_iteration(W)
         assert np.allclose(W @ v, sigma * u, atol=1e-7)
         assert norm(u, NormTag.L2) == pytest.approx(1.0, abs=1e-10)
         assert norm(v, NormTag.L2) == pytest.approx(1.0, abs=1e-10)
@@ -211,7 +227,7 @@ class TestPowerIterationBits:
         W[:4, :4] = s * H
         W[4:, 4:] = s * (1.0 - delta) * H[:, ::-1][:, :3]
         history: list = []
-        result = power_iteration(W, tol=1e-13, history=history)
+        result = power_iteration(W, history=history)
         assert 2.0 * s * (1.0 - delta) <= result[0] <= 2.0 * s * (1.0 + 1e-15)
         assert power_digest([(result, history)]) == digest
 
@@ -231,7 +247,7 @@ class TestPowerIterationBits:
         runs, v = [], None
         for _ in range(5):
             history: list = []
-            result = power_iteration(W, tol=1e-13, v0=v, history=history)
+            result = power_iteration(W, v0=v, history=history)
             runs.append((result, history))
             v, W = result[2], W + drift
         assert power_digest(runs) == digest
@@ -242,7 +258,7 @@ class TestPowerIterationBits:
         runs = []
         for W in (base, base.T):
             history: list = []
-            runs.append((power_iteration(W, tol=1e-13, history=history), history))
+            runs.append((power_iteration(W, history=history), history))
         assert power_digest(runs) == "bcfa3c1ff6657496df8823036813da570aa94ceabbba313ebc63bd43276058a4"
 
     def test_zero_matrix(self):
@@ -254,7 +270,7 @@ class TestPowerIterationBits:
     def test_start_in_the_null_space_is_rekicked(self):
         # W v0 is exactly 0, so the first iteration restarts from a salted start
         history: list = []
-        result = power_iteration(np.array([[1.0, -1.0]]), tol=1e-13, v0=np.array([1.0, 1.0]), history=history)
+        result = power_iteration(np.array([[1.0, -1.0]]), v0=np.array([1.0, 1.0]), history=history)
         assert result[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert power_digest([(result, history)]) == "c474a11aac1744bc0477f41eb28eb1bf69e4dc5d941aa9b019bf5a9a9cc1117f"
 

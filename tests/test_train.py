@@ -53,6 +53,20 @@ class TestObjectiveAndGrad:
             assert ev.penalty == 0.0
             assert ev.value == ev.erm
 
+    @pytest.mark.parametrize("kind", [ObjectiveKind.SPECTRAL, ObjectiveKind.PRODUCT])
+    def test_exact_tie_keeps_the_penalty_subgradient(self, kind):
+        # the top two singular values of W tie at 2; on one layer both
+        # penalties are rho sqrt(2) ||W||_2, and every subgradient G of that
+        # has nuclear norm rho sqrt(2) and <G, W> = rho sqrt(2) ||W||_2
+        rho, W = 0.5, np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        batch = seeded_points(derive_rng(2, "tie"), 5, 3, 2)
+        penalized = objective_and_grad(linear(W), batch, TrainConfig(kind, rho=rho))
+        erm = objective_and_grad(linear(W), batch, TrainConfig(kind, rho=0.0))
+        G = penalized.grads_w[0] - erm.grads_w[0]
+        scale = rho * math.sqrt(2.0)
+        assert np.linalg.norm(G, "nuc") == pytest.approx(scale, rel=1e-12)
+        assert float(np.sum(G * W)) == pytest.approx(scale * 2.0, rel=1e-12)
+
     def test_zero_weights_zero_penalty_and_grad(self):
         net = MLP((MLPLayer(np.zeros((2, 2)), ActivationTag.IDENTITY),))
         batch = seeded_points(derive_rng(1, "z"), 3, 2, 2)
@@ -344,6 +358,11 @@ class TestRecords:
         assert len(report.records) == 1
         # two layers; the final certificate's phi and head norms add two more
         assert len(calls) == 2 + 2
+        # one epoch adds the step's pass and the second record's, two each
+        calls.clear()
+        report = train_loop(self._net(), self._blobs(), TrainConfig(ObjectiveKind.SPECTRAL, rho=0.3, epochs=1))
+        assert len(report.records) == 2
+        assert len(calls) == 2 + 2 + 2 + 2
 
     @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.LINF])
     def test_closed_form_bounds_at_rho_zero(self, tag):
