@@ -19,7 +19,7 @@ import numpy as np
 
 from wasslip.measures import DiscreteMeasure
 from wasslip.models import MLP, loss_grads, losses
-from wasslip.numerics import FrozenRecord, NormTag, NumericalError, axis_points, ensure_addressable, row_norms
+from wasslip.numerics import FrozenRecord, NormTag, NumericalError, axis_points, ensure_addressable, lattice, row_norms
 from wasslip.seeding import derive_rng
 
 
@@ -216,12 +216,8 @@ def _grid(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_d
     eps = ball.epsilon
     if eps == 0.0:
         return np.zeros_like(X), losses(model, X, Y)
-    axis = axis_points(-eps, eps, points_per_dim)
-    if dim == 1:
-        candidates = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        candidates = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    candidates = lattice([axis_points(-eps, eps, points_per_dim)] * dim)
+    if dim == 2:
         candidates = np.concatenate([candidates, _boundary_ring(ball, 16 * points_per_dim)], axis=0)
     candidates = np.concatenate([np.zeros((1, dim)), candidates], axis=0)
     candidates = candidates[row_norms(candidates, ball.norm) <= eps * (1.0 + 1e-12)]

@@ -20,10 +20,11 @@ import numpy as np
 
 from wasslip import io
 from wasslip.measures import PointSet
-from wasslip.numerics import NumericalError, ensure_addressable
+from wasslip.numerics import NumericalError, ensure_addressable, lattice
 from wasslip.seeding import derive_rng
 
 GENERATORS = ("gaussian-blobs", "two-moons", "grid")
+_CENTER_BOX = 3.0
 
 
 def _generated(kind: str, xs: np.ndarray, ys: np.ndarray, k: int) -> PointSet:
@@ -35,10 +36,11 @@ def _generated(kind: str, xs: np.ndarray, ys: np.ndarray, k: int) -> PointSet:
     return PointSet(xs, ys, k)
 
 
-def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6, center_box: float = 3.0) -> PointSet:
-    """k isotropic Gaussian clusters at seeded centers; class-major order."""
+def gaussian_blobs(n: int, k: int, dim: int, seed: int, std: float = 0.6) -> PointSet:
+    """k isotropic Gaussian clusters at seeded centers in the box
+    [-_CENTER_BOX, _CENTER_BOX]^dim; class-major order."""
     rng = derive_rng(seed, "gen/gaussian-blobs")
-    centers = rng.uniform(-center_box, center_box, (k, dim))
+    centers = rng.uniform(-_CENTER_BOX, _CENTER_BOX, (k, dim))
     ys = np.repeat(np.arange(k), [n // k + (1 if c < n % k else 0) for c in range(k)])
     xs = rng.standard_normal((n, dim))  # scaled and shifted in place: no full-size temporaries
     xs *= std
@@ -68,10 +70,7 @@ def grid(n: int, k: int, dim: int, lo: float = -1.0, hi: float = 1.0) -> PointSe
     side = grid_side(n, dim)
     if side is None:
         raise ValueError(f"grid size {n} is not a perfect {dim}-th power")
-    axes = [np.linspace(lo, hi, side) for _ in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.ravel() for m in mesh], axis=1)
-    return _generated("grid", lattice, np.arange(n) % k, k)
+    return _generated("grid", lattice([np.linspace(lo, hi, side)] * dim), np.arange(n) % k, k)
 
 
 def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointSet:

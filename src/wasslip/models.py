@@ -29,7 +29,6 @@ from wasslip.numerics import (
     UnsupportedNormError,
     as_matrix,
     as_vector,
-    norm,
     operator_norm,
     row_norms,
 )
@@ -233,8 +232,7 @@ def ce_slice_lipschitz(W: np.ndarray, y: int, tag: NormTag) -> float:
     supremum over the simplex is max_j ||row_j - row_y||_dual.
     """
     y = int(_check_labels(W.shape[0], [y])[0])
-    dual = tag.dual
-    return max(norm(W[j] - W[y], dual) for j in range(W.shape[0]))
+    return float(np.max(row_norms(W - W[y], tag.dual)))
 
 
 class LipschitzBounds(NamedTuple):

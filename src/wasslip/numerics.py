@@ -6,8 +6,9 @@ by Dantzig's rule with a fallback to Bland's rule against cycling, and
 tolerances are module constants rather than per-call knobs; power iteration
 has one, and exact power-of-two rescaling gives it the whole double range.  An
 LP holds its constraints as matrices; its optimum is returned with its dual,
-both checked.  Only induced operator norms from one of {L1, L2, LINF} to
-itself are supported.
+both checked.  Every vector norm is a row of `row_norms` and every
+axis-aligned grid a `lattice`.  Only induced operator norms from one of
+{L1, L2, LINF} to itself are supported.
 """
 
 from __future__ import annotations
@@ -112,21 +113,16 @@ def ensure_addressable(shape: tuple, what: str) -> None:
 
 
 def norm(v, tag: NormTag) -> float:
+    """The `tag` norm of one finite, non-empty vector: row 0 of `row_norms`."""
     v = as_vector(v)
     if v.size == 0:
         raise DimensionError("norm of an empty vector is undefined")
-    if tag == NormTag.L1:
-        return float(np.sum(np.abs(v)))
-    if tag == NormTag.L2:
-        return float(math.sqrt(np.dot(v, v)))
-    if tag == NormTag.LINF:
-        return float(np.max(np.abs(v)))
-    raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
+    return float(row_norms(v[None, :], tag)[0])
 
 
 def row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
-    """The norm of every row of D, each bit-identical to `norm` on that row
-    (L2 takes one dot product per row)."""
+    """The `tag` norm of every row of D, the one per-norm reduction (L2
+    takes one dot product per row)."""
     if tag == NormTag.L1:
         return np.sum(np.abs(D), axis=1)
     if tag == NormTag.L2:
@@ -134,6 +130,12 @@ def row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
     if tag == NormTag.LINF:
         return np.max(np.abs(D), axis=1)
     raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
+
+
+def lattice(axes) -> np.ndarray:
+    """Every point of the lattice spanned by `axes`, one row each, the last
+    axis varying fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def _power_start(n: int, salt: int = 0) -> np.ndarray:

@@ -46,6 +46,7 @@ from wasslip.numerics import (
     NumericalError,
     as_vector,
     axis_points,
+    lattice,
     row_norms,
     solve_lp,
 )
@@ -365,8 +366,7 @@ def check_envelope_collapse(
     sups = []
     for k in range(_ENVELOPE_DOUBLINGS + 1):
         radius = 2.0**k
-        axes = np.meshgrid(*(axis_points(c - radius, c + radius, points_per_dim) for c in z), indexing="ij")
-        grid = np.stack([a.ravel() for a in axes], axis=1)
+        grid = lattice([axis_points(c - radius, c + radius, points_per_dim) for c in z])
         sups.append(float(np.max(psi(grid) - gamma * row_norms(grid - z, NormTag.L2))))
     slack = [max(1e-9, 1e-6 * (1.0 + abs(s))) for s in sups]
     growth = sups[-1] > sups[-2] + slack[-2] and all(b >= a - t for a, b, t in zip(sups, sups[1:], slack))
@@ -386,11 +386,10 @@ def lattice_targets(instance: RobustInstance, axes: Sequence[np.ndarray]) -> Poi
     support = instance.empirical.support
     if len(axes) != support.dim:
         raise DimensionError("one axis per input dimension required")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([m.ravel() for m in mesh], axis=1)
+    points = lattice(axes)
     k = instance.metric.label_count
-    xs = np.concatenate([np.repeat(lattice, k, axis=0), support.xs])
-    ys = np.concatenate([np.tile(np.arange(k), len(lattice)), support.ys])
+    xs = np.concatenate([np.repeat(points, k, axis=0), support.xs])
+    ys = np.concatenate([np.tile(np.arange(k), len(points)), support.ys])
     return PointSet(xs, ys, support.label_count)
 
 

@@ -58,6 +58,11 @@ from wasslip.robust import (
 from wasslip.seeding import derive_rng
 
 _NORMS = (NormTag.L1, NormTag.L2, NormTag.LINF)
+# sizes of seeded_finite_instance and the grid side of check_pushforward_bound
+_FINITE_MAX_ATOMS = 8
+_FINITE_MAX_TARGETS = 20
+_FINITE_MAX_LABELS = 4
+_PUSHFORWARD_GRID_SIDE = 7
 
 
 class VerdictRecord(NamedTuple):
@@ -104,13 +109,13 @@ def seeded_mlp(
     return MLP(tuple(layers))
 
 
-def seeded_finite_instance(rng: np.random.Generator, max_atoms: int = 8, max_targets: int = 20, max_labels: int = 4):
+def seeded_finite_instance(rng: np.random.Generator):
     """A finite robust instance with an arbitrary loss table on its targets:
     support atoms plus extra candidate atoms, random weights, random radius."""
-    k = int(rng.integers(2, max_labels + 1))
+    k = int(rng.integers(2, _FINITE_MAX_LABELS + 1))
     dim = 2
-    n = int(rng.integers(1, max_atoms + 1))
-    extra = int(rng.integers(0, max_targets - n + 1))
+    n = int(rng.integers(1, _FINITE_MAX_ATOMS + 1))
+    extra = int(rng.integers(0, _FINITE_MAX_TARGETS - n + 1))
     support = seeded_points(rng, n, dim, k, spread=1.5)
     targets = support
     if extra:
@@ -244,7 +249,7 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
     )
 
 
-def check_pushforward_bound(seed: int, cases: int = 10, grid_side: int = 7) -> VerdictRecord:
+def check_pushforward_bound(seed: int, cases: int = 10) -> VerdictRecord:
     """The certificate of a one-hidden-layer MLP dominates the input-space
     grid LP oracle."""
     rng = derive_rng(seed, "verify/pushforward-bound")
@@ -259,7 +264,7 @@ def check_pushforward_bound(seed: int, cases: int = 10, grid_side: int = 7) -> V
         rho = float(rng.uniform(0.05, 0.5))
         instance = RobustInstance(empirical_from_samples(dataset), metric, rho)
         instance = RobustInstance(
-            instance.empirical, metric, rho, grid_targets(instance, grid_side, pad=0.1)
+            instance.empirical, metric, rho, grid_targets(instance, _PUSHFORWARD_GRID_SIDE, pad=0.1)
         )
         cert = robust_certificate_for(model, instance)
         worst = max(worst, cert.oracle_value - cert.robust_value)

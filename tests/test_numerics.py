@@ -18,6 +18,7 @@ from wasslip.numerics import (
     NumericalError,
     as_matrix,
     as_vector,
+    lattice,
     norm,
     operator_norm,
     power_iteration,
@@ -49,6 +50,23 @@ class TestVectorsAndNorms:
         D = RNG.standard_normal((40, 7)) * RNG.uniform(1e-3, 1e3, (40, 1))
         for tag in NormTag:
             assert row_norms(D, tag).tolist() == [norm(row, tag) for row in D]
+
+    def test_norm_is_row_zero_of_row_norms_bit_for_bit(self):
+        """One row through `row_norms` gives the bits of the direct
+        one-vector reductions, lengths 1-100 at scales 1e-200 to 1e300
+        (both overflow to inf alike)."""
+        rng = np.random.default_rng(31)
+        direct = {
+            NormTag.L1: lambda v: float(np.sum(np.abs(v))),
+            NormTag.L2: lambda v: math.sqrt(np.dot(v, v)),
+            NormTag.LINF: lambda v: float(np.max(np.abs(v))),
+        }
+        with np.errstate(over="ignore"):
+            for size in range(1, 101):
+                for scale in np.logspace(-200, 300, 49):
+                    v = rng.standard_normal(size) * scale
+                    for tag in NormTag:
+                        assert norm(v, tag) == direct[tag](v) == row_norms(v[None, :], tag)[0]
 
     def test_zero_iff_zero_vector(self):
         v = RNG.standard_normal(5)
@@ -82,6 +100,15 @@ class TestVectorsAndNorms:
                 maximizer[i] = math.copysign(1.0, v[i]) if v[i] != 0.0 else 1.0
             if target > 0.0:
                 assert float(np.dot(maximizer, v)) == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (1, 1), (3, 1), (1, 5), (2, 3), (1, 1, 1), (2, 1, 3), (3, 4, 2)])
+def test_lattice_is_the_meshgrid_stack(sizes):
+    axes = [np.linspace(-1.0, 1.0 + i, size) for i, size in enumerate(sizes)]
+    expected = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    points = lattice(axes)
+    assert points.shape == (math.prod(sizes), len(sizes))
+    assert points.tobytes() == expected.tobytes()
 
 
 class TestOperatorNorm:

@@ -1,10 +1,14 @@
 """The package's records: __slots__ classes on FrozenRecord where the
 constructor validates its inputs, plain NamedTuples everywhere else (the
 certificate and the dual solution among them), none generated by
-dataclasses, and none of them can be changed after construction."""
+dataclasses, and none of them can be changed after construction.  The
+package root loads no module; each module loads only what it uses."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +26,30 @@ from wasslip.train import EpochRecord, ObjectiveEval, ObjectiveKind, TrainConfig
 def _modules():
     names = [wasslip.__name__] + [f"{wasslip.__name__}.{m.name}" for m in pkgutil.iter_modules(wasslip.__path__)]
     return [importlib.import_module(name) for name in names]
+
+
+def _loaded_by(statement):
+    """The wasslip modules a fresh interpreter holds after `statement`."""
+    src = os.path.dirname(os.path.dirname(wasslip.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('wasslip'))))"
+    out = subprocess.run([sys.executable, "-c", f"{statement}; {probe}"], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_package_root_loads_no_module():
+    assert _loaded_by("import wasslip") == {"wasslip"}
+
+
+def test_datasets_loads_only_what_it_uses():
+    expected = {"wasslip", "wasslip.datasets", "wasslip.io", "wasslip.measures", "wasslip.numerics", "wasslip.seeding"}
+    assert _loaded_by("import wasslip.datasets") == expected
+
+
+def test_robust_loads_no_downstream_module():
+    loaded = _loaded_by("import wasslip.robust")
+    assert "wasslip.robust" in loaded
+    assert not loaded & {f"wasslip.{name}" for name in ("adversarial", "train", "suite", "cli", "datasets")}
 
 
 def _records():
