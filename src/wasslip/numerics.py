@@ -8,7 +8,9 @@ has one, and exact power-of-two rescaling gives it the whole double range.  An
 LP holds its constraints as matrices; its optimum is returned with its dual,
 both checked.  Every vector norm is a row of `row_norms` and every
 axis-aligned grid a `lattice`.  Only induced operator norms from one of
-{L1, L2, LINF} to itself are supported.
+{L1, L2, LINF} to itself are supported; the L2 one is a rigorous upper bound
+on sigma_1 from one SVD, while power iteration, training's kernel, approaches
+sigma_1 from below.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ _POWER_SEED = 0x9E3779B97F4A7C15
 _POWER_TOL = 1e-13
 # a largest entry in this window keeps sigma's squares normal and finite
 _POWER_RANGE = (2.0**-200, 2.0**200)
+# c of the (1 + c (m + n) 2**-52) allowance for the rounding of the L2 bound
+_SVD_ROUNDING = 8
 
 
 class DimensionError(ValueError):
@@ -164,19 +168,14 @@ def power_iteration(
     through the same BLAS gemv and ddot calls that `W @ v` and
     `np.dot(w, w)` make, with the same bits.
     """
-    W = as_matrix(W)
+    W, e = _in_range(as_matrix(W))
     m, n = W.shape
-    peak = float(np.max(np.abs(W)))
-    if peak == 0.0:
+    if not W.any():
         u = np.zeros(m)
         u[0] = 1.0
         v = np.zeros(n)
         v[0] = 1.0
         return 0.0, u, v
-    e = 0
-    if not _POWER_RANGE[0] <= peak <= _POWER_RANGE[1]:
-        e = math.frexp(peak)[1]
-        W = np.ldexp(W, -e)
     if v0 is None:
         v = _power_start(n)
     else:
@@ -206,23 +205,55 @@ def power_iteration(
         sigma_prev = sigma
         product(Wt, w, out=v_next)
         np.divide(v_next, math.sqrt(v_next.dot(v_next)), out=v)  # v never aliases v0
+    return _scaled_back(sigma, e, W.shape), w / sigma, v
+
+
+def _in_range(W: np.ndarray) -> tuple[np.ndarray, int]:
+    """(W, 0), or (W * 2**-e, e) when W's largest entry, of binary exponent
+    e, leaves _POWER_RANGE; the power of two makes the rescaling exact."""
+    peak = float(np.max(np.abs(W)))
+    if peak == 0.0 or _POWER_RANGE[0] <= peak <= _POWER_RANGE[1]:
+        return W, 0
+    e = math.frexp(peak)[1]
+    return np.ldexp(W, -e), e
+
+
+def _scaled_back(sigma: float, e: int, shape: tuple) -> float:
     try:
-        return math.ldexp(sigma, e), w / sigma, v
+        return math.ldexp(sigma, e)
     except OverflowError:
-        raise NumericalError(f"the spectral norm of a {m}x{n} matrix exceeds the floating-point range") from None
+        raise NumericalError(f"the spectral norm of a {shape[0]}x{shape[1]} matrix exceeds the floating-point range") from None
 
 
 def operator_norm(W, tag: NormTag) -> float:
-    """Induced operator norm of W with the `tag` norm on both sides."""
+    """Induced operator norm of W with the `tag` norm on both sides.
+
+    L2 returns an upper bound on sigma_1 from one thin SVD W ~ U S V^T: with
+    W = U S V^T + R, ||U S V^T||_2 <= s_1 ||U||_2 ||V||_2 and ||U||_2^2 <=
+    1 + ||U^T U - I||_F, so
+
+        s_1 sqrt((1 + ||U^T U - I||_F)(1 + ||V^T V - I||_F)) + ||R||_F
+
+    bounds sigma_1 whatever the SVD's accuracy; the factor
+    (1 + _SVD_ROUNDING (m + n) 2**-52) covers the rounding of those terms.
+    W is first brought into _POWER_RANGE as power iteration does, so the
+    Frobenius sums neither overflow nor underflow.
+    """
     W = as_matrix(W)
     if tag == NormTag.L1:
         return float(np.max(np.sum(np.abs(W), axis=0)))
     if tag == NormTag.LINF:
         return float(np.max(np.sum(np.abs(W), axis=1)))
-    if tag == NormTag.L2:
-        sigma, _, _ = power_iteration(W)
-        return sigma
-    raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
+    if tag != NormTag.L2:
+        raise UnsupportedNormError(f"unsupported norm tag {tag!r}")
+    m, n = W.shape
+    scaled, e = _in_range(W)
+    U, s, Vt = np.linalg.svd(scaled, full_matrices=False)
+    eye = np.eye(s.size)
+    drift = (1.0 + np.linalg.norm(U.T @ U - eye)) * (1.0 + np.linalg.norm(Vt @ Vt.T - eye))
+    residual = np.linalg.norm(scaled - (U * s) @ Vt)
+    bound = (float(s[0]) * math.sqrt(drift) + float(residual)) * (1.0 + _SVD_ROUNDING * (m + n) * 2.0**-52)
+    return _scaled_back(bound, e, W.shape)
 
 
 class LPStatus(str, Enum):

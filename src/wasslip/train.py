@@ -10,8 +10,9 @@ whenever rho > 0:
   SPECTRAL  (rho * sqrt(2) / l) * sum_j ||W_j||_2^l
 
 PRODUCT is rho times the certificate's lambda floor `models.loss_lipschitz`
-in L2 (both take the norms from power iteration, training from warm starts),
-and SPECTRAL dominates it by the arithmetic-geometric mean inequality.  On a
+in L2 (training takes the norms from warm-started power iteration, the
+certificate from the SVD upper bound of `numerics.operator_norm`), and
+SPECTRAL dominates it by the arithmetic-geometric mean inequality.  On a
 one-layer (linear softmax) model both are rho * sqrt(2) * ||W||_2.
 
 The epoch record and the step each make one warm-started power iteration

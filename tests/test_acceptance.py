@@ -349,9 +349,10 @@ def test_verify_report_bytes_pinned(tmp_path):
     """The verify report for SEED at the tiny sizes, byte for byte; computed
     before the checks moved onto the batched pass, which moved no bit, and
     re-recorded when the LP became a revised simplex, which moved the last
-    bits of worst_relative_gap."""
+    bits of worst_relative_gap, and when the L2 operator norm became an upper
+    bound from one SVD, which moved the last bits of the spectral norms."""
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"seed": SEED, "verify": TINY_VERIFY}), encoding="utf-8")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "verify_report.json").read_bytes()).hexdigest()
-    assert digest == "e81fefb951a260af30213d5d6de9d7521274d83c9899707423666af47b40aba4"
+    assert digest == "a7acb0c0db7067d344163082cdd80a6d58ecc2ecb9eafdf7537ce8d9de2ae0a4"

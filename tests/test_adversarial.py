@@ -253,11 +253,13 @@ class TestPGD:
     # recorded at commit 26a2107, when each PGD step made a second pass to
     # score its iterate; attack_report.json re-recorded when the certificate
     # dropped its objective_decomposition verdict and its fingerprint the
-    # constant bound_mode, with no number moved
+    # constant bound_mode, with no number moved; both re-recorded when the L2
+    # operator norm became an upper bound from one SVD, which raised the
+    # certificate's floor in its last bits
     def test_pgd_l2_sweep_bytes_pinned(self, tmp_path):
         assert self._sweep_digests(tmp_path, "L2") == {
-            "attack_report.json": "140e8961d3b811e9b3197d0456e1cb1c2c4e8386af2020ce050bb439cf829a22",
-            "bound_curve.csv": "b8ae304da866e57ec1f24a7b22a82fdcdaae50e396c5d2e4f3ce732b60f0a4ae",
+            "attack_report.json": "0692fbcf7858dc92f0906f47b2baadcd74e8d083e25d67f2f89e6c5ba44f91ea",
+            "bound_curve.csv": "f09518bdd60135f4138451b404dc684bbdda7441bee3b479ae251816bd2447b7",
         }
 
     # recorded at commit d54108a, when each radius drew its restarts with

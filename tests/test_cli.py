@@ -1026,12 +1026,14 @@ class TestLinearModelFiles:
     # model type and a certificate route of their own (kappa-inf: recorded on
     # the last commit that offered a second loss constant, with the default);
     # re-recorded when the certificate dropped its objective_decomposition
-    # verdict and its fingerprint the constant bound_mode, with no number moved
+    # verdict and its fingerprint the constant bound_mode, with no number moved;
+    # and when the L2 operator norm became an upper bound from one SVD, which
+    # raised the certificate's floor in its last bits
     @pytest.mark.parametrize(
         "robust, digest",
         [
-            ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "01fbbff2e9d436676f8cfa47b86c19e6f220ad52f9a2824d18252fc878908bc2"),
-            ({"rho": 0.3}, "db8d0ec9fed3e96c4fadde207d6dc041fccac622170ee5e3beeab7ebcb8e4005"),
+            ({"rho": 0.2, "kappa": 1.0, "oracle_grid_side": 5}, "b546cf1eb15b86af1bb68fdcd4f81748c6910a091feeb089dc42b777db1526d3"),
+            ({"rho": 0.3}, "13b4023af994bb84ad23f8d8ec877cae457916cabb7582293c8eda558b9d253c"),
         ],
         ids=["oracle", "kappa-inf"],
     )

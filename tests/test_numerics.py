@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -127,6 +128,47 @@ class TestOperatorNorm:
         W = RNG.standard_normal((5, 4))
         expected = spectral_norm_jacobi(W)
         assert operator_norm(W, NormTag.L2) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_l2_bounds_near_tied_sigma_from_above(self, size, delta):
+        """Q1 diag(H, (1 - delta) H) Q2 with H an orthonormal Hadamard block:
+        the two top singular values tie to relative delta, where power
+        iteration stopped up to 6e-6 below sigma_1."""
+        for seed in range(2):
+            rng = np.random.default_rng([size, seed])
+            Q1, Q2 = (np.linalg.qr(rng.standard_normal((2 * size, 2 * size)))[0] for _ in range(2))
+            H = hadamard(size) / math.sqrt(size)
+            D = np.zeros((2 * size, 2 * size))
+            D[:size, :size] = H
+            D[size:, size:] = (1.0 - delta) * H
+            W = Q1 @ D @ Q2
+            sigma = spectral_norm_jacobi(W)
+            assert sigma <= operator_norm(W, NormTag.L2) <= sigma * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_l2_bounds_rank_one_sigma_exactly(self, seed):
+        """a b^T with integer a, b is exact in floating point and has
+        sigma_1 = ||a|| ||b||, computed here in 50-digit decimal."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-1000, 1001, int(rng.integers(1, 12)))
+        b = rng.integers(-1000, 1001, int(rng.integers(1, 12)))
+        a[0] = b[0] = 7  # not the zero matrix
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            sigma = (sum(decimal.Decimal(int(x)) ** 2 for x in a) * sum(decimal.Decimal(int(x)) ** 2 for x in b)).sqrt()
+            bound = operator_norm(np.outer(a, b).astype(float), NormTag.L2)
+            assert sigma <= decimal.Decimal(bound) <= sigma * (1 + decimal.Decimal("1e-12"))
+
+    @pytest.mark.parametrize("e", [660, -660])
+    def test_l2_bound_of_scaled_entries_scales(self, e):
+        # entries of W * 2**e leave the double range when squared; the bound
+        # rescales W exactly first, as power iteration does
+        W = np.random.default_rng(8).standard_normal((16, 3))
+        bound = operator_norm(np.ldexp(W, e), NormTag.L2)
+        assert bound == math.ldexp(operator_norm(np.ldexp(W, 300), NormTag.L2), e - 300)
+        assert bound == pytest.approx(math.ldexp(spectral_norm_jacobi(W), e), rel=1e-12)
+        assert bound >= math.ldexp(spectral_norm_jacobi(W), e)
 
     def test_sampled_ratios_lower_bound(self):
         rng = np.random.default_rng(99)

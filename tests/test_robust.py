@@ -607,22 +607,24 @@ class TestGoldenCertificates:
     the linear L1 kappa-1 grid digest again when the oracle LP dropped its
     dominated couplings.  All fourteen were re-recorded when the certificate
     dropped its always-true objective_decomposition verdict; no number
-    moved."""
+    moved.  The five L2 digests were re-recorded when the L2 operator norm
+    became an upper bound from one SVD, which raised lambda_star and the
+    certified value by about 1e-14 relative."""
 
     CASES = [
         ("linear", NormTag.L1, 1.0, False, "407fb05e7cd4653ae04fcdcce360816dc8f30976f0db0e8d385ab6646e9952c5"),
         ("linear", NormTag.L1, 1.0, True, "80b071942e2df674f15547fdb589a1e230c7c267d96d0bf9e484b778e4a97f2d"),
         ("linear", NormTag.L1, math.inf, False, "ad100194d4b432d9bd39d9b083e87fb4ff8c62df5c4bd852ec6abc2c7ec5b0bc"),
         ("linear", NormTag.L1, math.inf, True, "7098c1ee0112291158f8876e9b0a850e5861c54e05474dcab15bff01d052c10d"),
-        ("linear", NormTag.L2, 1.0, False, "7cbfe0458cb80c06a06388e9a6d923c888dcacdf85a5f731132fdafac536d880"),
-        ("linear", NormTag.L2, 1.0, True, "3ca4f80859ace6ad3969864885f978a1216bcfd4bcfa165395012ccfd255b294"),
-        ("linear", NormTag.L2, math.inf, False, "9aea571eb2e1a30ff1749cffaf45b8d1cc079fd662f028016869be7891947104"),
-        ("linear", NormTag.L2, math.inf, True, "40bdff5c3811a5e57517ef5f4cd9b889d8855dc7907f83efeacb59f3b1e5b850"),
+        ("linear", NormTag.L2, 1.0, False, "f9c8b3e8bcb01df2cbfe09558f44308d901e87456e7aa98cdc6c7c531c50ff95"),
+        ("linear", NormTag.L2, 1.0, True, "cb978d6926928a6a26e11473bdf99a6902d2f44ba2f6f288c96884b7be55ea5e"),
+        ("linear", NormTag.L2, math.inf, False, "6b8f6ea2986202edcc33afb76c7a8b8dcfecc3eddff7f327c5e9a062dc1e100f"),
+        ("linear", NormTag.L2, math.inf, True, "2cc0cbce157eb19273e7128efdc301bbe61f7d179a11963f771b1e2de3d86455"),
         ("linear", NormTag.LINF, 1.0, False, "bbbd1070c72f329330a91b90be3175624a5571c92dac9c6a8ecd5bf5d5197346"),
         ("linear", NormTag.LINF, 1.0, True, "801d5fe6ba36e9a111ff7be3c9a9b0bc78ebd832e6ebda7c8a9f275a0bd8f64e"),
         ("linear", NormTag.LINF, math.inf, False, "ba05ba79281b395807b4de2a1ca3e79e31c49f7e3d8c33c77ebf22a91dafcdb8"),
         ("linear", NormTag.LINF, math.inf, True, "72529e4228adcb7bb5b3fe6d3c86d89b4a8d417e474fa263afd2e2678639b1cb"),
-        ("mlp", NormTag.L2, 1.0, True, "6f57972f12ec304c68095f8919d62a0c9338457b793a330edb8cfc9a4df8421e"),
+        ("mlp", NormTag.L2, 1.0, True, "e2865747b8964f7500e8b8e012ac4af77b33edb061c6feb7f6a69d5c3b215afc"),
         ("mlp", NormTag.LINF, math.inf, False, "203c2f0c00fccc6c5e0360441e54c30223d5a3a4bbc12d762946cd02467e2ca0"),
     ]
 

@@ -356,13 +356,13 @@ class TestRecords:
         cfg = TrainConfig(ObjectiveKind.SPECTRAL, rho=0.3, epochs=0)
         report = train_loop(self._net(), self._blobs(), cfg)
         assert len(report.records) == 1
-        # two layers; the final certificate's phi and head norms add two more
-        assert len(calls) == 2 + 2
+        # two layers; the final certificate takes its norms from the SVD bound
+        assert len(calls) == 2
         # one epoch adds the step's pass and the second record's, two each
         calls.clear()
         report = train_loop(self._net(), self._blobs(), TrainConfig(ObjectiveKind.SPECTRAL, rho=0.3, epochs=1))
         assert len(report.records) == 2
-        assert len(calls) == 2 + 2 + 2 + 2
+        assert len(calls) == 2 + 2 + 2
 
     @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.LINF])
     def test_closed_form_bounds_at_rho_zero(self, tag):
