@@ -234,8 +234,8 @@ def operator_norm(W, tag: NormTag) -> float:
 
         s_1 sqrt((1 + ||U^T U - I||_F)(1 + ||V^T V - I||_F)) + ||R||_F
 
-    bounds sigma_1 whatever the SVD's accuracy; the factor
-    (1 + _SVD_ROUNDING (m + n) 2**-52) covers the rounding of those terms.
+    bounds sigma_1 whatever the SVD's accuracy; the gamma-style factor
+    (1 + _SVD_ROUNDING (m + n) 2**-52) allows for the rounding of those terms.
     W is first brought into _POWER_RANGE as power iteration does, so the
     Frobenius sums neither overflow nor underflow.
     """

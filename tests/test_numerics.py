@@ -167,8 +167,8 @@ class TestOperatorNorm:
         W = np.random.default_rng(8).standard_normal((16, 3))
         bound = operator_norm(np.ldexp(W, e), NormTag.L2)
         assert bound == math.ldexp(operator_norm(np.ldexp(W, 300), NormTag.L2), e - 300)
-        assert bound == pytest.approx(math.ldexp(spectral_norm_jacobi(W), e), rel=1e-12)
-        assert bound >= math.ldexp(spectral_norm_jacobi(W), e)
+        sigma = math.ldexp(spectral_norm_jacobi(W), e)
+        assert sigma <= bound <= sigma * (1.0 + 1e-12)
 
     def test_sampled_ratios_lower_bound(self):
         rng = np.random.default_rng(99)

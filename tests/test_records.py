@@ -31,7 +31,7 @@ def _modules():
 def _loaded_by(statement):
     """The wasslip modules a fresh interpreter holds after `statement`."""
     src = os.path.dirname(os.path.dirname(wasslip.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('wasslip'))))"
     out = subprocess.run([sys.executable, "-c", f"{statement}; {probe}"], env=env, capture_output=True, text=True, check=True)
     return set(out.stdout.split())
