@@ -2,6 +2,9 @@
 
 CSV layout: header ``label,x0,x1,...`` then one row per sample; labels are
 integers in [0, k).  All generators are pure functions of their arguments.
+A generated dataset's rows are rendered in blocks of ``CSV_BLOCK_ROWS``, and
+each block is written or hashed before the next is made, so neither
+``save_dataset_csv`` nor ``dataset_fingerprint`` holds the whole text.
 
 A dataset's ``dataset_sha256`` is the sha256 of its CSV text without the final
 newline.  For a generated dataset that text is the canonical rendering
@@ -13,8 +16,10 @@ spells a float another way (``0.50``) hashes as its own text.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -88,17 +93,22 @@ def gen_data(kind: str, n: int, k: int, dim: int, seed: int, **params) -> PointS
     return grid(n, k, dim, **params)
 
 
-def _csv_text(points: PointSet) -> str:
-    """The dataset CSV without its final newline: the header, then one
-    ``label,x0,x1,...`` row per sample with 17-digit floats."""
-    row = "%d," + ",".join(["%.17g"] * points.dim)
-    lines = ["label," + ",".join(f"x{i}" for i in range(points.dim))]
-    lines += [row % (y, *x) for y, x in zip(points.ys.tolist(), points.xs.tolist())]
-    return "\n".join(lines)
+CSV_BLOCK_ROWS = 512
+
+
+def _csv_blocks(points: PointSet) -> Iterator[str]:
+    """The dataset CSV without its final newline, in pieces: the header, then
+    blocks of at most CSV_BLOCK_ROWS rows, each row a newline and then
+    ``label,x0,x1,...`` with 17-digit floats."""
+    yield "label," + ",".join(f"x{i}" for i in range(points.dim))
+    row = "\n%d," + ",".join(["%.17g"] * points.dim)
+    for start in range(0, len(points), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        yield "".join([row % (y, *x) for y, x in zip(points.ys[block].tolist(), points.xs[block].tolist())])
 
 
 def save_dataset_csv(points: PointSet, path) -> None:
-    io.write_text(path, _csv_text(points) + "\n")
+    io.write_blocks(path, itertools.chain(_csv_blocks(points), ["\n"]))
 
 
 # Labels are stored as int64, so the inferred label count must fit one.
@@ -171,4 +181,7 @@ def _raise_first_bad_row(path, text: str, width: int) -> NoReturn:
 
 def dataset_fingerprint(points: PointSet) -> str:
     """sha256 of the dataset's CSV text without its final newline."""
-    return io.sha256_hex(_csv_text(points).encode("utf-8"))
+    digest = hashlib.sha256()
+    for block in _csv_blocks(points):
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()

@@ -30,12 +30,20 @@ class ReportWriteError(RuntimeError):
     operating system's reason."""
 
 
-def write_text(path, text: str) -> None:
-    """Write a UTF-8 report; a failed write raises ReportWriteError."""
+def write_blocks(path, blocks: Iterable[str]) -> None:
+    """Write a UTF-8 report as its text blocks in order, one at a time, so
+    the whole text is never held at once; a failed write raises
+    ReportWriteError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
     except OSError as exc:
         raise ReportWriteError(f"cannot write report: {path} ({exc.strerror or exc})") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 report; a failed write raises ReportWriteError."""
+    write_blocks(path, [text])
 
 
 def read_text(path) -> str:

@@ -6,8 +6,11 @@ by Dantzig's rule with a fallback to Bland's rule against cycling, and
 tolerances are module constants rather than per-call knobs; power iteration
 has one, and exact power-of-two rescaling gives it the whole double range.  An
 LP holds its constraints as matrices; its optimum is returned with its dual,
-both checked.  Every vector norm is a row of `row_norms` and every
-axis-aligned grid a `lattice`.  Only induced operator norms from one of
+both checked.  Every vector norm is a row of `row_norms`, except the
+pairwise x-distances of a cost matrix: `measures._pairwise_x_distances` takes
+L2 there as the root of a sum of squares, not a dot product, and is kept
+apart because merging the two moves the LP oracle's pinned values.  Every
+axis-aligned grid is a `lattice`.  Only induced operator norms from one of
 {L1, L2, LINF} to itself are supported; the L2 one is a rigorous upper bound
 on sigma_1 from one SVD, while power iteration, training's kernel, approaches
 sigma_1 from below.

@@ -31,14 +31,14 @@ def jacobi_eigenvalues(S: np.ndarray, max_sweeps: int = 100, tol: float = 1e-14)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for i in range(n):
-                    aip, aiq = A[i, p], A[i, q]
-                    A[i, p] = c * aip - s * aiq
-                    A[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api, aqi = A[p, i], A[q, i]
-                    A[p, i] = c * api - s * aqi
-                    A[q, i] = s * api + c * aqi
+                # columns p and q, then rows p and q: each entry takes the
+                # same two products and one sum as an element-wise rotation
+                ap, aq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * ap - s * aq
+                A[:, q] = s * ap + c * aq
+                ap, aq = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * ap - s * aq
+                A[q, :] = s * ap + c * aq
     return np.sort(np.diag(A))[::-1]
 
 

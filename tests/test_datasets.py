@@ -1,12 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import reference_dataset
 
-from wasslip.datasets import dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv
+from wasslip.datasets import CSV_BLOCK_ROWS, dataset_fingerprint, gen_data, load_dataset_csv, save_dataset_csv
 from wasslip.io import InputFileError
+from wasslip.measures import PointSet
 
 
 def sha256_text(text: str) -> str:
@@ -94,3 +96,45 @@ class TestDigest:
         (tmp_path / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
         assert b"\r\n" in (tmp_path / "crlf.csv").read_bytes()
         assert load_dataset_csv(tmp_path / "crlf.csv")[1] == load_dataset_csv(tmp_path / "lf.csv")[1]
+
+
+def one_string_csv(points: PointSet) -> str:
+    """The dataset file's text built in one string: the header, then one
+    ``label,x0,x1,...`` row per sample with 17-digit floats."""
+    row = "%d," + ",".join(["%.17g"] * points.dim)
+    lines = ["label," + ",".join(f"x{i}" for i in range(points.dim))]
+    lines += [row % (y, *x) for y, x in zip(points.ys.tolist(), points.xs.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+class TestBlocks:
+    B = CSV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges_write_and_hash_the_one_string_text(self, tmp_path, n, dim):
+        rng = np.random.default_rng([n, dim])
+        xs = rng.standard_normal((n, dim)) * np.ldexp(1.0, rng.integers(-70, 70, (n, dim)))
+        points = PointSet(xs, rng.integers(0, 12, n), 12)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(points, path)
+        text = path.read_bytes()
+        assert text == one_string_csv(points).encode("utf-8")
+        digest = dataset_fingerprint(points)
+        assert digest == hashlib.sha256(text[:-1]).hexdigest() == load_dataset_csv(path)[1]
+
+    def test_save_and_fingerprint_hold_under_a_quarter_of_the_file(self, tmp_path):
+        # the whole text in one string peaks at 3.4 times the file's size
+        points = gen_data("gaussian-blobs", 20_000, 10, 8, seed=3)
+        path = tmp_path / "d.csv"
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: save_dataset_csv(points, path), lambda: dataset_fingerprint(points)):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < path.stat().st_size / 4, (peaks, path.stat().st_size)

@@ -135,7 +135,7 @@ class TestOperatorNorm:
         """Q1 diag(H, (1 - delta) H) Q2 with H an orthonormal Hadamard block:
         the two top singular values tie to relative delta, where power
         iteration stopped up to 6e-6 below sigma_1."""
-        for seed in range(2):
+        for seed in range(5):
             rng = np.random.default_rng([size, seed])
             Q1, Q2 = (np.linalg.qr(rng.standard_normal((2 * size, 2 * size)))[0] for _ in range(2))
             H = hadamard(size) / math.sqrt(size)
