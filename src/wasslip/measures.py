@@ -1,5 +1,5 @@
 """Finitely supported measures over labeled points, the kappa-product metric,
-pushforwards, and exact transport costs via the simplex LP.
+pushforwards, and exact transport costs under that metric via the simplex LP.
 
 The metric on a labeled pair is ||x - x'|| + kappa * [y != y'].  With
 kappa = inf a label mismatch costs infinity; the transport LP encodes that
@@ -106,18 +106,6 @@ class MetricSpec(FrozenRecord):
         self._fill(x_norm=x_norm, kappa=kappa, label_count=label_count)
 
 
-class CostMatrix(FrozenRecord):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: np.ndarray):
-        e = np.asarray(entries, dtype=float)
-        if e.ndim != 2:
-            raise DimensionError("cost matrix must be 2-D")
-        if np.any(np.isnan(e)) or np.any(e < 0.0):
-            raise ValueError("costs must be non-negative (inf allowed)")
-        self._fill(entries=e)
-
-
 def _pairwise_x_distances(xs: np.ndarray, xt: np.ndarray, tag: NormTag) -> np.ndarray:
     diff = xs[:, None, :] - xt[None, :, :]
     if tag == NormTag.L1:
@@ -133,7 +121,7 @@ def label_costs(spec: MetricSpec, source_ys, target_ys) -> np.ndarray:
     return np.where(np.not_equal.outer(source_ys, target_ys), spec.kappa, 0.0)
 
 
-def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMatrix:
+def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> np.ndarray:
     """Every source-to-target cost; an x-distance that overflows between
     (always finite) points raises NumericalError."""
     if source.dim != target.dim:
@@ -142,10 +130,7 @@ def cost_matrix(spec: MetricSpec, source: PointSet, target: PointSet) -> CostMat
     bad = np.argwhere(~np.isfinite(dist))
     if bad.size:
         raise NumericalError(f"the {spec.x_norm.value} distance from source {bad[0, 0]} to target {bad[0, 1]} overflows")
-    entries = dist + label_costs(spec, source.ys, target.ys)
-    if source is target:
-        np.fill_diagonal(entries, 0.0)
-    return CostMatrix(entries)
+    return dist + label_costs(spec, source.ys, target.ys)
 
 
 def pushforward(mu: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
@@ -165,14 +150,13 @@ def marginal_rows(index: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
-def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, costs: CostMatrix) -> float:
-    """Exact optimal coupling cost between mu and nu via the simplex LP."""
+def transport_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, metric: MetricSpec) -> float:
+    """Exact optimal coupling cost between mu and nu under `metric`, via the
+    simplex LP."""
     a = mu.weights
     b = nu.weights
-    C = costs.entries
+    C = cost_matrix(metric, mu.support, nu.support)
     n, m = C.shape
-    if a.size != n or b.size != m:
-        raise DimensionError("cost matrix shape does not match the two supports")
 
     finite = np.isfinite(C)
     for side, weights, reached, other in (("source", a, finite.any(axis=1), "destination"), ("target", b, finite.any(axis=0), "origin")):

@@ -191,7 +191,7 @@ def _target_table(instance: RobustInstance, target_losses) -> tuple[np.ndarray, 
     values = as_vector(target_losses)
     if values.size != len(targets):
         raise DimensionError("one loss per candidate target required")
-    return values, cost_matrix(instance.metric, instance.empirical.support, targets).entries
+    return values, cost_matrix(instance.metric, instance.empirical.support, targets)
 
 
 def minimize_dual_on_targets(instance: RobustInstance, target_losses) -> DualSolution:

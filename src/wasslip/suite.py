@@ -4,7 +4,8 @@
 Each check pits an implementation against an independent route to the same
 quantity (restricted primal LP vs. the dual, coupling LPs vs. Lipschitz
 contraction, exhaustive grids vs. analytic collapse) on freshly seeded
-instances, and reports a verdict with enough diagnostics to debug a failure.
+instances, and reports a verdict with enough diagnostics to debug a failure;
+the adversarial verdict names the `(name, ok)` checks that failed.
 
 The checks share no state: each draws from its own stream
 derive_rng(seed, "verify/<name>").  So `run_verification_suite` runs them
@@ -22,12 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wasslip.adversarial import AttackConfig, AttackResult, BallSpec, adversarial_risk
+from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
 from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
     PointSet,
-    cost_matrix,
     empirical_from_samples,
     pushforward,
     transport_cost,
@@ -134,7 +134,7 @@ def seeded_finite_instance(rng: np.random.Generator):
 # named checks
 
 
-def check_strong_duality(seed: int, instances: int = 100) -> VerdictRecord:
+def check_strong_duality(seed: int, instances: int) -> VerdictRecord:
     """Restricted dual vs. restricted primal LP on seeded finite instances."""
     rng = derive_rng(seed, "verify/strong-duality")
     worst = 0.0
@@ -160,7 +160,7 @@ def _abs(X: np.ndarray) -> np.ndarray:
     return np.abs(X[:, 0])
 
 
-def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> VerdictRecord:
+def check_envelope_collapse_suite(seed: int, points_per_dim: int) -> VerdictRecord:
     """Penalized-supremum collapse for |x|, a clipped quadratic, and softmax
     cross-entropy slices: equality when gamma dominates the Lipschitz
     constant, unbounded growth when it does not."""
@@ -199,7 +199,7 @@ def check_envelope_collapse_suite(seed: int, points_per_dim: int = 65) -> Verdic
     return VerdictRecord("envelope_collapse", passed, details)
 
 
-def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord:
+def check_pushforward_containment(seed: int, triples: int) -> VerdictRecord:
     """Lipschitz maps contract transport balls: cost between image measures
     is at most lip(phi) times the input cost, checked by coupling LPs."""
     rng = derive_rng(seed, "verify/pushforward-containment")
@@ -213,12 +213,11 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
         nu0 = DiscreteMeasure(support, seeded_weights(rng, n))
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
         metric = MetricSpec(NormTag.L2, kappa, k)
-        costs = cost_matrix(metric, support, support)
         rho = float(rng.uniform(0.1, 1.0))
-        base_cost = transport_cost(mu, nu0, costs)
+        base_cost = transport_cost(mu, nu0, metric)
         t = 1.0 if base_cost <= 0.9 * rho else 0.9 * rho / base_cost
         nu = DiscreteMeasure(support, (1.0 - t) * mu.weights + t * nu0.weights)
-        cost_in = transport_cost(mu, nu, costs)
+        cost_in = transport_cost(mu, nu, metric)
 
         depth = int(rng.integers(1, 3))
         dims = [2] + [int(rng.integers(2, 4)) for _ in range(depth)]
@@ -235,8 +234,7 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
         mu_img = pushforward(mu, lambda xs: feature_map(layers, xs))
         nu_img = DiscreteMeasure(mu_img.support, nu.weights.copy())
         feature_metric = MetricSpec(NormTag.L2, max(kappa * lip_phi, 1e-9), k)
-        feature_costs = cost_matrix(feature_metric, mu_img.support, mu_img.support)
-        cost_out = transport_cost(mu_img, nu_img, feature_costs)
+        cost_out = transport_cost(mu_img, nu_img, feature_metric)
 
         worst = max(worst, cost_out - lip_phi * cost_in)
         if cost_out <= lip_phi * rho + 1e-8:
@@ -249,7 +247,7 @@ def check_pushforward_containment(seed: int, triples: int = 50) -> VerdictRecord
     )
 
 
-def check_pushforward_bound(seed: int, cases: int = 10) -> VerdictRecord:
+def check_pushforward_bound(seed: int, cases: int) -> VerdictRecord:
     """The certificate of a one-hidden-layer MLP dominates the input-space
     grid LP oracle."""
     rng = derive_rng(seed, "verify/pushforward-bound")
@@ -275,38 +273,17 @@ def check_pushforward_bound(seed: int, cases: int = 10) -> VerdictRecord:
     )
 
 
-class AdversarialBoundVerdict(NamedTuple):
-    passed: bool
-    adversarial_risk: float
-    robust_value: float
-    pushforward_cost: float
-    max_perturbation_norm: float
-    checks: tuple
+def check_adversarial_bound(model: MLP, instance: RobustInstance, config: AttackConfig = AttackConfig()) -> tuple:
+    """Machine check that the adversarial risk sits below the robust value;
+    returns the `(name, ok)` checks.
 
-    def failures(self) -> list:
-        return [name for name, ok in self.checks if not ok]
-
-
-def check_adversarial_bound(
-    model: MLP,
-    instance: RobustInstance,
-    ball: BallSpec,
-    config: AttackConfig = AttackConfig(),
-) -> AdversarialBoundVerdict:
-    """Machine check that the adversarial risk sits below the robust value.
-
-    Requires the instance to be aligned with the attack: radius = epsilon and
-    input norm = ball norm.  In one or two dimensions the exhaustive GRID
-    attack is checked against the robust value as well.  Also verifies the
-    attack-induced pushforward measure lies inside the transport ball (via
-    the coupling LP) and, when candidate targets are present, that the
+    The attack ball is the instance's own: its input norm at radius rho.  In
+    one or two dimensions the exhaustive GRID attack is checked against the
+    robust value as well.  Also verifies the attack-induced pushforward
+    measure lies inside the transport ball (via the coupling LP) and that the
     restricted primal LP already dominates the attack.
     """
-    if instance.rho != ball.epsilon:
-        raise ValueError("instance radius must equal the attack epsilon")
-    if instance.metric.x_norm != ball.norm:
-        raise ValueError("instance input norm must match the attack ball norm")
-
+    ball = BallSpec(instance.metric.x_norm, instance.rho)
     mu = instance.empirical
     result = adversarial_risk(model, mu, ball, config)
     risks = [("pgd", result)]
@@ -320,51 +297,28 @@ def check_adversarial_bound(
         checks.append((f"adversarial_risk_{name}_le_robust_value", res.adversarial_risk <= cert.robust_value + 1e-8))
 
     # the attack map keeps labels, so its pushforward must stay in the ball
-    attacked = attack_pushforward(mu, result)
+    attacked = pushforward(mu, lambda xs: xs + result.perturbations)
     max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
-    costs = cost_matrix(instance.metric, mu.support, attacked.support)
-    push_cost = transport_cost(mu, attacked, costs)
+    push_cost = transport_cost(mu, attacked, instance.metric)
     checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
 
-    # restricted primal on a target set containing the attacked points: it
-    # must already dominate the attack, and the dual must dominate it
-    aug_targets = attacked_targets(mu.support, attacked.support)
-    extra = instance.candidate_targets
-    if extra is not None:
-        aug_targets = PointSet(
-            np.concatenate([aug_targets.xs, extra.xs]), np.concatenate([aug_targets.ys, extra.ys]), mu.support.label_count
-        )
+    # restricted primal on the support, the attacked points and any candidate
+    # targets: it must already dominate the attack, and the dual must dominate it
+    parts = [mu.support, attacked.support]
+    if instance.candidate_targets is not None:
+        parts.append(instance.candidate_targets)
+    aug_targets = PointSet(np.concatenate([p.xs for p in parts]), np.concatenate([p.ys for p in parts]), mu.support.label_count)
     aug_instance = RobustInstance(mu, instance.metric, instance.rho, aug_targets)
     target_losses = losses(model, aug_targets.xs, aug_targets.ys)
     lp_value = primal_robust_risk_lp(aug_instance, target_losses)
     checks.append(("lp_oracle_ge_attack", lp_value >= result.adversarial_risk - 1e-8))
     checks.append(("robust_value_ge_lp_oracle", cert.robust_value >= lp_value - 1e-9))
-
-    return AdversarialBoundVerdict(
-        passed=all(ok for _, ok in checks),
-        adversarial_risk=result.adversarial_risk,
-        robust_value=cert.robust_value,
-        pushforward_cost=push_cost,
-        max_perturbation_norm=max_norm,
-        checks=tuple(checks),
-    )
-
-
-def attack_pushforward(mu: DiscreteMeasure, result: AttackResult) -> DiscreteMeasure:
-    """Image of mu under the attack map x -> x + delta(x); index-aligned."""
-    return pushforward(mu, lambda xs: xs + result.perturbations)
-
-
-def attacked_targets(support: PointSet, attacked: PointSet) -> PointSet:
-    """Candidate-target set: the support rows, then the attacked points."""
-    return PointSet(
-        np.concatenate([support.xs, attacked.xs]), np.concatenate([support.ys, attacked.ys]), support.label_count
-    )
+    return tuple(checks)
 
 
 def check_adversarial_bounds(
     seed: int,
-    tuples: int = 30,
+    tuples: int,
     epsilons: tuple = (0.01, 0.1, 0.5),
     norms: tuple = (NormTag.L2, NormTag.LINF),
 ) -> VerdictRecord:
@@ -382,14 +336,10 @@ def check_adversarial_bounds(
         model = seeded_mlp(rng, [2, 3, k], scale=0.8) if deep else seeded_linear_model(rng, 2, k, scale=0.8)
         kappa = float(rng.choice([1.0, math.inf]))
         instance = RobustInstance(empirical_from_samples(dataset), MetricSpec(nrm, kappa, k), eps)
-        verdict = check_adversarial_bound(
-            model,
-            instance,
-            BallSpec(nrm, eps),
-            AttackConfig(seed=int(rng.integers(0, 2**32))),
-        )
-        if not verdict.passed:
-            failures.append({"epsilon": eps, "norm": nrm.value, "failed": verdict.failures()})
+        checks = check_adversarial_bound(model, instance, AttackConfig(seed=int(rng.integers(0, 2**32))))
+        failed = [name for name, ok in checks if not ok]
+        if failed:
+            failures.append({"epsilon": eps, "norm": nrm.value, "failed": failed})
     return VerdictRecord(
         "adversarial_bound",
         not failures,
@@ -397,7 +347,7 @@ def check_adversarial_bounds(
     )
 
 
-def check_lipschitz_chain(seed: int, nets: int = 50) -> VerdictRecord:
+def check_lipschitz_chain(seed: int, nets: int) -> VerdictRecord:
     """Sampled Lipschitz estimate <= layerwise product <= power-mean bound,
     and the separable penalty dominates the product penalty."""
     rng = derive_rng(seed, "verify/lipschitz-chain")

@@ -98,7 +98,8 @@ def transport_cost_vertex_enumeration(a: np.ndarray, b: np.ndarray, C: np.ndarra
             pi[i, j] += x[col]
         if np.max(np.abs(pi.sum(axis=1) - a)) > 1e-8 or np.max(np.abs(pi.sum(axis=0) - b)) > 1e-8:
             continue
-        best = min(best, float(np.sum(pi * C)))
+        used = np.isfinite(C) | (pi > 1e-9)  # an infinite cost counts only under mass
+        best = min(best, float(np.sum(pi[used] * C[used])))
     return best
 
 

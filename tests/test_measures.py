@@ -5,7 +5,6 @@ import pytest
 
 from oracles import product_metric, transport_cost_vertex_enumeration
 from wasslip.measures import (
-    CostMatrix,
     DiscreteMeasure,
     MetricSpec,
     PointSet,
@@ -61,7 +60,7 @@ class TestMetricSpec:
         targets = [([0.0], 0), ([3.0], 0), ([0.0], 1)]
         assert [product_metric(spec, s, t) for t in targets] == [0.0, pytest.approx(3.0), pytest.approx(2.0)]
         C = cost_matrix(spec, PointSet([[0.0]], [0], 2), PointSet([[0.0], [3.0], [0.0]], [0, 0, 1], 2))
-        assert C.entries.tolist() == [[0.0, pytest.approx(3.0), pytest.approx(2.0)]]
+        assert C.tolist() == [[0.0, pytest.approx(3.0), pytest.approx(2.0)]]
 
     def test_kappa_inf_sentinel(self):
         spec = MetricSpec(NormTag.L2, math.inf, 2)
@@ -69,7 +68,7 @@ class TestMetricSpec:
         assert product_metric(spec, s, ([1.0], 1)) == math.inf
         assert product_metric(spec, s, ([1.0], 0)) == pytest.approx(1.0)
         C = cost_matrix(spec, PointSet([[0.0]], [0], 2), PointSet([[1.0], [1.0]], [1, 0], 2))
-        assert C.entries.tolist() == [[math.inf, pytest.approx(1.0)]]
+        assert C.tolist() == [[math.inf, pytest.approx(1.0)]]
 
     def test_dimension_mismatch(self):
         spec = MetricSpec(NormTag.L2, 1.0, 2)
@@ -91,7 +90,7 @@ class TestMetricSpec:
         source = PointSet(rng.standard_normal((7, 3)), rng.integers(0, k, 7), k)
         target = PointSet(rng.standard_normal((5, 3)), rng.integers(0, k, 5), k)
         for a, b in ((source, target), (source, source)):
-            C = cost_matrix(spec, a, b).entries
+            C = cost_matrix(spec, a, b)
             expected = [[product_metric(spec, (x, y), (u, v)) for u, v in zip(b.xs, b.ys)] for x, y in zip(a.xs, a.ys)]
             np.testing.assert_allclose(C, expected, rtol=1e-12, atol=0.0)
             if a is b:
@@ -157,63 +156,84 @@ class TestTransportCost:
     def test_identical_measures(self):
         support = PointSet([[0.0], [1.0]], [0, 1], 2)
         mu = empirical_from_samples(support)
-        C = cost_matrix(self.spec, support, support)
-        assert transport_cost(mu, mu, C) == pytest.approx(0.0, abs=1e-12)
+        assert transport_cost(mu, mu, self.spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_atom_pair(self):
         a = PointSet([[0.0]], [0], 2)
         b = PointSet([[1.0]], [0], 2)
-        C = cost_matrix(self.spec, a, b)
-        assert transport_cost(empirical_from_samples(a), empirical_from_samples(b), C) == pytest.approx(1.0)
+        assert transport_cost(empirical_from_samples(a), empirical_from_samples(b), self.spec) == pytest.approx(1.0)
 
     def test_two_atom_derived_value(self):
         # uniform{0,1} vs uniform{0,2} with c=|x-y|: vertex couplings give 0.5
         a = PointSet([[0.0], [1.0]], [0, 0], 2)
         b = PointSet([[0.0], [2.0]], [0, 0], 2)
-        C = cost_matrix(self.spec, a, b)
-        expected = transport_cost_vertex_enumeration([0.5, 0.5], [0.5, 0.5], C.entries)
+        expected = transport_cost_vertex_enumeration([0.5, 0.5], [0.5, 0.5], cost_matrix(self.spec, a, b))
         assert expected == pytest.approx(0.5, abs=1e-12)
-        assert transport_cost(empirical_from_samples(a), empirical_from_samples(b), C) == pytest.approx(expected)
+        assert transport_cost(empirical_from_samples(a), empirical_from_samples(b), self.spec) == pytest.approx(expected)
 
     def test_infeasible_when_labels_locked(self):
         spec = MetricSpec(NormTag.L2, math.inf, 2)
         a = PointSet([[0.0]], [0], 2)
         b = PointSet([[0.0]], [1], 2)
-        C = cost_matrix(spec, a, b)
         with pytest.raises(TransportInfeasibleError):
-            transport_cost(empirical_from_samples(a), empirical_from_samples(b), C)
+            transport_cost(empirical_from_samples(a), empirical_from_samples(b), spec)
 
     def test_kappa_inf_feasible_same_labels(self):
         spec = MetricSpec(NormTag.L2, math.inf, 2)
         support = PointSet([[0.0], [1.0]], [0, 1], 2)
         mu = DiscreteMeasure(support, np.array([0.5, 0.5]))
-        C = cost_matrix(spec, support, support)
-        assert transport_cost(mu, mu, C) == pytest.approx(0.0, abs=1e-12)
+        assert transport_cost(mu, mu, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_dirac_identity(self):
         s, t = PointSet([[0.3, -1.0]], [0], 2), PointSet([[1.3, 0.5]], [1], 2)
         spec = MetricSpec(NormTag.L1, 2.0, 2)
-        C = cost_matrix(spec, s, t)
         expected = product_metric(spec, ([0.3, -1.0], 0), ([1.3, 0.5], 1))
-        assert transport_cost(empirical_from_samples(s), empirical_from_samples(t), C) == pytest.approx(expected)
+        assert transport_cost(empirical_from_samples(s), empirical_from_samples(t), spec) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
+    @pytest.mark.parametrize("kappa", [0.7, math.inf], ids=["kappa-0.7", "kappa-inf"])
+    def test_metric_costs_match_vertex_enumeration(self, tag, kappa):
+        """transport_cost under a metric equals the vertex enumeration on
+        cost_matrix of the two supports: seeded supports of 2-4 atoms, and a
+        4-atom support shared by both measures.  Every label is on both sides, and
+        at kappa = inf each label carries the same mass on both sides, so the
+        label-locked LP stays feasible."""
+        rng = np.random.default_rng(29)
+        k = 2
+        spec = MetricSpec(tag, kappa, k)
+        label_mass = rng.dirichlet(np.ones(k))
+
+        def points(n):
+            return PointSet(rng.standard_normal((n, 2)), np.concatenate([np.arange(k), rng.integers(0, k, n - k)]), k)
+
+        def measure(support):
+            w = rng.uniform(0.1, 1.0, len(support))
+            if math.isinf(kappa):
+                w *= label_mass[support.ys] / np.bincount(support.ys, w)[support.ys]
+            return DiscreteMeasure(support, w / w.sum())
+
+        shared = points(4)
+        for source, target in ((points(int(rng.integers(2, 5))), points(int(rng.integers(2, 5)))), (shared, shared)):
+            mu, nu = measure(source), measure(target)
+            expected = transport_cost_vertex_enumeration(mu.weights, nu.weights, cost_matrix(spec, mu.support, nu.support))
+            assert abs(transport_cost(mu, nu, spec) - expected) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_metric_properties_on_shared_support(self, seed):
         rng = np.random.default_rng(seed)
         support = PointSet(rng.standard_normal((4, 2)), rng.integers(0, 2, 4), 2)
         spec = MetricSpec(NormTag.L2, 1.0, 2)
-        C = cost_matrix(spec, support, support)
 
         def measure():
             w = rng.uniform(0.05, 1.0, 4)
             return DiscreteMeasure(support, w / w.sum())
 
         m1, m2, m3 = measure(), measure(), measure()
-        d12 = transport_cost(m1, m2, C)
-        d21 = transport_cost(m2, m1, CostMatrix(C.entries.T))
+        d12 = transport_cost(m1, m2, spec)
+        d21 = transport_cost(m2, m1, spec)
         assert d12 == pytest.approx(d21, abs=1e-8)
-        d13 = transport_cost(m1, m3, C)
-        d32 = transport_cost(m3, m2, C)
+        d13 = transport_cost(m1, m3, spec)
+        d32 = transport_cost(m3, m2, spec)
         assert d12 <= d13 + d32 + 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -221,7 +241,6 @@ class TestTransportCost:
         rng = np.random.default_rng(40 + seed)
         support = PointSet(rng.standard_normal((4, 2)), rng.integers(0, 2, 4), 2)
         spec = MetricSpec(NormTag.L2, 1.0, 2)
-        C = cost_matrix(spec, support, support)
         mu = empirical_from_samples(support)
 
         def measure():
@@ -231,8 +250,8 @@ class TestTransportCost:
         n1, n2 = measure(), measure()
         lam = float(rng.uniform(0.2, 0.8))
         mix = DiscreteMeasure(support, lam * n1.weights + (1 - lam) * n2.weights)
-        lhs = transport_cost(mu, mix, C)
-        rhs = lam * transport_cost(mu, n1, C) + (1 - lam) * transport_cost(mu, n2, C)
+        lhs = transport_cost(mu, mix, spec)
+        rhs = lam * transport_cost(mu, n1, spec) + (1 - lam) * transport_cost(mu, n2, spec)
         assert lhs <= rhs + 1e-8
 
 
@@ -258,7 +277,7 @@ class TestCostMatrixOverflow:
     def test_infinite_label_cost_is_not_an_overflow(self):
         spec = MetricSpec(NormTag.L2, math.inf, 2)
         support = PointSet([[1e150, 0.0], [-1e150, 0.0]], [0, 1], 2)
-        C = cost_matrix(spec, support, support).entries
+        C = cost_matrix(spec, support, support)
         assert C[0, 0] == 0.0 and math.isinf(C[0, 1]) and math.isinf(C[1, 0])
 
 
@@ -268,9 +287,8 @@ class TestBallContains:
         a = PointSet([[0.0]], [0], 2)
         b = PointSet([[1.0]], [0], 2)
         mu = empirical_from_samples(a)
-        assert transport_cost(mu, mu, cost_matrix(spec, a, a)) <= 0.0 + FEASIBILITY_TOL
-        C = cost_matrix(spec, a, b)
-        assert not transport_cost(mu, empirical_from_samples(b), C) <= 0.5 + FEASIBILITY_TOL
+        assert transport_cost(mu, mu, spec) <= 0.0 + FEASIBILITY_TOL
+        assert not transport_cost(mu, empirical_from_samples(b), spec) <= 0.5 + FEASIBILITY_TOL
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lipschitz_image_containment(self, seed):
@@ -279,11 +297,10 @@ class TestBallContains:
         k = 2
         support = PointSet(rng.standard_normal((5, 2)), rng.integers(0, k, 5), k)
         spec = MetricSpec(NormTag.L2, 1.0, k)
-        C = cost_matrix(spec, support, support)
         mu = empirical_from_samples(support)
         w = rng.uniform(0.05, 1.0, 5)
         nu = DiscreteMeasure(support, w / w.sum())
-        base = transport_cost(mu, nu, C)
+        base = transport_cost(mu, nu, spec)
 
         layers = (
             MLPLayer(rng.standard_normal((3, 2)), ActivationTag.RELU),
@@ -292,9 +309,8 @@ class TestBallContains:
         L = phi_lipschitz_bound(layers, NormTag.L2)
         image = PointSet(feature_map(layers, support.xs), support.ys, k)
         spec_img = MetricSpec(NormTag.L2, max(1.0 * L, 1e-9), k)
-        C_img = cost_matrix(spec_img, image, image)
         mu_img = DiscreteMeasure(image, mu.weights.copy())
         nu_img = DiscreteMeasure(image, nu.weights.copy())
-        pushed = transport_cost(mu_img, nu_img, C_img)
+        pushed = transport_cost(mu_img, nu_img, spec_img)
         assert pushed <= L * base + 1e-8
         assert pushed <= L * base + FEASIBILITY_TOL

@@ -15,11 +15,11 @@ import pytest
 
 import wasslip
 from wasslip.adversarial import AttackConfig, AttackResult, BallSpec
-from wasslip.measures import CostMatrix, DiscreteMeasure, MetricSpec, PointSet
+from wasslip.measures import DiscreteMeasure, MetricSpec, PointSet
 from wasslip.models import MLP, ActivationTag, MLPLayer
 from wasslip.numerics import LPProblem, LPSolution, LPStatus, NormTag
 from wasslip.robust import DualSolution, EnvelopeCheck, RobustCertificate, RobustInstance
-from wasslip.suite import AdversarialBoundVerdict, VerdictRecord
+from wasslip.suite import VerdictRecord
 from wasslip.train import EpochRecord, ObjectiveEval, ObjectiveKind, TrainConfig, TrainReport
 
 
@@ -63,7 +63,6 @@ def _records():
         points,
         mu,
         metric,
-        CostMatrix(np.zeros((2, 2))),
         layer,
         model,
         RobustInstance(mu, metric, 0.1),
@@ -76,7 +75,6 @@ def _records():
         LPSolution(LPStatus.OPTIMAL, 1.0, np.ones(2), np.ones(1), 1, 0),
         EnvelopeCheck((0.0,), 0.0, True, False),
         AttackResult(np.zeros((2, 2)), np.zeros(2), 0.0, 0.1),
-        AdversarialBoundVerdict(True, 0.1, 0.2, 0.0, 0.0, ()),
         VerdictRecord("check", True, {}),
         EpochRecord(0, 0.1, 0.0, 0.1, 1.0, 1.0),
         ObjectiveEval(0.1, 0.1, 0.0, [], []),
@@ -95,8 +93,8 @@ def test_no_dataclasses_in_any_module():
             assert getattr(value, "__name__", None) not in ("dataclasses", "dataclass"), f"{module.__name__} imports {name}"
 
 
-def test_twenty_one_distinct_records():
-    assert len({type(record) for record in _records()}) == 21
+def test_nineteen_distinct_records():
+    assert len({type(record) for record in _records()}) == 19
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)

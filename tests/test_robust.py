@@ -340,7 +340,7 @@ class TestDominancePruning:
     @pytest.mark.parametrize("seed", range(200))
     def test_kept_set_and_value_match_every_finite_coupling(self, seed):
         instance, losses = tied_instance(derive_rng(seed, "dominance"))
-        C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets).entries
+        C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets)
         atoms, targets = robust._undominated(losses, C)
         assert len(set(zip(atoms.tolist(), targets.tolist()))) == atoms.size
         assert set(zip(atoms.tolist(), targets.tolist())) == undominated_couplings(losses, C)
@@ -355,7 +355,7 @@ class TestDominancePruning:
         seen = {"duplicate targets": 0, "equal cost, unequal loss": 0, "equal loss, unequal cost": 0, "kappa inf": 0, "zero weight": 0}
         for seed in range(200):
             instance, losses = tied_instance(derive_rng(seed, "dominance"))
-            C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets).entries
+            C = cost_matrix(instance.metric, instance.empirical.support, instance.candidate_targets)
             xs = instance.candidate_targets.xs
             seen["duplicate targets"] += len(np.unique(xs, axis=0)) < len(xs)
             same_cost = (C[:, :, None] == C[:, None, :]) & np.isfinite(C)[:, :, None]
