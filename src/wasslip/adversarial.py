@@ -250,8 +250,12 @@ def adversarial_risk(
     projected.  `attack_sweep` passes its previous optima as warm starts and
     `draws` from one `restart_draws` call (same seed, norm and restarts as
     `config`); without them PGD draws its own.  FGSM and GRID use neither.
+    A non-finite clean loss raises the certificate's NumericalError first.
     """
     X, Y = mu.support.xs, mu.support.ys
+    bad = np.flatnonzero(~np.isfinite(losses(model, X, Y)))
+    if bad.size:
+        raise NumericalError(f"loss is non-finite at support index {bad[0]}")
     # the largest values an attack forms: a point plus a perturbation of a
     # few epsilon (a start inside the ball plus a step, 2.5 epsilon / steps
     # by default), and in L2 the sum of dim squares of such a perturbation

@@ -27,7 +27,7 @@ from wasslip.datasets import GENERATORS, dataset_fingerprint, gen_data, grid_sid
 from wasslip.measures import MetricSpec, TransportInfeasibleError, empirical_from_samples
 from wasslip.models import MLP, ActivationTag, accuracy, load_model, save_model
 from wasslip.numerics import NormTag, NumericalError, UnsupportedNormError, row_norms
-from wasslip.robust import RobustInstance, certificate_table, certify_on_table, grid_targets, robust_certificate_for
+from wasslip.robust import RobustInstance, grid_targets, robust_certificate_for
 from wasslip.seeding import derive_rng, derive_seed
 from wasslip.suite import run_verification_suite, seeded_mlp
 from wasslip.train import EpochRecord, ObjectiveKind, TrainConfig, train_loop
@@ -222,12 +222,12 @@ def _section(cfg: dict, name: str, command: str = "this command") -> dict:
 # shared builders
 
 
-def _load_points(cfg: dict, master_seed: int):
+def _load_points(cfg: dict):
     """The command's points and the `dataset_sha256` of their CSV text."""
     section = _section(cfg, "dataset")
     if "path" in section:
         return load_dataset_csv(section["path"])
-    points = _generate_points(section, master_seed)
+    points = _generate_points(section, cfg["seed"])
     return points, dataset_fingerprint(points)
 
 
@@ -261,7 +261,7 @@ def _check_model_shape(key: str, input_dim: int, label_count: int, points) -> No
 _INIT_PARAMS = {"activation": "activation", "init_scale": "scale", "bias": "bias"}
 
 
-def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
+def _build_model(cfg: dict, points) -> tuple[MLP, NormTag]:
     section = _section(cfg, "model")
     if "path" in section:
         model, norm_tag = load_model(section["path"])
@@ -269,7 +269,7 @@ def _build_model(cfg: dict, master_seed: int, points) -> tuple[MLP, NormTag]:
         return model, norm_tag
     dims = section["dims"]
     _check_model_shape("model.dims", dims[0], dims[-1], points)
-    seed = section["seed"] if "seed" in section else derive_seed(master_seed, "model-init")
+    seed = section["seed"] if "seed" in section else derive_seed(cfg["seed"], "model-init")
     params = {param: section[key] for key, param in _INIT_PARAMS.items() if key in section}
     model = seeded_mlp(derive_rng(seed, "model-init"), dims, **params)
     return model, NormTag(section["norm"])
@@ -300,8 +300,8 @@ def cmd_gen_data(cfg: dict, out_dir: Path) -> int:
 
 def cmd_certify(cfg: dict, out_dir: Path) -> int:
     section = _section(cfg, "robust", "certify")
-    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
-    model, norm_tag = _build_model(cfg, cfg["seed"], points)
+    points, dataset_sha256 = _load_points(cfg)
+    model, norm_tag = _build_model(cfg, points)
     metric = MetricSpec(norm_tag, section["kappa"], points.label_count)
     instance = RobustInstance(empirical_from_samples(points), metric, section["rho"])
     if "oracle_grid_side" in section:
@@ -323,18 +323,16 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
     attack_cfg = AttackConfig(
         seed=derive_seed(cfg["seed"], "attack"), **{key: section[key] for key in AttackConfig.__slots__ if key in section}
     )
-    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
+    points, dataset_sha256 = _load_points(cfg)
     if attack_cfg.method == "GRID" and points.dim > 2:
         raise ConfigError(f"config error at attack.method: GRID needs data of dimension 1 or 2, got {points.dim}")
-    model, _ = _build_model(cfg, cfg["seed"], points)
+    model, _ = _build_model(cfg, points)
     norm_tag = NormTag(section["norm"])
     mu = empirical_from_samples(points)
     metric = MetricSpec(norm_tag, section["kappa"], points.label_count)
-    # the certificate's loss table and lambda floor serve every radius
-    shared = certificate_table(model, mu, norm_tag)
     sweeps = []
     for result in attack_sweep(model, mu, norm_tag, section["epsilons"], attack_cfg):
-        cert = certify_on_table(RobustInstance(mu, metric, result.epsilon), shared)
+        cert = robust_certificate_for(model, RobustInstance(mu, metric, result.epsilon))
         sweeps.append(
             {
                 "epsilon": result.epsilon,
@@ -361,8 +359,8 @@ def cmd_attack(cfg: dict, out_dir: Path) -> int:
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
     section = _section(cfg, "train", "train")
-    points, dataset_sha256 = _load_points(cfg, cfg["seed"])
-    model, _ = _build_model(cfg, cfg["seed"], points)
+    points, dataset_sha256 = _load_points(cfg)
+    model, _ = _build_model(cfg, points)
     train_cfg = TrainConfig(seed=derive_seed(cfg["seed"], "train"), **section)
     report = train_loop(model, points, train_cfg)
     doc = report.to_json_dict()

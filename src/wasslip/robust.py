@@ -260,37 +260,25 @@ def kappa_threshold(instance: RobustInstance, table: np.ndarray, l_bound: float)
     return max(float(np.max(gain, initial=0.0)), 1e-9)
 
 
-class CertificateTable(NamedTuple):
-    """What a model's certificates on one empirical measure share at every
-    radius: the (sample, label) loss table, the empirical risk read off it,
-    and the lambda floor `models.loss_lipschitz` in the input norm."""
-
-    table: np.ndarray
-    empirical_risk: float
-    lambda_floor: float
-
-
-def certificate_table(model: MLP, mu: DiscreteMeasure, tag: NormTag) -> CertificateTable:
-    """One forward pass for the loss table and `models.loss_lipschitz` for
-    the floor: every loss slice x -> CE(f(x), y) is that Lipschitz in the
-    input norm."""
+def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertificate:
+    """Upper bound on the robust risk of a model: the label dual on its
+    (sample, label) loss table over lambda >= `models.loss_lipschitz` in the
+    input norm bounds the supremum over the input ball (at a floor of 0 it is
+    the exact supremum).  When the instance has a candidate set, the
+    restricted primal LP adds the oracle verdict.  A non-finite clean loss,
+    or a robust value that overflows or falls more than 1e-9 below the
+    empirical risk, raises NumericalError before any certificate is built."""
+    mu = instance.empirical
     table = label_loss_matrix(model, mu.support.xs)
     own = table[np.arange(len(mu)), mu.support.ys]
     bad = np.flatnonzero(~np.isfinite(own))
     if bad.size:
         raise NumericalError(f"loss is non-finite at support index {bad[0]}")
-    return CertificateTable(table, float(np.dot(mu.weights, own)), loss_lipschitz(model, tag))
-
-
-def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_value: float | None = None) -> RobustCertificate:
-    """The certificate at the instance's radius from its measure's shared
-    table: the label dual over lambda >= the floor bounds the supremum over
-    the input ball (at a floor of 0 it is the exact supremum).  A given
-    `oracle_value` (the restricted primal LP) adds the oracle verdict.  A
-    robust value that overflows, or falls more than 1e-9 below the empirical
-    risk, raises NumericalError before any certificate is built."""
-    emp = shared.empirical_risk
-    dual = minimize_dual(instance, shared.table, shared.lambda_floor)
+    emp = float(np.dot(mu.weights, own))
+    floor = loss_lipschitz(model, instance.metric.x_norm)
+    targets = instance.candidate_targets
+    oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
+    dual = minimize_dual(instance, table, floor)
     if not math.isfinite(dual.value):
         raise NumericalError(f"the robust value overflows at rho {instance.rho!r}: {dual.value!r}")
     if dual.value < emp - 1e-9:
@@ -308,23 +296,11 @@ def certify_on_table(instance: RobustInstance, shared: CertificateTable, oracle_
         lambda_star=dual.lambda_star,
         rho=instance.rho,
         kappa=instance.metric.kappa,
-        lipschitz_bound_used=shared.lambda_floor,
+        lipschitz_bound_used=floor,
         oracle_value=oracle_value,
         oracle_gap=gap,
         verdicts=tuple(verdicts),
     )
-
-
-def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertificate:
-    """Upper bound on the robust risk of a model from one loss table and one
-    dual (`certificate_table`, then `certify_on_table`), cross-checked
-    against the restricted primal LP when the instance has a candidate set.
-    A sweep over radii on one measure builds the table once and calls
-    `certify_on_table` per radius."""
-    shared = certificate_table(model, instance.empirical, instance.metric.x_norm)
-    targets = instance.candidate_targets
-    oracle_value = None if targets is None else primal_robust_risk_lp(instance, losses(model, targets.xs, targets.ys))
-    return certify_on_table(instance, shared, oracle_value)
 
 
 class EnvelopeCheck(NamedTuple):

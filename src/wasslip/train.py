@@ -19,8 +19,9 @@ The epoch record and the step each make one warm-started power iteration
 per layer.  The step's subgradient of ||W||_2 is u v^T from that iteration:
 the subdifferential is the convex hull of u v^T over unit top singular
 pairs, so this holds at tied top singular values too, and 0 lies in it only
-at a zero matrix, which gets 0.  Training is plain full-batch gradient
-descent with optional momentum, deterministic given the seed.
+at a zero matrix, which gets 0.  Training is gradient descent with optional
+momentum, full-batch or, with `batch_size`, over minibatches of a fresh
+permutation each epoch, deterministic given the seed.
 
 The recorded penalty, product bound and Young bound all come from the
 record's sigmas (L1 and LINF records use the closed-form operator norms).

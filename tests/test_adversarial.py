@@ -341,6 +341,22 @@ class TestAdversarialRisk:
         with pytest.raises(NumericalError, match="leaves the floating-point range"):
             adversarial_risk(model, mu, BallSpec(NormTag.L2, 1e160), AttackConfig(seed=1))
 
+    @pytest.mark.parametrize("method", ["PGD", "FGSM", "GRID"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("tag", [NormTag.L2, NormTag.LINF])
+    def test_non_finite_clean_loss_raises(self, method, epsilon, tag):
+        """Weights at 1e308 overflow the logits of the second atom, not the
+        first: every method raises the certificate's own NumericalError
+        naming that atom, before any attack step."""
+        model = linear(np.array([[1e308, 1e308], [-1e308, -1e308]]))
+        mu = empirical_from_samples(PointSet([[0.1, 0.1], [1.0, 1.0]], [0, 1], 2))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError) as cert_error:
+                robust_certificate_for(model, RobustInstance(mu, MetricSpec(tag, math.inf, 2), epsilon))
+            with pytest.raises(NumericalError, match="^loss is non-finite at support index 1$") as attack_error:
+                adversarial_risk(model, mu, BallSpec(tag, epsilon), AttackConfig(method=method, seed=1))
+        assert str(attack_error.value) == str(cert_error.value)
+
 
 class TestRobustBound:
     def test_zero_epsilon_both_sides_empirical(self):

@@ -307,22 +307,30 @@ class TestCommands:
         assert problem.eq_constraints.shape == (40, 872) and problem.ineq_constraints.shape == (1, 872)
 
     def test_attack_sweep_bound_holds_row_wise(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "seed": 4,
-                "dataset": self._dataset_section(),
-                "model": {"dims": [2, 4, 2], "seed": 6, "init_scale": 0.8},
-                "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", "steps": 15, "restarts": 1},
-            },
-        )
+        doc = {
+            "seed": 4,
+            "dataset": self._dataset_section(),
+            "model": {"dims": [2, 4, 2], "seed": 6, "init_scale": 0.8},
+            "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", "kappa": 2.0, "steps": 15, "restarts": 1},
+        }
         out = tmp_path / "out"
-        assert main(["attack", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["attack", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         header, rows = read_csv(out / "bound_curve.csv")
         assert header == ["epsilon", "adversarial_risk", "robust_value"]
         values = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
         for eps, adv, robust in values:
             assert adv <= robust + 1e-8
+            # each radius's certificate is certify's at rho = epsilon, with the
+            # attack's norm and kappa
+            certify_doc = {
+                "seed": 4,
+                "dataset": doc["dataset"],
+                "model": {**doc["model"], "norm": "L2"},
+                "robust": {"rho": eps, "kappa": 2.0},
+            }
+            certify_out = tmp_path / f"certify-{eps}"
+            assert main(["certify", "--config", write_config(tmp_path, certify_doc, f"certify-{eps}.json"), "--out", str(certify_out)]) == 0
+            assert json.loads((certify_out / "certificate.json").read_text(encoding="utf-8"))["robust_value"] == robust
         risks = [v[1] for v in values]
         assert all(b >= a - 1e-9 for a, b in zip(risks, risks[1:]))
 
@@ -639,6 +647,9 @@ class TestOverflowingConfigs:
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e308]}}, "the attack at epsilon 1e+308 leaves the floating-point range"),
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [1e160], "norm": "L2"}}, "the attack at epsilon 1e+160 leaves the floating-point range"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "loss is non-finite at support index 0"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "attack": {"epsilons": [0.1]}}, "loss is non-finite at support index 0"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "attack": {"epsilons": [0.1], "method": "GRID"}}, "loss is non-finite at support index 0"),
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "attack": {"epsilons": [0.0]}}, "loss is non-finite at support index 0"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 1024, 2], "init_scale": 1e308}, "robust": {"rho": 0.1}}, "scale 1e+308 overflows the weights of layer 0"),
             ("train", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "train": {"objective": "spectral", "rho": 0.1, "learning_rate": 1e308, "epochs": 3}}, "training overflowed"),
             ("gen-data", {"dataset": {**BLOBS, "n": 40, "std": 1e308}}, "gaussian-blobs coordinates overflow"),
@@ -671,6 +682,9 @@ class TestOverflowingConfigs:
             "attack-epsilon",
             "attack-l2-norm-squares",
             "certify-init-scale",
+            "attack-init-scale",
+            "attack-grid-init-scale",
+            "attack-zero-epsilon-init-scale",
             "init-scale-weights",
             "train-learning-rate",
             "blobs-std",

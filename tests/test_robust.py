@@ -39,8 +39,6 @@ from wasslip.numerics import LPProblem, LPStatus, NormTag, NumericalError, solve
 from wasslip.robust import (
     RobustInstance,
     _minimize_envelope,
-    certificate_table,
-    certify_on_table,
     check_envelope_collapse,
     grid_targets,
     kappa_threshold,
@@ -548,11 +546,12 @@ class TestCertificates:
         rng = derive_rng(25, "cert-below")
         points = seeded_points(rng, 5, 2, 3)
         instance = RobustInstance(empirical_from_samples(points), MetricSpec(NormTag.L2, 1.0, 3), 0.2)
-        shared = certificate_table(seeded_linear_model(rng, 2, 3), instance.empirical, NormTag.L2)
+        model = seeded_linear_model(rng, 2, 3)
+        emp = float(np.dot(instance.empirical.weights, model_losses(model, points.xs, points.ys)))
         real = robust.minimize_dual
-        monkeypatch.setattr(robust, "minimize_dual", lambda *args: real(*args)._replace(value=shared.empirical_risk - 1e-6))
+        monkeypatch.setattr(robust, "minimize_dual", lambda *args: real(*args)._replace(value=emp - 1e-6))
         with pytest.raises(NumericalError, match="fell below the empirical risk"):
-            certify_on_table(instance, shared)
+            robust_certificate_for(model, instance)
 
     def test_lipschitz_bound_computed_once(self, monkeypatch):
         calls = []
