@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from wasslip.measures import DiscreteMeasure
-from wasslip.models import MLP, loss_grads, losses
+from wasslip.models import MLP, finite_losses, loss_grads, losses
 from wasslip.numerics import FrozenRecord, NormTag, NumericalError, axis_points, ensure_addressable, lattice, row_norms
 from wasslip.seeding import derive_rng
 
@@ -250,12 +250,9 @@ def adversarial_risk(
     projected.  `attack_sweep` passes its previous optima as warm starts and
     `draws` from one `restart_draws` call (same seed, norm and restarts as
     `config`); without them PGD draws its own.  FGSM and GRID use neither.
-    A non-finite clean loss raises the certificate's NumericalError first.
-    """
+    A non-finite clean loss raises `models.finite_losses`'s NumericalError first."""
     X, Y = mu.support.xs, mu.support.ys
-    bad = np.flatnonzero(~np.isfinite(losses(model, X, Y)))
-    if bad.size:
-        raise NumericalError(f"loss is non-finite at support index {bad[0]}")
+    finite_losses(losses(model, X, Y))
     # the largest values an attack forms: a point plus a perturbation of a
     # few epsilon (a start inside the ball plus a step, 2.5 epsilon / steps
     # by default), and in L2 the sum of dim squares of such a perturbation

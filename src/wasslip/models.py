@@ -26,6 +26,7 @@ from wasslip.numerics import (
     DimensionError,
     FrozenRecord,
     NormTag,
+    NumericalError,
     UnsupportedNormError,
     as_matrix,
     as_vector,
@@ -169,6 +170,14 @@ def losses(model: MLP, X, Y) -> np.ndarray:
     Z = forward(model, X)
     Y = _check_labels(model.label_count, Y)
     return _row_log_sum_exp(Z) - Z[np.arange(Z.shape[0]), Y]
+
+
+def finite_losses(values: np.ndarray) -> np.ndarray:
+    """`values`, one clean loss per atom, or NumericalError naming the first non-finite one."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"loss is non-finite at support index {bad[0]}")
+    return values
 
 
 def loss_grads(model: MLP, X, Y, params: bool = False) -> BatchLoss:

@@ -36,7 +36,7 @@ from wasslip.measures import (
     label_costs,
     marginal_rows,
 )
-from wasslip.models import MLP, label_loss_matrix, loss_lipschitz, losses
+from wasslip.models import MLP, finite_losses, label_loss_matrix, loss_lipschitz, losses
 from wasslip.numerics import (
     DimensionError,
     FrozenRecord,
@@ -270,10 +270,7 @@ def robust_certificate_for(model: MLP, instance: RobustInstance) -> RobustCertif
     empirical risk, raises NumericalError before any certificate is built."""
     mu = instance.empirical
     table = label_loss_matrix(model, mu.support.xs)
-    own = table[np.arange(len(mu)), mu.support.ys]
-    bad = np.flatnonzero(~np.isfinite(own))
-    if bad.size:
-        raise NumericalError(f"loss is non-finite at support index {bad[0]}")
+    own = finite_losses(table[np.arange(len(mu)), mu.support.ys])
     emp = float(np.dot(mu.weights, own))
     floor = loss_lipschitz(model, instance.metric.x_norm)
     targets = instance.candidate_targets

@@ -307,32 +307,36 @@ class TestCommands:
         assert problem.eq_constraints.shape == (40, 872) and problem.ineq_constraints.shape == (1, 872)
 
     def test_attack_sweep_bound_holds_row_wise(self, tmp_path):
-        doc = {
-            "seed": 4,
-            "dataset": self._dataset_section(),
-            "model": {"dims": [2, 4, 2], "seed": 6, "init_scale": 0.8},
-            "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", "kappa": 2.0, "steps": 15, "restarts": 1},
-        }
-        out = tmp_path / "out"
-        assert main(["attack", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        header, rows = read_csv(out / "bound_curve.csv")
-        assert header == ["epsilon", "adversarial_risk", "robust_value"]
-        values = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
-        for eps, adv, robust in values:
-            assert adv <= robust + 1e-8
-            # each radius's certificate is certify's at rho = epsilon, with the
-            # attack's norm and kappa
-            certify_doc = {
+        # kappa inf (the default, key omitted) and a finite kappa, where label
+        # switches enter the dual
+        for kappa in ({}, {"kappa": 2.0}):
+            doc = {
                 "seed": 4,
-                "dataset": doc["dataset"],
-                "model": {**doc["model"], "norm": "L2"},
-                "robust": {"rho": eps, "kappa": 2.0},
+                "dataset": self._dataset_section(),
+                "model": {"dims": [2, 4, 2], "seed": 6, "init_scale": 0.8},
+                "attack": {"epsilons": [0.01, 0.1, 0.5], "norm": "L2", **kappa, "steps": 15, "restarts": 1},
             }
-            certify_out = tmp_path / f"certify-{eps}"
-            assert main(["certify", "--config", write_config(tmp_path, certify_doc, f"certify-{eps}.json"), "--out", str(certify_out)]) == 0
-            assert json.loads((certify_out / "certificate.json").read_text(encoding="utf-8"))["robust_value"] == robust
-        risks = [v[1] for v in values]
-        assert all(b >= a - 1e-9 for a, b in zip(risks, risks[1:]))
+            tag = kappa.get("kappa", "inf")
+            out = tmp_path / f"out-{tag}"
+            assert main(["attack", "--config", write_config(tmp_path, doc, f"attack-{tag}.json"), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "bound_curve.csv")
+            assert header == ["epsilon", "adversarial_risk", "robust_value"]
+            values = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
+            for eps, adv, robust in values:
+                assert adv <= robust + 1e-8
+                # each radius's certificate is certify's at rho = epsilon, with
+                # the attack's norm and kappa
+                certify_doc = {
+                    "seed": 4,
+                    "dataset": doc["dataset"],
+                    "model": {**doc["model"], "norm": "L2"},
+                    "robust": {"rho": eps, **kappa},
+                }
+                certify_out = tmp_path / f"certify-{tag}-{eps}"
+                assert main(["certify", "--config", write_config(tmp_path, certify_doc, f"certify-{tag}-{eps}.json"), "--out", str(certify_out)]) == 0
+                assert json.loads((certify_out / "certificate.json").read_text(encoding="utf-8"))["robust_value"] == robust
+            risks = [v[1] for v in values]
+            assert all(b >= a - 1e-9 for a, b in zip(risks, risks[1:]))
 
     def test_train_command_and_curve_consistency(self, tmp_path):
         cfg = write_config(
