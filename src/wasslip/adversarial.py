@@ -7,7 +7,8 @@ bounds the adversarial risk for any kappa (`suite.check_adversarial_bound`
 checks this).  PGD and FGSM, its one-step case, report lower bounds on the
 inner maximum (which only makes the inequality easier); GRID mode makes the
 check sharp in two dimensions by sweeping a lattice plus a dense boundary
-ring.
+ring.  `attack_sweep` is the one way in: it attacks a list of radii, checking
+the clean losses and drawing PGD's restarts once for the whole sweep.
 """
 
 from __future__ import annotations
@@ -232,51 +233,6 @@ def _grid(model: MLP, X: np.ndarray, Y: np.ndarray, ball: BallSpec, points_per_d
     return candidates[best], table[np.arange(n), best]
 
 
-def adversarial_risk(
-    model: MLP,
-    mu: DiscreteMeasure,
-    ball: BallSpec,
-    config: AttackConfig = AttackConfig(),
-    warm_starts: Sequence[np.ndarray] = (),
-    draws: np.ndarray | None = None,
-) -> AttackResult:
-    """Weighted average of per-sample worst-case losses.
-
-    Each element of `warm_starts` holds one extra PGD starting point per atom
-    (shape n x dim).  Every atom is attacked at once; its random restarts
-    come from its own stream derive_rng(config.seed, f"attack/{i}"), so
-    results do not depend on how the atoms are batched.  The restarts are
-    unit-ball points from `restart_draws`, scaled to this radius and
-    projected.  `attack_sweep` passes its previous optima as warm starts and
-    `draws` from one `restart_draws` call (same seed, norm and restarts as
-    `config`); without them PGD draws its own.  FGSM and GRID use neither.
-    A non-finite clean loss raises `models.finite_losses`'s NumericalError first."""
-    X, Y = mu.support.xs, mu.support.ys
-    finite_losses(losses(model, X, Y))
-    # the largest values an attack forms: a point plus a perturbation of a
-    # few epsilon (a start inside the ball plus a step, 2.5 epsilon / steps
-    # by default), and in L2 the sum of dim squares of such a perturbation
-    span = 2.5 * ball.epsilon + (config.step_size or 0.0)
-    if not math.isfinite(float(np.max(np.abs(X))) + span) or (ball.norm == NormTag.L2 and not math.isfinite(span * span * X.shape[1])):
-        raise NumericalError(f"the attack at epsilon {ball.epsilon!r} leaves the floating-point range")
-    if config.method == "GRID":
-        deltas, values = _grid(model, X, Y, ball, config.grid_points)
-    elif config.method == "FGSM":
-        # one step of size epsilon from the clean point, which a tie keeps
-        deltas, values = _pgd(model, X, Y, ball, 1, ball.epsilon)
-    else:
-        if draws is None:
-            draws = restart_draws(config.seed, len(Y), X.shape[1], ball.norm, config.restarts)
-        deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, draws, warm_starts)
-    sizes = row_norms(deltas, ball.norm)
-    if np.any(sizes > ball.epsilon + 1e-9):
-        raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")
-    risk = float(np.dot(mu.weights, values))
-    if not math.isfinite(risk):
-        raise NumericalError(f"the attacked losses overflow at epsilon {ball.epsilon!r}")
-    return AttackResult(deltas, values, risk, ball.epsilon)
-
-
 def attack_sweep(
     model: MLP,
     mu: DiscreteMeasure,
@@ -284,22 +240,47 @@ def attack_sweep(
     epsilons: Sequence[float],
     config: AttackConfig = AttackConfig(),
 ) -> list:
-    """One `adversarial_risk` per radius, in ascending order of radius.
+    """The attack at each radius, in ascending order of radius; each result's
+    risk is the weighted average of the per-atom worst-case losses.
 
-    PGD draws its restarts once for the whole sweep, as unit-ball points
-    that each radius scales to itself, and starts each radius also from the
-    previous radius's optimum, taken as it is and scaled to the new radius
-    (when the previous radius is positive), so its reported risk never falls
-    as the radius grows.
+    A non-finite clean loss raises `models.finite_losses`'s NumericalError
+    first, once for the sweep.  Every atom is attacked at once.  PGD then
+    draws its restarts once, from `restart_draws` (atom i from its own stream
+    derive_rng(config.seed, f"attack/{i}"), so results do not depend on how
+    the atoms are batched), as unit-ball points that each radius scales to
+    itself and projects; it also starts each radius from the previous
+    radius's optimum, taken as it is and scaled to the new radius (when the
+    previous radius is positive), so its reported risk never falls as the
+    radius grows.  FGSM and GRID use neither.
     """
-    draws = None
-    if config.method == "PGD":
-        draws = restart_draws(config.seed, len(mu), mu.support.dim, norm, config.restarts)
+    X, Y = mu.support.xs, mu.support.ys
+    finite_losses(losses(model, X, Y))
+    draws = restart_draws(config.seed, len(Y), X.shape[1], norm, config.restarts) if config.method == "PGD" else None
     results = []
     for eps in sorted(epsilons):
-        starts = ()
-        if results and results[-1].epsilon > 0:
-            prev = results[-1]
-            starts = (prev.perturbations, prev.perturbations * (eps / prev.epsilon))
-        results.append(adversarial_risk(model, mu, BallSpec(norm, eps), config, starts, draws))
+        ball = BallSpec(norm, eps)
+        # the largest values an attack forms: a point plus a perturbation of a
+        # few epsilon (a start inside the ball plus a step, 2.5 epsilon / steps
+        # by default), and in L2 the sum of dim squares of such a perturbation
+        span = 2.5 * eps + (config.step_size or 0.0)
+        if not math.isfinite(float(np.max(np.abs(X))) + span) or (norm == NormTag.L2 and not math.isfinite(span * span * X.shape[1])):
+            raise NumericalError(f"the attack at epsilon {eps!r} leaves the floating-point range")
+        if config.method == "GRID":
+            deltas, values = _grid(model, X, Y, ball, config.grid_points)
+        elif config.method == "FGSM":
+            # one step of size epsilon from the clean point, which a tie keeps
+            deltas, values = _pgd(model, X, Y, ball, 1, eps)
+        else:
+            starts = ()
+            if results and results[-1].epsilon > 0:
+                prev = results[-1]
+                starts = (prev.perturbations, prev.perturbations * (eps / prev.epsilon))
+            deltas, values = _pgd(model, X, Y, ball, config.steps, config.step_size, draws, starts)
+        sizes = row_norms(deltas, norm)
+        if np.any(sizes > eps + 1e-9):
+            raise RuntimeError(f"attack produced an infeasible perturbation of norm {float(np.max(sizes))}")
+        risk = float(np.dot(mu.weights, values))
+        if not math.isfinite(risk):
+            raise NumericalError(f"the attacked losses overflow at epsilon {eps!r}")
+        results.append(AttackResult(deltas, values, risk, eps))
     return results

@@ -119,14 +119,6 @@ def ensure_addressable(shape: tuple, what: str) -> None:
         raise MemoryError(f"Unable to allocate {what} (shape {shape}): more bytes than any address space holds")
 
 
-def norm(v, tag: NormTag) -> float:
-    """The `tag` norm of one finite, non-empty vector: row 0 of `row_norms`."""
-    v = as_vector(v)
-    if v.size == 0:
-        raise DimensionError("norm of an empty vector is undefined")
-    return float(row_norms(v[None, :], tag)[0])
-
-
 def row_norms(D: np.ndarray, tag: NormTag) -> np.ndarray:
     """The `tag` norm of every row of D, the one per-norm reduction (L2
     takes one dot product per row)."""

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
+from wasslip.adversarial import AttackConfig, attack_sweep
 from wasslip.measures import (
     DiscreteMeasure,
     MetricSpec,
@@ -283,12 +283,11 @@ def check_adversarial_bound(model: MLP, instance: RobustInstance, config: Attack
     measure lies inside the transport ball (via the coupling LP) and that the
     restricted primal LP already dominates the attack.
     """
-    ball = BallSpec(instance.metric.x_norm, instance.rho)
-    mu = instance.empirical
-    result = adversarial_risk(model, mu, ball, config)
+    norm, mu = instance.metric.x_norm, instance.empirical
+    result = attack_sweep(model, mu, norm, [instance.rho], config)[0]
     risks = [("pgd", result)]
     if mu.support.dim <= 2:
-        risks.append(("grid", adversarial_risk(model, mu, ball, AttackConfig(method="GRID", grid_points=config.grid_points))))
+        risks.append(("grid", attack_sweep(model, mu, norm, [instance.rho], AttackConfig(method="GRID", grid_points=config.grid_points))[0]))
 
     cert = robust_certificate_for(model, instance)
 
@@ -298,7 +297,7 @@ def check_adversarial_bound(model: MLP, instance: RobustInstance, config: Attack
 
     # the attack map keeps labels, so its pushforward must stay in the ball
     attacked = pushforward(mu, lambda xs: xs + result.perturbations)
-    max_norm = float(np.max(row_norms(result.perturbations, ball.norm)))
+    max_norm = float(np.max(row_norms(result.perturbations, norm)))
     push_cost = transport_cost(mu, attacked, instance.metric)
     checks.append(("attack_pushforward_inside_ball", push_cost <= max_norm + FEASIBILITY_TOL))
 

@@ -10,7 +10,7 @@ from oracles import boundary_max_loss, empirical_risk, linf_corner_max_loss, vec
 import wasslip.adversarial as adversarial
 import wasslip.models as models
 import wasslip.suite as suite
-from wasslip.adversarial import AttackConfig, BallSpec, _project_rows, adversarial_risk, attack_sweep
+from wasslip.adversarial import AttackConfig, BallSpec, _project_rows, attack_sweep
 from wasslip.cli import main
 from wasslip.measures import (
     DiscreteMeasure,
@@ -21,7 +21,7 @@ from wasslip.measures import (
     transport_cost,
 )
 from wasslip.models import ActivationTag, losses
-from wasslip.numerics import NormTag, NumericalError, norm
+from wasslip.numerics import NormTag, NumericalError, row_norms
 from wasslip.robust import RobustInstance, robust_certificate_for
 from wasslip.seeding import derive_rng
 from wasslip.suite import (
@@ -36,7 +36,7 @@ from wasslip.suite import (
 def attack_one(model, x, y, ball, method="PGD", seed=0):
     """One atom through the all-atoms attack: (perturbation, loss)."""
     mu = DiscreteMeasure(PointSet([x], [y], model.label_count), np.array([1.0]))
-    result = adversarial_risk(model, mu, ball, AttackConfig(method=method, seed=seed))
+    result = attack_sweep(model, mu, ball.norm, [ball.epsilon], AttackConfig(method=method, seed=seed))[0]
     return result.perturbations[0], float(result.losses[0])
 
 
@@ -56,7 +56,7 @@ class TestProjection:
         for _ in range(50):
             v = 3.0 * rng.standard_normal(5)
             p = _project_rows(v[None, :], ball)[0]
-            assert norm(p, tag) <= 0.7 + 1e-9
+            assert row_norms(p[None, :], tag)[0] <= 0.7 + 1e-9
             assert np.allclose(_project_rows(p[None, :], ball)[0], p, atol=1e-12)
 
     def test_l1_projection_matches_known_case(self):
@@ -101,7 +101,7 @@ class TestPGD:
         delta, pgd_loss = attack_one(model, x, y, BallSpec(tag, eps), seed=seed)
         assert pgd_loss >= clean - 1e-9
         assert pgd_loss <= oracle + 1e-6
-        assert norm(delta, tag) <= eps + 1e-9
+        assert row_norms(delta[None, :], tag)[0] <= eps + 1e-9
 
     def test_grid_attack_close_to_pgd_in_2d(self):
         rng = derive_rng(11, "grid-vs-pgd")
@@ -109,8 +109,8 @@ class TestPGD:
         points = seeded_points(rng, 4, 2, 3)
         mu = empirical_from_samples(points)
         ball = BallSpec(NormTag.L2, 0.2)
-        pgd = adversarial_risk(model, mu, ball, AttackConfig(seed=5))
-        grid = adversarial_risk(model, mu, ball, AttackConfig(method="GRID", grid_points=81))
+        pgd = attack_sweep(model, mu, ball.norm, [ball.epsilon], AttackConfig(seed=5))[0]
+        grid = attack_sweep(model, mu, ball.norm, [ball.epsilon], AttackConfig(method="GRID", grid_points=81))[0]
         assert abs(pgd.adversarial_risk - grid.adversarial_risk) <= 1e-3
 
     def test_l1_attack_feasible_and_improving(self):
@@ -119,7 +119,7 @@ class TestPGD:
         x = rng.standard_normal(3)
         ball = BallSpec(NormTag.L1, 0.4)
         delta, loss = attack_one(model, x, 0, ball)
-        assert norm(delta, NormTag.L1) <= 0.4 + 1e-9
+        assert row_norms(delta[None, :], NormTag.L1)[0] <= 0.4 + 1e-9
         assert loss >= vector_loss(model, x, 0) - 1e-9
 
     def test_one_model_pass_per_step(self, monkeypatch):
@@ -161,7 +161,7 @@ class TestPGD:
 
         monkeypatch.setattr(models, "_propagate", counted)
         config = AttackConfig(seed=3, steps=12, restarts=2)
-        result = adversarial_risk(model, mu, BallSpec(NormTag.LINF, 0.3), config)
+        result = attack_sweep(model, mu, NormTag.LINF, [0.3], config)[0]
         S, n = 1 + config.restarts, 6
         assert sum(rows) < S * n * (config.steps + 1)
         assert rows[-1] < S * n
@@ -293,7 +293,7 @@ class TestAdversarialRisk:
         rng = derive_rng(21, "risk0")
         model = seeded_linear_model(rng, 2, 3)
         mu = empirical_from_samples(seeded_points(rng, 5, 2, 3))
-        result = adversarial_risk(model, mu, BallSpec(NormTag.LINF, 0.0), AttackConfig(seed=1))
+        result = attack_sweep(model, mu, NormTag.LINF, [0.0], AttackConfig(seed=1))[0]
         assert result.adversarial_risk == pytest.approx(empirical_risk(model, mu))
 
     def test_single_atom_is_its_pgd_loss(self):
@@ -303,7 +303,7 @@ class TestAdversarialRisk:
         mu = empirical_from_samples(points)
         ball = BallSpec(NormTag.L2, 0.3)
         cfg = AttackConfig(seed=9)
-        result = adversarial_risk(model, mu, ball, cfg)
+        result = attack_sweep(model, mu, ball.norm, [ball.epsilon], cfg)[0]
         _, expected = vector_pgd(
             model, points.xs[0], points.ys[0], "L2", 0.3, cfg.steps, None, derive_rng(cfg.seed, "attack/0"), cfg.restarts
         )
@@ -320,14 +320,31 @@ class TestAdversarialRisk:
             assert np.all(hi.losses >= lo.losses)
             assert hi.adversarial_risk >= lo.adversarial_risk
 
+    def test_sweep_checks_the_clean_losses_once(self, monkeypatch):
+        """PGD scores its iterates with `loss_grads`; the one `losses` call of
+        a sweep over positive radii is its clean-loss check."""
+        calls = []
+        real = adversarial.losses
+
+        def counted(model, X, Y):
+            calls.append(X.shape[0])
+            return real(model, X, Y)
+
+        monkeypatch.setattr(adversarial, "losses", counted)
+        rng = derive_rng(27, "sweep-clean")
+        model = seeded_mlp(rng, [2, 4, 2], scale=0.9)
+        mu = empirical_from_samples(seeded_points(rng, 5, 2, 2))
+        results = attack_sweep(model, mu, NormTag.L2, (0.05, 0.2, 0.4), AttackConfig(seed=2, steps=6, restarts=2))
+        assert len(results) == 3
+        assert calls == [5]
+
     def test_feasibility_of_all_perturbations(self):
         rng = derive_rng(24, "feas")
         model = seeded_linear_model(rng, 2, 3)
         mu = empirical_from_samples(seeded_points(rng, 6, 2, 3))
         for tag in (NormTag.L1, NormTag.L2, NormTag.LINF):
-            result = adversarial_risk(model, mu, BallSpec(tag, 0.25), AttackConfig(seed=7))
-            for d in result.perturbations:
-                assert norm(d, tag) <= 0.25 + 1e-9
+            result = attack_sweep(model, mu, tag, [0.25], AttackConfig(seed=7))[0]
+            assert np.all(row_norms(result.perturbations, tag) <= 0.25 + 1e-9)
             assert np.all(result.losses >= losses(model, mu.support.xs, mu.support.ys) - 1e-9)
 
     def test_range_check_squares_the_perturbation_not_the_point(self):
@@ -336,10 +353,10 @@ class TestAdversarialRisk:
         failure."""
         model = linear(np.array([[1e-300, 0.0], [0.0, 1e-300]]))
         mu = empirical_from_samples(PointSet([[1e200, 0.0], [0.5, 0.5]], [0, 1], 2))
-        result = adversarial_risk(model, mu, BallSpec(NormTag.L2, 0.1), AttackConfig(seed=1))
+        result = attack_sweep(model, mu, NormTag.L2, [0.1], AttackConfig(seed=1))[0]
         assert math.isfinite(result.adversarial_risk)
         with pytest.raises(NumericalError, match="leaves the floating-point range"):
-            adversarial_risk(model, mu, BallSpec(NormTag.L2, 1e160), AttackConfig(seed=1))
+            attack_sweep(model, mu, NormTag.L2, [1e160], AttackConfig(seed=1))
 
     @pytest.mark.parametrize("method", ["PGD", "FGSM", "GRID"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
@@ -354,7 +371,7 @@ class TestAdversarialRisk:
             with pytest.raises(NumericalError) as cert_error:
                 robust_certificate_for(model, RobustInstance(mu, MetricSpec(tag, math.inf, 2), epsilon))
             with pytest.raises(NumericalError, match="^loss is non-finite at support index 1$") as attack_error:
-                adversarial_risk(model, mu, BallSpec(tag, epsilon), AttackConfig(method=method, seed=1))
+                attack_sweep(model, mu, tag, [epsilon], AttackConfig(method=method, seed=1))
         assert str(attack_error.value) == str(cert_error.value)
 
 
@@ -367,7 +384,7 @@ class TestRobustBound:
         checks = check_adversarial_bound(model, instance, AttackConfig(seed=1))
         assert all(ok for _, ok in checks), checks
         emp = empirical_risk(model, instance.empirical)
-        attack = adversarial_risk(model, instance.empirical, BallSpec(NormTag.L2, 0.0), AttackConfig(seed=1))
+        attack = attack_sweep(model, instance.empirical, NormTag.L2, [0.0], AttackConfig(seed=1))[0]
         assert attack.adversarial_risk == pytest.approx(emp, abs=1e-12)
         assert robust_certificate_for(model, instance).robust_value == pytest.approx(emp, abs=1e-9)
 
@@ -407,9 +424,9 @@ class TestRobustBound:
         points = seeded_points(rng, 5, 2, 2)
         mu = empirical_from_samples(points)
         ball = BallSpec(NormTag.L2, 0.3)
-        result = adversarial_risk(model, mu, ball, AttackConfig(seed=13))
+        result = attack_sweep(model, mu, ball.norm, [ball.epsilon], AttackConfig(seed=13))[0]
         pushed = pushforward(mu, lambda xs: xs + result.perturbations)
-        rho = max(norm(d, NormTag.L2) for d in result.perturbations)
+        rho = float(np.max(row_norms(result.perturbations, NormTag.L2)))
         assert transport_cost(mu, pushed, MetricSpec(NormTag.L2, 1.0, 2)) <= rho + 1e-9
 
     def test_one_pushforward_per_verdict(self, monkeypatch):
@@ -428,18 +445,18 @@ class TestRobustBound:
     def test_attack_ball_is_the_instance_own(self, monkeypatch, tag):
         """The bound check attacks in the instance's input norm at its radius."""
         balls = []
-        real = suite.adversarial_risk
+        real = suite.attack_sweep
 
-        def spy(model, mu, ball, config):
-            balls.append((ball.norm, ball.epsilon))
-            return real(model, mu, ball, config)
+        def spy(model, mu, norm, epsilons, config):
+            balls.append((norm, list(epsilons)))
+            return real(model, mu, norm, epsilons, config)
 
-        monkeypatch.setattr(suite, "adversarial_risk", spy)
+        monkeypatch.setattr(suite, "attack_sweep", spy)
         rng = derive_rng(44, "instance-ball")
         model = seeded_linear_model(rng, 2, 3)
         instance = RobustInstance(empirical_from_samples(seeded_points(rng, 4, 2, 3)), MetricSpec(tag, 1.0, 3), 0.2)
         assert all(ok for _, ok in check_adversarial_bound(model, instance, AttackConfig(seed=4)))
-        assert balls == [(tag, 0.2), (tag, 0.2)]  # PGD, then the 2-D grid
+        assert balls == [(tag, [0.2]), (tag, [0.2])]  # PGD, then the 2-D grid
 
     def test_binary_linear_label_locked_equality_spot_check(self):
         """Binary antisymmetric logits with label transport forbidden: the
@@ -462,7 +479,7 @@ class TestRobustBound:
         eps = 0.1
         instance = RobustInstance(mu, MetricSpec(NormTag.L2, math.inf, 2), eps)
         cert = robust_certificate_for(model, instance)
-        grid = adversarial_risk(model, mu, BallSpec(NormTag.L2, eps), AttackConfig(method="GRID", grid_points=101))
+        grid = attack_sweep(model, mu, NormTag.L2, [eps], AttackConfig(method="GRID", grid_points=101))[0]
         emp = empirical_risk(model, mu)
         assert cert.robust_value == pytest.approx(emp + eps * 2.0, abs=1e-9)  # sqrt2*sigma = 2||w||
         gap = cert.robust_value - grid.adversarial_risk

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import linear
 from oracles import vector_fgsm, vector_grid, vector_loss_grad, vector_pgd
-from wasslip.adversarial import AttackConfig, BallSpec, adversarial_risk
+from wasslip.adversarial import AttackConfig, attack_sweep
 from wasslip.measures import DiscreteMeasure, PointSet
 from wasslip.models import ActivationTag, MLP, MLPLayer, forward, loss_grads, losses
 from wasslip.numerics import NormTag
@@ -136,18 +136,22 @@ class TestBatchedAttacksMatchPerAtomReference:
         mu = _measure(7)
         X, Y = mu.support.xs, mu.support.ys
         config = AttackConfig(steps=12, restarts=2, seed=11)
-        rng = derive_rng(8, "warm")
-        for eps in (0.0, 0.15, 0.6):
-            ball = BallSpec(tag, eps)
-            warm = [0.3 * rng.standard_normal(X.shape), 2.0 * rng.standard_normal(X.shape)]
-            result = adversarial_risk(model, mu, ball, config, warm_starts=warm)
+        epsilons = (0.0, 0.15, 0.6)
+        results = attack_sweep(model, mu, tag, epsilons, config)
+        # each radius warm-starts from the previous optimum, as it is and
+        # scaled to the new radius, unless the previous radius is 0
+        previous = [(np.zeros(X.shape[1]), 0.0)] * len(Y)
+        for eps, result in zip(epsilons, results):
             for i in range(len(Y)):
+                prev_delta, prev_eps = previous[i]
+                warm = [prev_delta, prev_delta * (eps / prev_eps)] if prev_eps > 0 else []
                 delta, value = vector_pgd(
                     model, X[i], Y[i], tag.value, eps, config.steps, None,
-                    derive_rng(config.seed, f"attack/{i}"), config.restarts, [w[i] for w in warm],
+                    derive_rng(config.seed, f"attack/{i}"), config.restarts, warm,
                 )
                 assert math.isclose(result.losses[i], value, rel_tol=TOL, abs_tol=TOL)
                 assert _close(result.perturbations[i], delta)
+                previous[i] = (delta, eps)
 
     @pytest.mark.parametrize("tag", list(NormTag))
     def test_zero_gradient_atom_stops_while_the_others_step(self, tag):
@@ -158,7 +162,7 @@ class TestBatchedAttacksMatchPerAtomReference:
         mu = DiscreteMeasure(PointSet(X, Y, 3), mu.weights)
         assert not loss_grads(model, X[2:3], Y[2:3]).grad_x.any()
         config = AttackConfig(steps=15, restarts=2, seed=3)
-        result = adversarial_risk(model, mu, BallSpec(tag, 0.4), config)
+        result = attack_sweep(model, mu, tag, [0.4], config)[0]
         for i in range(len(Y)):
             delta, value = vector_pgd(model, X[i], Y[i], tag.value, 0.4, config.steps, None, derive_rng(3, f"attack/{i}"), config.restarts)
             assert math.isclose(result.losses[i], value, rel_tol=TOL, abs_tol=TOL)
@@ -173,7 +177,7 @@ class TestBatchedAttacksMatchPerAtomReference:
         model = _models(10)[name]
         mu = _measure(11)
         X, Y = mu.support.xs, mu.support.ys
-        result = adversarial_risk(model, mu, BallSpec(tag, 0.3), AttackConfig(method="FGSM"))
+        result = attack_sweep(model, mu, tag, [0.3], AttackConfig(method="FGSM"))[0]
         for i in range(len(Y)):
             delta, value = vector_fgsm(model, X[i], Y[i], tag.value, 0.3)
             assert math.isclose(result.losses[i], value, rel_tol=TOL, abs_tol=TOL)
@@ -185,7 +189,7 @@ class TestBatchedAttacksMatchPerAtomReference:
         model = _models(12)[name]
         mu = _measure(13, n=4)
         X, Y = mu.support.xs, mu.support.ys
-        result = adversarial_risk(model, mu, BallSpec(tag, 0.25), AttackConfig(method="GRID", grid_points=9))
+        result = attack_sweep(model, mu, tag, [0.25], AttackConfig(method="GRID", grid_points=9))[0]
         for i in range(len(Y)):
             delta, value = vector_grid(model, X[i], Y[i], tag.value, 0.25, 9)
             assert math.isclose(result.losses[i], value, rel_tol=TOL, abs_tol=TOL)

@@ -680,6 +680,8 @@ class TestOverflowingConfigs:
             ("gen-data", {"dataset": {**BLOBS, "dim": 2**63 - 1}}, "out of memory (Unable to allocate the coordinates"),
             ("certify", {"dataset": BLOBS, "model": {"dims": [2, 2**63 - 1, 2]}, "robust": {"rho": 0.1}}, "out of memory (Unable to allocate the weights of layer 0"),
             ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2]}, "attack": {"epsilons": [0.1], "restarts": 2**63 - 1}}, "out of memory (Unable to allocate the restart draws"),
+            # the clean losses are checked before the restarts are drawn
+            ("attack", {"dataset": BLOBS, "model": {"dims": [2, 2], "init_scale": 1e308}, "attack": {"epsilons": [0.1], "restarts": 2**63 - 1}}, "loss is non-finite at support index 0"),
         ],
         ids=[
             "certify-rho",
@@ -707,6 +709,7 @@ class TestOverflowingConfigs:
             "dataset-dim-out-of-memory",
             "model-dims-out-of-memory",
             "attack-restarts-out-of-memory",
+            "attack-init-scale-before-restarts",
         ],
     )
     def test_exits_3_with_one_line(self, tmp_path, capsys, command, doc, message):
